@@ -22,7 +22,7 @@ from pathlib import PurePosixPath
 from typing import Iterable, Mapping
 
 from .findings import Finding, SourceLocation, finding, sort_findings
-from .model import ElementRef
+from .model import ROOT_CONTEXT, ElementRef
 
 __all__ = [
     "AnnotationKind",
@@ -33,6 +33,7 @@ __all__ = [
     "extract_attributes",
     "resolve_context",
     "validate_targets",
+    "side_context",
     "syntactic_refs",
     "dump_code_model",
     "ALLOWED_TARGETS",
@@ -402,6 +403,11 @@ def _parse_pragma_tail(
     return _finish_instance(kind, values, attrs, target, target_name, enclosing, location, package)
 
 
+# Whitespace and comment punctuation a pragma line may start with; stripped
+# before the sigil is matched, so a sigil cannot start with one of them.
+PRAGMA_LEADERS = " \t/#;*'\"!<%->"
+
+
 def extract_pragmas(
     file_text: str, path: str, sigil: str = "@arch"
 ) -> tuple[list[AnnotationInstance], list[Finding]]:
@@ -416,7 +422,7 @@ def extract_pragmas(
     instances: list[AnnotationInstance] = []
     findings: list[Finding] = []
     for lineno, line in enumerate(file_text.splitlines(), start=1):
-        stripped = line.lstrip(" \t/#;*'\"!<%->")
+        stripped = line.lstrip(PRAGMA_LEADERS)
         if not stripped.startswith(sigil):
             continue
         rest = stripped[len(sigil) :]
@@ -813,14 +819,6 @@ class CodeModel:
         return {k: tuple(v) for k, v in out.items()}
 
     @cached_property
-    def by_element(self) -> Mapping[ElementRef, tuple[AnnotationInstance, ...]]:
-        out: dict[ElementRef, list[AnnotationInstance]] = {}
-        for inst in self.instances:
-            for ref in syntactic_refs(inst):
-                out.setdefault(ref, []).append(inst)
-        return {k: tuple(v) for k, v in out.items()}
-
-    @cached_property
     def packages_by_component(self) -> Mapping[str, frozenset[str]]:
         out: dict[str, set[str]] = {}
         for inst in self.by_kind[AnnotationKind.COMPONENT]:
@@ -829,13 +827,15 @@ class CodeModel:
         return {k: frozenset(v) for k, v in out.items()}
 
 
-def _side_components(instance: AnnotationInstance, side: str) -> tuple[str, ...]:
+def side_context(instance: AnnotationInstance, side: str) -> str:
+    """Context component for one endpoint: explicit attr, else first enclosing,
+    else the document root."""
     explicit = instance.attrs.get(f"{side}component")
     if explicit is not None:
-        return (explicit,)
+        return explicit
     if instance.enclosing_components:
-        return (instance.enclosing_components[0],)
-    return ("",)  # root context
+        return instance.enclosing_components[0]
+    return ROOT_CONTEXT
 
 
 def syntactic_refs(instance: AnnotationInstance) -> frozenset[ElementRef]:
@@ -876,10 +876,10 @@ def syntactic_refs(instance: AnnotationInstance) -> frozenset[ElementRef]:
             explicit = instance.attrs.get(f"{side}component")
             if explicit:
                 refs.add(ElementRef.component(explicit))
-            (context,) = _side_components(instance, side)
+            context = side_context(instance, side)
             segments = path.split(".")
             first = segments[0]
-            if context == "":
+            if context == ROOT_CONTEXT:
                 if len(segments) > 1:
                     refs.add(ElementRef.component(first))
             elif len(segments) == 1:

@@ -23,7 +23,7 @@ from .annotations import (
     instance_payload,
 )
 from .conformance import report_fingerprint, run_all
-from .errors import AdlParseError, ArchlintError, ConfigError, PlanError, PlanParseError
+from .errors import AdlParseError, ArchlintError, PlanError, PlanParseError
 from .findings import Finding, Severity
 from .model import ArchitectureModel, RefKind, list_elements, parse_ref
 from .refactor import ImpactReport, apply_plan, connector_usages, lookup, op_text, parse_plan
@@ -339,7 +339,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except _CliError as err:
         print(f"archlint: {err}", file=sys.stderr)
         return 2
-    except (ConfigError, ArchlintError) as err:
+    except ArchlintError as err:
         print(f"archlint: {err}", file=sys.stderr)
         return 2
 

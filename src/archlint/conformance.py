@@ -26,6 +26,7 @@ from .annotations import (
     CodeModel,
     CONNECTION_KINDS,
     dump_code_model,
+    side_context,
     validate_targets,
 )
 from .errors import EndpointError
@@ -35,23 +36,11 @@ from .model import (
     Direction,
     ElementRef,
     RefKind,
-    ROOT_CONTEXT,
     list_elements,
     normalize_connector,
     resolve_endpoint,
     validate_model,
 )
-
-
-def side_context(instance: AnnotationInstance, side: str) -> str:
-    """Context component for one endpoint: explicit attr, else first enclosing,
-    else the document root."""
-    explicit = instance.attrs.get(f"{side}component")
-    if explicit is not None:
-        return explicit
-    if instance.enclosing_components:
-        return instance.enclosing_components[0]
-    return ROOT_CONTEXT
 
 
 def instance_direction(instance: AnnotationInstance) -> Direction | None:
@@ -102,35 +91,10 @@ def connection_instances(code: CodeModel) -> list[AnnotationInstance]:
 def declared_triples(
     arch: ArchitectureModel,
 ) -> tuple[set[tuple[str, str, Direction]], set[tuple[str, str]]]:
-    """Canonical triples and direction-free endpoint pairs of all connectors."""
-    triples: set[tuple[str, str, Direction]] = set()
-    pairs: set[tuple[str, str]] = set()
-    for conn in arch.connectors:
-        try:
-            left = resolve_endpoint(arch, conn.context, conn.left)
-            right = resolve_endpoint(arch, conn.context, conn.right)
-        except EndpointError:
-            continue
-        nl, nr, nd = normalize_connector(left, right, conn.direction)
-        triples.add((nl.path, nr.path, nd))
-        pairs.add((nl.path, nr.path))
-    return (triples, pairs)
-
-
-def matches_connector(
-    instance_triple: tuple[str, str, Direction | None],
-    connector_triple: tuple[str, str, Direction],
-) -> bool:
-    """Does a resolved connection annotation match a declared connector?
-
-    Without a `type` attr the annotation matches on endpoints alone; this
-    rule is uniform for @Connects, @Disconnects, and @Connector.
-    """
-    il, ir, idir = instance_triple
-    cl, cr, cdir = connector_triple
-    if (il, ir) != (cl, cr):
-        return False
-    return idir is None or idir is cdir
+    """Canonical triples and direction-free endpoint pairs of all resolving
+    connectors, read from the model's connector index."""
+    index = arch.connector_index
+    return (set(index.triples.values()), set(index.by_pair))
 
 
 def check_annotation_completeness(arch: ArchitectureModel, code: CodeModel) -> list[Finding]:

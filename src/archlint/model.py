@@ -7,6 +7,9 @@ same declarations in any order compare equal.
 
 A connector declared with the empty context ("" here, rendered "/id") lives
 at document root: its endpoint paths start at a top-level component name.
+
+Each model resolves its connectors once, lazily, into the ConnectorIndex
+every connector query reads; a derived model builds its own.
 """
 
 from __future__ import annotations
@@ -49,8 +52,6 @@ class Multiplicity:
     lower: int = 1
     upper: int | None = 1  # None = unbounded
 
-    UNBOUNDED = None
-
     def is_valid(self) -> bool:
         if self.lower < 0:
             return False
@@ -60,7 +61,6 @@ class Multiplicity:
 
 
 MULT_ONE = Multiplicity(1, 1)
-MULT_ANY = Multiplicity(0, None)
 
 
 @dataclass(frozen=True)
@@ -201,6 +201,12 @@ def parse_ref(text: str) -> ElementRef:
 
 @dataclass(frozen=True)
 class ArchitectureModel:
+    """Components and connectors, sorted on construction.
+
+    Cached lookups such as `connector_index`, which resolves every connector
+    on first use, live as long as this object and never enter equality.
+    """
+
     components: tuple[Component, ...] = ()
     connectors: tuple[Connector, ...] = ()
 
@@ -223,14 +229,15 @@ class ArchitectureModel:
     def _part_type_uses(self) -> frozenset[str]:
         return frozenset(p.type_component for c in self.components for p in c.parts)
 
+    @cached_property
+    def connector_index(self) -> ConnectorIndex:
+        return ConnectorIndex(self)
+
     def component(self, name: str) -> Component | None:
         return self._component_map.get(name)
 
     def connector_by_id(self, cid: str) -> Connector | None:
-        for conn in self.connectors:
-            if conn.id == cid:
-                return conn
-        return None
+        return self.connector_index.by_id.get(cid)
 
     def is_top_level(self, name: str) -> bool:
         """A component is top-level when no part anywhere is typed by it."""
@@ -240,18 +247,21 @@ class ArchitectureModel:
         return tuple(c for c in self.components if c.name not in self._part_type_uses)
 
 
-def resolve_endpoint(
+def walk_endpoint(
     model: ArchitectureModel, context: str, path: EndpointPath | str
-) -> ElementRef:
+) -> tuple[ElementRef, ...]:
     """Walk a dotted endpoint path from a context component to a part or port.
 
     Each non-final segment must be a part role (descending into its type);
     the final segment is a part role or a port name. Part roles shadow port
     names. In the root context the first segment selects a top-level
-    component instead.
+    component instead. Returns every element the walk touches in order (that
+    component, each traversed part, then the endpoint itself); raises
+    EndpointError when the path does not resolve.
     """
     ep = EndpointPath.parse(path) if isinstance(path, str) else path
     segments = ep.segments
+    walked: list[ElementRef] = []
     if context == ROOT_CONTEXT:
         first = segments[0]
         comp = model.component(first)
@@ -259,6 +269,7 @@ def resolve_endpoint(
             raise EndpointError(context, str(ep), f"'{first}' is not a top-level component")
         if len(segments) == 1:
             raise EndpointError(context, str(ep), "path ends at a component, not a part or port")
+        walked.append(ElementRef.component(first))
         segments = segments[1:]
     else:
         comp = model.component(context)
@@ -269,8 +280,9 @@ def resolve_endpoint(
         final = index == len(segments) - 1
         part = comp.part(segment)
         if part is not None:
+            walked.append(ElementRef.part(comp.name, segment))
             if final:
-                return ElementRef.part(comp.name, segment)
+                return tuple(walked)
             nxt = model.component(part.type_component)
             if nxt is None:
                 raise EndpointError(
@@ -279,9 +291,17 @@ def resolve_endpoint(
             comp = nxt
             continue
         if final and comp.port(segment) is not None:
-            return ElementRef.port(comp.name, segment)
+            walked.append(ElementRef.port(comp.name, segment))
+            return tuple(walked)
         what = "port or part" if final else "part"
         raise EndpointError(context, str(ep), f"no {what} '{segment}' in component '{comp.name}'")
+
+
+def resolve_endpoint(
+    model: ArchitectureModel, context: str, path: EndpointPath | str
+) -> ElementRef:
+    """The part or port an endpoint path ends at: the last element of its walk."""
+    return walk_endpoint(model, context, path)[-1]
 
 
 def normalize_connector(
@@ -295,14 +315,76 @@ def normalize_connector(
     return (left, right, direction)
 
 
+class ConnectorIndex:
+    """Every connector of one model, its endpoints resolved once; never mutated.
+
+    `sides` holds each connector's two resolved endpoints (or the
+    EndpointError a side raised), `triples` the canonical triple of each
+    connector whose sides resolve, `by_pair` the (direction, connector ref)
+    entries per canonical endpoint pair in declared order, and `by_id` and
+    `by_ref` the first connector declared per id and per ref.
+    """
+
+    def __init__(self, model: ArchitectureModel) -> None:
+        self.sides: dict[Connector, tuple[ElementRef | EndpointError, ...]] = {}
+        self.triples: dict[Connector, tuple[str, str, Direction]] = {}
+        self.by_pair: dict[tuple[str, str], list[tuple[Direction, ElementRef]]] = {}
+        self.by_id: dict[str, Connector] = {}
+        self.by_ref: dict[ElementRef, Connector] = {}
+        for conn in model.connectors:
+            ref = ElementRef.connector(conn.context, conn.id)
+            self.by_id.setdefault(conn.id, conn)
+            self.by_ref.setdefault(ref, conn)
+            sides: list[ElementRef | EndpointError] = []
+            for endpoint in (conn.left, conn.right):
+                try:
+                    sides.append(resolve_endpoint(model, conn.context, endpoint))
+                except EndpointError as err:
+                    sides.append(err.with_traceback(None))  # kept without its frames
+            self.sides[conn] = tuple(sides)
+            left, right = sides
+            if isinstance(left, EndpointError) or isinstance(right, EndpointError):
+                continue
+            nl, nr, nd = normalize_connector(left, right, conn.direction)
+            self.triples[conn] = (nl.path, nr.path, nd)
+            self.by_pair.setdefault((nl.path, nr.path), []).append((nd, ref))
+
+    def matching(self, triple: tuple[str, str, Direction | None]) -> list[ElementRef]:
+        """Refs of the declared connectors a canonical connection triple matches."""
+        left, right, _ = triple
+        return [
+            ref
+            for direction, ref in self.by_pair.get((left, right), ())
+            if matches_connector(triple, (left, right, direction))
+        ]
+
+
+def matches_connector(
+    instance_triple: tuple[str, str, Direction | None],
+    connector_triple: tuple[str, str, Direction],
+) -> bool:
+    """Does a resolved connection annotation match a declared connector?
+
+    Without a `type` attr the annotation matches on endpoints alone; this
+    rule is uniform for @Connects, @Disconnects, and @Connector.
+    """
+    il, ir, idir = instance_triple
+    cl, cr, cdir = connector_triple
+    if (il, ir) != (cl, cr):
+        return False
+    return idir is None or idir is cdir
+
+
 def canonical_triple(
     model: ArchitectureModel, connector: Connector
 ) -> tuple[str, str, Direction]:
-    """Resolve and normalize a declared connector; raises EndpointError."""
-    left = resolve_endpoint(model, connector.context, connector.left)
-    right = resolve_endpoint(model, connector.context, connector.right)
-    nl, nr, nd = normalize_connector(left, right, connector.direction)
-    return (nl.path, nr.path, nd)
+    """Canonical triple of a connector declared in model; raises the
+    EndpointError of its first side that does not resolve."""
+    index = model.connector_index
+    triple = index.triples.get(connector)
+    if triple is None:
+        raise next(side for side in index.sides[connector] if isinstance(side, EndpointError))
+    return triple
 
 
 def list_elements(model: ArchitectureModel) -> set[ElementRef]:
@@ -374,6 +456,7 @@ def validate_model(model: ArchitectureModel) -> list[Finding]:
 
     seen_ids: set[str] = set()
     seen_triples: set[tuple[str, str, str, Direction]] = set()
+    index = model.connector_index
     for conn in model.connectors:
         kref = ElementRef.connector(conn.context, conn.id)
         if conn.id in seen_ids:
@@ -392,33 +475,30 @@ def validate_model(model: ArchitectureModel) -> list[Finding]:
             )
             continue
 
-        sides: list[ElementRef] = []
-        for ep in (conn.left, conn.right):
-            try:
-                sides.append(resolve_endpoint(model, conn.context, ep))
-            except EndpointError as err:
-                findings.append(finding("UNRESOLVED_ENDPOINT", f"connector '{conn.id}': {err}", kref))
-        if len(sides) != 2:
+        for side in index.sides[conn]:
+            if isinstance(side, EndpointError):
+                findings.append(finding("UNRESOLVED_ENDPOINT", f"connector '{conn.id}': {side}", kref))
+        resolved = index.triples.get(conn)
+        if resolved is None:
             continue
-        left, right = sides
-        if left.path == right.path:
+        nl, nr, nd = resolved
+        if nl == nr:
             findings.append(
                 finding(
                     "SELF_CONNECTOR",
-                    f"connector '{conn.id}' joins '{left.path}' to itself",
+                    f"connector '{conn.id}' joins '{nl}' to itself",
                     kref,
                 )
             )
             continue
-        nl, nr, nd = normalize_connector(left, right, conn.direction)
         # Same wiring in different contexts is reuse, not duplication.
-        triple = (conn.context, nl.path, nr.path, nd)
+        triple = (conn.context, nl, nr, nd)
         if triple in seen_triples:
             findings.append(
                 finding(
                     "DUPLICATE_CONNECTOR",
                     f"connector '{conn.id}' duplicates an existing connector in the "
-                    f"same context ({nl.path} / {nr.path} {nd.value})",
+                    f"same context ({nl} / {nr} {nd.value})",
                     kref,
                 )
             )

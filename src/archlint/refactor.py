@@ -19,14 +19,10 @@ from .annotations import (
     AnnotationKind,
     CodeModel,
     CONNECTION_KINDS,
+    side_context,
     syntactic_refs,
 )
-from .conformance import (
-    connection_instances,
-    matches_connector,
-    resolve_connection,
-    side_context,
-)
+from .conformance import connection_instances, resolve_connection
 from .errors import (
     EndpointError,
     PlanError,
@@ -47,10 +43,12 @@ from .model import (
     ROOT_CONTEXT,
     canonical_triple,
     is_identifier,
+    matches_connector,
     normalize_connector,
     parse_ref,
     resolve_endpoint,
     validate_model,
+    walk_endpoint,
 )
 
 
@@ -173,18 +171,13 @@ def _apply_remove_port(model: ArchitectureModel, op: RemovePort):
     ref = ElementRef.port(op.component, op.port)
     if comp.port(op.port) is None:
         raise _fail(op, f"no port '{op.port}' in '{op.component}'", ref)
-    for conn in model.connectors:
-        for endpoint in (conn.left, conn.right):
-            try:
-                resolved = resolve_endpoint(model, conn.context, endpoint)
-            except EndpointError:
-                continue
-            if resolved == ref:
-                raise _fail(
-                    op,
-                    f"connector '{conn.id}' is attached to port '{ref.path}'",
-                    ElementRef.connector(conn.context, conn.id),
-                )
+    for conn, sides in model.connector_index.sides.items():
+        if ref in sides:
+            raise _fail(
+                op,
+                f"connector '{conn.id}' is attached to port '{ref.path}'",
+                ElementRef.connector(conn.context, conn.id),
+            )
     new_comp = replace(comp, ports=tuple(p for p in comp.ports if p.name != op.port))
     return (replace(model, components=_swap_component(model, new_comp)), {ref})
 
@@ -205,14 +198,10 @@ def _apply_add_connector(model: ArchitectureModel, op: AddConnector):
     if sides[0].path == sides[1].path:
         raise _fail(op, f"both endpoints resolve to '{sides[0].path}'")
     nl, nr, nd = normalize_connector(sides[0], sides[1], op.direction)
-    for conn in model.connectors:
-        if conn.context != op.context:
-            continue
-        try:
-            if canonical_triple(model, conn) == (nl.path, nr.path, nd):
-                raise _fail(op, f"connector '{conn.id}' already declares this connection")
-        except EndpointError:
-            continue
+    for direction, ref in model.connector_index.by_pair.get((nl.path, nr.path), ()):
+        context, cid = ref.split()
+        if direction is nd and context == op.context:
+            raise _fail(op, f"connector '{cid}' already declares this connection")
     new_conn = Connector(op.id, op.context, op.left, op.right, op.direction)
     ref = ElementRef.connector(op.context, op.id)
     return (replace(model, connectors=model.connectors + (new_conn,)), {ref})
@@ -360,10 +349,8 @@ def _rename_port(model: ArchitectureModel, op: RenameElement):
 
 
 def _rename_connector(model: ArchitectureModel, op: RenameElement):
-    context, cid = op.ref.split()
-    conn = next(
-        (c for c in model.connectors if c.context == context and c.id == cid), None
-    )
+    context, _ = op.ref.split()
+    conn = model.connector_index.by_ref.get(op.ref)
     if conn is None:
         raise _fail(op, f"no connector '{op.ref.path}'", op.ref)
     if model.connector_by_id(op.new_name) is not None:
@@ -606,8 +593,9 @@ def apply_plan(
 ) -> tuple[ArchitectureModel, ImpactReport]:
     """Apply ops in order; the first failure raises PlanError (nothing kept).
 
-    Each impact entry runs the annotation lookup against the pre-step model,
-    the architecture in which the touched names still have their old meaning.
+    Each impact entry is the annotation lookup of every touched ref against
+    the pre-step model, the architecture in which the touched names still
+    have their old meaning, from one pass over the instances per step.
     """
     current = model
     entries: list[ImpactEntry] = []
@@ -617,7 +605,8 @@ def apply_plan(
         except PreconditionError as err:
             raise PlanError(step, err) from err
         refs = tuple(sorted(touched, key=lambda r: r.sort_key()))
-        impact = {ref: tuple(lookup(code, ref, current)) for ref in refs}
+        refs_of = [(inst, instance_refs(inst, current)) for inst in code.instances]
+        impact = {ref: tuple(i for i, found in refs_of if ref in found) for ref in refs}
         entries.append(ImpactEntry(step, op, refs, impact))
         current = new_model
     return (current, ImpactReport(plan.name, tuple(entries)))
@@ -627,42 +616,6 @@ def apply_plan(
 # annotation lookup
 
 
-def endpoint_traversal(
-    arch: ArchitectureModel, context: str, path: str
-) -> set[ElementRef]:
-    """Every element a resolving endpoint path touches, traversed parts included."""
-    refs: set[ElementRef] = set()
-    ep = EndpointPath.parse(path)
-    segments = ep.segments
-    if context == ROOT_CONTEXT:
-        comp = arch.component(segments[0])
-        if comp is None or not arch.is_top_level(segments[0]) or len(segments) == 1:
-            raise EndpointError(context, path, "not resolvable from the document root")
-        refs.add(ElementRef.component(segments[0]))
-        segments = segments[1:]
-    else:
-        comp = arch.component(context)
-        if comp is None:
-            raise EndpointError(context, path, f"unknown context component '{context}'")
-    for index, segment in enumerate(segments):
-        final = index == len(segments) - 1
-        part = comp.part(segment)
-        if part is not None:
-            refs.add(ElementRef.part(comp.name, segment))
-            if final:
-                return refs
-            nxt = arch.component(part.type_component)
-            if nxt is None:
-                raise EndpointError(context, path, f"undeclared type '{part.type_component}'")
-            comp = nxt
-            continue
-        if final and comp.port(segment) is not None:
-            refs.add(ElementRef.port(comp.name, segment))
-            return refs
-        raise EndpointError(context, path, f"no segment '{segment}' in '{comp.name}'")
-    return refs
-
-
 def instance_refs(
     instance: AnnotationInstance, arch: ArchitectureModel | None = None
 ) -> frozenset[ElementRef]:
@@ -670,8 +623,9 @@ def instance_refs(
 
     With a model, connection endpoints are fully walked (every traversed part
     counts) and the instance also references each declared connector whose
-    canonical triple it matches. Without one, the syntactic approximation of
-    the CodeModel index is used.
+    canonical triple it matches: one lookup in the model's connector index,
+    which each model object builds once for itself. Without a model, the
+    syntactic approximation is used.
     """
     if arch is None or instance.kind not in CONNECTION_KINDS:
         return syntactic_refs(instance)
@@ -685,20 +639,13 @@ def instance_refs(
         explicit = instance.attrs.get(f"{side}component")
         if explicit:
             refs.add(ElementRef.component(explicit))
-        context = side_context(instance, side)
         try:
-            refs.update(endpoint_traversal(arch, context, raw))
+            refs.update(walk_endpoint(arch, side_context(instance, side), raw))
         except (EndpointError, ValueError):
             refs.update(syntactic_refs(instance))
     triple, _ = resolve_connection(arch, instance)
     if triple is not None:
-        for conn in arch.connectors:
-            try:
-                declared = canonical_triple(arch, conn)
-            except EndpointError:
-                continue
-            if matches_connector(triple, declared):
-                refs.add(ElementRef.connector(conn.context, conn.id))
+        refs.update(arch.connector_index.matching(triple))
     return frozenset(refs)
 
 
@@ -708,7 +655,9 @@ def lookup(
     """All instances referencing ref, in location order.
 
     Pass the architecture to resolve connection endpoints properly; without
-    it the match is purely syntactic.
+    it the match is purely syntactic. One pass over the instances; each
+    connection instance is matched through the architecture's connector
+    index, so the cost is linear in instances plus connectors.
     """
     return [inst for inst in code.instances if ref in instance_refs(inst, arch)]
 
@@ -723,13 +672,15 @@ class ConnectorUsages:
 def connector_usages(
     code: CodeModel, ref: ElementRef, arch: ArchitectureModel
 ) -> ConnectorUsages:
-    """Who connects, disconnects, and stores a declared connector."""
+    """Who connects, disconnects, and stores a declared connector.
+
+    The connector and its canonical triple come from the architecture's
+    connector index (raising EndpointError when the connector does not
+    resolve); each connection instance is resolved once and matched.
+    """
     if ref.kind is not RefKind.CONNECTOR:
         raise UnknownConnectorError(f"'{ref.path}' is not a connector reference")
-    context, cid = ref.split()
-    conn = next(
-        (c for c in arch.connectors if c.context == context and c.id == cid), None
-    )
+    conn = arch.connector_index.by_ref.get(ref)
     if conn is None:
         raise UnknownConnectorError(f"the architecture declares no connector '{ref.path}'")
     declared = canonical_triple(arch, conn)

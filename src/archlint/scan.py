@@ -15,6 +15,7 @@ import fnmatch
 import hashlib
 
 from .annotations import (
+    PRAGMA_LEADERS,
     AnnotationInstance,
     CodeModel,
     extract_attributes,
@@ -84,13 +85,17 @@ class ScanConfig:
             value = mapping["sigil"]
             if not value or any(ch.isspace() for ch in value):
                 raise ConfigError(f"invalid sigil {value!r}")
-            cfg = _with(cfg, sigil=value)
+            if value[0] in PRAGMA_LEADERS:
+                raise ConfigError(
+                    f"invalid sigil {value!r}: pragma lines strip a leading {value[0]!r}"
+                )
+            cfg = replace(cfg, sigil=value)
         if "attribute_extensions" in mapping:
-            cfg = _with(cfg, attribute_extensions=_normalize_exts(mapping["attribute_extensions"]))
+            cfg = replace(cfg, attribute_extensions=_normalize_exts(mapping["attribute_extensions"]))
         if "pragma_extensions" in mapping:
-            cfg = _with(cfg, pragma_extensions=_normalize_exts(mapping["pragma_extensions"]))
+            cfg = replace(cfg, pragma_extensions=_normalize_exts(mapping["pragma_extensions"]))
         if "exclude" in mapping:
-            cfg = _with(cfg, exclude=_split_list(mapping["exclude"]))
+            cfg = replace(cfg, exclude=_split_list(mapping["exclude"]))
         if "workers" in mapping:
             try:
                 workers = int(mapping["workers"])
@@ -98,7 +103,7 @@ class ScanConfig:
                 raise ConfigError(f"workers must be an integer: {mapping['workers']!r}") from err
             if workers < 1:
                 raise ConfigError("workers must be >= 1")
-            cfg = _with(cfg, workers=workers)
+            cfg = replace(cfg, workers=workers)
         return cfg
 
     def semantic_fingerprint(self) -> str:
@@ -112,10 +117,6 @@ class ScanConfig:
             )
         )
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
-
-
-def _with(cfg: ScanConfig, **changes) -> ScanConfig:
-    return replace(cfg, **changes)
 
 
 def _normalize_exts(value: str) -> tuple[str, ...]:

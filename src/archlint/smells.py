@@ -11,15 +11,10 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .annotations import AnnotationKind, CodeModel
-from .conformance import matches_connector, resolve_connection
-from .errors import ConfigError, EndpointError
+from .conformance import resolve_connection
+from .errors import ConfigError
 from .findings import Finding, SMELL_IDS, SourceLocation, finding, sort_findings
-from .model import (
-    ArchitectureModel,
-    ElementRef,
-    normalize_connector,
-    resolve_endpoint,
-)
+from .model import ArchitectureModel, ElementRef
 
 SCATTERED_COMPONENT = "SCATTERED_COMPONENT"
 CONNECTOR_LIFECYCLE = "CONNECTOR_LIFECYCLE"
@@ -84,29 +79,23 @@ def smell_scattered_component(
 def _lifecycle_counts(
     arch: ArchitectureModel, code: CodeModel
 ) -> dict[str, dict[AnnotationKind, list[SourceLocation]]]:
-    """Per connector ref path: locations of matching CONNECTS/DISCONNECTS."""
-    out: dict[str, dict[AnnotationKind, list[SourceLocation]]] = {}
-    connector_triples: list[tuple[str, tuple]] = []
-    for conn in arch.connectors:
-        try:
-            left = resolve_endpoint(arch, conn.context, conn.left)
-            right = resolve_endpoint(arch, conn.context, conn.right)
-        except EndpointError:
-            continue
-        nl, nr, nd = normalize_connector(left, right, conn.direction)
-        ref = ElementRef.connector(conn.context, conn.id)
-        connector_triples.append((ref.path, (nl.path, nr.path, nd)))
-        out[ref.path] = {AnnotationKind.CONNECTS: [], AnnotationKind.DISCONNECTS: []}
+    """Per resolving connector ref path: locations of matching CONNECTS/DISCONNECTS.
 
+    Each instance is resolved once and matched through the connector index.
+    """
+    index = arch.connector_index
+    kinds = (AnnotationKind.CONNECTS, AnnotationKind.DISCONNECTS)
+    out: dict[str, dict[AnnotationKind, list[SourceLocation]]] = {
+        ElementRef.connector(c.context, c.id).path: {k: [] for k in kinds} for c in index.triples
+    }
     for inst in code.instances:
-        if inst.kind not in (AnnotationKind.CONNECTS, AnnotationKind.DISCONNECTS):
+        if inst.kind not in kinds:
             continue
         triple, _ = resolve_connection(arch, inst)
         if triple is None:
             continue
-        for ref_path, conn_triple in connector_triples:
-            if matches_connector(triple, conn_triple):
-                out[ref_path][inst.kind].append(inst.location)
+        for ref in index.matching(triple):
+            out[ref.path][inst.kind].append(inst.location)
     return out
 
 

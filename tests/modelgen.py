@@ -26,6 +26,7 @@ from archlint.model import (
     ROOT_CONTEXT,
     resolve_endpoint,
     validate_model,
+    walk_endpoint,
 )
 from archlint.refactor import (
     AddConnector,
@@ -37,7 +38,6 @@ from archlint.refactor import (
     RenameElement,
     SplitComponent,
     apply_op,
-    endpoint_traversal,
 )
 
 MULTS = [
@@ -346,7 +346,7 @@ def _candidate_op(rng: random.Random, model: ArchitectureModel) -> RefactoringOp
         for conn in model.connectors:
             for ep in (conn.left, conn.right):
                 try:
-                    traversed.update(endpoint_traversal(model, conn.context, str(ep)))
+                    traversed.update(walk_endpoint(model, conn.context, ep))
                 except EndpointError:
                     pass
         movable = [

@@ -7,6 +7,7 @@ they can disagree with the production code.
 
 import random
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -17,6 +18,7 @@ from archlint.annotations import (
     CodeModel,
     TargetKind,
     dump_code_model,
+    syntactic_refs,
 )
 from archlint.cli import main
 from archlint.conformance import (
@@ -25,18 +27,26 @@ from archlint.conformance import (
     run_all,
 )
 from archlint.errors import PlanError
-from archlint.model import ArchitectureModel, Direction, validate_model
+from archlint.findings import SourceLocation
+from archlint.model import (
+    ArchitectureModel,
+    Direction,
+    ElementRef,
+    list_elements,
+    validate_model,
+)
 from archlint.refactor import (
     AddPort,
     RefactoringPlan,
     apply_op,
     apply_plan,
+    connector_usages,
     lookup,
     parse_plan,
 )
 from archlint.scaffold import write_scaffold
 from archlint.scan import ScanConfig, scan_tree
-from archlint.smells import run_smells
+from archlint.smells import run_smells, smell_connector_lifecycle
 from modelgen import inverse_of, random_code_for, random_model, random_op_sequence
 
 DATA = Path(__file__).parent / "data"
@@ -253,6 +263,172 @@ def test_criterion_3_oracle_equivalence() -> None:
         )
         assert got_undeclared == _oracle_undeclared(model, code)
     assert pairs >= 200
+
+
+_CONNECTION_KINDS = (
+    AnnotationKind.CONNECTS,
+    AnnotationKind.DISCONNECTS,
+    AnnotationKind.CONNECTOR,
+)
+
+
+def _oracle_context(inst, side: str) -> str:
+    explicit = inst.attrs.get(f"{side}component")
+    if explicit is not None:
+        return explicit
+    if inst.enclosing_components:
+        return inst.enclosing_components[0]
+    return ""
+
+
+def _oracle_walk(model: ArchitectureModel, context: str, path: str):
+    """Independent endpoint traversal: every element the path passes, or None."""
+    segments = path.split(".")
+    if any(not s for s in segments):
+        return None
+    walked = set()
+    if context == "":
+        first = segments[0]
+        if model.component(first) is None or not model.is_top_level(first) or len(segments) == 1:
+            return None
+        walked.add(ElementRef.component(first))
+        current = model.component(first)
+        segments = segments[1:]
+    else:
+        current = model.component(context)
+        if current is None:
+            return None
+    for idx, seg in enumerate(segments):
+        last = idx == len(segments) - 1
+        part = current.part(seg)
+        if part is not None:
+            walked.add(ElementRef.part(current.name, seg))
+            if last:
+                return walked
+            current = model.component(part.type_component)
+            if current is None:
+                return None
+        elif last and current.port(seg) is not None:
+            walked.add(ElementRef.port(current.name, seg))
+            return walked
+        else:
+            return None
+    return None
+
+
+def _oracle_connectors(model: ArchitectureModel, inst) -> list[ElementRef]:
+    """Declared connectors a connection instance matches: instance x connector scan."""
+    sides = [
+        _oracle_resolve(model, _oracle_context(inst, side), inst.attrs.get(side, ""))
+        for side in ("left", "right")
+    ]
+    if sides[0] is None or sides[1] is None:
+        return []
+    raw = inst.attrs.get("type")
+    if raw is None:
+        a, b = sorted(sides)
+        wanted = (a, b, None)
+    else:
+        wanted = _oracle_normalize(sides[0], sides[1], Direction(raw))
+    out = []
+    for conn in model.connectors:
+        left = _oracle_resolve(model, conn.context, str(conn.left))
+        right = _oracle_resolve(model, conn.context, str(conn.right))
+        if left is None or right is None:
+            continue
+        nl, nr, nd = _oracle_normalize(left, right, conn.direction)
+        if (nl, nr) == wanted[:2] and wanted[2] in (None, nd):
+            out.append(ElementRef.connector(conn.context, conn.id))
+    return out
+
+
+def _oracle_refs(model: ArchitectureModel, inst) -> set[ElementRef]:
+    """Every element an instance references, given the architecture.
+
+    Non-connection instances keep their syntactic refs; a connection
+    instance adds each element its endpoint walks pass (the syntactic refs
+    when a walk fails) and each declared connector it matches.
+    """
+    if inst.kind not in _CONNECTION_KINDS:
+        return set(syntactic_refs(inst))
+    refs = {ElementRef.component(name) for name in inst.enclosing_components}
+    for side in ("left", "right"):
+        path = inst.attrs.get(side)
+        if not path:
+            continue
+        explicit = inst.attrs.get(f"{side}component")
+        if explicit:
+            refs.add(ElementRef.component(explicit))
+        walked = _oracle_walk(model, _oracle_context(inst, side), path)
+        refs |= walked if walked is not None else syntactic_refs(inst)
+    refs.update(_oracle_connectors(model, inst))
+    return refs
+
+
+def _oracle_lookup(model: ArchitectureModel, code: CodeModel, ref: ElementRef) -> tuple:
+    return tuple(inst for inst in code.instances if ref in _oracle_refs(model, inst))
+
+
+def _with_odd_connections(rng: random.Random, code: CodeModel) -> CodeModel:
+    """Add connection instances that fail to resolve or name their context."""
+    extra = []
+    for inst in code.instances:
+        if inst.kind not in _CONNECTION_KINDS or rng.random() < 0.7:
+            continue
+        line = 10_000 + len(extra)
+        if rng.random() < 0.5:
+            attrs = {**inst.attrs, "right": "nowhere.x"}
+        elif inst.enclosing_components:
+            attrs = {**inst.attrs, "leftcomponent": inst.enclosing_components[0]}
+        else:
+            attrs = {**inst.attrs, "leftcomponent": "NoSuchContext"}
+        extra.append(replace(inst, attrs=attrs, location=SourceLocation("gen/odd.java", line, 1)))
+    return CodeModel.build(code.instances + tuple(extra), code.findings, code.config_fingerprint)
+
+
+def test_criterion_3_lookup_impact_oracle() -> None:
+    """lookup, connector_usages, lifecycle smells and plan impact vs brute force."""
+    rng = random.Random(20261017)
+    plans = 0
+    for _ in range(120):
+        model = random_model(rng, max_components=rng.randint(2, 12))
+        code = _with_odd_connections(rng, random_code_for(rng, model))
+        refs_of = [(inst, _oracle_refs(model, inst)) for inst in code.instances]
+        wanted = set(list_elements(model)).union(*(refs for _, refs in refs_of))
+        for ref in sorted(wanted, key=lambda r: r.sort_key()):
+            expected = [inst for inst, refs in refs_of if ref in refs]
+            assert lookup(code, ref, model) == expected, ref
+
+        flagged = {}
+        for conn in model.connectors:
+            ref = ElementRef.connector(conn.context, conn.id)
+            groups = {kind: [] for kind in _CONNECTION_KINDS}
+            for inst, refs in refs_of:
+                if inst.kind in _CONNECTION_KINDS and ref in refs:
+                    groups[inst.kind].append(inst)
+            usages = connector_usages(code, ref, model)
+            assert list(usages.connects) == groups[AnnotationKind.CONNECTS]
+            assert list(usages.disconnects) == groups[AnnotationKind.DISCONNECTS]
+            assert list(usages.stores) == groups[AnnotationKind.CONNECTOR]
+            lifecycle = groups[AnnotationKind.CONNECTS] + groups[AnnotationKind.DISCONNECTS]
+            if len(groups[AnnotationKind.CONNECTS]) != 1 or len(groups[AnnotationKind.DISCONNECTS]) != 1:
+                flagged[ref.path] = sorted(
+                    (inst.location for inst in lifecycle), key=lambda loc: loc.sort_key()
+                )
+        got = {f.element.path: list(f.locations) for f in smell_connector_lifecycle(model, code)}
+        assert got == flagged
+
+        ops, _ = random_op_sequence(rng, model, max_len=3)
+        if not ops:
+            continue
+        _, report = apply_plan(model, RefactoringPlan("oracle", tuple(ops)), code)
+        before = model
+        for entry in report.entries:
+            for ref in entry.touched:
+                assert entry.instances[ref] == _oracle_lookup(before, code, ref), (entry.op, ref)
+            before, _ = apply_op(before, entry.op)
+        plans += 1
+    assert plans >= 100
 
 
 # --- 4. smell catalog --------------------------------------------------------

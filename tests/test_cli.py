@@ -141,6 +141,21 @@ def test_check_with_config(capsys, tmp_path: Path) -> None:
 # --- extract ----------------------------------------------------------------
 
 
+def test_check_rejects_sigil_that_pragma_lines_strip(capsys, tmp_path: Path) -> None:
+    (tmp_path / "car.arch").write_text("component Car {\n}\n")
+    (tmp_path / "archlint.conf").write_text("sigil = ;arch\n")
+    src = tmp_path / "src"
+    src.mkdir()
+    (src / "car.py").write_text("# ;arch Component(Car) @on type\n")
+    code, out, err = run(
+        capsys, "check", "--arch", str(tmp_path / "car.arch"), "--src", str(src),
+        "--config", str(tmp_path / "archlint.conf"),
+    )
+    assert code == 2
+    assert out == ""
+    assert "';'" in err
+
+
 def test_extract_text(capsys) -> None:
     code, out, _ = run(capsys, "extract", "--src", str(DATA / "car" / "src"))
     assert code == 0

@@ -7,11 +7,10 @@ from archlint.conformance import (
     check_architecture_completeness,
     check_connection_consistency,
     declared_triples,
-    matches_connector,
     resolve_connection,
     run_all,
 )
-from archlint.model import ArchitectureModel, Direction
+from archlint.model import ArchitectureModel, Direction, matches_connector
 from archlint.scan import scan_tree
 
 DATA = Path(__file__).parent / "data"

@@ -1,0 +1,130 @@
+"""The per-model connector index: linear cost and per-model lifetime.
+
+The cost test counts endpoint walks instead of timing anything: every
+connector query resolves endpoints through `walk_endpoint`, so a quadratic
+path shows up as a call count that quadruples when the model doubles.
+"""
+
+import sys
+
+from archlint import model as model_module
+from archlint.annotations import AnnotationInstance, AnnotationKind, CodeModel, TargetKind
+from archlint.findings import SourceLocation
+from archlint.model import (
+    ArchitectureModel,
+    Component,
+    Connector,
+    Direction,
+    ElementRef,
+    EndpointPath,
+    Part,
+    Port,
+    ROOT_CONTEXT,
+)
+from archlint.refactor import (
+    AddPort,
+    RefactoringPlan,
+    RenameElement,
+    apply_op,
+    apply_plan,
+    lookup,
+)
+from archlint.smells import smell_connector_lifecycle
+
+
+def _chain(n: int) -> ArchitectureModel:
+    """Hub (with one part) plus components C0..C{n-1} wired by root connectors c0..c{n-2}."""
+    components = [Component("Hub", parts=(Part("core", "Core"),)), Component("Core")]
+    components += [Component(f"C{k}", ports=(Port("a"), Port("b"))) for k in range(n)]
+    connectors = [
+        Connector(
+            f"c{k}",
+            ROOT_CONTEXT,
+            EndpointPath((f"C{k}", "b")),
+            EndpointPath((f"C{k + 1}", "a")),
+            Direction.RIGHT,
+        )
+        for k in range(n - 1)
+    ]
+    return ArchitectureModel(tuple(components), tuple(connectors))
+
+
+def _chain_code(n: int) -> CodeModel:
+    """One resolving @Connects per connector of `_chain(n)`, plus the hub's part."""
+    instances = [
+        AnnotationInstance(
+            AnnotationKind.PART, ("core",), {}, TargetKind.FIELD, "core", ("Hub",),
+            SourceLocation("Hub.java", 1, 1), "gen",
+        )
+    ]
+    for k in range(n - 1):
+        attrs = {"left": f"C{k}.b", "right": f"C{k + 1}.a", "type": "RIGHT"}
+        instances.append(
+            AnnotationInstance(
+                AnnotationKind.CONNECTS, (), attrs, TargetKind.METHOD, f"link{k}", (),
+                SourceLocation(f"C{k}.java", 1, 1), "gen",
+            )
+        )
+    return CodeModel.build(instances)
+
+
+def _count_walks(monkeypatch) -> list[int]:
+    """Count every call of the endpoint walker, wherever a module bound it."""
+    calls = [0]
+    original = model_module.walk_endpoint
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "archlint" and getattr(module, "walk_endpoint", None) is original:
+            monkeypatch.setattr(module, "walk_endpoint", counting)
+    return calls
+
+
+def _walks(calls: list[int], operation, n: int) -> int:
+    """Walks made by one operation on a freshly built model and code of size n."""
+    arch, code = _chain(n), _chain_code(n)
+    before = calls[0]
+    operation(arch, code)
+    return calls[0] - before
+
+
+def test_connector_queries_walk_linearly(monkeypatch) -> None:
+    calls = _count_walks(monkeypatch)
+    plan = RefactoringPlan(
+        "grow", (AddPort("C0", "z"), RenameElement(ElementRef.connector(ROOT_CONTEXT, "c1"), "cz"))
+    )
+    operations = {
+        "lookup": lambda arch, code: lookup(code, ElementRef.part("Hub", "core"), arch),
+        "apply_plan": lambda arch, code: apply_plan(arch, plan, code),
+        "lifecycle": lambda arch, code: smell_connector_lifecycle(arch, code),
+    }
+    for name, operation in operations.items():
+        small = _walks(calls, operation, 60)
+        large = _walks(calls, operation, 120)
+        assert small > 0, name
+        assert large <= 2.2 * small, (name, small, large)
+
+
+def test_renamed_connector_is_found_through_the_new_models_index() -> None:
+    arch, code = _chain(6), _chain_code(6)
+    old_ref = ElementRef.connector(ROOT_CONTEXT, "c3")
+    new_ref = ElementRef.connector(ROOT_CONTEXT, "cZ")
+    wired = lookup(code, old_ref, arch)
+    assert [inst.target_name for inst in wired] == ["link3"]
+
+    renamed, _ = apply_op(arch, RenameElement(old_ref, "cZ"))
+    assert lookup(code, new_ref, renamed) == wired
+    assert lookup(code, old_ref, renamed) == []
+    assert lookup(code, old_ref, arch) == wired
+
+
+def test_built_index_stays_out_of_equality_and_hash() -> None:
+    built, fresh = _chain(5), _chain(5)
+    assert built.connector_index.by_id["c2"].id == "c2"
+    assert "connector_index" in vars(built)
+    assert "connector_index" not in vars(fresh)
+    assert built == fresh
+    assert hash(built) == hash(fresh)

@@ -195,3 +195,14 @@ def test_fingerprint_ignores_workers() -> None:
     base = ScanConfig()
     assert base.semantic_fingerprint() == ScanConfig(workers=8).semantic_fingerprint()
     assert base.semantic_fingerprint() != ScanConfig(sigil="@@x").semantic_fingerprint()
+
+
+@pytest.mark.parametrize("sigil", [";arch", "*arch", "!arch"])
+def test_config_rejects_sigil_starting_with_comment_leader(tmp_path: Path, sigil: str) -> None:
+    # Pragma lines are stripped of comment characters before the sigil is
+    # matched, so such a sigil would silently find nothing.
+    cfg_path = tmp_path / "archlint.conf"
+    cfg_path.write_text(f"sigil = {sigil}\n")
+    with pytest.raises(ConfigError) as exc:
+        ScanConfig.from_mapping(load_config_file(cfg_path))
+    assert repr(sigil[0]) in str(exc.value)
