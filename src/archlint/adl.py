@@ -19,9 +19,8 @@ connectors, each group sorted, so equal models serialize byte-identically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import AdlParseError
+from .lexer import ADL, Token, tokenize
 from .model import (
     ArchitectureModel,
     Component,
@@ -41,79 +40,8 @@ _ARROWS = {"->": Direction.RIGHT, "<-": Direction.LEFT, "<->": Direction.BIDIR}
 _ARROW_TEXT = {v: k for k, v in _ARROWS.items()}
 
 
-def _is_ident_start(ch: str) -> bool:
-    return ("a" <= ch <= "z") or ("A" <= ch <= "Z") or ch == "_"
-
-
-def _is_ident_char(ch: str) -> bool:
-    return _is_ident_start(ch) or ("0" <= ch <= "9")
-
-
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # ident | number | punct | eof
-    text: str
-    line: int
-    column: int
-
-
-def _lex(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    line = 1
-    col = 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if text.startswith("//", i):
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        start_col = col
-        if _is_ident_start(ch):
-            j = i
-            while j < n and _is_ident_char(text[j]):
-                j += 1
-            tokens.append(_Token("ident", text[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(_Token("number", text[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        for punct in ("<->", "->", "<-", ".."):
-            if text.startswith(punct, i):
-                tokens.append(_Token("punct", punct, line, start_col))
-                i += len(punct)
-                col += len(punct)
-                break
-        else:
-            if ch in "{}[]:;.*":
-                tokens.append(_Token("punct", ch, line, start_col))
-                i += 1
-                col += 1
-            else:
-                raise AdlParseError(f"unexpected character {ch!r}", line, start_col)
-    tokens.append(_Token("eof", "", line, col))
-    return tokens
-
-
 class _Parser:
-    def __init__(self, tokens: list[_Token]) -> None:
+    def __init__(self, tokens: list[Token]) -> None:
         self.tokens = tokens
         self.pos = 0
         self.components: list[Component] = []
@@ -121,26 +49,26 @@ class _Parser:
         # declaration positions by ref path, for semantic diagnostics
         self.positions: dict[str, tuple[int, int]] = {}
 
-    def peek(self) -> _Token:
+    def peek(self) -> Token:
         return self.tokens[self.pos]
 
-    def advance(self) -> _Token:
+    def advance(self) -> Token:
         tok = self.tokens[self.pos]
         if tok.kind != "eof":
             self.pos += 1
         return tok
 
-    def error(self, message: str, tok: _Token | None = None) -> AdlParseError:
+    def error(self, message: str, tok: Token | None = None) -> AdlParseError:
         tok = tok or self.peek()
         return AdlParseError(message, tok.line, tok.column)
 
-    def expect_punct(self, text: str) -> _Token:
+    def expect_punct(self, text: str) -> Token:
         tok = self.peek()
         if tok.kind != "punct" or tok.text != text:
             raise self.error(f"expected '{text}', found {tok.text!r}" if tok.text else f"expected '{text}'")
         return self.advance()
 
-    def expect_ident(self, what: str) -> _Token:
+    def expect_ident(self, what: str) -> Token:
         tok = self.peek()
         if tok.kind != "ident":
             raise self.error(f"expected {what}, found {tok.text!r}" if tok.text else f"expected {what}")
@@ -264,7 +192,11 @@ def parse_architecture(text: str) -> ArchitectureModel:
     well-formedness violations (duplicate names, unresolved references),
     pointing at the offending declaration where known.
     """
-    parser = _Parser(_lex(text))
+    tokens = tokenize(ADL, text)
+    last = tokens[-1]
+    if last.kind == "error":
+        raise AdlParseError(f"unexpected character {last.text!r}", last.line, last.column)
+    parser = _Parser(tokens)
     parser.parse_document()
     model = ArchitectureModel(tuple(parser.components), tuple(parser.connectors))
     problems = validate_model(model)

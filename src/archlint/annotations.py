@@ -16,12 +16,14 @@ from __future__ import annotations
 
 import enum
 import json
+import string
 from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import PurePosixPath
 from typing import Iterable, Mapping
 
 from .findings import Finding, SourceLocation, finding, sort_findings
+from .lexer import JAVA, PRAGMA, Token, tokenize
 from .model import ROOT_CONTEXT, ElementRef
 
 __all__ = [
@@ -140,94 +142,21 @@ def validate_targets(instance: AnnotationInstance) -> list[Finding]:
 # shared token machinery for pragma lines and annotation argument lists
 
 
-@dataclass(frozen=True)
-class _Tok:
-    kind: str  # ident | string | char | number | punct | eof
-    value: str
-    line: int
-    column: int
-
-
 class _ArgProblem(Exception):
     def __init__(self, message: str) -> None:
         super().__init__(message)
         self.message = message
 
 
-def _unescape(body: str) -> str:
-    out: list[str] = []
-    i = 0
-    while i < len(body):
-        ch = body[i]
-        if ch == "\\" and i + 1 < len(body):
-            out.append(body[i + 1])
-            i += 2
-        else:
-            out.append(ch)
-            i += 1
-    return "".join(out)
-
-
-def _is_ident_start(ch: str) -> bool:
-    return ("a" <= ch <= "z") or ("A" <= ch <= "Z") or ch in "_$"
-
-
-def _is_ident_char(ch: str) -> bool:
-    return _is_ident_start(ch) or ("0" <= ch <= "9")
-
-
-def _tokenize_line(text: str, line: int, col_offset: int) -> list[_Tok]:
-    """Tokens of a pragma tail; raises _ArgProblem on an unlexable character."""
-    tokens: list[_Tok] = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        col = col_offset + i
-        if ch in " \t\r":
-            i += 1
-            continue
-        if ch == '"':
-            j = i + 1
-            while j < n and text[j] != '"':
-                j += 2 if text[j] == "\\" else 1
-            if j >= n:
-                raise _ArgProblem("unterminated string")
-            tokens.append(_Tok("string", _unescape(text[i + 1 : j]), line, col))
-            i = j + 1
-            continue
-        if _is_ident_start(ch):
-            j = i
-            while j < n and _is_ident_char(text[j]):
-                j += 1
-            tokens.append(_Tok("ident", text[i:j], line, col))
-            i = j
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "."):
-                j += 1
-            tokens.append(_Tok("number", text[i:j], line, col))
-            i = j
-            continue
-        if ch in "(){}@=,.":
-            tokens.append(_Tok("punct", ch, line, col))
-            i += 1
-            continue
-        raise _ArgProblem(f"unexpected character {ch!r}")
-    tokens.append(_Tok("eof", "", line, col_offset + n))
-    return tokens
-
-
 class _Cursor:
-    def __init__(self, tokens: list[_Tok]) -> None:
+    def __init__(self, tokens: list[Token]) -> None:
         self.tokens = tokens
         self.pos = 0
 
-    def peek(self) -> _Tok:
+    def peek(self) -> Token:
         return self.tokens[self.pos]
 
-    def advance(self) -> _Tok:
+    def advance(self) -> Token:
         tok = self.tokens[self.pos]
         if tok.kind != "eof":
             self.pos += 1
@@ -235,7 +164,7 @@ class _Cursor:
 
     def at_punct(self, value: str) -> bool:
         tok = self.peek()
-        return tok.kind == "punct" and tok.value == value
+        return tok.kind == "punct" and tok.text == value
 
     def expect_punct(self, value: str) -> None:
         if not self.at_punct(value):
@@ -247,7 +176,7 @@ class _Cursor:
         if tok.kind != "ident":
             raise _ArgProblem(f"expected {what}")
         self.advance()
-        return tok.value
+        return tok.text
 
 
 def _parse_string_array(cursor: _Cursor) -> tuple[str, ...]:
@@ -260,7 +189,7 @@ def _parse_string_array(cursor: _Cursor) -> tuple[str, ...]:
         tok = cursor.peek()
         if tok.kind != "string":
             raise _ArgProblem("array elements must be quoted strings")
-        items.append(cursor.advance().value)
+        items.append(cursor.advance().text)
         if cursor.at_punct(","):
             cursor.advance()
             continue
@@ -293,28 +222,28 @@ def _parse_args(cursor: _Cursor, kind: AnnotationKind) -> tuple[tuple[str, ...],
         return ((), attrs)
     while True:
         tok = cursor.peek()
-        if tok.kind == "string" or (tok.kind == "punct" and tok.value == "{"):
+        if tok.kind == "string" or (tok.kind == "punct" and tok.text == "{"):
             if values is not None or attrs:
                 raise _ArgProblem("positional value must be the first argument")
             if tok.kind == "string":
-                values = (cursor.advance().value,)
+                values = (cursor.advance().text,)
             else:
                 values = _parse_string_array(cursor)
         elif tok.kind == "ident":
-            key = cursor.advance().value
+            key = cursor.advance().text
             cursor.expect_punct("=")
             if key == "value":
                 if values is not None:
                     raise _ArgProblem("duplicate value argument")
                 if cursor.peek().kind == "string":
-                    values = (cursor.advance().value,)
+                    values = (cursor.advance().text,)
                 else:
                     values = _parse_string_array(cursor)
             elif key == "type":
                 if key not in _ALLOWED_ATTRS[kind]:
                     raise _ArgProblem(f"@{kind.value} does not take attribute '{key}'")
                 if cursor.peek().kind == "string":
-                    attrs[key] = _normalize_direction(cursor.advance().value)
+                    attrs[key] = _normalize_direction(cursor.advance().text)
                 else:
                     attrs[key] = _normalize_direction(_parse_token_path(cursor))
             else:
@@ -324,7 +253,7 @@ def _parse_args(cursor: _Cursor, kind: AnnotationKind) -> tuple[tuple[str, ...],
                     raise _ArgProblem(f"duplicate attribute '{key}'")
                 if cursor.peek().kind != "string":
                     raise _ArgProblem(f"attribute '{key}' must be a quoted string")
-                attrs[key] = cursor.advance().value
+                attrs[key] = cursor.advance().text
         else:
             raise _ArgProblem("expected a value or attribute")
         if cursor.at_punct(","):
@@ -371,7 +300,12 @@ def _parse_pragma_tail(
     tail: str, location: SourceLocation, package: str
 ) -> AnnotationInstance:
     """Parse everything after the sigil; raises _ArgProblem on any deviation."""
-    tokens = _tokenize_line(tail, location.line, location.column)
+    tokens = tokenize(PRAGMA, tail, location.line, location.column)
+    bad = tokens[-1]
+    if bad.kind == "error":
+        raise _ArgProblem(
+            "unterminated string" if bad.text == '"' else f"unexpected character {bad.text!r}"
+        )
     cursor = _Cursor(tokens)
     name = cursor.expect_ident("an annotation name")
     kind = ANNOTATION_NAMES.get(name)
@@ -387,7 +321,7 @@ def _parse_pragma_tail(
         raise _ArgProblem(f"unknown target kind '{target_word}'")
     target_name = ""
     if cursor.peek().kind == "ident":
-        target_name = cursor.advance().value
+        target_name = cursor.advance().text
     enclosing: tuple[str, ...] = ()
     if cursor.at_punct("@"):
         cursor.advance()
@@ -399,13 +333,16 @@ def _parse_pragma_tail(
             names.append(cursor.expect_ident("a component name"))
         enclosing = tuple(names)
     if cursor.peek().kind != "eof":
-        raise _ArgProblem(f"unexpected trailing input '{cursor.peek().value}'")
+        raise _ArgProblem(f"unexpected trailing input '{cursor.peek().text}'")
     return _finish_instance(kind, values, attrs, target, target_name, enclosing, location, package)
 
 
 # Whitespace and comment punctuation a pragma line may start with; stripped
 # before the sigil is matched, so a sigil cannot start with one of them.
 PRAGMA_LEADERS = " \t/#;*'\"!<%->"
+
+# A sigil followed by one of these starts a longer word, not a pragma.
+_WORD_CHARS = frozenset(string.ascii_letters + string.digits + "_$")
 
 
 def extract_pragmas(
@@ -426,7 +363,7 @@ def extract_pragmas(
         if not stripped.startswith(sigil):
             continue
         rest = stripped[len(sigil) :]
-        if rest and _is_ident_char(rest[0]):
+        if rest and rest[0] in _WORD_CHARS:
             continue  # longer word sharing the sigil prefix, not a pragma
         column = line.index(sigil) + 1
         location = SourceLocation(path, lineno, column)
@@ -481,74 +418,6 @@ _MODIFIERS = frozenset(
 _TYPE_KEYWORDS = frozenset({"class", "interface", "enum", "record"})
 
 
-def _java_tokens(text: str) -> list[_Tok]:
-    tokens: list[_Tok] = []
-    line = 1
-    col = 1
-    i = 0
-    n = len(text)
-
-    def bump(count: int) -> None:
-        nonlocal line, col, i
-        for _ in range(count):
-            if text[i] == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-            i += 1
-
-    while i < n:
-        ch = text[i]
-        if ch in " \t\r\n":
-            bump(1)
-            continue
-        if text.startswith("//", i):
-            while i < n and text[i] != "\n":
-                bump(1)
-            continue
-        if text.startswith("/*", i):
-            end = text.find("*/", i + 2)
-            end = n if end == -1 else end + 2
-            bump(end - i)
-            continue
-        start_line, start_col = line, col
-        if ch == '"':
-            j = i + 1
-            while j < n and text[j] != '"':
-                j += 2 if text[j] == "\\" else 1
-            j = min(j + 1, n)
-            tokens.append(_Tok("string", _unescape(text[i + 1 : j - 1]), start_line, start_col))
-            bump(j - i)
-            continue
-        if ch == "'":
-            j = i + 1
-            while j < n and text[j] != "'":
-                j += 2 if text[j] == "\\" else 1
-            j = min(j + 1, n)
-            tokens.append(_Tok("char", text[i:j], start_line, start_col))
-            bump(j - i)
-            continue
-        if _is_ident_start(ch):
-            j = i
-            while j < n and _is_ident_char(text[j]):
-                j += 1
-            tokens.append(_Tok("ident", text[i:j], start_line, start_col))
-            bump(j - i)
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and (text[j].isalnum() or text[j] in "._"):
-                j += 1
-            tokens.append(_Tok("number", text[i:j], start_line, start_col))
-            bump(j - i)
-            continue
-        tokens.append(_Tok("punct", ch, start_line, start_col))
-        bump(1)
-    tokens.append(_Tok("eof", "", line, col))
-    return tokens
-
-
 @dataclass
 class _PendingAnnotation:
     kind: AnnotationKind
@@ -557,13 +426,13 @@ class _PendingAnnotation:
     location: SourceLocation
 
 
-def _detect_package(tokens: list[_Tok], path: str) -> str:
-    if tokens and tokens[0].kind == "ident" and tokens[0].value == "package":
+def _detect_package(tokens: list[Token], path: str) -> str:
+    if tokens and tokens[0].kind == "ident" and tokens[0].text == "package":
         parts: list[str] = []
         for tok in tokens[1:]:
             if tok.kind == "ident":
-                parts.append(tok.value)
-            elif tok.kind == "punct" and tok.value == ".":
+                parts.append(tok.text)
+            elif tok.kind == "punct" and tok.text == ".":
                 continue
             else:
                 break
@@ -573,7 +442,7 @@ def _detect_package(tokens: list[_Tok], path: str) -> str:
 
 
 def _classify_member(
-    tokens: list[_Tok], start: int, type_stack: list[tuple[str, int]], depth: int
+    tokens: list[Token], start: int, type_stack: list[tuple[str, int]], depth: int
 ) -> tuple[TargetKind, str] | None:
     """Decide what declaration begins at tokens[start].
 
@@ -586,21 +455,21 @@ def _classify_member(
     while j < len(tokens):
         tok = tokens[j]
         if tok.kind == "ident":
-            last_ident = tok.value
+            last_ident = tok.text
         elif tok.kind == "punct":
-            if tok.value == "(":
+            if tok.text == "(":
                 if last_ident is None:
                     return None
                 inner = type_stack[-1][0] if type_stack else None
                 if last_ident == inner:
                     return (TargetKind.CONSTRUCTOR, last_ident)
                 return (TargetKind.METHOD, last_ident)
-            if tok.value in ("=", ";"):
+            if tok.text in ("=", ";"):
                 if last_ident is None:
                     return None
                 inside_body = bool(type_stack) and depth > type_stack[-1][1]
                 return (TargetKind.LOCAL if inside_body else TargetKind.FIELD, last_ident)
-            if tok.value in ("{", "}", "@"):
+            if tok.text in ("{", "}", "@"):
                 return None
         elif tok.kind == "eof":
             return None
@@ -619,7 +488,7 @@ def extract_attributes(
     component context for everything inside them. Annotation names outside
     the recognized eight are ignored.
     """
-    tokens = _java_tokens(file_text)
+    tokens = tokenize(JAVA, file_text)
     package = _detect_package(tokens, path)
     instances: list[AnnotationInstance] = []
     findings: list[Finding] = []
@@ -683,7 +552,7 @@ def extract_attributes(
     i = 0
     while i < len(tokens):
         tok = tokens[i]
-        if tok.kind == "punct" and tok.value == "{":
+        if tok.kind == "punct" and tok.text == "{":
             depth += 1
             if pending_type is not None:
                 type_stack.append((pending_type, depth))
@@ -695,7 +564,7 @@ def extract_attributes(
                 drop_pending("a block starts without a declaration")
             i += 1
             continue
-        if tok.kind == "punct" and tok.value == "}":
+        if tok.kind == "punct" and tok.text == "}":
             drop_pending("the enclosing block ends")
             while type_stack and type_stack[-1][1] == depth:
                 type_stack.pop()
@@ -704,18 +573,18 @@ def extract_attributes(
             depth = max(0, depth - 1)
             i += 1
             continue
-        if tok.kind == "punct" and tok.value == ";":
+        if tok.kind == "punct" and tok.text == ";":
             # `class X;` style: a pending type without a body never opens a scope
             pending_type = None
             pending_comp_values = None
             i += 1
             continue
-        if tok.kind == "punct" and tok.value == "@":
+        if tok.kind == "punct" and tok.text == "@":
             nxt = tokens[i + 1] if i + 1 < len(tokens) else None
-            if nxt is not None and nxt.kind == "ident" and nxt.value == "interface":
+            if nxt is not None and nxt.kind == "ident" and nxt.text == "interface":
                 name_tok = tokens[i + 2] if i + 2 < len(tokens) else None
                 if name_tok is not None and name_tok.kind == "ident":
-                    begin_type(name_tok.value)
+                    begin_type(name_tok.text)
                     i += 3
                     continue
                 drop_pending("'@interface' without a name")
@@ -724,30 +593,30 @@ def extract_attributes(
             if nxt is not None and nxt.kind == "ident":
                 location = SourceLocation(path, tok.line, tok.column)
                 j = i + 2
-                arg_tokens: list[_Tok] | None = None
-                if j < len(tokens) and tokens[j].kind == "punct" and tokens[j].value == "(":
+                arg_tokens: list[Token] | None = None
+                if j < len(tokens) and tokens[j].kind == "punct" and tokens[j].text == "(":
                     nesting = 0
                     k = j
-                    collected: list[_Tok] = []
+                    collected: list[Token] = []
                     while k < len(tokens):
                         t = tokens[k]
                         collected.append(t)
-                        if t.kind == "punct" and t.value == "(":
+                        if t.kind == "punct" and t.text == "(":
                             nesting += 1
-                        elif t.kind == "punct" and t.value == ")":
+                        elif t.kind == "punct" and t.text == ")":
                             nesting -= 1
                             if nesting == 0:
                                 break
                         k += 1
                     arg_tokens = collected
                     j = k + 1
-                kind = ANNOTATION_NAMES.get(nxt.value)
+                kind = ANNOTATION_NAMES.get(nxt.text)
                 if kind is not None:
                     try:
                         if arg_tokens is None:
                             values, attrs = (), {}
                         else:
-                            cursor = _Cursor(arg_tokens + [_Tok("eof", "", tok.line, tok.column)])
+                            cursor = _Cursor(arg_tokens + [Token("eof", "", tok.line, tok.column)])
                             values, attrs = _parse_args(cursor, kind)
                             if cursor.peek().kind != "eof":
                                 raise _ArgProblem("unexpected trailing input in arguments")
@@ -761,11 +630,11 @@ def extract_attributes(
             i += 1
             continue
         if tok.kind == "ident":
-            word = tok.value
+            word = tok.text
             if word in _TYPE_KEYWORDS:
                 name_tok = tokens[i + 1] if i + 1 < len(tokens) else None
                 if name_tok is not None and name_tok.kind == "ident":
-                    begin_type(name_tok.value)
+                    begin_type(name_tok.text)
                     i += 2
                     continue
                 drop_pending(f"'{word}' without a name")

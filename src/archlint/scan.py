@@ -1,13 +1,12 @@
 """Source-tree scanning: front-end dispatch, exclusion, deterministic merge.
 
 The scan result is a pure function of (relative paths, file bytes, config):
-files are processed independently (optionally on a thread pool) and merged
-by sorting, so traversal order and worker count never change the output.
+files are processed independently and merged by sorting, so traversal order
+never changes the output.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Mapping
@@ -32,7 +31,6 @@ _CONFIG_KEYS = frozenset(
         "attribute_extensions",
         "pragma_extensions",
         "exclude",
-        "workers",
         "scatter_threshold",
         "smells",
     }
@@ -76,7 +74,6 @@ class ScanConfig:
     attribute_extensions: tuple[str, ...] = (".java",)
     pragma_extensions: tuple[str, ...] = ("*",)
     exclude: tuple[str, ...] = ()
-    workers: int = 1
 
     @classmethod
     def from_mapping(cls, mapping: Mapping[str, str]) -> ScanConfig:
@@ -96,18 +93,10 @@ class ScanConfig:
             cfg = replace(cfg, pragma_extensions=_normalize_exts(mapping["pragma_extensions"]))
         if "exclude" in mapping:
             cfg = replace(cfg, exclude=_split_list(mapping["exclude"]))
-        if "workers" in mapping:
-            try:
-                workers = int(mapping["workers"])
-            except ValueError as err:
-                raise ConfigError(f"workers must be an integer: {mapping['workers']!r}") from err
-            if workers < 1:
-                raise ConfigError("workers must be >= 1")
-            cfg = replace(cfg, workers=workers)
         return cfg
 
     def semantic_fingerprint(self) -> str:
-        """Hash of everything that can change scan output (workers cannot)."""
+        """Hash of everything that can change scan output."""
         payload = "\x1f".join(
             (
                 self.sigil,
@@ -191,15 +180,10 @@ def scan_tree(roots: Iterable[Path | str], config: ScanConfig | None = None) -> 
     """Scan source roots into a CodeModel; unreadable files become IO_ERROR findings."""
     config = config or ScanConfig()
     files = _collect_files([Path(r) for r in roots], config)
-    results: list[tuple[list[AnnotationInstance], list[Finding]]]
-    if config.workers > 1 and len(files) > 1:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            results = list(pool.map(lambda pair: _scan_file(pair[0], pair[1], config), files))
-    else:
-        results = [_scan_file(rel, path, config) for rel, path in files]
     instances: list[AnnotationInstance] = []
     findings: list[Finding] = []
-    for file_instances, file_findings in results:
+    for rel, path in files:
+        file_instances, file_findings = _scan_file(rel, path, config)
         instances.extend(file_instances)
         findings.extend(file_findings)
     return CodeModel.build(instances, findings, config.semantic_fingerprint())

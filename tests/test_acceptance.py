@@ -45,7 +45,7 @@ from archlint.refactor import (
     parse_plan,
 )
 from archlint.scaffold import write_scaffold
-from archlint.scan import ScanConfig, scan_tree
+from archlint.scan import scan_tree
 from archlint.smells import run_smells, smell_connector_lifecycle
 from modelgen import inverse_of, random_code_for, random_model, random_op_sequence
 
@@ -573,15 +573,20 @@ def test_criterion_8_deterministic_output(capsys, tmp_path: Path) -> None:
     second = run("check", *car, "--format", "json")
     assert first == second
 
-    serial_cfg = tmp_path / "serial.conf"
-    serial_cfg.write_text("workers = 1\n")
-    parallel_cfg = tmp_path / "parallel.conf"
-    parallel_cfg.write_text("workers = 4\n")
-    serial = run("check", *car, "--config", str(serial_cfg), "--format", "json")
-    parallel = run("check", *car, "--config", str(parallel_cfg), "--format", "json")
-    assert serial == parallel
-
-    code_serial = scan_tree([DATA / "car" / "src"], ScanConfig(workers=1))
-    code_parallel = scan_tree([DATA / "car" / "src"], ScanConfig(workers=4))
-    assert code_serial == code_parallel
-    assert dump_code_model(code_serial) == dump_code_model(code_parallel)
+    # The scan merges files by sorting, so splitting one tree over two
+    # roots changes neither the code model nor the report.
+    vehicle = DATA / "car" / "src" / "vehicle"
+    for root, names in (("r1", ("Car.java",)), ("r2", ("Engine.java", "Wheel.java"))):
+        (tmp_path / root / "vehicle").mkdir(parents=True)
+        for name in names:
+            (tmp_path / root / "vehicle" / name).write_text((vehicle / name).read_text())
+    roots = [tmp_path / "r2", tmp_path / "r1"]
+    split = run(
+        "check", "--arch", str(DATA / "car" / "car.arch"),
+        "--src", str(roots[0]), "--src", str(roots[1]), "--format", "json",
+    )
+    assert split == first
+    code_whole = scan_tree([DATA / "car" / "src"])
+    code_split = scan_tree(roots)
+    assert code_whole == code_split
+    assert dump_code_model(code_whole) == dump_code_model(code_split)

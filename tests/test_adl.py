@@ -93,6 +93,7 @@ def test_arrow_spellings() -> None:
         ("component A { connector c: ; }", "c"),
         ("component A { port p ", "expected"),
         ("component A { } component A { }", "A"),
+        ("component A { part p: A [²]; }", "1:26: unexpected character '²'"),
     ],
 )
 def test_parse_errors_carry_position_or_cause(text: str, fragment: str) -> None:

@@ -165,6 +165,22 @@ def test_malformed_annotation_missing_value() -> None:
     assert [f.check_id for f in findings] == ["MALFORMED_ANNOTATION"]
 
 
+def test_text_block_does_not_hide_following_annotation() -> None:
+    text = (
+        'public @Component("Car") class Car {\n'
+        '    String s = """\n'
+        '        say "hi\n'
+        '        """;\n'
+        '    @Part("w") Wheel w;\n'
+        "}\n"
+    )
+    instances = _attrs(text)
+    assert [(i.kind, i.target, i.target_name, i.location.line) for i in instances] == [
+        (AnnotationKind.COMPONENT, TargetKind.TYPE, "Car", 1),
+        (AnnotationKind.PART, TargetKind.FIELD, "w", 5),
+    ]
+
+
 def test_unclassifiable_target_reported() -> None:
     instances, findings = extract_attributes('@Part("x")', "C.java")
     assert instances == []

@@ -451,6 +451,14 @@ def test_malformed_arch_file(capsys, tmp_path: Path) -> None:
     assert "1:11" in err
 
 
+def test_arch_file_with_non_decimal_digit(capsys, tmp_path: Path) -> None:
+    bad = tmp_path / "bad.arch"
+    bad.write_text("component A { part p: A [²]; }\n", encoding="utf-8")
+    code, _, err = run(capsys, "check", "--arch", str(bad), "--src", str(tmp_path))
+    assert code == 2
+    assert "unexpected character '²'" in err
+
+
 def test_bad_config_key(capsys, tmp_path: Path) -> None:
     cfg = tmp_path / "bad.conf"
     cfg.write_text("wat = 1\n")

@@ -95,16 +95,6 @@ def test_scan_merges_multiple_roots(tmp_path: Path) -> None:
     assert sorted(i.values[0] for i in code.instances) == ["A", "B"]
 
 
-def test_scan_result_independent_of_workers(tmp_path: Path) -> None:
-    for n in range(6):
-        (tmp_path / f"C{n}.java").write_text(
-            f'public @Component("C{n}") class C{n} {{}}\n'
-        )
-    serial = scan_tree([tmp_path], ScanConfig(workers=1))
-    parallel = scan_tree([tmp_path], ScanConfig(workers=4))
-    assert serial == parallel
-
-
 def test_scan_collects_extraction_findings(tmp_path: Path) -> None:
     (tmp_path / "Bad.java").write_text('class C { public @Connects(left="a") C() {} }\n')
     code = scan_tree([tmp_path])
@@ -144,7 +134,6 @@ def test_load_config_file(tmp_path: Path) -> None:
         "attribute_extensions = .java, .cs\n"
         "pragma_extensions = *\n"
         "exclude = gen/*, */build/*\n"
-        "workers = 3\n"
         "scatter_threshold = 4\n"
         "smells = SCATTERED_COMPONENT\n"
     )
@@ -153,16 +142,18 @@ def test_load_config_file(tmp_path: Path) -> None:
     assert cfg.sigil == "@@arch"
     assert cfg.attribute_extensions == (".java", ".cs")
     assert cfg.exclude == ("gen/*", "*/build/*")
-    assert cfg.workers == 3
+    assert ScanConfig().semantic_fingerprint() != ScanConfig(sigil="@@x").semantic_fingerprint()
     assert mapping["scatter_threshold"] == "4"
 
 
 def test_load_config_rejects_unknown_key(tmp_path: Path) -> None:
-    cfg_path = tmp_path / "bad.conf"
-    cfg_path.write_text("sygil = x\n")
-    with pytest.raises(ConfigError) as exc:
-        load_config_file(cfg_path)
-    assert "sygil" in str(exc.value)
+    # `workers` was a scan option once; it is now unknown like any other key.
+    for key in ("sygil", "workers"):
+        cfg_path = tmp_path / "bad.conf"
+        cfg_path.write_text(f"{key} = 1\n")
+        with pytest.raises(ConfigError) as exc:
+            load_config_file(cfg_path)
+        assert key in str(exc.value)
 
 
 def test_load_config_rejects_bare_line(tmp_path: Path) -> None:
@@ -180,8 +171,8 @@ def test_config_extension_normalization() -> None:
 @pytest.mark.parametrize(
     "mapping",
     [
-        {"workers": "zero"},
-        {"workers": "0"},
+        {"sigil": "tab\there"},
+        {"sigil": "#arch", "exclude": "gen/*"},
         {"sigil": ""},
         {"sigil": "has space"},
     ],
@@ -189,12 +180,6 @@ def test_config_extension_normalization() -> None:
 def test_config_value_validation(mapping: dict) -> None:
     with pytest.raises(ConfigError):
         ScanConfig.from_mapping(mapping)
-
-
-def test_fingerprint_ignores_workers() -> None:
-    base = ScanConfig()
-    assert base.semantic_fingerprint() == ScanConfig(workers=8).semantic_fingerprint()
-    assert base.semantic_fingerprint() != ScanConfig(sigil="@@x").semantic_fingerprint()
 
 
 @pytest.mark.parametrize("sigil", [";arch", "*arch", "!arch"])
