@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import enum
 import json
-import string
-from dataclasses import dataclass, replace
+import re
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import PurePosixPath
 from typing import Iterable, Mapping
@@ -37,6 +37,8 @@ __all__ = [
     "validate_targets",
     "side_context",
     "syntactic_refs",
+    "code_model_payload",
+    "canonical_json",
     "dump_code_model",
     "ALLOWED_TARGETS",
     "VALUE_REQUIRED",
@@ -341,8 +343,17 @@ def _parse_pragma_tail(
 # before the sigil is matched, so a sigil cannot start with one of them.
 PRAGMA_LEADERS = " \t/#;*'\"!<%->"
 
-# A sigil followed by one of these starts a longer word, not a pragma.
-_WORD_CHARS = frozenset(string.ascii_letters + string.digits + "_$")
+# The characters `str.splitlines` breaks at; a pragma never spans one.
+_LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+def _sigil_and_tail(sigil: str) -> re.Pattern[str]:
+    """The sigil and the rest of its line (group `tail`).
+
+    A sigil followed by a letter, digit, `_` or `$` starts a longer word,
+    not a pragma.
+    """
+    return re.compile(f"{re.escape(sigil)}(?![A-Za-z0-9_$])(?P<tail>[^{_LINE_BREAKS}]*)")
 
 
 def extract_pragmas(
@@ -352,23 +363,36 @@ def extract_pragmas(
 
     A pragma line is optional whitespace and comment punctuation, the sigil,
     then `Name(args) @on kind [name] [@in Component,...]`. Lines not starting
-    with the sigil are ignored. Context resolution is a separate pass
+    with the sigil are ignored; lines break where `str.splitlines` breaks
+    them. Locations count lines at `\\n` and columns from the last `\\n`,
+    as `lexer.tokenize` does. Context resolution is a separate pass
     (resolve_context); only explicit `@in` fills enclosing_components here.
     """
-    package = _default_package(path)
     instances: list[AnnotationInstance] = []
     findings: list[Finding] = []
-    for lineno, line in enumerate(file_text.splitlines(), start=1):
-        stripped = line.lstrip(PRAGMA_LEADERS)
-        if not stripped.startswith(sigil):
-            continue
-        rest = stripped[len(sigil) :]
-        if rest and rest[0] in _WORD_CHARS:
-            continue  # longer word sharing the sigil prefix, not a pragma
-        column = line.index(sigil) + 1
-        location = SourceLocation(path, lineno, column)
+    # A sigil that starts with a leader is stripped with the leaders, and one
+    # that is not exactly one line never fits on one: neither finds anything.
+    if sigil.splitlines() != [sigil] or sigil[0] in PRAGMA_LEADERS or sigil not in file_text:
+        return instances, findings
+    package = _default_package(path)
+    line = 1
+    line_start = 0  # text index of column 1 of `line`
+    counted = 0  # newlines in file_text[:counted] are already in `line`
+    for match in _sigil_and_tail(sigil).finditer(file_text):
+        start = match.start()
+        lead = start
+        while lead and file_text[lead - 1] in PRAGMA_LEADERS:
+            lead -= 1
+        if lead and file_text[lead - 1] not in _LINE_BREAKS:
+            continue  # the sigil is not the first thing on its line
+        newlines = file_text.count("\n", counted, start)
+        if newlines:
+            line += newlines
+            line_start = file_text.rindex("\n", counted, start) + 1
+        counted = start
+        location = SourceLocation(path, line, start - line_start + 1)
         try:
-            instances.append(_parse_pragma_tail(rest, location, package))
+            instances.append(_parse_pragma_tail(match.group("tail"), location, package))
         except _ArgProblem as problem:
             findings.append(
                 finding("MALFORMED_PRAGMA", problem.message, locations=[location])
@@ -389,7 +413,10 @@ def resolve_context(instances: Iterable[AnnotationInstance]) -> list[AnnotationI
             out.append(inst)
             continue
         if not inst.enclosing_components and current:
-            inst = replace(inst, enclosing_components=current)
+            inst = AnnotationInstance(
+                inst.kind, inst.values, inst.attrs, inst.target, inst.target_name,
+                current, inst.location, inst.package,
+            )
         out.append(inst)
     return out
 
@@ -789,11 +816,22 @@ def finding_payload(f: Finding) -> dict:
     }
 
 
-def dump_code_model(code: CodeModel) -> str:
-    """Canonical JSON dump of a CodeModel; byte-identical for equal models."""
-    payload = {
+def code_model_payload(code: CodeModel) -> dict:
+    """The JSON form of a CodeModel: what `extract --format json` prints and
+    what the report fingerprint hashes."""
+    return {
         "version": "1",
         "instances": [instance_payload(i) for i in code.instances],
         "findings": [finding_payload(f) for f in code.findings],
     }
+
+
+def canonical_json(payload: dict) -> str:
+    """Indented, key-sorted JSON plus a newline, the form of every JSON
+    document archlint prints; byte-identical for equal payloads."""
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def dump_code_model(code: CodeModel) -> str:
+    """Canonical JSON dump of a CodeModel; byte-identical for equal models."""
+    return canonical_json(code_model_payload(code))

@@ -7,7 +7,6 @@ failed refactoring plan), 2 usage, parse, or configuration errors.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from collections import Counter
 from pathlib import Path
@@ -18,6 +17,7 @@ from .adl import parse_architecture, serialize_architecture
 from .annotations import (
     AnnotationInstance,
     CodeModel,
+    canonical_json,
     dump_code_model,
     finding_payload,
     instance_payload,
@@ -85,10 +85,6 @@ def _instance_line(inst: AnnotationInstance) -> str:
     return text
 
 
-def _canonical_json(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-
 def _render_report(
     findings: Sequence[Finding], fingerprint: str, fmt: str, out: TextIO
 ) -> None:
@@ -100,7 +96,7 @@ def _render_report(
             "counts": dict(sorted(counts.items())),
             "findings": [finding_payload(f) for f in findings],
         }
-        out.write(_canonical_json(payload))
+        out.write(canonical_json(payload))
         return
     for f in findings:
         out.write(_finding_line(f) + "\n")
@@ -167,7 +163,7 @@ def cmd_lookup(args: argparse.Namespace) -> int:
             payload: dict = {"version": REPORT_VERSION, "element": ref.path}
             for label, group in groups:
                 payload[label] = [instance_payload(i) for i in group]
-            sys.stdout.write(_canonical_json(payload))
+            sys.stdout.write(canonical_json(payload))
             return 0
         sys.stdout.write(f"connector {ref.path}\n")
         for label, group in groups:
@@ -182,7 +178,7 @@ def cmd_lookup(args: argparse.Namespace) -> int:
             "element": ref.path,
             "instances": [instance_payload(i) for i in instances],
         }
-        sys.stdout.write(_canonical_json(payload))
+        sys.stdout.write(canonical_json(payload))
         return 0
     sys.stdout.write(f"{ref.path}: {len(instances)} annotation(s)\n")
     for inst in instances:
@@ -213,7 +209,7 @@ def _render_impact(impact: ImpactReport, fmt: str, out: TextIO) -> None:
                 for entry in impact.entries
             ],
         }
-        out.write(_canonical_json(payload))
+        out.write(canonical_json(payload))
         return
     out.write(f"plan {impact.plan_name}: {len(impact.entries)} step(s)\n")
     for entry in impact.entries:

@@ -15,6 +15,7 @@ only by check 3, so one mistake is reported once.
 from __future__ import annotations
 
 import hashlib
+import json
 from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping
@@ -25,7 +26,7 @@ from .annotations import (
     AnnotationKind,
     CodeModel,
     CONNECTION_KINDS,
-    dump_code_model,
+    code_model_payload,
     side_context,
     validate_targets,
 )
@@ -254,9 +255,17 @@ class ConformanceReport:
 
 
 def report_fingerprint(arch: ArchitectureModel, code: CodeModel) -> str:
+    """SHA-256 over the serialized architecture, the compact canonical JSON of
+    the code model (the payload `extract --format json` prints), and the scan
+    configuration's fingerprint.
+
+    The compact form keeps `json` on its C encoder, which it uses only
+    without `indent`.
+    """
+    model = json.dumps(code_model_payload(code), sort_keys=True, separators=(",", ":"))
     digest = hashlib.sha256()
     digest.update(serialize_architecture(arch).encode("utf-8"))
-    digest.update(dump_code_model(code).encode("utf-8"))
+    digest.update(model.encode("utf-8"))
     digest.update(code.config_fingerprint.encode("utf-8"))
     return digest.hexdigest()
 

@@ -1,17 +1,18 @@
 """Source-tree scanning: front-end dispatch, exclusion, deterministic merge.
 
-The scan result is a pure function of (relative paths, file bytes, config):
-files are processed independently and merged by sorting, so traversal order
-never changes the output.
+The scan result is a pure function of (relative paths, root order, file
+bytes, config): files are processed independently and merged by a stable
+sort on relative path, so traversal order never changes the output.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 import fnmatch
 import hashlib
+import os
 
 from .annotations import (
     PRAGMA_LEADERS,
@@ -131,24 +132,43 @@ def _excluded(relpath: str, patterns: tuple[str, ...]) -> bool:
     return any(fnmatch.fnmatch(relpath, pat) for pat in patterns)
 
 
+def _walk_root(root: Path, exclude: tuple[str, ...]) -> Iterator[tuple[str, Path]]:
+    """(relative posix path, path) of every file under root that no exclude
+    pattern matches.
+
+    Symlinked files are kept, symlinked directories are not entered, and
+    unreadable directories are skipped. A directory is not entered when a
+    pattern ending in `*`, with that `*` removed, matches `dir/`: every path
+    under it then matches the whole pattern.
+    """
+    prune = tuple(pat[:-1] for pat in exclude if pat.endswith("*"))
+    top = os.path.join(root, "")
+    for dirpath, dirnames, filenames in os.walk(top, followlinks=False):
+        rel_dir = dirpath[len(top) :].replace(os.sep, "/")
+        prefix = f"{rel_dir}/" if rel_dir else ""
+        if prune:
+            dirnames[:] = [d for d in dirnames if not _excluded(f"{prefix}{d}/", prune)]
+        for name in filenames:
+            rel = prefix + name
+            path = Path(dirpath, name)
+            if path.is_file() and not _excluded(rel, exclude):
+                yield rel, path
+
+
 def _collect_files(roots: Iterable[Path], config: ScanConfig) -> list[tuple[str, Path]]:
-    """Sorted (relative posix path, absolute path) pairs across all roots."""
+    """(relative posix path, path) pairs of every root, sorted by relative
+    path and then root order; a directory given twice is walked once."""
     out: list[tuple[str, Path]] = []
-    seen: set[str] = set()
+    seen: set[Path] = set()
     for root in roots:
         root = Path(root)
         if not root.is_dir():
             raise FileNotFoundError(f"source root is not a directory: {root}")
-        for path in root.rglob("*"):
-            if not path.is_file():
-                continue
-            rel = path.relative_to(root).as_posix()
-            if _excluded(rel, config.exclude):
-                continue
-            if rel in seen:
-                continue
-            seen.add(rel)
-            out.append((rel, path))
+        resolved = root.resolve()
+        if resolved in seen:
+            continue
+        seen.add(resolved)
+        out.extend(_walk_root(root, config.exclude))
     out.sort(key=lambda pair: pair[0])
     return out
 

@@ -174,6 +174,21 @@ def test_extract_json_matches_golden(capsys, tmp_path: Path) -> None:
     assert out == (DATA / "golden" / "car_solo_extract.golden.json").read_text()
 
 
+def test_extract_scans_same_relative_path_in_every_root(capsys, tmp_path: Path) -> None:
+    for root, name in (("r1", "A"), ("r2", "B")):
+        (tmp_path / root).mkdir()
+        (tmp_path / root / "X.txt").write_text(f'// @arch Component("{name}") @on type {name}\n')
+    r1, r2 = str(tmp_path / "r1"), str(tmp_path / "r2")
+    code, out, _ = run(capsys, "extract", "--src", r1, "--src", r2)
+    assert code == 0
+    assert out.splitlines() == [
+        'X.txt:1:4 @Component("A") on type A',
+        'X.txt:1:4 @Component("B") on type B',
+    ]
+    code, out, _ = run(capsys, "extract", "--src", r1, "--src", str(tmp_path / "r1" / "."))
+    assert out.splitlines() == ['X.txt:1:4 @Component("A") on type A']
+
+
 def test_extract_empty_tree(capsys, tmp_path: Path) -> None:
     code, out, _ = run(capsys, "extract", "--src", str(tmp_path))
     assert code == 0

@@ -1,17 +1,24 @@
+import random
+from dataclasses import replace
 from pathlib import Path
+from typing import Callable
+
+import pytest
 
 from archlint.adl import parse_architecture
-from archlint.annotations import CodeModel
+from archlint.annotations import AnnotationInstance, AnnotationKind, CodeModel
 from archlint.conformance import (
     check_annotation_completeness,
     check_architecture_completeness,
     check_connection_consistency,
     declared_triples,
+    report_fingerprint,
     resolve_connection,
     run_all,
 )
+from archlint.findings import SourceLocation, finding
 from archlint.model import ArchitectureModel, Direction, matches_connector
-from archlint.scan import scan_tree
+from archlint.scan import ScanConfig, scan_tree
 
 DATA = Path(__file__).parent / "data"
 
@@ -324,3 +331,59 @@ def test_fingerprint_tracks_inputs(
     base = run_all(car_arch, car_code).fingerprint
     assert base == run_all(car_arch, car_code).fingerprint
     assert base != run_all(car_arch, car_solo_code).fingerprint
+
+
+def _with_finding(code: CodeModel, message: str) -> CodeModel:
+    extra = finding("IO_ERROR", message, locations=[SourceLocation("notes.txt", 0, 0)])
+    return CodeModel.build(code.instances, [extra], code.config_fingerprint)
+
+
+def _changed(code: CodeModel, kind: AnnotationKind, change: Callable) -> CodeModel:
+    """The model with the first instance of `kind` replaced by change(instance)."""
+    index = next(i for i, inst in enumerate(code.instances) if inst.kind is kind)
+    instances = list(code.instances)
+    instances[index] = change(instances[index])
+    return CodeModel.build(instances, code.findings, code.config_fingerprint)
+
+
+def _moved(inst: AnnotationInstance) -> AnnotationInstance:
+    loc = inst.location
+    return replace(inst, location=SourceLocation(loc.file, loc.line, loc.column + 1))
+
+
+_CHANGES: dict[str, Callable[[CodeModel], CodeModel]] = {
+    "location": lambda code: _changed(code, AnnotationKind.PART, _moved),
+    "attr": lambda code: _changed(
+        code, AnnotationKind.CONNECTS, lambda i: replace(i, attrs={**i.attrs, "left": "front"})
+    ),
+    "enclosing": lambda code: _changed(
+        code, AnnotationKind.PORT, lambda i: replace(i, enclosing_components=("Car",))
+    ),
+    "finding_message": lambda code: _with_finding(code, "cannot read file: gone"),
+    "sigil": lambda code: CodeModel.build(
+        code.instances, code.findings, ScanConfig(sigil="@@x").semantic_fingerprint()
+    ),
+}
+
+
+@pytest.mark.parametrize("change", sorted(_CHANGES))
+def test_fingerprint_covers_each_model_field(
+    car_arch: ArchitectureModel, car_code: CodeModel, change: str
+) -> None:
+    base = _with_finding(car_code, "cannot read file: locked")
+    assert report_fingerprint(car_arch, _CHANGES[change](base)) != report_fingerprint(car_arch, base)
+
+
+def test_fingerprint_ignores_instance_order_and_is_pinned(
+    car_arch: ArchitectureModel, car_code: CodeModel
+) -> None:
+    shuffled = list(car_code.instances)
+    random.Random(7).shuffle(shuffled)
+    assert shuffled != list(car_code.instances)
+    rebuilt = CodeModel.build(shuffled, car_code.findings, car_code.config_fingerprint)
+    assert report_fingerprint(car_arch, rebuilt) == report_fingerprint(car_arch, car_code)
+    # The hash covers the compact canonical JSON of the code model; a change
+    # to that encoding must update this value on purpose.
+    assert run_all(car_arch, car_code).fingerprint == (
+        "042fb932590492ba07717c39b06af1a3bbf7c501561268a6691a7e3e4ac48ca6"
+    )

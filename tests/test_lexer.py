@@ -1,11 +1,13 @@
 """Positions and robustness of the three front-ends that share one lexer."""
 
+import string
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from archlint.adl import AdlParseError, parse_architecture
-from archlint.annotations import extract_attributes, extract_pragmas
+from archlint.annotations import PRAGMA_LEADERS, extract_attributes, extract_pragmas
 
 
 def _position(front_end: str, text: str) -> tuple[int, int]:
@@ -31,6 +33,9 @@ def _position(front_end: str, text: str) -> tuple[int, int]:
         ("adl", "component A {\r\n\tport ;\r\n}\r\n", (2, 7)),
         ("adl", "// head\ncomponent A { part p: A [²]; }", (2, 26)),
         ("adl", "component A { port p; // no newline", (1, 36)),
+        ("pragma", 'x\x0cy\n# @arch Component("A") @on type A\n', (2, 3)),
+        ("pragma", 'x\u2028y\n# @arch Component("A") @on type A\n', (2, 3)),
+        ("pragma", 'x = 1\x0c# @arch Component("A") @on type A\n', (1, 9)),
     ],
 )
 def test_token_positions(front_end: str, text: str, expected: tuple[int, int]) -> None:
@@ -61,3 +66,59 @@ def test_parse_architecture_raises_only_parse_errors(text: str) -> None:
         parse_architecture(text)
     except AdlParseError:
         pass
+
+
+def _pragma_outcomes(text: str, sigil: str) -> tuple[list[tuple], list[tuple]]:
+    """Instances and findings of extract_pragmas, locations aside."""
+    instances, findings = extract_pragmas(text, "d/f.txt", sigil)
+    return (
+        [
+            (i.kind, i.values, dict(i.attrs), i.target, i.target_name, i.enclosing_components, i.package)
+            for i in instances
+        ],
+        [(f.check_id, f.message) for f in findings],
+    )
+
+
+_WORD_CHARS = frozenset(string.ascii_letters + string.digits + "_$")
+
+
+def _per_line_pragmas(text: str, sigil: str) -> tuple[list[tuple], list[tuple]]:
+    """Reference: each `str.splitlines` line that starts with leaders and the
+    sigil, not followed by a word character, extracted on its own."""
+    instances: list[tuple] = []
+    findings: list[tuple] = []
+    for line in text.splitlines():
+        stripped = line.lstrip(PRAGMA_LEADERS)
+        rest = stripped[len(sigil) :]
+        if not stripped.startswith(sigil) or rest[:1] in _WORD_CHARS:
+            continue
+        one_instances, one_findings = _pragma_outcomes(sigil + rest, sigil)
+        assert len(one_instances) + len(one_findings) == 1
+        instances += one_instances
+        findings += one_findings
+    return instances, findings
+
+
+_PRAGMA_LINE = st.tuples(
+    st.sampled_from(["", " ", "\t", "//", "# ", ";", "*", "<!-- ", "x", "é"]),
+    st.sampled_from(["@arch", "@@model", "arch", "@archx", "@arc"]),
+    st.sampled_from(
+        [
+            "", " bogus(", '"', ' Component("A") @on type A', ' Part("p") @on field p @in B',
+            'Port("q") @on method q', ' Connects(left="a", right="b", type=LEFT) @on method m',
+        ]
+    ),
+    st.sampled_from(
+        ["", "\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028", "\u2029", " x\n"]
+    ),
+).map("".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(st.lists(_PRAGMA_LINE, max_size=8).map("".join), _TEXT),
+    st.sampled_from(["@arch", "@@model", "arch", "#arch", "@a\nb"]),
+)
+def test_extract_pragmas_matches_per_line_oracle(text: str, sigil: str) -> None:
+    assert _pragma_outcomes(text, sigil) == _per_line_pragmas(text, sigil)

@@ -1,3 +1,5 @@
+import fnmatch
+import os
 from collections import Counter
 from pathlib import Path
 
@@ -5,7 +7,7 @@ import pytest
 
 from archlint.annotations import AnnotationInstance, AnnotationKind, CodeModel
 from archlint.errors import ConfigError
-from archlint.scan import ScanConfig, load_config_file, scan_tree
+from archlint.scan import ScanConfig, _collect_files, load_config_file, scan_tree
 
 DATA = Path(__file__).parent / "data"
 
@@ -93,6 +95,77 @@ def test_scan_merges_multiple_roots(tmp_path: Path) -> None:
     (tmp_path / "r2" / "B.java").write_text('public @Component("B") class B {}\n')
     code = scan_tree([tmp_path / "r1", tmp_path / "r2"])
     assert sorted(i.values[0] for i in code.instances) == ["A", "B"]
+
+
+def _walk_tree(root: Path) -> None:
+    for rel in (
+        "A.py", "B.txt", ".hidden.py",
+        "vendor/V.py", "vendor/deep/W.txt", "vendorish/K.txt",
+        "gen/G.txt", "x/gen/H.txt", "x/gen/y/I.py", "x/y/gen/J.txt",
+        "abc/L.txt", "aXc/M.txt", "abcd/N.txt", "q/abc/O.txt",
+    ):
+        (root / rel).parent.mkdir(parents=True, exist_ok=True)
+        (root / rel).write_text(rel)
+    os.symlink(root / "B.txt", root / "x" / "link.txt")
+    os.symlink(root / "vendor", root / "x" / "linkdir")
+    os.symlink(root / "missing.txt", root / "x" / "dangling.txt")
+
+
+@pytest.mark.parametrize(
+    "exclude",
+    [
+        (),
+        ("vendor/*",),
+        ("*/gen/*",),
+        ("gen/*", "x/gen/*"),
+        ("a?c/*",),
+        ("*.py",),
+        ("x/*", "vendor/deep/*"),
+        ("vendor/deep/*", "vendor/*"),
+        ("*",),
+        ("x/link*",),
+    ],
+)
+def test_collect_files_matches_per_file_filter(tmp_path: Path, exclude: tuple[str, ...]) -> None:
+    _walk_tree(tmp_path)
+    expected = sorted(
+        (path.relative_to(tmp_path).as_posix(), path)
+        for path in tmp_path.rglob("*")
+        if path.is_file()
+        and not any(fnmatch.fnmatch(path.relative_to(tmp_path).as_posix(), p) for p in exclude)
+    )
+    got = _collect_files([tmp_path], ScanConfig(exclude=exclude))
+    assert got == expected
+    if not exclude:
+        rels = [rel for rel, _ in got]
+        assert "x/link.txt" in rels and "x/dangling.txt" not in rels
+        assert not any(rel.startswith("x/linkdir/") for rel in rels)
+
+
+def test_walk_prunes_fully_excluded_directories(tmp_path: Path, monkeypatch) -> None:
+    _walk_tree(tmp_path)
+    walked: list[str] = []
+    real_walk = os.walk
+
+    def recording_walk(top, *args, **kwargs):
+        for entry in real_walk(top, *args, **kwargs):
+            walked.append(Path(entry[0]).relative_to(tmp_path).as_posix())
+            yield entry
+
+    monkeypatch.setattr(os, "walk", recording_walk)
+    _collect_files([tmp_path], ScanConfig(exclude=("vendor/*", "*/gen/*", "*.py")))
+    assert sorted(walked) == [".", "aXc", "abc", "abcd", "gen", "q", "q/abc", "vendorish", "x", "x/y"]
+
+
+def test_scan_same_relative_path_in_two_roots(tmp_path: Path) -> None:
+    for root, name in (("r1", "A"), ("r2", "B")):
+        (tmp_path / root).mkdir()
+        (tmp_path / root / "X.txt").write_text(f'// @arch Component("{name}") @on type {name}\n')
+    r1, r2 = tmp_path / "r1", tmp_path / "r2"
+    assert [i.values[0] for i in scan_tree([r1, r2]).instances] == ["A", "B"]
+    assert [i.values[0] for i in scan_tree([r2, r1]).instances] == ["B", "A"]
+    again = scan_tree([r1, r2, tmp_path / "r2" / ".." / "r1"])
+    assert [i.values[0] for i in again.instances] == ["A", "B"]
 
 
 def test_scan_collects_extraction_findings(tmp_path: Path) -> None:
