@@ -23,7 +23,7 @@ from pathlib import PurePosixPath
 from typing import Iterable, Mapping
 
 from .findings import Finding, SourceLocation, finding, sort_findings
-from .lexer import JAVA, PRAGMA, Token, tokenize
+from .lexer import _ESCAPE, JAVA, PRAGMA, Token, tokenize
 from .model import ROOT_CONTEXT, ElementRef
 
 __all__ = [
@@ -445,6 +445,29 @@ _MODIFIERS = frozenset(
 _TYPE_KEYWORDS = frozenset({"class", "interface", "enum", "record"})
 
 
+# A text block's opening `"""` ends its line; `content` runs to the closing one.
+_TEXT_BLOCK = re.compile(r'"""[ \t\f]*(?:\r\n?|\n)(?P<content>(?:[^\\]|\\.)*?)"""\Z', re.S)
+_LINE_TERMINATOR = re.compile(r"\r\n?|\n")
+
+
+def _text_block_string(tok: Token) -> Token:
+    """The `string` token of the value a Java text block denotes (JLS 3.10.6).
+
+    The value is the content after the opening line, with the incidental
+    indentation and each line's trailing white space stripped, then escapes
+    undone. The closing delimiter's line counts toward the indentation even
+    when blank. A token that is no legal text block comes back unchanged.
+    """
+    match = _TEXT_BLOCK.match(tok.text)
+    if match is None:
+        return tok
+    lines = _LINE_TERMINATOR.split(match["content"])
+    significant = [line for line in lines[:-1] if line.strip()] + [lines[-1]]
+    indent = min(len(line) - len(line.lstrip()) for line in significant)
+    value = "\n".join(line[indent:].rstrip() for line in lines)
+    return Token("string", _ESCAPE.sub(r"\1", value), tok.line, tok.column)
+
+
 @dataclass
 class _PendingAnnotation:
     kind: AnnotationKind
@@ -627,7 +650,7 @@ def extract_attributes(
                     collected: list[Token] = []
                     while k < len(tokens):
                         t = tokens[k]
-                        collected.append(t)
+                        collected.append(_text_block_string(t) if t.kind == "text_block" else t)
                         if t.kind == "punct" and t.text == "(":
                             nesting += 1
                         elif t.kind == "punct" and t.text == ")":

@@ -28,7 +28,6 @@ from .annotations import (
     CONNECTION_KINDS,
     code_model_payload,
     side_context,
-    validate_targets,
 )
 from .errors import EndpointError
 from .findings import Finding, finding, sort_findings
@@ -75,27 +74,13 @@ def resolve_connection(
             )
     if len(refs) != 2:
         return (None, findings)
-    left, right = refs
     direction = instance_direction(instance)
-    if direction is None:
-        if right.path < left.path:
-            left, right = right, left
-        return ((left.path, right.path, None), findings)
-    nl, nr, nd = normalize_connector(left, right, direction)
-    return ((nl.path, nr.path, nd), findings)
+    nl, nr, nd = normalize_connector(*refs, direction or Direction.BIDIR)
+    return ((nl.path, nr.path, None if direction is None else nd), findings)
 
 
 def connection_instances(code: CodeModel) -> list[AnnotationInstance]:
     return [i for i in code.instances if i.kind in CONNECTION_KINDS]
-
-
-def declared_triples(
-    arch: ArchitectureModel,
-) -> tuple[set[tuple[str, str, Direction]], set[tuple[str, str]]]:
-    """Canonical triples and direction-free endpoint pairs of all resolving
-    connectors, read from the model's connector index."""
-    index = arch.connector_index
-    return (set(index.triples.values()), set(index.by_pair))
 
 
 def check_annotation_completeness(arch: ArchitectureModel, code: CodeModel) -> list[Finding]:
@@ -210,7 +195,7 @@ def check_architecture_completeness(arch: ArchitectureModel, code: CodeModel) ->
 
 def check_connection_consistency(arch: ArchitectureModel, code: CodeModel) -> list[Finding]:
     """UNDECLARED_CONNECTION per connection annotation without a declared match."""
-    triples, pairs = declared_triples(arch)
+    index = arch.connector_index
     findings: list[Finding] = []
     for inst in connection_instances(code):
         for side in ("left", "right"):
@@ -232,9 +217,8 @@ def check_connection_consistency(arch: ArchitectureModel, code: CodeModel) -> li
         findings.extend(errors)
         if triple is None:
             continue
-        left, right, direction = triple
-        matched = (left, right) in pairs if direction is None else (left, right, direction) in triples
-        if not matched:
+        if not index.matching(triple):
+            left, right, direction = triple
             shown = direction.value if direction is not None else "any direction"
             findings.append(
                 finding(
@@ -271,22 +255,20 @@ def report_fingerprint(arch: ArchitectureModel, code: CodeModel) -> str:
 
 
 def run_all(arch: ArchitectureModel, code: CodeModel) -> ConformanceReport:
-    """Model validation, extraction findings, target rules, and the three checks.
+    """Model validation, the code model's extraction findings, and the three checks.
 
     The three checks run only on a well-formed model (their answers would be
-    noise otherwise). Exact-duplicate findings (e.g. target-rule findings both
-    stored by the scanner and recomputed here) collapse to one.
+    noise otherwise). Target rules are not re-run: the scanner reports their
+    findings with the rest of `code.findings`. Every finding is kept, so two
+    roots holding the same malformed file report it twice.
     """
     model_findings = validate_model(arch)
     findings: list[Finding] = list(model_findings)
     findings.extend(code.findings)
-    for inst in code.instances:
-        findings.extend(validate_targets(inst))
     if not model_findings:
         findings.extend(check_annotation_completeness(arch, code))
         findings.extend(check_architecture_completeness(arch, code))
         findings.extend(check_connection_consistency(arch, code))
-    unique = list(dict.fromkeys(findings))
-    ordered = tuple(sort_findings(unique))
+    ordered = tuple(sort_findings(findings))
     counts = Counter(f.check_id for f in ordered)
     return ConformanceReport(ordered, dict(sorted(counts.items())), report_fingerprint(arch, code))

@@ -28,14 +28,21 @@ class AdlParseError(ArchlintError):
 
 
 class EndpointError(ArchlintError):
-    """An endpoint path failed to resolve against its context component."""
+    """An endpoint path failed to resolve against its context component.
 
-    def __init__(self, context: str, path: str, reason: str) -> None:
+    `walked` holds the elements the walk reached before it stopped, one per
+    leading segment.
+    """
+
+    def __init__(
+        self, context: str, path: str, reason: str, walked: tuple[ElementRef, ...]
+    ) -> None:
         shown = context if context else "<root>"
         super().__init__(f"cannot resolve '{path}' in context {shown}: {reason}")
         self.context = context
         self.path = path
         self.reason = reason
+        self.walked = walked
 
 
 class ConfigError(ArchlintError):

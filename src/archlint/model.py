@@ -8,6 +8,10 @@ same declarations in any order compare equal.
 A connector declared with the empty context ("" here, rendered "/id") lives
 at document root: its endpoint paths start at a top-level component name.
 
+`walk_endpoint` is the only function that steps through an endpoint path;
+every resolution and every path rewrite reads its result. When a path does
+not resolve, its EndpointError carries the elements walked before the stop.
+
 Each model resolves its connectors once, lazily, into the ConnectorIndex
 every connector query reads; a derived model builds its own.
 """
@@ -255,26 +259,31 @@ def walk_endpoint(
     Each non-final segment must be a part role (descending into its type);
     the final segment is a part role or a port name. Part roles shadow port
     names. In the root context the first segment selects a top-level
-    component instead. Returns every element the walk touches in order (that
-    component, each traversed part, then the endpoint itself); raises
-    EndpointError when the path does not resolve.
+    component instead. Returns the element each segment reaches, in order
+    (that component, each traversed part, then the endpoint itself); raises
+    EndpointError, carrying the elements reached so far, when the path does
+    not resolve.
     """
     ep = EndpointPath.parse(path) if isinstance(path, str) else path
     segments = ep.segments
     walked: list[ElementRef] = []
+
+    def stop(reason: str) -> EndpointError:
+        return EndpointError(context, str(ep), reason, tuple(walked))
+
     if context == ROOT_CONTEXT:
         first = segments[0]
-        comp = model.component(first)
-        if comp is None or not model.is_top_level(first):
-            raise EndpointError(context, str(ep), f"'{first}' is not a top-level component")
-        if len(segments) == 1:
-            raise EndpointError(context, str(ep), "path ends at a component, not a part or port")
+        if not model.is_top_level(first):
+            raise stop(f"'{first}' is not a top-level component")
         walked.append(ElementRef.component(first))
+        if len(segments) == 1:
+            raise stop("path ends at a component, not a part or port")
+        comp = model.component(first)
         segments = segments[1:]
     else:
         comp = model.component(context)
         if comp is None:
-            raise EndpointError(context, str(ep), f"unknown context component '{context}'")
+            raise stop(f"unknown context component '{context}'")
 
     for index, segment in enumerate(segments):
         final = index == len(segments) - 1
@@ -285,16 +294,14 @@ def walk_endpoint(
                 return tuple(walked)
             nxt = model.component(part.type_component)
             if nxt is None:
-                raise EndpointError(
-                    context, str(ep), f"part '{segment}' has undeclared type '{part.type_component}'"
-                )
+                raise stop(f"part '{segment}' has undeclared type '{part.type_component}'")
             comp = nxt
             continue
         if final and comp.port(segment) is not None:
             walked.append(ElementRef.port(comp.name, segment))
             return tuple(walked)
         what = "port or part" if final else "part"
-        raise EndpointError(context, str(ep), f"no {what} '{segment}' in component '{comp.name}'")
+        raise stop(f"no {what} '{segment}' in component '{comp.name}'")
 
 
 def resolve_endpoint(

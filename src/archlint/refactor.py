@@ -216,40 +216,31 @@ def _apply_remove_connector(model: ArchitectureModel, op: RemoveConnector):
     return (replace(model, connectors=remaining), {ref})
 
 
-def _rewrite_paths(model: ArchitectureModel, rewrite) -> tuple[Connector, ...]:
-    """Rewrite every connector endpoint segment via rewrite(owner, segment, kind).
+def _reached(model: ArchitectureModel, context: str, path: EndpointPath) -> list[ElementRef | None]:
+    """The element each segment of an endpoint path reaches, None past the
+    segment where its walk stops; a rewrite keeps those segments verbatim
+    for validation to report."""
+    try:
+        walked = walk_endpoint(model, context, path)
+    except EndpointError as err:
+        walked = err.walked
+    return list(walked) + [None] * (len(path.segments) - len(walked))
 
-    owner is the component the segment resolves in ("" for a root path's
-    first, component-naming segment); kind is component|part|port. Segments
-    that stop resolving are kept verbatim for validation to report.
-    """
-    out: list[Connector] = []
-    for conn in model.connectors:
-        new_paths = []
-        for path in (conn.left, conn.right):
-            segments = list(path.segments)
-            rewritten: list[str] = []
-            if conn.context == ROOT_CONTEXT:
-                rewritten.append(rewrite("", segments[0], "component"))
-                current = model.component(segments[0])
-                rest = segments[1:]
-            else:
-                current = model.component(conn.context)
-                rest = segments
-            for index, segment in enumerate(rest):
-                if current is None:
-                    rewritten.extend(rest[index:])
-                    break
-                part = current.part(segment)
-                if part is not None:
-                    rewritten.append(rewrite(current.name, segment, "part"))
-                    current = model.component(part.type_component)
-                else:
-                    rewritten.append(rewrite(current.name, segment, "port"))
-                    current = None
-            new_paths.append(EndpointPath(tuple(rewritten)))
-        out.append(replace(conn, left=new_paths[0], right=new_paths[1]))
-    return tuple(out)
+
+def _renamed_paths(model: ArchitectureModel, op: RenameElement) -> tuple[Connector, ...]:
+    """Every connector, each endpoint segment that reaches the renamed element renamed."""
+
+    def rename(conn: Connector, path: EndpointPath) -> EndpointPath:
+        reached = _reached(model, conn.context, path)
+        return EndpointPath(tuple(
+            op.new_name if element == op.ref else segment
+            for segment, element in zip(path.segments, reached)
+        ))
+
+    return tuple(
+        replace(conn, left=rename(conn, conn.left), right=rename(conn, conn.right))
+        for conn in model.connectors
+    )
 
 
 def _apply_rename(model: ArchitectureModel, op: RenameElement):
@@ -271,15 +262,8 @@ def _rename_component(model: ArchitectureModel, op: RenameElement):
     comp = _require_component(model, old, op)
     if model.component(new) is not None:
         raise _fail(op, f"component '{new}' already exists", ElementRef.component(new))
-
-    def rewrite(owner: str, segment: str, kind: str) -> str:
-        if kind == "component" and segment == old:
-            return new
-        return segment
-
-    connectors = _rewrite_paths(model, rewrite)
     connectors = tuple(
-        replace(c, context=new) if c.context == old else c for c in connectors
+        replace(c, context=new) if c.context == old else c for c in _renamed_paths(model, op)
     )
     components = []
     for c in model.components:
@@ -311,18 +295,11 @@ def _rename_part(model: ArchitectureModel, op: RenameElement):
         raise _fail(op, f"no part '{role}' in '{owner_name}'", op.ref)
     if comp.part(op.new_name) is not None:
         raise _fail(op, f"part '{op.new_name}' already exists in '{owner_name}'")
-
-    def rewrite(owner: str, segment: str, kind: str) -> str:
-        if kind == "part" and owner == owner_name and segment == role:
-            return op.new_name
-        return segment
-
-    connectors = _rewrite_paths(model, rewrite)
     new_comp = replace(
         comp,
         parts=tuple(replace(p, role=op.new_name) if p.role == role else p for p in comp.parts),
     )
-    new_model = ArchitectureModel(_swap_component(model, new_comp), connectors)
+    new_model = ArchitectureModel(_swap_component(model, new_comp), _renamed_paths(model, op))
     return (new_model, {op.ref, ElementRef.part(owner_name, op.new_name)})
 
 
@@ -333,18 +310,11 @@ def _rename_port(model: ArchitectureModel, op: RenameElement):
         raise _fail(op, f"no port '{port_name}' in '{owner_name}'", op.ref)
     if comp.port(op.new_name) is not None:
         raise _fail(op, f"port '{op.new_name}' already exists in '{owner_name}'")
-
-    def rewrite(owner: str, segment: str, kind: str) -> str:
-        if kind == "port" and owner == owner_name and segment == port_name:
-            return op.new_name
-        return segment
-
-    connectors = _rewrite_paths(model, rewrite)
     new_comp = replace(
         comp,
         ports=tuple(Port(op.new_name) if p.name == port_name else p for p in comp.ports),
     )
-    new_model = ArchitectureModel(_swap_component(model, new_comp), connectors)
+    new_model = ArchitectureModel(_swap_component(model, new_comp), _renamed_paths(model, op))
     return (new_model, {op.ref, ElementRef.port(owner_name, op.new_name)})
 
 
@@ -459,50 +429,33 @@ def _apply_split(model: ArchitectureModel, op: SplitComponent):
         components.append(replace(comp, parts=tuple(new_parts)))
 
     target_was_top = model.is_top_level(op.target)
+    target_ref = ElementRef.component(op.target)
+    holder_refs = {
+        ElementRef.part(c.name, p.role)
+        for c in model.components
+        for p in c.parts
+        if p.type_component == op.target
+    }
 
-    def rewrite_path(context: str, path: EndpointPath, conn_id: str) -> EndpointPath:
+    def rewrite_path(conn: Connector, path: EndpointPath) -> EndpointPath:
+        """A root path's first segment names the side of its next segment; a
+        holder part becomes its replacement on that side."""
         segments = list(path.segments)
-        out: list[str] = []
-        if context == ROOT_CONTEXT:
-            first = segments[0]
-            if first == op.target:
-                follow = segments[1] if len(segments) > 1 else None
-                if follow is None or follow not in side_of:
-                    return path
-                out.append(side_of[follow])
-                current: Component | None = target
-                rest = segments[1:]
-            else:
-                out.append(first)
-                current = model.component(first)
-                rest = segments[1:]
-        else:
-            current = model.component(context)
-            rest = segments
-        for index, segment in enumerate(rest):
-            final = index == len(rest) - 1
-            if current is None:
-                out.extend(rest[index:])
-                break
-            part = current.part(segment)
-            if part is not None and part.type_component == op.target:
-                if final:
+        for index, element in enumerate(_reached(model, conn.context, path)):
+            follow = segments[index + 1] if index + 1 < len(segments) else None
+            if element == target_ref and follow in side_of:
+                segments[index] = side_of[follow]
+            elif element in holder_refs:
+                if follow is None:
                     raise _fail(
                         op,
-                        f"connector '{conn_id}' endpoint ends at part "
-                        f"'{current.name}.{segment}' of the split component",
-                        ElementRef.part(current.name, segment),
+                        f"connector '{conn.id}' endpoint ends at part "
+                        f"'{element.path}' of the split component",
+                        element,
                     )
-                follow = rest[index + 1]
-                if follow not in side_of:
-                    out.extend(rest[index:])
-                    break
-                out.append(f"{segment}_{side_of[follow]}")
-                current = target
-                continue
-            out.append(segment)
-            current = model.component(part.type_component) if part is not None else None
-        return EndpointPath(tuple(out))
+                if follow in side_of:
+                    segments[index] = f"{segments[index]}_{side_of[follow]}"
+        return EndpointPath(tuple(segments))
 
     connectors: list[Connector] = []
     for conn in model.connectors:
@@ -531,8 +484,8 @@ def _apply_split(model: ArchitectureModel, op: SplitComponent):
                     connectors.append(Connector(cid, owner, left, right, conn.direction))
                     touched.add(ElementRef.connector(owner, cid))
         else:
-            left = rewrite_path(conn.context, conn.left, conn.id)
-            right = rewrite_path(conn.context, conn.right, conn.id)
+            left = rewrite_path(conn, conn.left)
+            right = rewrite_path(conn, conn.right)
             if left != conn.left or right != conn.right:
                 touched.add(old_ref)
             connectors.append(replace(conn, left=left, right=right))

@@ -181,6 +181,21 @@ def test_text_block_does_not_hide_following_annotation() -> None:
     ]
 
 
+def test_text_block_argument_is_a_string() -> None:
+    instances, findings = extract_attributes('@Part("""\n    w""") B w;', "B.java")
+    assert findings == []
+    assert [(i.kind, i.values) for i in instances] == [(AnnotationKind.PART, ("w",))]
+    # Incidental indentation counts the closing line; trailing blanks and
+    # escapes follow JLS 3.10.6.
+    text = '@Component("""  \r\n\t    a\\"b  \n\n\t      c\n\t  """) class A {}'
+    instances, findings = extract_attributes(text, "A.java")
+    assert findings == []
+    assert instances[0].values == ('  a"b\n\n    c\n',)
+    # Content on the opening line makes it no text block.
+    _, findings = extract_attributes('@Part("""w""") B w;', "B.java")
+    assert [f.message for f in findings] == ["expected a value or attribute"]
+
+
 def test_unclassifiable_target_reported() -> None:
     instances, findings = extract_attributes('@Part("x")', "C.java")
     assert instances == []

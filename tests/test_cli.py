@@ -130,6 +130,24 @@ def test_check_multiple_roots(capsys, tmp_path: Path) -> None:
     assert code == 0
 
 
+def test_check_reports_each_roots_copy_of_a_finding(capsys, tmp_path: Path) -> None:
+    # Locations are root-relative, so the two findings print alike; both count.
+    roots = []
+    for root in ("r1", "r2"):
+        (tmp_path / root).mkdir()
+        (tmp_path / root / "X.txt").write_text('// @arch Bogus("A") @on type A\n')
+        roots += ["--src", str(tmp_path / root)]
+    code, out, _ = run(capsys, "extract", *roots)
+    extracted = [line for line in out.splitlines() if "MALFORMED_PRAGMA" in line]
+    assert len(extracted) == 2
+    arch = tmp_path / "empty.arch"
+    arch.write_text("")
+    code, out, _ = run(capsys, "check", "--arch", str(arch), *roots)
+    assert code == 1
+    assert [line for line in out.splitlines() if "MALFORMED_PRAGMA" in line] == extracted
+    assert out.splitlines()[-1] == "2 error(s), 0 warning(s)"
+
+
 def test_check_with_config(capsys, tmp_path: Path) -> None:
     cfg = tmp_path / "archlint.conf"
     cfg.write_text("exclude = vehicle/*\n")

@@ -11,7 +11,6 @@ from archlint.conformance import (
     check_annotation_completeness,
     check_architecture_completeness,
     check_connection_consistency,
-    declared_triples,
     report_fingerprint,
     resolve_connection,
     run_all,
@@ -137,7 +136,8 @@ def test_part_in_unknown_component(car_arch: ArchitectureModel, tmp_path: Path) 
 
 
 def test_declared_triples_car(car_arch: ArchitectureModel) -> None:
-    triples, pairs = declared_triples(car_arch)
+    index = car_arch.connector_index
+    triples, pairs = set(index.triples.values()), set(index.by_pair)
     assert triples == {("Car.rear", "Engine#p", Direction.LEFT)}
     assert pairs == {("Car.rear", "Engine#p")}
 

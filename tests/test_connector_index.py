@@ -94,7 +94,12 @@ def _walks(calls: list[int], operation, n: int) -> int:
 def test_connector_queries_walk_linearly(monkeypatch) -> None:
     calls = _count_walks(monkeypatch)
     plan = RefactoringPlan(
-        "grow", (AddPort("C0", "z"), RenameElement(ElementRef.connector(ROOT_CONTEXT, "c1"), "cz"))
+        "grow",
+        (
+            AddPort("C0", "z"),
+            RenameElement(ElementRef.connector(ROOT_CONTEXT, "c1"), "cz"),
+            RenameElement(ElementRef.part("Hub", "core"), "heart"),
+        ),
     )
     operations = {
         "lookup": lambda arch, code: lookup(code, ElementRef.part("Hub", "core"), arch),

@@ -22,6 +22,7 @@ from archlint.model import (
     parse_ref,
     resolve_endpoint,
     validate_model,
+    walk_endpoint,
 )
 from modelgen import random_model
 
@@ -128,6 +129,37 @@ def test_resolve_endpoint_unknown_context(car_arch: ArchitectureModel) -> None:
 def test_resolve_endpoint_part_is_terminal(car_arch: ArchitectureModel) -> None:
     with pytest.raises(EndpointError):
         resolve_endpoint(car_arch, "Car", "rear.p")
+
+
+_CAR = ElementRef.component("Car")
+
+
+@pytest.mark.parametrize(
+    "context, path, walked, reason",
+    [
+        ("Boat", "rear", (), "unknown context component 'Boat'"),
+        ("", "Engine.p", (), "'Engine' is not a top-level component"),
+        ("", "Car", (_CAR,), "path ends at a component, not a part or port"),
+        ("A", "x.p", (ElementRef.part("A", "x"),), "part 'x' has undeclared type 'Ghost'"),
+        ("", "Car.e.q", (_CAR, ElementRef.part("Car", "e")), "no port or part 'q' in component 'Engine'"),
+        ("Car", "e.p.q", (ElementRef.part("Car", "e"),), "no part 'p' in component 'Engine'"),
+    ],
+)
+def test_endpoint_error_carries_the_walked_prefix(
+    car_arch: ArchitectureModel, context: str, path: str, walked: tuple, reason: str
+) -> None:
+    ghost = Component("A", parts=(Part("x", "Ghost"),))
+    model = ArchitectureModel(car_arch.components + (ghost,), car_arch.connectors)
+    with pytest.raises(EndpointError) as caught:
+        walk_endpoint(model, context, path)
+    assert caught.value.walked == walked
+    assert caught.value.reason == reason
+
+
+def test_walk_endpoint_returns_each_segments_element(car_arch: ArchitectureModel) -> None:
+    assert walk_endpoint(car_arch, "", "Car.e.p") == (
+        _CAR, ElementRef.part("Car", "e"), ElementRef.port("Engine", "p")
+    )
 
 
 def test_normalize_swap_flips_direction() -> None:

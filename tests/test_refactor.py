@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -14,8 +15,11 @@ from archlint.errors import (
 from archlint.model import (
     ArchitectureModel,
     Direction,
+    ElementRef,
     EndpointPath,
+    RefKind,
     parse_ref,
+    resolve_endpoint,
     validate_model,
 )
 from archlint.refactor import (
@@ -35,7 +39,7 @@ from archlint.refactor import (
     parse_plan,
 )
 from archlint.scan import scan_tree
-from modelgen import inverse_of, random_model, random_op_sequence
+from modelgen import _candidate_op, inverse_of, random_model, random_op_sequence
 
 DATA = Path(__file__).parent / "data"
 
@@ -608,3 +612,49 @@ def test_inverse_ops_restore_model() -> None:
         assert restored == model
         checked += 1
     assert checked >= 20
+
+
+def _image(op: RenameElement | SplitComponent, endpoint: ElementRef) -> ElementRef:
+    """The part or port `endpoint` becomes under `op`: the renamed element, a
+    member of the renamed component, or a split member on its partition side."""
+    owner, member = endpoint.split()
+    member_of = ElementRef.part if endpoint.kind is RefKind.PART else ElementRef.port
+    if isinstance(op, SplitComponent):
+        return member_of(op.partition[member], member) if owner == op.target else endpoint
+    if op.ref.kind is RefKind.COMPONENT:
+        return member_of(op.new_name, member) if owner == op.ref.path else endpoint
+    return member_of(owner, op.new_name) if endpoint == op.ref else endpoint
+
+
+def test_rename_and_split_keep_every_endpoints_meaning() -> None:
+    rng = random.Random(211)
+    applied: Counter = Counter()
+    for _ in range(300):
+        model = random_model(rng)
+        for _ in range(6):
+            op = _candidate_op(rng, model)
+            if not isinstance(op, (RenameElement, SplitComponent)):
+                continue
+            try:
+                new_model, _ = apply_op(model, op)
+            except PreconditionError as err:
+                # A fresh name always applies. A split refuses an endpoint that
+                # ends at a holder part, or a connector it would duplicate.
+                assert isinstance(op, SplitComponent), op_text(op)
+                assert "of the split component" in err.reason or "duplicates" in err.reason, err
+                continue
+            applied[type(op)] += 1
+            for conn in model.connectors:
+                if isinstance(op, SplitComponent) and conn.context == op.target:
+                    continue
+                cid = conn.id
+                if isinstance(op, RenameElement) and op.ref == ElementRef.connector(conn.context, cid):
+                    cid = op.new_name
+                new_conn = new_model.connector_by_id(cid)
+                assert new_conn.direction is conn.direction
+                for old_path, new_path in ((conn.left, new_conn.left), (conn.right, new_conn.right)):
+                    before = resolve_endpoint(model, conn.context, old_path)
+                    after = resolve_endpoint(new_model, new_conn.context, new_path)
+                    assert after == _image(op, before), (op_text(op), conn, new_conn)
+    assert applied[RenameElement] >= 100, applied
+    assert applied[SplitComponent] >= 50, applied
