@@ -1,12 +1,19 @@
 """The one lexer behind the ADL, pragma and Java-style front-ends.
 
 A table is a compiled alternation of named groups, tried in order at each
-position; the name of the group that matched is the token kind. Groups whose
-names start with `_` (whitespace, comments) are skipped, and every table
-ends in an `eof` group that matches the end of the text. The ADL and pragma
-tables have an `error` group that matches any other single character:
-lexing stops at it and the caller reports it in its own terms. The text of
-a `string` token is its unescaped `body`, without the quotes.
+position; the name of the group that matched is the token kind. Each match
+first passes over the table's `gap`, the text it skips (whitespace,
+comments). Every table ends in an `eof` group that matches the end of the
+text. The ADL and pragma tables have an `error` group that matches any
+other single character: lexing stops at it and the caller reports it in its
+own terms. The text of a `string` token is its unescaped `body`, without the
+quotes.
+
+`JAVA_SKIM` is read from a `JAVA` token boundary without building tokens.
+It matches comments, strings, text blocks and char literals whole (`skip`),
+as `JAVA` does, and stops at `@`, a brace or a type keyword; its gap passes
+over everything else. Each stop is a `JAVA` token, except a keyword after a
+`.` that a number swallows (`1.class` is one number).
 """
 
 from __future__ import annotations
@@ -22,26 +29,47 @@ class Token(NamedTuple):
     column: int
 
 
-def _table(**groups: str) -> re.Pattern[str]:
-    groups["eof"] = r"\Z"
-    return re.compile("|".join(f"(?P<{kind}>{regex})" for kind, regex in groups.items()), re.S)
+def _table(gap: str, **groups: str) -> re.Pattern[str]:
+    """Any run of `gap` matches, then the alternation of `groups` and `eof`."""
+    body = "|".join(f"(?P<{kind}>{regex})" for kind, regex in groups.items())
+    return re.compile(rf"(?:{gap})*+(?:{body}|(?P<eof>\Z))", re.S)
 
 
 _IDENT = r"[A-Za-z_$][A-Za-z0-9_$]*"
 
+# Java identifiers are Unicode (JLS 3.8); `_JAVA_WORD` is their character class.
+_JAVA_WORD = r"[\w$]"
+_JAVA_COMMENT = r"//[^\n]*|/\*.*?(?:\*/|\Z)"
+_JAVA_TEXT_BLOCK = r'"""(?:[^\\]|\\.)*?(?:"""|\\?\Z)'
+_JAVA_STRING = r'"(?P<body>(?:[^"\\]|\\.)*)(?:"|\\?\Z)'
+_JAVA_CHAR = r"'(?:[^'\\]|\\.)*(?:'|\\?\Z)"
+
+JAVA_TYPE_KEYWORDS = ("class", "interface", "enum", "record")
+
 JAVA = _table(
-    _space=r"[ \t\r\n]+",
-    _comment=r"//[^\n]*|/\*.*?(?:\*/|\Z)",
-    text_block=r'"""(?:[^\\]|\\.)*?(?:"""|\\?\Z)',
-    string=r'"(?P<body>(?:[^"\\]|\\.)*)(?:"|\\?\Z)',
-    char=r"'(?:[^'\\]|\\.)*(?:'|\\?\Z)",
-    ident=_IDENT,
+    rf"[ \t\r\n]+|{_JAVA_COMMENT}",
+    text_block=_JAVA_TEXT_BLOCK,
+    string=_JAVA_STRING,
+    char=_JAVA_CHAR,
+    ident=rf"(?:[^\W\d]|\$){_JAVA_WORD}*",
     number=r"\d[\w.]*",
     punct=r".",
 )
 
+_JAVA_KEYWORD = "|".join(JAVA_TYPE_KEYWORDS)
+
+# The gap passes whole words, so a keyword is tried only where a word starts.
+JAVA_SKIM = _table(
+    rf"""[^/"'@{{}}\w$]++|(?!(?:{_JAVA_KEYWORD})(?!{_JAVA_WORD})){_JAVA_WORD}++|/(?![/*])""",
+    skip="|".join((_JAVA_COMMENT, _JAVA_TEXT_BLOCK, _JAVA_STRING, _JAVA_CHAR)),
+    at="@",
+    open=r"\{",
+    close=r"\}",
+    keyword=f"(?<!{_JAVA_WORD})(?:{_JAVA_KEYWORD})(?!{_JAVA_WORD})",
+)
+
 PRAGMA = _table(
-    _space=r"[ \t\r]+",
+    r"[ \t\r]+",
     string=r'"(?P<body>(?:[^"\\]|\\.)*)"',
     ident=_IDENT,
     number=r"\d(?:[^\W_]|\.)*",
@@ -50,8 +78,7 @@ PRAGMA = _table(
 )
 
 ADL = _table(
-    _space=r"[ \t\r\n]+",
-    _comment=r"//[^\n]*",
+    r"[ \t\r\n]+|//[^\n]*",
     ident=r"[A-Za-z_][A-Za-z0-9_]*",
     number=r"\d+",
     punct=r"<->|->|<-|\.\.|[{}\[\]:;.*]",
@@ -61,28 +88,43 @@ ADL = _table(
 _ESCAPE = re.compile(r"\\(.)", re.S)
 
 
-def tokenize(table: re.Pattern[str], text: str, line: int = 1, column: int = 1) -> list[Token]:
-    """Tokens of `text`, whose first character sits at (line, column).
+def lex(
+    table: re.Pattern[str],
+    text: str,
+    pos: int = 0,
+    line: int = 1,
+    column: int = 1,
+    until: frozenset[str] = frozenset(),
+) -> tuple[list[Token], int]:
+    """The tokens of `text` from the offset `pos` on, where text[pos] sits
+    at (line, column), and the offset just past the last of them.
 
     Lines are counted at `\\n`; a column counts characters, tabs included.
-    The list ends in the `eof` token every table has, or in the first
-    `error` token.
+    The tokens end in the `eof` token every table has, in the first `error`
+    token, or in the first `punct` token whose text is in `until`.
     """
     tokens: list[Token] = []
-    counted = 0  # newlines in text[:counted] are already in `line`
-    line_start = 1 - column  # the text index that column 1 of the current line maps to
-    for match in table.finditer(text):
+    counted = pos  # newlines in text[:counted] are already in `line`
+    line_start = pos + 1 - column  # the text index that column 1 of the current line maps to
+    for match in table.finditer(text, pos):
         kind = match.lastgroup
-        if kind[0] == "_":
-            continue
-        start = match.start()
+        start = match.start(kind)
         newlines = text.count("\n", counted, start)
         if newlines:
             line += newlines
             line_start = text.rindex("\n", counted, start) + 1
         counted = start
-        value = _ESCAPE.sub(r"\1", match.group("body")) if kind == "string" else match.group()
+        value = match.group("body") if kind == "string" else match.group(kind)
+        if kind == "string" and "\\" in value:
+            value = _ESCAPE.sub(r"\1", value)
         tokens.append(Token(kind, value, line, start - line_start + 1))
-        if kind == "error":
-            break
-    return tokens
+        if kind == "eof" or kind == "error" or (kind == "punct" and value in until):
+            return tokens, match.end()
+    return tokens, len(text)
+
+
+def tokenize(table: re.Pattern[str], text: str, line: int = 1, column: int = 1) -> list[Token]:
+    """The tokens of `text`, whose first character sits at (line, column),
+    through the `eof` token or the first `error` token."""
+    return lex(table, text, 0, line, column)[0]
+

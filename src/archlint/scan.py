@@ -18,13 +18,13 @@ from .annotations import (
     PRAGMA_LEADERS,
     AnnotationInstance,
     CodeModel,
-    extract_attributes,
     extract_pragmas,
     resolve_context,
     validate_targets,
 )
 from .errors import ConfigError
 from .findings import Finding, SourceLocation, finding
+from .java import extract_attributes
 
 _CONFIG_KEYS = frozenset(
     {
@@ -76,18 +76,20 @@ class ScanConfig:
     pragma_extensions: tuple[str, ...] = ("*",)
     exclude: tuple[str, ...] = ()
 
+    def __post_init__(self) -> None:
+        sigil = self.sigil
+        if not sigil or any(ch.isspace() for ch in sigil):
+            raise ConfigError(f"invalid sigil {sigil!r}")
+        if sigil[0] in PRAGMA_LEADERS:
+            raise ConfigError(
+                f"invalid sigil {sigil!r}: pragma lines strip a leading {sigil[0]!r}"
+            )
+
     @classmethod
     def from_mapping(cls, mapping: Mapping[str, str]) -> ScanConfig:
         cfg = cls()
         if "sigil" in mapping:
-            value = mapping["sigil"]
-            if not value or any(ch.isspace() for ch in value):
-                raise ConfigError(f"invalid sigil {value!r}")
-            if value[0] in PRAGMA_LEADERS:
-                raise ConfigError(
-                    f"invalid sigil {value!r}: pragma lines strip a leading {value[0]!r}"
-                )
-            cfg = replace(cfg, sigil=value)
+            cfg = replace(cfg, sigil=mapping["sigil"])
         if "attribute_extensions" in mapping:
             cfg = replace(cfg, attribute_extensions=_normalize_exts(mapping["attribute_extensions"]))
         if "pragma_extensions" in mapping:

@@ -253,6 +253,8 @@ def _random_endpoint(
     else:
         current = context
     for depth in range(3):
+        if current not in ports:  # a part typed by an undeclared component
+            return None
         choices = []
         if ports[current]:
             choices.append("end_port")

@@ -7,11 +7,11 @@ from archlint.annotations import (
     SourceLocation,
     TargetKind,
     dump_code_model,
-    extract_attributes,
     extract_pragmas,
     resolve_context,
     validate_targets,
 )
+from archlint.java import extract_attributes
 
 DATA = Path(__file__).parent / "data"
 
@@ -194,6 +194,17 @@ def test_text_block_argument_is_a_string() -> None:
     # Content on the opening line makes it no text block.
     _, findings = extract_attributes('@Part("""w""") B w;', "B.java")
     assert [f.message for f in findings] == ["expected a value or attribute"]
+
+
+def test_unicode_identifiers_are_names() -> None:
+    # JLS 3.8: identifiers are Unicode letters and digits, `_` and `$`.
+    text = '@Component("A") class Ä { @Part("p") Bäume bäume; @Port("q") void señal() {} }'
+    instances = _attrs(text, "x.java")
+    assert [(i.kind, i.target_name, i.enclosing_components) for i in instances] == [
+        (AnnotationKind.COMPONENT, "Ä", ()),
+        (AnnotationKind.PART, "bäume", ("A",)),
+        (AnnotationKind.PORT, "señal", ("A",)),
+    ]
 
 
 def test_unclassifiable_target_reported() -> None:

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from archlint.adl import AdlParseError, parse_architecture
-from archlint.annotations import PRAGMA_LEADERS, extract_attributes, extract_pragmas
+from archlint.annotations import PRAGMA_LEADERS, extract_pragmas
+from archlint.java import extract_attributes
 
 
 def _position(front_end: str, text: str) -> tuple[int, int]:

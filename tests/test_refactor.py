@@ -14,9 +14,12 @@ from archlint.errors import (
 )
 from archlint.model import (
     ArchitectureModel,
+    Component,
     Direction,
     ElementRef,
     EndpointPath,
+    Part,
+    Port,
     RefKind,
     parse_ref,
     resolve_endpoint,
@@ -39,7 +42,13 @@ from archlint.refactor import (
     parse_plan,
 )
 from archlint.scan import scan_tree
-from modelgen import _candidate_op, inverse_of, random_model, random_op_sequence
+from modelgen import (
+    _candidate_op,
+    _random_endpoint,
+    inverse_of,
+    random_model,
+    random_op_sequence,
+)
 
 DATA = Path(__file__).parent / "data"
 
@@ -593,6 +602,15 @@ def test_random_ops_preserve_validity() -> None:
             for op in ops:
                 replay, _ = apply_op(replay, op)
             assert replay == end
+
+
+def test_random_endpoint_stops_at_a_part_of_undeclared_type() -> None:
+    broken = ArchitectureModel(
+        (Component("A", parts=(Part("p", "Undeclared"),)), Component("B", ports=(Port("q"),)))
+    )
+    drawn = [_random_endpoint(random.Random(seed), broken, "A") for seed in range(40)]
+    assert None in drawn
+    assert {path.segments for path in drawn if path is not None} == {("p",)}
 
 
 def test_inverse_ops_restore_model() -> None:
