@@ -2,11 +2,10 @@
 
 Two front-ends produce the same AnnotationInstance shape:
 
-* the pragma front-end (this module) reads language-agnostic comment pragmas,
+* the pragma front-end reads language-agnostic comment pragmas,
   `//@arch Component("Car") @on type Car`, one per line;
-* the attribute front-end (`archlint.java`) reads Java-style annotations
-  immediately preceding a declaration, classifying the declaration
-  heuristically.
+* the attribute front-end reads Java-style annotations immediately
+  preceding a declaration, classifying the declaration heuristically.
 
 Extraction never raises on bad input; problems become findings
 (MALFORMED_PRAGMA, MALFORMED_ANNOTATION, UNCLASSIFIABLE_TARGET) and the
@@ -21,10 +20,10 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import PurePosixPath
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .findings import Finding, SourceLocation, finding, sort_findings
-from .lexer import PRAGMA, Token, tokenize
+from .lexer import _ESCAPE, JAVA, JAVA_SKIM, JAVA_TYPE_KEYWORDS, PRAGMA, Token, lex, tokenize
 from .model import ROOT_CONTEXT, ElementRef
 
 __all__ = [
@@ -33,6 +32,7 @@ __all__ = [
     "AnnotationInstance",
     "CodeModel",
     "extract_pragmas",
+    "extract_attributes",
     "resolve_context",
     "validate_targets",
     "side_context",
@@ -419,6 +419,377 @@ def resolve_context(instances: Iterable[AnnotationInstance]) -> list[AnnotationI
             )
         out.append(inst)
     return out
+
+
+# ---------------------------------------------------------------------------
+# attribute front-end (Java-style sources)
+
+_MODIFIERS = frozenset(
+    {
+        "public",
+        "private",
+        "protected",
+        "static",
+        "final",
+        "abstract",
+        "default",
+        "native",
+        "synchronized",
+        "transient",
+        "volatile",
+        "strictfp",
+        "sealed",
+    }
+)
+
+_TYPE_KEYWORDS = frozenset(JAVA_TYPE_KEYWORDS)
+
+
+# A text block's opening `"""` ends its line; `content` runs to the closing one.
+_TEXT_BLOCK = re.compile(r'"""[ \t\f]*(?:\r\n?|\n)(?P<content>(?:[^\\]|\\.)*?)"""\Z', re.S)
+_LINE_TERMINATOR = re.compile(r"\r\n?|\n")
+
+
+def _text_block_string(tok: Token) -> Token:
+    """The `string` token of the value a Java text block denotes (JLS 3.10.6).
+
+    The value is the content after the opening line, with the incidental
+    indentation and each line's trailing white space stripped, then escapes
+    undone. The closing delimiter's line counts toward the indentation even
+    when blank. A token that is no legal text block comes back unchanged.
+    """
+    match = _TEXT_BLOCK.match(tok.text)
+    if match is None:
+        return tok
+    lines = _LINE_TERMINATOR.split(match["content"])
+    significant = [line for line in lines[:-1] if line.strip()] + [lines[-1]]
+    indent = min(len(line) - len(line.lstrip()) for line in significant)
+    value = "\n".join(line[indent:].rstrip() for line in lines)
+    return Token("string", _ESCAPE.sub(r"\1", value), tok.line, tok.column)
+
+
+@dataclass
+class _PendingAnnotation:
+    kind: AnnotationKind
+    values: tuple[str, ...]
+    attrs: dict[str, str]
+    location: SourceLocation
+
+
+# A window lexes on through the next of these, a statement at a time.
+_STATEMENT_ENDS = frozenset("{};")
+
+
+def _detect_package(tokens: list[Token], path: str) -> str:
+    if tokens and tokens[0].kind == "ident" and tokens[0].text == "package":
+        parts: list[str] = []
+        for tok in tokens[1:]:
+            if tok.kind == "ident":
+                parts.append(tok.text)
+            elif tok.kind == "punct" and tok.text == ".":
+                continue
+            else:
+                break
+        if parts:
+            return "/".join(parts)
+    return _default_package(path)
+
+
+def _classify_member(
+    tokens: list[Token],
+    more: Callable[[], bool],
+    start: int,
+    type_stack: list[tuple[str, int]],
+    depth: int,
+) -> tuple[TargetKind, str] | None:
+    """Decide what declaration begins at tokens[start]; `more()` lexes
+    further tokens onto `tokens`.
+
+    First decisive token wins: `(` makes it a method (constructor when the
+    name matches the innermost type); `=` or `;` makes it a field, or a local
+    variable when we are below the innermost type's body depth.
+    """
+    last_ident: str | None = None
+    j = start
+    while j < len(tokens) or more():
+        tok = tokens[j]
+        if tok.kind == "ident":
+            last_ident = tok.text
+        elif tok.kind == "punct":
+            if tok.text == "(":
+                if last_ident is None:
+                    return None
+                inner = type_stack[-1][0] if type_stack else None
+                if last_ident == inner:
+                    return (TargetKind.CONSTRUCTOR, last_ident)
+                return (TargetKind.METHOD, last_ident)
+            if tok.text in ("=", ";"):
+                if last_ident is None:
+                    return None
+                inside_body = bool(type_stack) and depth > type_stack[-1][1]
+                return (TargetKind.LOCAL if inside_body else TargetKind.FIELD, last_ident)
+            if tok.text in ("{", "}", "@"):
+                return None
+        elif tok.kind == "eof":
+            return None
+        j += 1
+    return None
+
+
+def extract_attributes(
+    file_text: str, path: str
+) -> tuple[list[AnnotationInstance], list[Finding]]:
+    """Extract Java-style annotations with heuristic target classification.
+
+    Annotations accumulate across modifiers until a declaration starts; the
+    declaration fixes target kind and name for the whole group. Brace depth
+    tracks enclosing types, and @Component bodies define the enclosing
+    component context for everything inside them. Annotation names outside
+    the recognized eight are ignored.
+
+    Full tokens are built only in windows. With nothing pending and no type
+    waiting for its body (idle), only `@`, a brace or a type keyword changes
+    the state, so the reader skims to the next of those (`JAVA_SKIM`),
+    counting braces on the way. A window starts at an `@` or a keyword and
+    is lexed a statement at a time until the state is idle again with every
+    token lexed so far read. The file's first statement is a window too,
+    for the package.
+    """
+    instances: list[AnnotationInstance] = []
+    findings: list[Finding] = []
+
+    tokens: list[Token] = []  # the current window
+    frontier = 0  # the text offset just past the window's last token
+    frontier_at = (1, 1)  # (line, column) of file_text[frontier]
+
+    def more() -> bool:
+        """Lex the window's next statement; False once `eof` is lexed."""
+        nonlocal frontier, frontier_at
+        if tokens and tokens[-1].kind == "eof":
+            return False
+        lexed, frontier = lex(JAVA, file_text, frontier, *frontier_at, _STATEMENT_ENDS)
+        tokens.extend(lexed)
+        last = lexed[-1]  # a one-character `punct`, or `eof`
+        frontier_at = (last.line, last.column + 1)
+        return True
+
+    more()
+    package = _detect_package(tokens, path)
+
+    depth = 0
+    type_stack: list[tuple[str, int]] = []  # (type name, body depth)
+    comp_stack: list[tuple[tuple[str, ...], int]] = []  # (component values, body depth)
+    pending: list[_PendingAnnotation] = []
+    pending_type: str | None = None
+    pending_comp_values: tuple[str, ...] | None = None
+
+    def drop_pending(reason: str) -> None:
+        nonlocal pending
+        if pending:
+            names = ", ".join(f"@{p.kind.value}" for p in pending)
+            findings.append(
+                finding(
+                    "UNCLASSIFIABLE_TARGET",
+                    f"cannot classify the declaration for {names}: {reason}",
+                    locations=[pending[0].location],
+                )
+            )
+            pending = []
+
+    def context_values() -> tuple[str, ...]:
+        return comp_stack[-1][0] if comp_stack else ()
+
+    def emit(target: TargetKind, target_name: str) -> None:
+        nonlocal pending
+        group_component = tuple(
+            v for p in pending if p.kind is AnnotationKind.COMPONENT for v in p.values
+        )
+        for p in pending:
+            if p.kind is AnnotationKind.COMPONENT:
+                enclosing: tuple[str, ...] = ()
+            elif target is TargetKind.TYPE and group_component:
+                enclosing = group_component
+            else:
+                enclosing = context_values()
+            try:
+                instances.append(
+                    _finish_instance(
+                        p.kind, p.values, p.attrs, target, target_name, enclosing, p.location, package
+                    )
+                )
+            except _ArgProblem as problem:
+                findings.append(
+                    finding("MALFORMED_ANNOTATION", problem.message, locations=[p.location])
+                )
+        pending = []
+
+    def begin_type(name: str) -> None:
+        nonlocal pending_type, pending_comp_values
+        component_values = tuple(
+            v for p in pending if p.kind is AnnotationKind.COMPONENT for v in p.values
+        )
+        emit(TargetKind.TYPE, name)
+        pending_type = name
+        pending_comp_values = component_values or None
+
+    def open_block() -> None:
+        nonlocal depth, pending_type, pending_comp_values
+        depth += 1
+        if pending_type is not None:
+            type_stack.append((pending_type, depth))
+            if pending_comp_values is not None:
+                comp_stack.append((pending_comp_values, depth))
+            pending_type = None
+            pending_comp_values = None
+        else:
+            drop_pending("a block starts without a declaration")
+
+    def close_block() -> None:
+        nonlocal depth
+        drop_pending("the enclosing block ends")
+        while type_stack and type_stack[-1][1] == depth:
+            type_stack.pop()
+        while comp_stack and comp_stack[-1][1] == depth:
+            comp_stack.pop()
+        depth = max(0, depth - 1)
+
+    def next_window() -> bool:
+        """Skim from the frontier to the next `@` or type keyword and start a
+        window there; False at the end of the text."""
+        nonlocal frontier, frontier_at
+        start = frontier  # the end of the last skim match: a token boundary
+        for stop in JAVA_SKIM.finditer(file_text, frontier):
+            kind = stop.lastgroup
+            if kind == "open":
+                open_block()
+            elif kind == "close":
+                close_block()
+            elif kind == "at" or kind == "keyword":
+                # A keyword after a `.` may end a number, as `1.class` does:
+                # that window starts back at the last skim match instead.
+                if kind == "at" or file_text[stop.start(kind) - 1] != ".":
+                    start = stop.start(kind)
+                break
+            elif kind == "eof":
+                return False
+            start = stop.end()
+        line, column = frontier_at
+        newlines = file_text.count("\n", frontier, start)
+        if newlines:
+            line += newlines
+            column = start - file_text.rindex("\n", frontier, start)
+        else:
+            column += start - frontier
+        frontier, frontier_at = start, (line, column)
+        tokens.clear()
+        return more()
+
+    i = 0
+    while True:
+        if i >= len(tokens):
+            if pending or pending_type is not None:
+                if not more():
+                    break
+            elif next_window():
+                i = 0
+            else:
+                break
+        tok = tokens[i]
+        if tok.kind == "punct" and tok.text == "{":
+            open_block()
+            i += 1
+            continue
+        if tok.kind == "punct" and tok.text == "}":
+            close_block()
+            i += 1
+            continue
+        if tok.kind == "punct" and tok.text == ";":
+            # `class X;` style: a pending type without a body never opens a scope
+            pending_type = None
+            pending_comp_values = None
+            i += 1
+            continue
+        if tok.kind == "punct" and tok.text == "@":
+            nxt = tokens[i + 1] if i + 1 < len(tokens) or more() else None
+            if nxt is not None and nxt.kind == "ident" and nxt.text == "interface":
+                name_tok = tokens[i + 2] if i + 2 < len(tokens) or more() else None
+                if name_tok is not None and name_tok.kind == "ident":
+                    begin_type(name_tok.text)
+                    i += 3
+                    continue
+                drop_pending("'@interface' without a name")
+                i += 2
+                continue
+            if nxt is not None and nxt.kind == "ident":
+                location = SourceLocation(path, tok.line, tok.column)
+                j = i + 2
+                arg_tokens: list[Token] | None = None
+                if (
+                    (j < len(tokens) or more())
+                    and tokens[j].kind == "punct"
+                    and tokens[j].text == "("
+                ):
+                    nesting = 0
+                    k = j
+                    collected: list[Token] = []
+                    while k < len(tokens) or more():
+                        t = tokens[k]
+                        collected.append(_text_block_string(t) if t.kind == "text_block" else t)
+                        if t.kind == "punct" and t.text == "(":
+                            nesting += 1
+                        elif t.kind == "punct" and t.text == ")":
+                            nesting -= 1
+                            if nesting == 0:
+                                break
+                        k += 1
+                    arg_tokens = collected
+                    j = k + 1
+                kind = ANNOTATION_NAMES.get(nxt.text)
+                if kind is not None:
+                    try:
+                        if arg_tokens is None:
+                            values, attrs = (), {}
+                        else:
+                            cursor = _Cursor(arg_tokens + [Token("eof", "", tok.line, tok.column)])
+                            values, attrs = _parse_args(cursor, kind)
+                            if cursor.peek().kind != "eof":
+                                raise _ArgProblem("unexpected trailing input in arguments")
+                        pending.append(_PendingAnnotation(kind, values, attrs, location))
+                    except _ArgProblem as problem:
+                        findings.append(
+                            finding("MALFORMED_ANNOTATION", problem.message, locations=[location])
+                        )
+                i = j
+                continue
+            i += 1
+            continue
+        if tok.kind == "ident":
+            word = tok.text
+            if word in _TYPE_KEYWORDS:
+                name_tok = tokens[i + 1] if i + 1 < len(tokens) or more() else None
+                if name_tok is not None and name_tok.kind == "ident":
+                    begin_type(name_tok.text)
+                    i += 2
+                    continue
+                drop_pending(f"'{word}' without a name")
+                i += 1
+                continue
+            if word in _MODIFIERS:
+                i += 1
+                continue
+            if pending:
+                classified = _classify_member(tokens, more, i, type_stack, depth)
+                if classified is None:
+                    drop_pending("no declaration found")
+                else:
+                    emit(*classified)
+            i += 1
+            continue
+        if pending:
+            drop_pending("no declaration found")
+        i += 1
+    drop_pending("end of file")
+    return instances, findings
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,8 @@
 
 A table is a compiled alternation of named groups, tried in order at each
 position; the name of the group that matched is the token kind. Each match
-first passes over the table's `gap`, the text it skips (whitespace,
-comments). Every table ends in an `eof` group that matches the end of the
+first passes over the table's gap, the text it skips: `blank` characters
+and whole `skipped` pieces (comments). Every table ends in an `eof` group that matches the end of the
 text. The ADL and pragma tables have an `error` group that matches any
 other single character: lexing stops at it and the caller reports it in its
 own terms. The text of a `string` token is its unescaped `body`, without the
@@ -29,10 +29,19 @@ class Token(NamedTuple):
     column: int
 
 
-def _table(gap: str, **groups: str) -> re.Pattern[str]:
-    """Any run of `gap` matches, then the alternation of `groups` and `eof`."""
+def _table(blank: str, skipped: str | None, **groups: str) -> re.Pattern[str]:
+    """The gap of `blank` characters and `skipped` pieces, then the
+    alternation of `groups` and `eof`.
+
+    No `skipped` piece may start with a `blank` character. The groups must
+    match wherever the gap stops, so that no match backtracks into it:
+    `punct` and `error` take any character, and the skim's gap stops only
+    where one of its groups starts. The gap is an unrolled loop, which is
+    about as fast as the possessive form that Python 3.10 lacks.
+    """
+    gap = f"{blank}*" if skipped is None else f"{blank}*(?:(?:{skipped}){blank}*)*"
     body = "|".join(f"(?P<{kind}>{regex})" for kind, regex in groups.items())
-    return re.compile(rf"(?:{gap})*+(?:{body}|(?P<eof>\Z))", re.S)
+    return re.compile(rf"{gap}(?:{body}|(?P<eof>\Z))", re.S)
 
 
 _IDENT = r"[A-Za-z_$][A-Za-z0-9_$]*"
@@ -47,7 +56,8 @@ _JAVA_CHAR = r"'(?:[^'\\]|\\.)*(?:'|\\?\Z)"
 JAVA_TYPE_KEYWORDS = ("class", "interface", "enum", "record")
 
 JAVA = _table(
-    rf"[ \t\r\n]+|{_JAVA_COMMENT}",
+    r"[ \t\r\n]",
+    _JAVA_COMMENT,
     text_block=_JAVA_TEXT_BLOCK,
     string=_JAVA_STRING,
     char=_JAVA_CHAR,
@@ -60,7 +70,8 @@ _JAVA_KEYWORD = "|".join(JAVA_TYPE_KEYWORDS)
 
 # The gap passes whole words, so a keyword is tried only where a word starts.
 JAVA_SKIM = _table(
-    rf"""[^/"'@{{}}\w$]++|(?!(?:{_JAVA_KEYWORD})(?!{_JAVA_WORD})){_JAVA_WORD}++|/(?![/*])""",
+    r"""[^/"'@{}\w$]""",
+    rf"(?!(?:{_JAVA_KEYWORD})(?!{_JAVA_WORD})){_JAVA_WORD}+|/(?![/*])",
     skip="|".join((_JAVA_COMMENT, _JAVA_TEXT_BLOCK, _JAVA_STRING, _JAVA_CHAR)),
     at="@",
     open=r"\{",
@@ -69,7 +80,8 @@ JAVA_SKIM = _table(
 )
 
 PRAGMA = _table(
-    r"[ \t\r]+",
+    r"[ \t\r]",
+    None,
     string=r'"(?P<body>(?:[^"\\]|\\.)*)"',
     ident=_IDENT,
     number=r"\d(?:[^\W_]|\.)*",
@@ -78,7 +90,8 @@ PRAGMA = _table(
 )
 
 ADL = _table(
-    r"[ \t\r\n]+|//[^\n]*",
+    r"[ \t\r\n]",
+    r"//[^\n]*",
     ident=r"[A-Za-z_][A-Za-z0-9_]*",
     number=r"\d+",
     punct=r"<->|->|<-|\.\.|[{}\[\]:;.*]",
@@ -86,6 +99,10 @@ ADL = _table(
 )
 
 _ESCAPE = re.compile(r"\\(.)", re.S)
+
+# Builds a Token from a tuple without the Python-level NamedTuple
+# constructor, which costs about a sixth of `lex`.
+_new_token = tuple.__new__
 
 
 def lex(
@@ -117,7 +134,7 @@ def lex(
         value = match.group("body") if kind == "string" else match.group(kind)
         if kind == "string" and "\\" in value:
             value = _ESCAPE.sub(r"\1", value)
-        tokens.append(Token(kind, value, line, start - line_start + 1))
+        tokens.append(_new_token(Token, (kind, value, line, start - line_start + 1)))
         if kind == "eof" or kind == "error" or (kind == "punct" and value in until):
             return tokens, match.end()
     return tokens, len(text)

@@ -18,13 +18,13 @@ from .annotations import (
     PRAGMA_LEADERS,
     AnnotationInstance,
     CodeModel,
+    extract_attributes,
     extract_pragmas,
     resolve_context,
     validate_targets,
 )
 from .errors import ConfigError
 from .findings import Finding, SourceLocation, finding
-from .java import extract_attributes
 
 _CONFIG_KEYS = frozenset(
     {

@@ -2,13 +2,15 @@
 
 `extract_attributes` here is the attribute front-end as it was before the
 skim: it builds a `JAVA` token for every token of the file and runs the
-declaration state machine over all of them. `archlint.java` must give
-the same instances and findings on every input.
+declaration state machine over all of them. `archlint.annotations` must
+give the same instances and findings on every input.
 """
 
 from __future__ import annotations
 
 from archlint.annotations import (
+    _MODIFIERS,
+    _TYPE_KEYWORDS,
     ANNOTATION_NAMES,
     AnnotationInstance,
     AnnotationKind,
@@ -18,9 +20,10 @@ from archlint.annotations import (
     _default_package,
     _finish_instance,
     _parse_args,
+    _PendingAnnotation,
+    _text_block_string,
 )
 from archlint.findings import Finding, SourceLocation, finding
-from archlint.java import _MODIFIERS, _TYPE_KEYWORDS, _PendingAnnotation, _text_block_string
 from archlint.lexer import JAVA, Token, tokenize
 
 

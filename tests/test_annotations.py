@@ -7,11 +7,11 @@ from archlint.annotations import (
     SourceLocation,
     TargetKind,
     dump_code_model,
+    extract_attributes,
     extract_pragmas,
     resolve_context,
     validate_targets,
 )
-from archlint.java import extract_attributes
 
 DATA = Path(__file__).parent / "data"
 

@@ -1,4 +1,6 @@
 import json
+import os
+import re
 import shutil
 import subprocess
 import sys
@@ -8,6 +10,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+import archlint
 from archlint.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -508,3 +511,30 @@ def test_module_entry_point() -> None:
     )
     assert proc.returncode == 0
     assert proc.stdout == "0 error(s), 0 warning(s)\n"
+
+
+def _lowest_declared_python() -> str | None:
+    """A working `pythonX.Y` on PATH for the oldest version pyproject.toml declares."""
+    pyproject = (Path(__file__).parent.parent / "pyproject.toml").read_text()
+    lowest = re.search(r'requires-python = ">=(\d+\.\d+)"', pyproject)[1]
+    python = shutil.which(f"python{lowest}")
+    if python is None or subprocess.run([python, "-c", "pass"], capture_output=True).returncode:
+        return None
+    return python
+
+
+@pytest.mark.parametrize("command", ["check", "smells"])
+@pytest.mark.parametrize("tree", ["car", "desktop"])
+def test_oldest_declared_python_gives_the_same_report(command: str, tree: str) -> None:
+    python = _lowest_declared_python()
+    if python is None:
+        pytest.skip("the oldest declared Python is not on PATH")
+    arch = next((DATA / tree).glob("*.arch"))
+    argv = ["-m", "archlint", command, "--arch", str(arch), "--src", str(DATA / tree / "src")]
+    env = {**os.environ, "PYTHONPATH": str(Path(archlint.__file__).parent.parent)}
+    runs = [
+        subprocess.run([exe, *argv, "--format", "json"], capture_output=True, text=True, env=env)
+        for exe in (python, sys.executable)
+    ]
+    assert runs[0].stderr == runs[1].stderr
+    assert (runs[0].returncode, runs[0].stdout) == (runs[1].returncode, runs[1].stdout)

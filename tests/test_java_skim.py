@@ -16,9 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import java_oracle
-from archlint import java
-from archlint.annotations import dump_code_model
-from archlint.java import extract_attributes
+from archlint import annotations
+from archlint.annotations import dump_code_model, extract_attributes
 from archlint.lexer import JAVA
 from archlint.scan import ScanConfig, load_config_file, scan_tree
 
@@ -149,7 +148,7 @@ def _java_file(members: int) -> str:
 
 def test_plain_members_build_no_full_tokens(monkeypatch) -> None:
     built = [0]
-    original = java.lex
+    original = annotations.lex
 
     def counting(table, *args):
         lexed = original(table, *args)
@@ -157,7 +156,7 @@ def test_plain_members_build_no_full_tokens(monkeypatch) -> None:
             built[0] += len(lexed[0])
         return lexed
 
-    monkeypatch.setattr(java, "lex", counting)
+    monkeypatch.setattr(annotations, "lex", counting)
     counts = []
     for members in (40, 80):
         built[0] = 0

@@ -1,14 +1,17 @@
 """Positions and robustness of the three front-ends that share one lexer."""
 
+import importlib
+import pkgutil
+import re
 import string
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import archlint
 from archlint.adl import AdlParseError, parse_architecture
-from archlint.annotations import PRAGMA_LEADERS, extract_pragmas
-from archlint.java import extract_attributes
+from archlint.annotations import PRAGMA_LEADERS, extract_attributes, extract_pragmas
 
 
 def _position(front_end: str, text: str) -> tuple[int, int]:
@@ -123,3 +126,40 @@ _PRAGMA_LINE = st.tuples(
 )
 def test_extract_pragmas_matches_per_line_oracle(text: str, sigil: str) -> None:
     assert _pragma_outcomes(text, sigil) == _per_line_pragmas(text, sigil)
+
+
+def _opcodes(parsed: object):
+    """The opcode names in a parsed regular expression, nested ones too."""
+    if isinstance(parsed, (list, tuple)) or type(parsed).__name__ == "SubPattern":
+        for item in parsed:
+            if isinstance(item, tuple) and len(item) == 2 and hasattr(item[0], "name"):
+                yield item[0].name
+                yield from _opcodes(item[1])
+            else:
+                yield from _opcodes(item)
+
+
+def test_patterns_use_no_syntax_newer_than_python_3_10() -> None:
+    """pyproject.toml declares Python 3.10, whose `re` has no possessive
+    repeats and no atomic groups: a module-level pattern using one would
+    fail to compile there, and `import archlint` with it."""
+    parser = getattr(re, "_parser", None)
+    if parser is None:
+        pytest.skip("the running Python is older than 3.11 and compiled every pattern")
+    patterns = {}
+    for info in pkgutil.iter_modules(archlint.__path__):
+        if info.name == "__main__":
+            continue
+        module = importlib.import_module(f"archlint.{info.name}")
+        for name, value in vars(module).items():
+            if isinstance(value, re.Pattern):
+                patterns[f"{info.name}.{name}"] = value
+    assert "lexer.JAVA_SKIM" in patterns
+    newer = {
+        name: sorted(ops)
+        for name, pattern in patterns.items()
+        if (ops := {"POSSESSIVE_REPEAT", "ATOMIC_GROUP"}.intersection(
+            _opcodes(parser.parse(pattern.pattern, pattern.flags))
+        ))
+    }
+    assert newer == {}

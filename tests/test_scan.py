@@ -251,8 +251,11 @@ def test_config_extension_normalization() -> None:
     ],
 )
 def test_config_value_validation(mapping: dict) -> None:
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError) as loaded:
         ScanConfig.from_mapping(mapping)
+    with pytest.raises(ConfigError) as built:
+        ScanConfig(sigil=mapping["sigil"])
+    assert str(built.value) == str(loaded.value)
 
 
 @pytest.mark.parametrize("sigil", [";arch", "*arch", "!arch"])
@@ -261,21 +264,9 @@ def test_config_rejects_sigil_starting_with_comment_leader(tmp_path: Path, sigil
     # matched, so such a sigil would silently find nothing.
     cfg_path = tmp_path / "archlint.conf"
     cfg_path.write_text(f"sigil = {sigil}\n")
-    with pytest.raises(ConfigError) as exc:
-        ScanConfig.from_mapping(load_config_file(cfg_path))
-    assert repr(sigil[0]) in str(exc.value)
-
-
-@pytest.mark.parametrize("sigil", [";arch", "#arch", "", "has space", "tab\there"])
-def test_sigil_is_checked_where_a_config_is_built(tmp_path: Path, sigil: str) -> None:
-    cfg_path = tmp_path / "archlint.conf"
-    cfg_path.write_text(f"sigil = {sigil}\n")
     with pytest.raises(ConfigError) as loaded:
-        ScanConfig.from_mapping({"sigil": sigil})
+        ScanConfig.from_mapping(load_config_file(cfg_path))
+    assert repr(sigil[0]) in str(loaded.value)
     with pytest.raises(ConfigError) as built:
         ScanConfig(sigil=sigil)
     assert str(built.value) == str(loaded.value)
-    if "#" not in sigil:  # a config file reads `#` as the start of a comment
-        with pytest.raises(ConfigError) as read:
-            ScanConfig.from_mapping(load_config_file(cfg_path))
-        assert str(read.value) == str(loaded.value)
