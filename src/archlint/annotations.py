@@ -18,12 +18,24 @@ import enum
 import json
 import re
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from pathlib import PurePosixPath
 from typing import Callable, Iterable, Mapping
 
 from .findings import Finding, SourceLocation, finding, sort_findings
-from .lexer import _ESCAPE, JAVA, JAVA_SKIM, JAVA_TYPE_KEYWORDS, PRAGMA, Token, lex, tokenize
+from .lexer import (
+    _IDENT,
+    _PRAGMA_BLANK,
+    _STRING_BODY,
+    JAVA,
+    JAVA_SKIM,
+    JAVA_TYPE_KEYWORDS,
+    PRAGMA,
+    Token,
+    lex,
+    tokenize,
+    unescape,
+)
 from .model import ROOT_CONTEXT, ElementRef
 
 __all__ = [
@@ -241,21 +253,20 @@ def _parse_args(cursor: _Cursor, kind: AnnotationKind) -> tuple[tuple[str, ...],
                     values = (cursor.advance().text,)
                 else:
                     values = _parse_string_array(cursor)
-            elif key == "type":
-                if key not in _ALLOWED_ATTRS[kind]:
-                    raise _ArgProblem(f"@{kind.value} does not take attribute '{key}'")
-                if cursor.peek().kind == "string":
-                    attrs[key] = _normalize_direction(cursor.advance().text)
-                else:
-                    attrs[key] = _normalize_direction(_parse_token_path(cursor))
             else:
                 if key not in _ALLOWED_ATTRS[kind]:
                     raise _ArgProblem(f"@{kind.value} does not take attribute '{key}'")
                 if key in attrs:
                     raise _ArgProblem(f"duplicate attribute '{key}'")
-                if cursor.peek().kind != "string":
+                if key == "type":
+                    if cursor.peek().kind == "string":
+                        attrs[key] = _normalize_direction(cursor.advance().text)
+                    else:
+                        attrs[key] = _normalize_direction(_parse_token_path(cursor))
+                elif cursor.peek().kind != "string":
                     raise _ArgProblem(f"attribute '{key}' must be a quoted string")
-                attrs[key] = cursor.advance().text
+                else:
+                    attrs[key] = cursor.advance().text
         else:
             raise _ArgProblem("expected a value or attribute")
         if cursor.at_punct(","):
@@ -301,7 +312,108 @@ def _default_package(path: str) -> str:
 def _parse_pragma_tail(
     tail: str, location: SourceLocation, package: str
 ) -> AnnotationInstance:
-    """Parse everything after the sigil; raises _ArgProblem on any deviation."""
+    """Parse everything after the sigil; raises _ArgProblem on any deviation.
+
+    A tail the fast path declines goes to the token parser, which gives
+    every error message.
+    """
+    instance = _match_pragma_tail(tail, location, package)
+    if instance is None:
+        instance = _parse_pragma_tokens(tail, location, package)
+    return instance
+
+
+# Every optional blank run is followed by a non-blank, so a failing match
+# never splits one run between two quantifiers; two identifiers in a row
+# are split by at least one blank, as the lexer splits them.
+_BLANKS = f"{_PRAGMA_BLANK}*"
+_GAP = f"{_PRAGMA_BLANK}+"
+_STRING = f'"{_STRING_BODY}"'
+_ARRAY = rf"\{{{_BLANKS}(?:{_STRING}(?:{_BLANKS},{_BLANKS}{_STRING})*{_BLANKS})?\}}"
+_PATH = rf"{_IDENT}(?:{_BLANKS}\.{_BLANKS}{_IDENT})*"
+
+
+@cache
+def _pragma_tail_pattern() -> re.Pattern[str]:
+    """A whole well-formed tail, `Name(args) @on kind [name] [@in A, B]`,
+    where an argument is an optional `key =` and then a string, an array of
+    strings or a dotted path. Compiled on first use."""
+    arg = rf"(?:{_IDENT}{_BLANKS}={_BLANKS})?(?:{_STRING}|{_ARRAY}|{_PATH})"
+    return re.compile(
+        rf"{_BLANKS}(?P<name>{_IDENT}){_BLANKS}\("
+        rf"{_BLANKS}(?:(?P<args>{arg}(?:{_BLANKS},{_BLANKS}{arg})*){_BLANKS})?\)"
+        rf"{_BLANKS}@{_BLANKS}on{_GAP}(?P<target>{_IDENT})(?:{_GAP}(?P<target_name>{_IDENT}))?"
+        rf"(?:{_BLANKS}@{_BLANKS}in{_GAP}(?P<within>{_IDENT}(?:{_BLANKS},{_BLANKS}{_IDENT})*))?"
+        rf"{_BLANKS}",
+        re.S,
+    )
+
+
+@cache
+def _pragma_arg_pattern() -> re.Pattern[str]:
+    """One argument of a matched tail, its parts in groups."""
+    return re.compile(
+        rf"(?:(?P<key>{_IDENT}){_BLANKS}={_BLANKS})?"
+        rf'(?:"(?P<string>{_STRING_BODY})"|(?P<array>{_ARRAY})|(?P<path>{_PATH}))',
+        re.S,
+    )
+
+
+def _match_pragma_tail(
+    tail: str, location: SourceLocation, package: str
+) -> AnnotationInstance | None:
+    """The instance of a tail that `_pragma_tail_pattern` matches whole, or
+    None when the tail does not match or breaks one of `_parse_args`'s rules.
+
+    Raises _ArgProblem only from `_finish_instance`, as the token parser
+    would on the same tail.
+    """
+    match = _pragma_tail_pattern().fullmatch(tail)
+    if match is None:
+        return None
+    kind = ANNOTATION_NAMES.get(match["name"])
+    target = _TARGET_WORDS.get(match["target"])
+    if kind is None or target is None:
+        return None
+    values: tuple[str, ...] | None = None
+    attrs: dict[str, str] = {}
+    if match["args"] is not None:
+        for arg in _pragma_arg_pattern().finditer(tail, *match.span("args")):
+            key, string, array, path = arg.groups()
+            if key is None or key == "value":
+                if values is not None or path is not None or (key is None and attrs):
+                    return None
+                if array is None:
+                    values = (unescape(string),)
+                else:
+                    values = tuple(
+                        unescape(item["body"])
+                        for item in PRAGMA.finditer(array)
+                        if item.lastgroup == "string"
+                    )
+            elif key in attrs or key not in _ALLOWED_ATTRS[kind] or array is not None:
+                return None
+            elif key == "type":
+                raw = "".join(path.split()) if string is None else unescape(string)
+                direction = raw.rpartition(".")[2]
+                if direction not in _DIRECTIONS:
+                    return None
+                attrs[key] = direction
+            elif string is None:
+                return None
+            else:
+                attrs[key] = unescape(string)
+    within = match["within"]
+    enclosing = () if within is None else tuple("".join(within.split()).split(","))
+    return _finish_instance(
+        kind, values or (), attrs, target, match["target_name"] or "", enclosing, location, package
+    )
+
+
+def _parse_pragma_tokens(
+    tail: str, location: SourceLocation, package: str
+) -> AnnotationInstance:
+    """The token parser behind `_parse_pragma_tail`: every tail, every message."""
     tokens = tokenize(PRAGMA, tail, location.line, location.column)
     bad = tokens[-1]
     if bad.kind == "error":
@@ -465,7 +577,7 @@ def _text_block_string(tok: Token) -> Token:
     significant = [line for line in lines[:-1] if line.strip()] + [lines[-1]]
     indent = min(len(line) - len(line.lstrip()) for line in significant)
     value = "\n".join(line[indent:].rstrip() for line in lines)
-    return Token("string", _ESCAPE.sub(r"\1", value), tok.line, tok.column)
+    return Token("string", unescape(value), tok.line, tok.column)
 
 
 @dataclass

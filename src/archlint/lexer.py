@@ -45,6 +45,10 @@ def _table(blank: str, skipped: str | None, **groups: str) -> re.Pattern[str]:
 
 
 _IDENT = r"[A-Za-z_$][A-Za-z0-9_$]*"
+# The pragma table's blank and string body; the pragma fast path in
+# `annotations` is built from them too.
+_PRAGMA_BLANK = r"[ \t\r]"
+_STRING_BODY = r'[^"\\]*(?:\\.[^"\\]*)*'
 
 # Java identifiers are Unicode (JLS 3.8); `_JAVA_WORD` is their character class.
 _JAVA_WORD = r"[\w$]"
@@ -80,9 +84,9 @@ JAVA_SKIM = _table(
 )
 
 PRAGMA = _table(
-    r"[ \t\r]",
+    _PRAGMA_BLANK,
     None,
-    string=r'"(?P<body>(?:[^"\\]|\\.)*)"',
+    string=f'"(?P<body>{_STRING_BODY})"',
     ident=_IDENT,
     number=r"\d(?:[^\W_]|\.)*",
     punct=r"[(){}@=,.]",
@@ -99,6 +103,13 @@ ADL = _table(
 )
 
 _ESCAPE = re.compile(r"\\(.)", re.S)
+
+
+def unescape(body: str) -> str:
+    """A string literal's body with each backslash escape replaced by the
+    character after the backslash."""
+    return _ESCAPE.sub(r"\1", body) if "\\" in body else body
+
 
 # Builds a Token from a tuple without the Python-level NamedTuple
 # constructor, which costs about a sixth of `lex`.
@@ -131,9 +142,7 @@ def lex(
             line += newlines
             line_start = text.rindex("\n", counted, start) + 1
         counted = start
-        value = match.group("body") if kind == "string" else match.group(kind)
-        if kind == "string" and "\\" in value:
-            value = _ESCAPE.sub(r"\1", value)
+        value = unescape(match.group("body")) if kind == "string" else match.group(kind)
         tokens.append(_new_token(Token, (kind, value, line, start - line_start + 1)))
         if kind == "eof" or kind == "error" or (kind == "punct" and value in until):
             return tokens, match.end()

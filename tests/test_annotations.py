@@ -282,6 +282,36 @@ def test_pragma_unknown_annotation_name() -> None:
     assert [f.check_id for f in findings] == ["MALFORMED_PRAGMA"]
 
 
+def _messages(findings: list) -> list[tuple[str, str]]:
+    return [(f.check_id, f.message) for f in findings]
+
+
+def test_pragma_duplicate_attribute() -> None:
+    text = '//@arch Connects(left="a", right="b", type=LEFT, type=RIGHT) @on method m\n'
+    instances, findings = extract_pragmas(text, "f.txt")
+    assert instances == []
+    assert _messages(findings) == [("MALFORMED_PRAGMA", "duplicate attribute 'type'")]
+
+
+def test_pragma_duplicate_value() -> None:
+    instances, findings = extract_pragmas('//@arch Part("a", value="b") @on field a\n', "f.txt")
+    assert instances == []
+    assert _messages(findings) == [("MALFORMED_PRAGMA", "duplicate value argument")]
+
+
+def test_annotation_duplicate_attribute() -> None:
+    text = 'class C { @Connects(left="a", right="b", type=LEFT, type=Direction.RIGHT) C() {} }'
+    instances, findings = extract_attributes(text, "C.java")
+    assert instances == []
+    assert _messages(findings) == [("MALFORMED_ANNOTATION", "duplicate attribute 'type'")]
+
+
+def test_annotation_duplicate_value() -> None:
+    instances, findings = extract_attributes('class C { @Part(value={"a"}, value="b") C c; }', "C.java")
+    assert instances == []
+    assert _messages(findings) == [("MALFORMED_ANNOTATION", "duplicate value argument")]
+
+
 def test_validate_targets_rules() -> None:
     loc = SourceLocation("f", 1, 1)
 

@@ -1,6 +1,7 @@
 """Positions and robustness of the three front-ends that share one lexer."""
 
 import importlib
+import inspect
 import pkgutil
 import re
 import string
@@ -142,7 +143,9 @@ def _opcodes(parsed: object):
 def test_patterns_use_no_syntax_newer_than_python_3_10() -> None:
     """pyproject.toml declares Python 3.10, whose `re` has no possessive
     repeats and no atomic groups: a module-level pattern using one would
-    fail to compile there, and `import archlint` with it."""
+    fail to compile there, and `import archlint` with it. A pattern built
+    on first use by a cached function without parameters would fail at
+    its first use; those are checked too."""
     parser = getattr(re, "_parser", None)
     if parser is None:
         pytest.skip("the running Python is older than 3.11 and compiled every pattern")
@@ -152,9 +155,12 @@ def test_patterns_use_no_syntax_newer_than_python_3_10() -> None:
             continue
         module = importlib.import_module(f"archlint.{info.name}")
         for name, value in vars(module).items():
+            if hasattr(value, "cache_info") and not inspect.signature(value).parameters:
+                name, value = f"{name}()", value()
             if isinstance(value, re.Pattern):
                 patterns[f"{info.name}.{name}"] = value
     assert "lexer.JAVA_SKIM" in patterns
+    assert {"annotations._pragma_tail_pattern()", "annotations._pragma_arg_pattern()"} <= set(patterns)
     newer = {
         name: sorted(ops)
         for name, pattern in patterns.items()
