@@ -20,7 +20,7 @@ import re
 from dataclasses import dataclass
 from functools import cache, cached_property
 from pathlib import PurePosixPath
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, TypeVar
 
 from .findings import Finding, SourceLocation, finding, sort_findings
 from .lexer import (
@@ -48,6 +48,7 @@ __all__ = [
     "resolve_context",
     "validate_targets",
     "side_context",
+    "part_owners",
     "syntactic_refs",
     "code_model_payload",
     "canonical_json",
@@ -226,6 +227,38 @@ def _normalize_direction(raw: str) -> str:
     return tail
 
 
+_Member = TypeVar("_Member", AnnotationKind, TargetKind)
+
+
+def _known(names: Mapping[str, _Member], word: str, what: str) -> _Member:
+    """The member `word` names; raises _ArgProblem when it names none."""
+    member = names.get(word)
+    if member is None:
+        raise _ArgProblem(f"unknown {what} '{word}'")
+    return member
+
+
+def _check_arg(
+    kind: AnnotationKind, key: str | None, quoted: bool, values: tuple | None, attrs: dict
+) -> None:
+    """The rules of `_parse_args` for one argument, checked before its value
+    is read: `key` is None for a positional value, `quoted` says whether the
+    value starts with a string, and `values` and `attrs` hold the arguments
+    read so far. Every pragma and Java-style argument list keeps them."""
+    if key is None:
+        if values is not None or attrs:
+            raise _ArgProblem("positional value must be the first argument")
+    elif key == "value":
+        if values is not None:
+            raise _ArgProblem("duplicate value argument")
+    elif key not in _ALLOWED_ATTRS[kind]:
+        raise _ArgProblem(f"@{kind.value} does not take attribute '{key}'")
+    elif key in attrs:
+        raise _ArgProblem(f"duplicate attribute '{key}'")
+    elif key != "type" and not quoted:
+        raise _ArgProblem(f"attribute '{key}' must be a quoted string")
+
+
 def _parse_args(cursor: _Cursor, kind: AnnotationKind) -> tuple[tuple[str, ...], dict[str, str]]:
     """Argument list between parentheses: positional value, then named attrs."""
     cursor.expect_punct("(")
@@ -235,40 +268,21 @@ def _parse_args(cursor: _Cursor, kind: AnnotationKind) -> tuple[tuple[str, ...],
         cursor.advance()
         return ((), attrs)
     while True:
-        tok = cursor.peek()
-        if tok.kind == "string" or (tok.kind == "punct" and tok.text == "{"):
-            if values is not None or attrs:
-                raise _ArgProblem("positional value must be the first argument")
-            if tok.kind == "string":
-                values = (cursor.advance().text,)
-            else:
-                values = _parse_string_array(cursor)
-        elif tok.kind == "ident":
+        key = None
+        if cursor.peek().kind == "ident":
             key = cursor.advance().text
             cursor.expect_punct("=")
-            if key == "value":
-                if values is not None:
-                    raise _ArgProblem("duplicate value argument")
-                if cursor.peek().kind == "string":
-                    values = (cursor.advance().text,)
-                else:
-                    values = _parse_string_array(cursor)
-            else:
-                if key not in _ALLOWED_ATTRS[kind]:
-                    raise _ArgProblem(f"@{kind.value} does not take attribute '{key}'")
-                if key in attrs:
-                    raise _ArgProblem(f"duplicate attribute '{key}'")
-                if key == "type":
-                    if cursor.peek().kind == "string":
-                        attrs[key] = _normalize_direction(cursor.advance().text)
-                    else:
-                        attrs[key] = _normalize_direction(_parse_token_path(cursor))
-                elif cursor.peek().kind != "string":
-                    raise _ArgProblem(f"attribute '{key}' must be a quoted string")
-                else:
-                    attrs[key] = cursor.advance().text
-        else:
+        elif cursor.peek().kind != "string" and not cursor.at_punct("{"):
             raise _ArgProblem("expected a value or attribute")
+        quoted = cursor.peek().kind == "string"
+        _check_arg(kind, key, quoted, values, attrs)
+        if key is None or key == "value":
+            values = (cursor.advance().text,) if quoted else _parse_string_array(cursor)
+        elif key == "type":
+            raw = cursor.advance().text if quoted else _parse_token_path(cursor)
+            attrs[key] = _normalize_direction(raw)
+        else:
+            attrs[key] = cursor.advance().text
         if cursor.at_punct(","):
             cursor.advance()
             continue
@@ -314,8 +328,7 @@ def _parse_pragma_tail(
 ) -> AnnotationInstance:
     """Parse everything after the sigil; raises _ArgProblem on any deviation.
 
-    A tail the fast path declines goes to the token parser, which gives
-    every error message.
+    A tail the fast path declines goes to the token parser.
     """
     instance = _match_pragma_tail(tail, location, package)
     if instance is None:
@@ -363,26 +376,23 @@ def _match_pragma_tail(
     tail: str, location: SourceLocation, package: str
 ) -> AnnotationInstance | None:
     """The instance of a tail that `_pragma_tail_pattern` matches whole, or
-    None when the tail does not match or breaks one of `_parse_args`'s rules.
-
-    Raises _ArgProblem only from `_finish_instance`, as the token parser
-    would on the same tail.
+    None when it does not match or has an argument the token grammar rejects:
+    a positional path, a `value=` path or a `type=` array. A matched tail that
+    breaks a rule raises _ArgProblem with the token parser's message.
     """
     match = _pragma_tail_pattern().fullmatch(tail)
     if match is None:
         return None
-    kind = ANNOTATION_NAMES.get(match["name"])
-    target = _TARGET_WORDS.get(match["target"])
-    if kind is None or target is None:
-        return None
+    kind = _known(ANNOTATION_NAMES, match["name"], "annotation")
     values: tuple[str, ...] | None = None
     attrs: dict[str, str] = {}
     if match["args"] is not None:
         for arg in _pragma_arg_pattern().finditer(tail, *match.span("args")):
             key, string, array, path = arg.groups()
+            if path is not None and key in (None, "value") or array is not None and key == "type":
+                return None
+            _check_arg(kind, key, string is not None, values, attrs)
             if key is None or key == "value":
-                if values is not None or path is not None or (key is None and attrs):
-                    return None
                 if array is None:
                     values = (unescape(string),)
                 else:
@@ -391,18 +401,12 @@ def _match_pragma_tail(
                         for item in PRAGMA.finditer(array)
                         if item.lastgroup == "string"
                     )
-            elif key in attrs or key not in _ALLOWED_ATTRS[kind] or array is not None:
-                return None
             elif key == "type":
                 raw = "".join(path.split()) if string is None else unescape(string)
-                direction = raw.rpartition(".")[2]
-                if direction not in _DIRECTIONS:
-                    return None
-                attrs[key] = direction
-            elif string is None:
-                return None
+                attrs[key] = _normalize_direction(raw)
             else:
                 attrs[key] = unescape(string)
+    target = _known(_TARGET_WORDS, match["target"], "target kind")
     within = match["within"]
     enclosing = () if within is None else tuple("".join(within.split()).split(","))
     return _finish_instance(
@@ -414,25 +418,19 @@ def _parse_pragma_tokens(
     tail: str, location: SourceLocation, package: str
 ) -> AnnotationInstance:
     """The token parser behind `_parse_pragma_tail`: every tail, every message."""
-    tokens = tokenize(PRAGMA, tail, location.line, location.column)
+    tokens = tokenize(PRAGMA, tail)
     bad = tokens[-1]
     if bad.kind == "error":
         raise _ArgProblem(
             "unterminated string" if bad.text == '"' else f"unexpected character {bad.text!r}"
         )
     cursor = _Cursor(tokens)
-    name = cursor.expect_ident("an annotation name")
-    kind = ANNOTATION_NAMES.get(name)
-    if kind is None:
-        raise _ArgProblem(f"unknown annotation '{name}'")
+    kind = _known(ANNOTATION_NAMES, cursor.expect_ident("an annotation name"), "annotation")
     values, attrs = _parse_args(cursor, kind)
     cursor.expect_punct("@")
     if cursor.expect_ident("'on'") != "on":
         raise _ArgProblem("expected '@on'")
-    target_word = cursor.expect_ident("a target kind")
-    target = _TARGET_WORDS.get(target_word)
-    if target is None:
-        raise _ArgProblem(f"unknown target kind '{target_word}'")
+    target = _known(_TARGET_WORDS, cursor.expect_ident("a target kind"), "target kind")
     target_name = ""
     if cursor.peek().kind == "ident":
         target_name = cursor.advance().text
@@ -953,6 +951,12 @@ def side_context(instance: AnnotationInstance, side: str) -> str:
     return ROOT_CONTEXT
 
 
+def part_owners(instance: AnnotationInstance) -> tuple[str, ...]:
+    """The components an @AddPart or @RemovePart changes: componentname, else enclosing."""
+    explicit = instance.attrs.get("componentname")
+    return (explicit,) if explicit else instance.enclosing_components
+
+
 def syntactic_refs(instance: AnnotationInstance) -> frozenset[ElementRef]:
     """Architecture elements this instance textually references.
 
@@ -976,11 +980,8 @@ def syntactic_refs(instance: AnnotationInstance) -> frozenset[ElementRef]:
             for value in instance.values:
                 refs.add(ElementRef.port(ctx, value))
     elif kind in (AnnotationKind.ADD_PART, AnnotationKind.REMOVE_PART):
-        explicit = instance.attrs.get("componentname")
-        owners = (explicit,) if explicit else instance.enclosing_components
-        if explicit:
-            refs.add(ElementRef.component(explicit))
-        for owner in owners:
+        for owner in part_owners(instance):
+            refs.add(ElementRef.component(owner))
             for value in instance.values:
                 refs.add(ElementRef.part(owner, value))
     else:

@@ -27,6 +27,7 @@ from .annotations import (
     CodeModel,
     CONNECTION_KINDS,
     code_model_payload,
+    part_owners,
     side_context,
 )
 from .errors import EndpointError
@@ -95,9 +96,7 @@ def check_annotation_completeness(arch: ArchitectureModel, code: CodeModel) -> l
             for value in inst.values:
                 parts_covered.add((context, value))
     for inst in code.by_kind[AnnotationKind.ADD_PART]:
-        explicit = inst.attrs.get("componentname")
-        owners = (explicit,) if explicit else inst.enclosing_components
-        for owner in owners:
+        for owner in part_owners(inst):
             for value in inst.values:
                 parts_covered.add((owner, value))
 
@@ -187,9 +186,7 @@ def check_architecture_completeness(arch: ArchitectureModel, code: CodeModel) ->
         elif inst.kind is AnnotationKind.PORT:
             missing_member(inst, inst.enclosing_components, "port")
         else:  # ADD_PART / REMOVE_PART
-            explicit = inst.attrs.get("componentname")
-            owners = (explicit,) if explicit else inst.enclosing_components
-            missing_member(inst, owners, "part")
+            missing_member(inst, part_owners(inst), "part")
     return sort_findings(findings)
 
 

@@ -149,8 +149,7 @@ def lex(
     return tokens, len(text)
 
 
-def tokenize(table: re.Pattern[str], text: str, line: int = 1, column: int = 1) -> list[Token]:
-    """The tokens of `text`, whose first character sits at (line, column),
-    through the `eof` token or the first `error` token."""
-    return lex(table, text, 0, line, column)[0]
+def tokenize(table: re.Pattern[str], text: str) -> list[Token]:
+    """The tokens of `text` through the `eof` token or the first `error` token."""
+    return lex(table, text)[0]
 

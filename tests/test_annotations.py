@@ -1,5 +1,7 @@
 from pathlib import Path
 
+import pytest
+
 from archlint.annotations import (
     AnnotationInstance,
     AnnotationKind,
@@ -310,6 +312,28 @@ def test_annotation_duplicate_value() -> None:
     instances, findings = extract_attributes('class C { @Part(value={"a"}, value="b") C c; }', "C.java")
     assert instances == []
     assert _messages(findings) == [("MALFORMED_ANNOTATION", "duplicate value argument")]
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ('left="a", right="b", "x"', "positional value must be the first argument"),
+        ('"x", value={"y"}, left="a", right="b"', "duplicate value argument"),
+        ('left="a", right="b", componentname="C"', "@Connects does not take attribute 'componentname'"),
+        ('left="a", right="b", left="c"', "duplicate attribute 'left'"),
+        ('left="a", right="b", type=Dir.UP', "direction must be LEFT, RIGHT, or BIDIR, not 'Dir.UP'"),
+        ('left="a", right="b", type="up"', "direction must be LEFT, RIGHT, or BIDIR, not 'up'"),
+        ('left=a.b, right="b"', "attribute 'left' must be a quoted string"),
+        ('left="a", right={"b"}', "attribute 'right' must be a quoted string"),
+    ],
+)
+def test_front_ends_give_one_argument_message(args: str, message: str) -> None:
+    """One argument list breaks the same rule with the same message as a
+    pragma tail and as a Java-style annotation."""
+    _, pragma = extract_pragmas(f"//@arch Connects({args}) @on method m\n", "f.txt")
+    _, java = extract_attributes(f"class C {{ @Connects({args}) void m() {{}} }}\n", "C.java")
+    assert _messages(pragma) == [("MALFORMED_PRAGMA", message)]
+    assert _messages(java) == [("MALFORMED_ANNOTATION", message)]
 
 
 def test_validate_targets_rules() -> None:

@@ -504,10 +504,12 @@ def test_bad_config_key(capsys, tmp_path: Path) -> None:
 
 
 def test_module_entry_point() -> None:
+    env = {**os.environ, "PYTHONPATH": str(Path(archlint.__file__).parent.parent)}
     proc = subprocess.run(
         [sys.executable, "-m", "archlint", "check", *CAR],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert proc.stdout == "0 error(s), 0 warning(s)\n"

@@ -1,7 +1,10 @@
 """The pragma fast path against the token parser, its oracle.
 
-`_match_pragma_tail` builds an instance from one regex match, or declines
-the tail; `_parse_pragma_tokens` parses every tail and gives every message.
+`_match_pragma_tail` builds an instance from one regex match, raises the
+token parser's message when a matched tail breaks an argument rule, and
+declines a tail only when its regex does not match or an argument has a
+shape the token grammar rejects; `_parse_pragma_tokens` parses every tail
+and gives every message.
 """
 
 import random
@@ -18,6 +21,8 @@ from archlint.annotations import (
     _match_pragma_tail,
     _parse_pragma_tail,
     _parse_pragma_tokens,
+    _pragma_arg_pattern,
+    _pragma_tail_pattern,
     extract_pragmas,
 )
 from archlint.findings import SourceLocation
@@ -46,10 +51,31 @@ _MUTANTS = list('(){}@=,."\\ \tab_$1é') + ["on", "in", "type"]
 # attribute the kind does not take, a bad direction.
 _RULES = ["name", "target", "order", "duplicate", "attribute", "direction"]
 
+# Argument shapes the tail regex takes. The token grammar rejects the first
+# three, so the fast path declines them; the last breaks the rule that an
+# attribute other than `type` is a quoted string.
+_DECLINED = ["positional path", "value path", "type array"]
+_SHAPES = [*_DECLINED, "unquoted attribute"]
+
+
+def _declinable(tail: str) -> bool:
+    """Whether the fast path may decline `tail`: the tail regex misses it, or
+    one of its arguments has a shape in `_DECLINED`."""
+    match = _pragma_tail_pattern().fullmatch(tail)
+    if match is None:
+        return True
+    args = _pragma_arg_pattern().finditer(tail, *match.span("args")) if match["args"] else ()
+    return any(
+        arg["path"] is not None and arg["key"] in (None, "value")
+        or arg["array"] is not None and arg["key"] == "type"
+        for arg in args
+    )
+
 
 def _tail(rng: random.Random, rule: str | None = None) -> str:
     """A tail of the pragma grammar, with blanks drawn wherever the lexer
-    skips them, that breaks `rule` or, when `rule` is None, nothing."""
+    skips them, that breaks `rule`, has the argument shape `rule` or, when
+    `rule` is None, is well-formed."""
 
     def blank() -> str:
         return rng.choice(_BLANKS)
@@ -64,24 +90,42 @@ def _tail(rng: random.Random, rule: str | None = None) -> str:
         items = [string() for _ in range(rng.randint(0, 3))]
         return "{" + blank() + joined(items) + (blank() if items else "") + "}"
 
+    def path() -> str:
+        return joined(rng.choices(_IDENTS, k=rng.randint(1, 3)), ".")
+
     def direction() -> str:
         last = rng.choice(["UP", "Dir.up"] if rule == "direction" else ["LEFT", "RIGHT", "BIDIR"])
-        path = rng.choices(_IDENTS, k=rng.randint(0, 2)) + [last]
-        return joined(path, ".") if rng.random() < 0.7 else '"' + ".".join(path) + '"'
+        segments = rng.choices(_IDENTS, k=rng.randint(0, 2)) + [last]
+        return joined(segments, ".") if rng.random() < 0.7 else '"' + ".".join(segments) + '"'
 
-    name = rng.choice(sorted(ANNOTATION_NAMES))
+    names = sorted(ANNOTATION_NAMES)
+    if rule in ("direction", "type array"):
+        names = [n for n in names if "type" in _ALLOWED_ATTRS[ANNOTATION_NAMES[n]]]
+    elif rule == "unquoted attribute":
+        names = [n for n in names if _ALLOWED_ATTRS[ANNOTATION_NAMES[n]] - {"type"}]
+    name = rng.choice(names)
     kind = ANNOTATION_NAMES[name]
     args = []
-    if kind not in CONNECTION_KINDS or rng.random() < 0.3:
+    if rule in ("positional path", "value path"):
+        args.append(path() if rule == "positional path" else f"value{blank()}={blank()}{path()}")
+    elif kind not in CONNECTION_KINDS or rng.random() < 0.3:
         value = string() if rng.random() < 0.5 else array()
         args.append(value if rng.random() < 0.7 else f"value{blank()}={blank()}{value}")
-    named = [key for key in sorted(_ALLOWED_ATTRS[kind]) if key in ("left", "right") or rng.random() < 0.5]
+    unquoted = rng.choice(sorted(_ALLOWED_ATTRS[kind] - {"type"})) if rule == "unquoted attribute" else None
+    needed = {"left", "right", unquoted, "type" if rule in ("direction", "type array") else None}
+    named = [key for key in sorted(_ALLOWED_ATTRS[kind]) if key in needed or rng.random() < 0.5]
     if rule == "attribute":
         named.append("componentname" if kind in CONNECTION_KINDS else "left")
-    elif rule == "direction":
-        named.append("type")
     rng.shuffle(named)
-    args += [f"{key}{blank()}={blank()}{direction() if key == 'type' else string()}" for key in named]
+
+    def attribute(key: str) -> str:
+        if key == "type":
+            return array() if rule == "type array" else direction()
+        if key == unquoted:
+            return array() if rng.random() < 0.5 else path()
+        return string()
+
+    args += [f"{key}{blank()}={blank()}{attribute(key)}" for key in named]
     if rule == "duplicate":
         args.append(rng.choice(args))
     elif rule == "order":
@@ -107,21 +151,24 @@ def _mutant(rng: random.Random, tail: str) -> str:
 
 
 @settings(max_examples=2000, deadline=None)
-@given(st.randoms(use_true_random=True), st.sampled_from([None, "mutant", *_RULES]))
+@given(st.randoms(use_true_random=True), st.sampled_from([None, "mutant", *_RULES, *_SHAPES]))
 def test_fast_path_agrees_with_token_parser(rng: random.Random, how: str | None) -> None:
     """The fast path takes every well-formed tail and gives what the token
-    parser gives; it declines every tail that breaks a rule, and on a
-    mutant it gives the same or declines."""
-    tail = _tail(rng, how if how in _RULES else None)
+    parser gives; on a tail that breaks a rule it gives the token parser's
+    message; it declines each shape the token grammar rejects, and on a
+    mutant it gives the same or declines only where it may."""
+    tail = _tail(rng, how if how != "mutant" else None)
     if how == "mutant":
         tail = _mutant(rng, tail)
     expected = _outcome(_parse_pragma_tokens, tail)
     fast = _outcome(_match_pragma_tail, tail)
     if how is None:
         assert fast is not None, f"the fast path declined {tail!r}"
-    elif how in _RULES:
+    elif how in _DECLINED:
         assert fast is None and isinstance(expected, str), tail
-    assert fast is None or fast == expected, tail
+    elif how in _RULES or how in _SHAPES:
+        assert fast == expected and isinstance(expected, str), tail
+    assert fast == expected or fast is None and _declinable(tail), tail
     assert _outcome(_parse_pragma_tail, tail) == expected, tail
 
 
