@@ -1,137 +1,96 @@
-"""Architecture conformance linting: annotation extraction, C&C model checks, smells, refactoring plans."""
+"""Architecture conformance linting: annotation extraction, C&C model checks, smells, refactoring plans.
 
-from .errors import (
-    AdlParseError,
-    ArchlintError,
-    ConfigError,
-    EndpointError,
-    PlanError,
-    PlanParseError,
-    PreconditionError,
-    UnknownConnectorError,
-)
-from .findings import Finding, Severity, SourceLocation
-from .model import (
-    ArchitectureModel,
-    Component,
-    Connector,
-    Direction,
-    ElementRef,
-    EndpointPath,
-    Multiplicity,
-    Part,
-    Port,
-    RefKind,
-    ROOT_CONTEXT,
-    list_elements,
-    normalize_connector,
-    parse_ref,
-    resolve_endpoint,
-    validate_model,
-)
-from .adl import parse_architecture, serialize_architecture
-from .annotations import (
-    AnnotationInstance,
-    AnnotationKind,
-    CodeModel,
-    TargetKind,
-    extract_attributes,
-    extract_pragmas,
-    resolve_context,
-    validate_targets,
-)
-from .scan import ScanConfig, scan_tree
-from .conformance import (
-    ConformanceReport,
-    check_annotation_completeness,
-    check_architecture_completeness,
-    check_connection_consistency,
-    run_all,
-)
-from .smells import SmellConfig, run_smells, smell_connector_lifecycle, smell_scattered_component
-from .refactor import (
-    AddConnector,
-    AddPort,
-    ImpactReport,
-    MovePart,
-    RefactoringPlan,
-    RemoveConnector,
-    RemovePort,
-    RenameElement,
-    SplitComponent,
-    apply_op,
-    apply_plan,
-    connector_usages,
-    lookup,
-    parse_plan,
-)
-from .scaffold import scaffold_architecture, write_scaffold
+A public name's submodule is imported the first time the name is used, so a
+command loads only the modules it runs.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AdlParseError",
-    "AddConnector",
-    "AddPort",
-    "AnnotationInstance",
-    "AnnotationKind",
-    "ArchitectureModel",
-    "ArchlintError",
-    "CodeModel",
-    "Component",
-    "ConfigError",
-    "ConformanceReport",
-    "Connector",
-    "Direction",
-    "ElementRef",
-    "EndpointError",
-    "EndpointPath",
-    "Finding",
-    "ImpactReport",
-    "MovePart",
-    "Multiplicity",
-    "Part",
-    "PlanError",
-    "PlanParseError",
-    "Port",
-    "PreconditionError",
-    "RefKind",
-    "RefactoringPlan",
-    "RemoveConnector",
-    "RemovePort",
-    "RenameElement",
-    "ROOT_CONTEXT",
-    "ScanConfig",
-    "Severity",
-    "SmellConfig",
-    "SourceLocation",
-    "SplitComponent",
-    "TargetKind",
-    "UnknownConnectorError",
-    "apply_op",
-    "apply_plan",
-    "check_annotation_completeness",
-    "check_architecture_completeness",
-    "check_connection_consistency",
-    "connector_usages",
-    "extract_attributes",
-    "extract_pragmas",
-    "list_elements",
-    "lookup",
-    "normalize_connector",
-    "parse_architecture",
-    "parse_plan",
-    "parse_ref",
-    "resolve_context",
-    "resolve_endpoint",
-    "run_all",
-    "run_smells",
-    "scaffold_architecture",
-    "scan_tree",
-    "serialize_architecture",
-    "smell_connector_lifecycle",
-    "smell_scattered_component",
-    "validate_model",
-    "validate_targets",
-    "write_scaffold",
-]
+# submodule -> the public names it defines
+_MODULES = {
+    "errors": (
+        "AdlParseError",
+        "ArchlintError",
+        "ConfigError",
+        "EndpointError",
+        "PlanError",
+        "PlanParseError",
+        "PreconditionError",
+        "UnknownConnectorError",
+    ),
+    "findings": ("Finding", "Severity", "SourceLocation"),
+    "model": (
+        "ArchitectureModel",
+        "Component",
+        "Connector",
+        "Direction",
+        "ElementRef",
+        "EndpointPath",
+        "Multiplicity",
+        "Part",
+        "Port",
+        "RefKind",
+        "ROOT_CONTEXT",
+        "list_elements",
+        "normalize_connector",
+        "parse_ref",
+        "resolve_endpoint",
+        "validate_model",
+    ),
+    "adl": ("parse_architecture", "serialize_architecture"),
+    "annotations": (
+        "AnnotationInstance",
+        "AnnotationKind",
+        "CodeModel",
+        "TargetKind",
+        "extract_attributes",
+        "extract_pragmas",
+        "resolve_context",
+        "validate_targets",
+    ),
+    "scan": ("ScanConfig", "scan_tree"),
+    "conformance": (
+        "ConformanceReport",
+        "check_annotation_completeness",
+        "check_architecture_completeness",
+        "check_connection_consistency",
+        "connector_usages",
+        "lookup",
+        "run_all",
+    ),
+    "smells": ("SmellConfig", "run_smells", "smell_connector_lifecycle", "smell_scattered_component"),
+    "refactor": (
+        "AddConnector",
+        "AddPort",
+        "ImpactReport",
+        "MovePart",
+        "RefactoringPlan",
+        "RemoveConnector",
+        "RemovePort",
+        "RenameElement",
+        "SplitComponent",
+        "apply_op",
+        "apply_plan",
+        "parse_plan",
+    ),
+    "scaffold": ("scaffold_architecture", "write_scaffold"),
+}
+
+_MODULE_OF = {name: module for module, names in _MODULES.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -2,6 +2,10 @@
 
 Exit codes: 0 success, 1 findings at or above the --fail-on level (or a
 failed refactoring plan), 2 usage, parse, or configuration errors.
+
+The refactoring, smell and scaffold modules are imported inside the
+functions that use them, so a process compiles and runs only the code of its
+command.
 """
 
 from __future__ import annotations
@@ -10,7 +14,7 @@ import argparse
 import sys
 from collections import Counter
 from pathlib import Path
-from typing import Iterable, Sequence, TextIO
+from typing import TYPE_CHECKING, Iterable, Sequence, TextIO
 
 from . import __version__
 from .adl import parse_architecture, serialize_architecture
@@ -22,14 +26,15 @@ from .annotations import (
     finding_payload,
     instance_payload,
 )
-from .conformance import report_fingerprint, run_all
+from .conformance import connector_usages, lookup, report_fingerprint, run_all
 from .errors import AdlParseError, ArchlintError, PlanError, PlanParseError
 from .findings import Finding, Severity
 from .model import ArchitectureModel, RefKind, list_elements, parse_ref
-from .refactor import ImpactReport, apply_plan, connector_usages, lookup, op_text, parse_plan
-from .scaffold import write_scaffold
 from .scan import ScanConfig, load_config_file, scan_tree
-from .smells import SmellConfig, run_smells
+
+if TYPE_CHECKING:
+    from .refactor import ImpactReport
+    from .smells import SmellConfig
 
 REPORT_VERSION = "1"
 
@@ -55,6 +60,9 @@ def _load_architecture(path_text: str) -> ArchitectureModel:
 
 
 def _load_configs(args: argparse.Namespace) -> tuple[ScanConfig, SmellConfig]:
+    """Both configurations, so every command rejects a bad smell setting."""
+    from .smells import SmellConfig
+
     mapping: dict[str, str] = {}
     if getattr(args, "config", None):
         mapping = load_config_file(Path(args.config))
@@ -134,6 +142,8 @@ def cmd_extract(args: argparse.Namespace) -> int:
 
 
 def cmd_smells(args: argparse.Namespace) -> int:
+    from .smells import run_smells
+
     arch = _load_architecture(args.arch)
     scan_cfg, smell_cfg = _load_configs(args)
     code = _scan(args, scan_cfg)
@@ -187,6 +197,8 @@ def cmd_lookup(args: argparse.Namespace) -> int:
 
 
 def _render_impact(impact: ImpactReport, fmt: str, out: TextIO) -> None:
+    from .refactor import op_text
+
     if fmt == "json":
         payload = {
             "version": REPORT_VERSION,
@@ -225,6 +237,8 @@ def _render_impact(impact: ImpactReport, fmt: str, out: TextIO) -> None:
 
 
 def cmd_refactor(args: argparse.Namespace) -> int:
+    from .refactor import apply_plan, parse_plan
+
     arch_path = Path(args.arch)
     arch = _load_architecture(args.arch)
     scan_cfg, _ = _load_configs(args)
@@ -250,6 +264,8 @@ def cmd_refactor(args: argparse.Namespace) -> int:
 
 
 def cmd_scaffold(args: argparse.Namespace) -> int:
+    from .scaffold import write_scaffold
+
     arch = _load_architecture(args.arch)
     try:
         written = write_scaffold(arch, Path(args.out))

@@ -1,4 +1,5 @@
-"""The three automatic conformance checks between architecture and code.
+"""The three automatic conformance checks between architecture and code, and
+the annotation lookup.
 
 1. Annotation completeness: every component/part/port in the architecture is
    covered by at least one annotation (MISSING_ANNOTATION).
@@ -10,6 +11,10 @@
 
 Connection-shaped annotations (@Connects/@Disconnects/@Connector) are checked
 only by check 3, so one mistake is reported once.
+
+The annotation lookup (`lookup`, `connector_usages`, and `instance_refs`,
+which refactoring impact reports also use) resolves connection annotations
+as check 3 does.
 """
 
 from __future__ import annotations
@@ -29,18 +34,22 @@ from .annotations import (
     code_model_payload,
     part_owners,
     side_context,
+    syntactic_refs,
 )
-from .errors import EndpointError
+from .errors import EndpointError, UnknownConnectorError
 from .findings import Finding, finding, sort_findings
 from .model import (
     ArchitectureModel,
     Direction,
     ElementRef,
     RefKind,
+    canonical_triple,
     list_elements,
+    matches_connector,
     normalize_connector,
     resolve_endpoint,
     validate_model,
+    walk_endpoint,
 )
 
 
@@ -82,6 +91,98 @@ def resolve_connection(
 
 def connection_instances(code: CodeModel) -> list[AnnotationInstance]:
     return [i for i in code.instances if i.kind in CONNECTION_KINDS]
+
+
+# ---------------------------------------------------------------------------
+# annotation lookup
+
+
+def instance_refs(
+    instance: AnnotationInstance, arch: ArchitectureModel | None = None
+) -> frozenset[ElementRef]:
+    """Elements an instance references; exact when the architecture is given.
+
+    With a model, connection endpoints are fully walked (every traversed part
+    counts) and the instance also references each declared connector whose
+    canonical triple it matches: one lookup in the model's connector index,
+    which each model object builds once for itself. Without a model, the
+    syntactic approximation is used.
+    """
+    if arch is None or instance.kind not in CONNECTION_KINDS:
+        return syntactic_refs(instance)
+    refs: set[ElementRef] = set()
+    for name in instance.enclosing_components:
+        refs.add(ElementRef.component(name))
+    for side in ("left", "right"):
+        raw = instance.attrs.get(side)
+        if not raw:
+            continue
+        explicit = instance.attrs.get(f"{side}component")
+        if explicit:
+            refs.add(ElementRef.component(explicit))
+        try:
+            refs.update(walk_endpoint(arch, side_context(instance, side), raw))
+        except (EndpointError, ValueError):
+            refs.update(syntactic_refs(instance))
+    triple, _ = resolve_connection(arch, instance)
+    if triple is not None:
+        refs.update(arch.connector_index.matching(triple))
+    return frozenset(refs)
+
+
+def lookup(
+    code: CodeModel, ref: ElementRef, arch: ArchitectureModel | None = None
+) -> list[AnnotationInstance]:
+    """All instances referencing ref, in location order.
+
+    Pass the architecture to resolve connection endpoints properly; without
+    it the match is purely syntactic. One pass over the instances; each
+    connection instance is matched through the architecture's connector
+    index, so the cost is linear in instances plus connectors.
+    """
+    return [inst for inst in code.instances if ref in instance_refs(inst, arch)]
+
+
+@dataclass(frozen=True)
+class ConnectorUsages:
+    connects: tuple[AnnotationInstance, ...]
+    disconnects: tuple[AnnotationInstance, ...]
+    stores: tuple[AnnotationInstance, ...]
+
+
+def connector_usages(
+    code: CodeModel, ref: ElementRef, arch: ArchitectureModel
+) -> ConnectorUsages:
+    """Who connects, disconnects, and stores a declared connector.
+
+    The connector and its canonical triple come from the architecture's
+    connector index (raising EndpointError when the connector does not
+    resolve); each connection instance is resolved once and matched.
+    """
+    if ref.kind is not RefKind.CONNECTOR:
+        raise UnknownConnectorError(f"'{ref.path}' is not a connector reference")
+    conn = arch.connector_index.by_ref.get(ref)
+    if conn is None:
+        raise UnknownConnectorError(f"the architecture declares no connector '{ref.path}'")
+    declared = canonical_triple(arch, conn)
+    groups: dict[AnnotationKind, list[AnnotationInstance]] = {
+        AnnotationKind.CONNECTS: [],
+        AnnotationKind.DISCONNECTS: [],
+        AnnotationKind.CONNECTOR: [],
+    }
+    for inst in connection_instances(code):
+        triple, _ = resolve_connection(arch, inst)
+        if triple is not None and matches_connector(triple, declared):
+            groups[inst.kind].append(inst)
+    return ConnectorUsages(
+        tuple(groups[AnnotationKind.CONNECTS]),
+        tuple(groups[AnnotationKind.DISCONNECTS]),
+        tuple(groups[AnnotationKind.CONNECTOR]),
+    )
+
+
+# ---------------------------------------------------------------------------
+# the three checks
 
 
 def check_annotation_completeness(arch: ArchitectureModel, code: CodeModel) -> list[Finding]:

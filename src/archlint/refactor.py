@@ -1,11 +1,12 @@
-"""Architectural refactoring: operations, plans, lookup, impact reports.
+"""Architectural refactoring: operations, plans, impact reports.
 
 Operations are pure model transformations; the source code is never touched.
 Every operation either returns a new model that validates, or raises
 PreconditionError and leaves the input untouched, so plans are atomic by
 construction. The ImpactReport tells the developer which annotations (by
 location) reference each architecture element a step created, deleted, or
-re-homed; rewriting the code stays a manual task.
+re-homed, matched by `conformance.instance_refs` as the annotation lookup
+matches them; rewriting the code stays a manual task.
 """
 
 from __future__ import annotations
@@ -14,22 +15,9 @@ import re
 from dataclasses import dataclass, replace
 from typing import Mapping, Union
 
-from .annotations import (
-    AnnotationInstance,
-    AnnotationKind,
-    CodeModel,
-    CONNECTION_KINDS,
-    side_context,
-    syntactic_refs,
-)
-from .conformance import connection_instances, resolve_connection
-from .errors import (
-    EndpointError,
-    PlanError,
-    PlanParseError,
-    PreconditionError,
-    UnknownConnectorError,
-)
+from .annotations import AnnotationInstance, CodeModel
+from .conformance import instance_refs
+from .errors import EndpointError, PlanError, PlanParseError, PreconditionError
 from .model import (
     ArchitectureModel,
     Component,
@@ -41,9 +29,7 @@ from .model import (
     Port,
     RefKind,
     ROOT_CONTEXT,
-    canonical_triple,
     is_identifier,
-    matches_connector,
     normalize_connector,
     parse_ref,
     resolve_endpoint,
@@ -563,94 +549,6 @@ def apply_plan(
         entries.append(ImpactEntry(step, op, refs, impact))
         current = new_model
     return (current, ImpactReport(plan.name, tuple(entries)))
-
-
-# ---------------------------------------------------------------------------
-# annotation lookup
-
-
-def instance_refs(
-    instance: AnnotationInstance, arch: ArchitectureModel | None = None
-) -> frozenset[ElementRef]:
-    """Elements an instance references; exact when the architecture is given.
-
-    With a model, connection endpoints are fully walked (every traversed part
-    counts) and the instance also references each declared connector whose
-    canonical triple it matches: one lookup in the model's connector index,
-    which each model object builds once for itself. Without a model, the
-    syntactic approximation is used.
-    """
-    if arch is None or instance.kind not in CONNECTION_KINDS:
-        return syntactic_refs(instance)
-    refs: set[ElementRef] = set()
-    for name in instance.enclosing_components:
-        refs.add(ElementRef.component(name))
-    for side in ("left", "right"):
-        raw = instance.attrs.get(side)
-        if not raw:
-            continue
-        explicit = instance.attrs.get(f"{side}component")
-        if explicit:
-            refs.add(ElementRef.component(explicit))
-        try:
-            refs.update(walk_endpoint(arch, side_context(instance, side), raw))
-        except (EndpointError, ValueError):
-            refs.update(syntactic_refs(instance))
-    triple, _ = resolve_connection(arch, instance)
-    if triple is not None:
-        refs.update(arch.connector_index.matching(triple))
-    return frozenset(refs)
-
-
-def lookup(
-    code: CodeModel, ref: ElementRef, arch: ArchitectureModel | None = None
-) -> list[AnnotationInstance]:
-    """All instances referencing ref, in location order.
-
-    Pass the architecture to resolve connection endpoints properly; without
-    it the match is purely syntactic. One pass over the instances; each
-    connection instance is matched through the architecture's connector
-    index, so the cost is linear in instances plus connectors.
-    """
-    return [inst for inst in code.instances if ref in instance_refs(inst, arch)]
-
-
-@dataclass(frozen=True)
-class ConnectorUsages:
-    connects: tuple[AnnotationInstance, ...]
-    disconnects: tuple[AnnotationInstance, ...]
-    stores: tuple[AnnotationInstance, ...]
-
-
-def connector_usages(
-    code: CodeModel, ref: ElementRef, arch: ArchitectureModel
-) -> ConnectorUsages:
-    """Who connects, disconnects, and stores a declared connector.
-
-    The connector and its canonical triple come from the architecture's
-    connector index (raising EndpointError when the connector does not
-    resolve); each connection instance is resolved once and matched.
-    """
-    if ref.kind is not RefKind.CONNECTOR:
-        raise UnknownConnectorError(f"'{ref.path}' is not a connector reference")
-    conn = arch.connector_index.by_ref.get(ref)
-    if conn is None:
-        raise UnknownConnectorError(f"the architecture declares no connector '{ref.path}'")
-    declared = canonical_triple(arch, conn)
-    groups: dict[AnnotationKind, list[AnnotationInstance]] = {
-        AnnotationKind.CONNECTS: [],
-        AnnotationKind.DISCONNECTS: [],
-        AnnotationKind.CONNECTOR: [],
-    }
-    for inst in connection_instances(code):
-        triple, _ = resolve_connection(arch, inst)
-        if triple is not None and matches_connector(triple, declared):
-            groups[inst.kind].append(inst)
-    return ConnectorUsages(
-        tuple(groups[AnnotationKind.CONNECTS]),
-        tuple(groups[AnnotationKind.DISCONNECTS]),
-        tuple(groups[AnnotationKind.CONNECTOR]),
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,8 @@ from archlint.cli import main
 from archlint.conformance import (
     check_annotation_completeness,
     check_connection_consistency,
+    connector_usages,
+    lookup,
     run_all,
 )
 from archlint.errors import PlanError
@@ -40,8 +42,6 @@ from archlint.refactor import (
     RefactoringPlan,
     apply_op,
     apply_plan,
-    connector_usages,
-    lookup,
     parse_plan,
 )
 from archlint.scaffold import write_scaffold

@@ -515,6 +515,89 @@ def test_module_entry_point() -> None:
     assert proc.stdout == "0 error(s), 0 warning(s)\n"
 
 
+def _car_argv(tmp_path: Path, command: str, element: str = "Car.rear") -> list[str]:
+    """`command` on a copy of tests/data/car's architecture and its sources."""
+    arch = tmp_path / "car.arch"
+    shutil.copyfile(DATA / "car" / "car.arch", arch)
+    (tmp_path / "car.plan").write_text("add-port(Engine, q)\n")
+    common = ["--arch", str(arch), "--src", str(DATA / "car" / "src")]
+    return {
+        "check": ["check", *common],
+        "smells": ["smells", *common],
+        "extract": ["extract", "--src", str(DATA / "car" / "src")],
+        "lookup": ["lookup", *common, element],
+        "refactor": ["refactor", *common, "--plan", str(tmp_path / "car.plan")],
+        "scaffold": ["scaffold", "--arch", str(arch), "--out", str(tmp_path / "out")],
+    }[command]
+
+
+@pytest.mark.parametrize("command", ["check", "smells", "extract", "lookup", "refactor"])
+def test_every_command_checks_the_smell_config(capsys, tmp_path: Path, command: str) -> None:
+    cfg = tmp_path / "archlint.conf"
+    cfg.write_text("scatter_threshold = 1\n")
+    code, out, err = run(capsys, *_car_argv(tmp_path, command), "--config", str(cfg))
+    assert (code, out, err) == (2, "", "archlint: scatter_threshold must be >= 2\n")
+    assert not (tmp_path / "car.refactored.arch").exists()
+
+
+def test_commands_call_public_functions_rebound_in_loaded_modules(
+    capsys, monkeypatch, tmp_path: Path
+) -> None:
+    """A tracer that rebinds a public function in every loaded `archlint.*`
+    module (as bench/tracing.py does after `getattr(archlint, name)`) must see
+    each command's call, including through imports made inside a command."""
+    calls: Counter[str] = Counter()
+    for name in ("lookup", "connector_usages", "run_all", "run_smells", "apply_plan"):
+        original = getattr(archlint, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        for module_name, module in list(sys.modules.items()):
+            if module_name == "archlint" or module_name.startswith("archlint."):
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, counted)
+    for command, element, name in [
+        ("lookup", "Car.rear", "lookup"),
+        ("lookup", "Car/c1", "connector_usages"),
+        ("check", "", "run_all"),
+        ("smells", "", "run_smells"),
+        ("refactor", "", "apply_plan"),
+    ]:
+        before = calls[name]
+        code, _, _ = run(capsys, *_car_argv(tmp_path, command, element))
+        assert code == 0, command
+        assert calls[name] == before + 1, (command, element)
+
+
+_LOADED_MODULES = """
+import contextlib, io, sys
+from archlint.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+print(code, *sorted(m for m in sys.modules if m.startswith("archlint.")))
+"""
+
+
+@pytest.mark.parametrize(
+    "command", ["check", "smells", "extract", "lookup", "refactor", "scaffold"]
+)
+def test_each_command_loads_only_its_modules(tmp_path: Path, command: str) -> None:
+    """Only `refactor` imports the refactoring module, only `scaffold` the scaffolder."""
+    argv = _car_argv(tmp_path, command)
+    env = {**os.environ, "PYTHONPATH": str(Path(archlint.__file__).parent.parent)}
+    proc = subprocess.run(
+        [sys.executable, "-c", _LOADED_MODULES, *argv], capture_output=True, text=True, env=env
+    )
+    code, *modules = proc.stdout.split()
+    assert code == "0", proc.stderr
+    assert "archlint.cli" in modules
+    for module in ("refactor", "scaffold"):
+        assert (f"archlint.{module}" in modules) == (command == module), modules
+
+
 def _lowest_declared_python() -> str | None:
     """A working `pythonX.Y` on PATH for the oldest version pyproject.toml declares."""
     pyproject = (Path(__file__).parent.parent / "pyproject.toml").read_text()

@@ -21,13 +21,13 @@ from archlint.model import (
     Port,
     ROOT_CONTEXT,
 )
+from archlint.conformance import lookup
 from archlint.refactor import (
     AddPort,
     RefactoringPlan,
     RenameElement,
     apply_op,
     apply_plan,
-    lookup,
 )
 from archlint.smells import smell_connector_lifecycle
 

@@ -1,0 +1,64 @@
+"""The package surface: `archlint.__all__` names resolve on first use."""
+
+import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import archlint
+
+ENV = {**os.environ, "PYTHONPATH": str(Path(archlint.__file__).parent.parent)}
+
+
+def test_public_names_are_their_defining_modules_objects() -> None:
+    for name in archlint.__all__:
+        value = getattr(archlint, name)
+        module = importlib.import_module(f"archlint.{archlint._MODULE_OF[name]}")
+        assert getattr(module, name) is value, name
+        if hasattr(value, "__module__"):
+            assert value.__module__ == module.__name__, name
+
+
+def test_star_import_and_dir_list_every_public_name() -> None:
+    namespace: dict = {}
+    exec("from archlint import *", namespace)
+    assert set(archlint.__all__) <= set(namespace)
+    for name in archlint.__all__:
+        assert namespace[name] is getattr(archlint, name)
+    assert set(archlint.__all__) <= set(dir(archlint))
+    assert "__version__" in dir(archlint)
+
+
+def test_unknown_name_is_an_attribute_error() -> None:
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        archlint.no_such_name
+    with pytest.raises(ImportError):
+        exec("from archlint import no_such_name", {})
+
+
+def test_import_loads_a_submodule_on_first_use() -> None:
+    script = (
+        "import sys, archlint\n"
+        "def loaded(): return sorted(m for m in sys.modules if m.startswith('archlint.'))\n"
+        "print(*loaded(), sep=',')\n"
+        "archlint.lookup\n"
+        "print(*loaded(), sep=',')\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=ENV)
+    assert proc.returncode == 0, proc.stderr
+    before, after = proc.stdout.splitlines()
+    assert before == ""
+    assert "archlint.conformance" in after.split(",")
+    assert "archlint.refactor" not in after.split(",")
+
+
+def test_version_is_unchanged() -> None:
+    assert archlint.__version__ == "0.1.0"
+    proc = subprocess.run(
+        [sys.executable, "-m", "archlint", "--version"], capture_output=True, text=True, env=ENV
+    )
+    assert proc.returncode == 0
+    assert proc.stdout == "archlint 0.1.0\n"

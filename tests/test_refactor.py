@@ -25,6 +25,7 @@ from archlint.model import (
     resolve_endpoint,
     validate_model,
 )
+from archlint.conformance import connector_usages, lookup
 from archlint.refactor import (
     AddConnector,
     AddPort,
@@ -36,8 +37,6 @@ from archlint.refactor import (
     SplitComponent,
     apply_op,
     apply_plan,
-    connector_usages,
-    lookup,
     op_text,
     parse_plan,
 )
