@@ -50,7 +50,7 @@ _MODULES = {
         "resolve_context",
         "validate_targets",
     ),
-    "scan": ("ScanConfig", "scan_tree"),
+    "scan": ("ScanConfig", "SmellConfig", "scan_tree"),
     "conformance": (
         "ConformanceReport",
         "check_annotation_completeness",
@@ -60,7 +60,7 @@ _MODULES = {
         "lookup",
         "run_all",
     ),
-    "smells": ("SmellConfig", "run_smells", "smell_connector_lifecycle", "smell_scattered_component"),
+    "smells": ("run_smells", "smell_connector_lifecycle", "smell_scattered_component"),
     "refactor": (
         "AddConnector",
         "AddPort",

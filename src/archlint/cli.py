@@ -30,16 +30,15 @@ from .conformance import connector_usages, lookup, report_fingerprint, run_all
 from .errors import AdlParseError, ArchlintError, PlanError, PlanParseError
 from .findings import Finding, Severity
 from .model import ArchitectureModel, RefKind, list_elements, parse_ref
-from .scan import ScanConfig, load_config_file, scan_tree
+from .scan import ScanConfig, SmellConfig, load_config_file, scan_tree
 
 if TYPE_CHECKING:
     from .refactor import ImpactReport
-    from .smells import SmellConfig
 
 REPORT_VERSION = "1"
 
 
-class _CliError(Exception):
+class _CliError(ArchlintError):
     """Anything that should end the run with exit status 2."""
 
 
@@ -61,10 +60,8 @@ def _load_architecture(path_text: str) -> ArchitectureModel:
 
 def _load_configs(args: argparse.Namespace) -> tuple[ScanConfig, SmellConfig]:
     """Both configurations, so every command rejects a bad smell setting."""
-    from .smells import SmellConfig
-
     mapping: dict[str, str] = {}
-    if getattr(args, "config", None):
+    if args.config:
         mapping = load_config_file(Path(args.config))
     return (ScanConfig.from_mapping(mapping), SmellConfig.from_mapping(mapping))
 
@@ -276,14 +273,14 @@ def cmd_scaffold(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_common(parser: argparse.ArgumentParser, *, arch: bool = True, src: bool = True) -> None:
+def _add_common(parser: argparse.ArgumentParser, *, arch: bool = True) -> None:
+    """The options of every command that scans sources."""
     if arch:
         parser.add_argument("--arch", required=True, help="architecture description file")
-    if src:
-        parser.add_argument(
-            "--src", action="append", required=True, metavar="DIR",
-            help="source root to scan (repeatable)",
-        )
+    parser.add_argument(
+        "--src", action="append", required=True, metavar="DIR",
+        help="source root to scan (repeatable)",
+    )
     parser.add_argument("--config", help="scan and smell configuration file")
     parser.add_argument(
         "--format", choices=("text", "json"), default="text", help="report format"
@@ -333,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     refactor.set_defaults(func=cmd_refactor)
 
     scaffold = sub.add_parser("scaffold", help="generate annotation skeletons for an architecture")
-    _add_common(scaffold, src=False)
+    scaffold.add_argument("--arch", required=True, help="architecture description file")
     scaffold.add_argument("--out", required=True, help="directory for the skeleton files")
     scaffold.set_defaults(func=cmd_scaffold)
 
@@ -348,9 +345,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except _CliError as err:
-        print(f"archlint: {err}", file=sys.stderr)
-        return 2
     except ArchlintError as err:
         print(f"archlint: {err}", file=sys.stderr)
         return 2

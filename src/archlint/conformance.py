@@ -12,9 +12,11 @@ the annotation lookup.
 Connection-shaped annotations (@Connects/@Disconnects/@Connector) are checked
 only by check 3, so one mistake is reported once.
 
-The annotation lookup (`lookup`, `connector_usages`, and `instance_refs`,
-which refactoring impact reports also use) resolves connection annotations
-as check 3 does.
+Every connector query reads `resolve_connection`: check 3, the annotation
+lookup (`lookup` and `instance_refs`, which refactoring impact reports also
+use), `connector_usages` and the connector-lifecycle smell (both through
+`usages_by_connector`). It walks each endpoint of a connection annotation
+once and matches the result against the model's connector index.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import hashlib
 import json
 from collections import Counter
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .adl import serialize_architecture
 from .annotations import (
@@ -45,36 +47,41 @@ from .model import (
     RefKind,
     canonical_triple,
     list_elements,
-    matches_connector,
     normalize_connector,
-    resolve_endpoint,
     validate_model,
     walk_endpoint,
 )
 
 
-def instance_direction(instance: AnnotationInstance) -> Direction | None:
-    raw = instance.attrs.get("type")
-    return Direction(raw) if raw is not None else None
+class ConnectionResolution(NamedTuple):
+    """A connection annotation resolved against one architecture.
+
+    `triple` is the canonical (left, right, direction), None when a side
+    does not resolve; its direction is None when the annotation omits
+    `type`, and the endpoints are still ordered canonically. `findings`
+    holds an UNRESOLVED_ENDPOINT finding per failed side, `walks` each
+    side's `walk_endpoint` result (None when it fails), and `matches` the
+    declared connectors the triple matches.
+    """
+
+    triple: tuple[str, str, Direction | None] | None
+    findings: list[Finding]
+    walks: tuple[tuple[ElementRef, ...] | None, tuple[ElementRef, ...] | None]
+    matches: frozenset[ElementRef]
 
 
 def resolve_connection(
     arch: ArchitectureModel, instance: AnnotationInstance
-) -> tuple[tuple[str, str, Direction | None] | None, list[Finding]]:
-    """Canonical (left, right, direction) of a connection annotation.
-
-    Direction is None when the annotation omits `type`; the endpoints are
-    still ordered canonically. Resolution failures come back as
-    UNRESOLVED_ENDPOINT findings and the triple is None.
-    """
+) -> ConnectionResolution:
+    """Walk each endpoint of a connection annotation once and match the triple."""
     findings: list[Finding] = []
-    refs: list[ElementRef] = []
+    walks: list[tuple[ElementRef, ...] | None] = []
     for side in ("left", "right"):
         raw = instance.attrs.get(side, "")
-        context = side_context(instance, side)
         try:
-            refs.append(resolve_endpoint(arch, context, raw))
+            walks.append(walk_endpoint(arch, side_context(instance, side), raw))
         except (EndpointError, ValueError) as err:
+            walks.append(None)
             findings.append(
                 finding(
                     "UNRESOLVED_ENDPOINT",
@@ -82,11 +89,15 @@ def resolve_connection(
                     locations=[instance.location],
                 )
             )
-    if len(refs) != 2:
-        return (None, findings)
-    direction = instance_direction(instance)
-    nl, nr, nd = normalize_connector(*refs, direction or Direction.BIDIR)
-    return ((nl.path, nr.path, None if direction is None else nd), findings)
+    left, right = walks
+    if left is None or right is None:
+        return ConnectionResolution(None, findings, (left, right), frozenset())
+    raw_direction = instance.attrs.get("type")
+    direction = Direction(raw_direction) if raw_direction is not None else None
+    nl, nr, nd = normalize_connector(left[-1], right[-1], direction or Direction.BIDIR)
+    triple = (nl.path, nr.path, None if direction is None else nd)
+    matches = frozenset(arch.connector_index.matching(triple))
+    return ConnectionResolution(triple, findings, (left, right), matches)
 
 
 def connection_instances(code: CodeModel) -> list[AnnotationInstance]:
@@ -102,31 +113,23 @@ def instance_refs(
 ) -> frozenset[ElementRef]:
     """Elements an instance references; exact when the architecture is given.
 
-    With a model, connection endpoints are fully walked (every traversed part
-    counts) and the instance also references each declared connector whose
-    canonical triple it matches: one lookup in the model's connector index,
-    which each model object builds once for itself. Without a model, the
-    syntactic approximation is used.
+    With a model, a connection instance references every element its
+    endpoint walks reach (each traversed part counts) and each declared
+    connector its resolution matches. Without a model, or for a side whose
+    walk fails, the syntactic approximation is used.
     """
     if arch is None or instance.kind not in CONNECTION_KINDS:
         return syntactic_refs(instance)
-    refs: set[ElementRef] = set()
-    for name in instance.enclosing_components:
-        refs.add(ElementRef.component(name))
-    for side in ("left", "right"):
-        raw = instance.attrs.get(side)
-        if not raw:
+    resolution = resolve_connection(arch, instance)
+    refs = {ElementRef.component(name) for name in instance.enclosing_components}
+    for side, walk in zip(("left", "right"), resolution.walks):
+        if not instance.attrs.get(side):
             continue
         explicit = instance.attrs.get(f"{side}component")
         if explicit:
             refs.add(ElementRef.component(explicit))
-        try:
-            refs.update(walk_endpoint(arch, side_context(instance, side), raw))
-        except (EndpointError, ValueError):
-            refs.update(syntactic_refs(instance))
-    triple, _ = resolve_connection(arch, instance)
-    if triple is not None:
-        refs.update(arch.connector_index.matching(triple))
+        refs.update(walk if walk is not None else syntactic_refs(instance))
+    refs.update(resolution.matches)
     return frozenset(refs)
 
 
@@ -150,35 +153,44 @@ class ConnectorUsages:
     stores: tuple[AnnotationInstance, ...]
 
 
+def usages_by_connector(
+    arch: ArchitectureModel, code: CodeModel
+) -> dict[ElementRef, ConnectorUsages]:
+    """The usages of every declared connector whose endpoints resolve.
+
+    Each connection instance is resolved once and filed under every
+    connector it matches, in code order.
+    """
+    kinds = (AnnotationKind.CONNECTS, AnnotationKind.DISCONNECTS, AnnotationKind.CONNECTOR)
+    groups = {
+        ElementRef.connector(conn.context, conn.id): {kind: [] for kind in kinds}
+        for conn in arch.connector_index.triples
+    }
+    for inst in connection_instances(code):
+        for ref in resolve_connection(arch, inst).matches:
+            groups[ref][inst.kind].append(inst)
+    return {
+        ref: ConnectorUsages(*(tuple(group[kind]) for kind in kinds))
+        for ref, group in groups.items()
+    }
+
+
 def connector_usages(
     code: CodeModel, ref: ElementRef, arch: ArchitectureModel
 ) -> ConnectorUsages:
     """Who connects, disconnects, and stores a declared connector.
 
-    The connector and its canonical triple come from the architecture's
-    connector index (raising EndpointError when the connector does not
-    resolve); each connection instance is resolved once and matched.
+    Raises UnknownConnectorError when the architecture declares no such
+    connector, and the EndpointError of its first unresolved side when the
+    connector does not resolve.
     """
     if ref.kind is not RefKind.CONNECTOR:
         raise UnknownConnectorError(f"'{ref.path}' is not a connector reference")
     conn = arch.connector_index.by_ref.get(ref)
     if conn is None:
         raise UnknownConnectorError(f"the architecture declares no connector '{ref.path}'")
-    declared = canonical_triple(arch, conn)
-    groups: dict[AnnotationKind, list[AnnotationInstance]] = {
-        AnnotationKind.CONNECTS: [],
-        AnnotationKind.DISCONNECTS: [],
-        AnnotationKind.CONNECTOR: [],
-    }
-    for inst in connection_instances(code):
-        triple, _ = resolve_connection(arch, inst)
-        if triple is not None and matches_connector(triple, declared):
-            groups[inst.kind].append(inst)
-    return ConnectorUsages(
-        tuple(groups[AnnotationKind.CONNECTS]),
-        tuple(groups[AnnotationKind.DISCONNECTS]),
-        tuple(groups[AnnotationKind.CONNECTOR]),
-    )
+    canonical_triple(arch, conn)  # raises when a side does not resolve
+    return usages_by_connector(arch, code)[ref]
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +305,6 @@ def check_architecture_completeness(arch: ArchitectureModel, code: CodeModel) ->
 
 def check_connection_consistency(arch: ArchitectureModel, code: CodeModel) -> list[Finding]:
     """UNDECLARED_CONNECTION per connection annotation without a declared match."""
-    index = arch.connector_index
     findings: list[Finding] = []
     for inst in connection_instances(code):
         for side in ("left", "right"):
@@ -311,12 +322,10 @@ def check_connection_consistency(arch: ArchitectureModel, code: CodeModel) -> li
                         locations=[inst.location],
                     )
                 )
-        triple, errors = resolve_connection(arch, inst)
-        findings.extend(errors)
-        if triple is None:
-            continue
-        if not index.matching(triple):
-            left, right, direction = triple
+        resolution = resolve_connection(arch, inst)
+        findings.extend(resolution.findings)
+        if resolution.triple is not None and not resolution.matches:
+            left, right, direction = resolution.triple
             shown = direction.value if direction is not None else "any direction"
             findings.append(
                 finding(

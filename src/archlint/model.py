@@ -357,29 +357,18 @@ class ConnectorIndex:
             self.by_pair.setdefault((nl.path, nr.path), []).append((nd, ref))
 
     def matching(self, triple: tuple[str, str, Direction | None]) -> list[ElementRef]:
-        """Refs of the declared connectors a canonical connection triple matches."""
-        left, right, _ = triple
+        """Refs of the declared connectors a canonical connection triple matches.
+
+        A triple without a direction (an annotation without `type`) matches
+        on endpoints alone; the rule is the same for @Connects, @Disconnects
+        and @Connector.
+        """
+        left, right, direction = triple
         return [
             ref
-            for direction, ref in self.by_pair.get((left, right), ())
-            if matches_connector(triple, (left, right, direction))
+            for declared, ref in self.by_pair.get((left, right), ())
+            if direction is None or direction is declared
         ]
-
-
-def matches_connector(
-    instance_triple: tuple[str, str, Direction | None],
-    connector_triple: tuple[str, str, Direction],
-) -> bool:
-    """Does a resolved connection annotation match a declared connector?
-
-    Without a `type` attr the annotation matches on endpoints alone; this
-    rule is uniform for @Connects, @Disconnects, and @Connector.
-    """
-    il, ir, idir = instance_triple
-    cl, cr, cdir = connector_triple
-    if (il, ir) != (cl, cr):
-        return False
-    return idir is None or idir is cdir
 
 
 def canonical_triple(

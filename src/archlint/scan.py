@@ -3,6 +3,9 @@
 The scan result is a pure function of (relative paths, root order, file
 bytes, config): files are processed independently and merged by a stable
 sort on relative path, so traversal order never changes the output.
+
+This module also owns the configuration file: `load_config_file` reads it,
+and `ScanConfig` and `SmellConfig` check and hold its settings.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from .annotations import (
     validate_targets,
 )
 from .errors import ConfigError
-from .findings import Finding, SourceLocation, finding
+from .findings import SMELL_IDS, Finding, SourceLocation, finding
 
 _CONFIG_KEYS = frozenset(
     {
@@ -111,9 +114,41 @@ class ScanConfig:
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
+@dataclass(frozen=True)
+class SmellConfig:
+    """Which smell detectors run, and the scattered-component threshold."""
+
+    scatter_threshold: int = 2
+    enabled: frozenset[str] = frozenset(SMELL_IDS)
+
+    def __post_init__(self) -> None:
+        if self.scatter_threshold < 2:
+            raise ConfigError("scatter_threshold must be >= 2")
+        unknown = set(self.enabled) - set(SMELL_IDS)
+        if unknown:
+            raise ConfigError(f"unknown smell ids: {', '.join(sorted(unknown))}")
+
+    @classmethod
+    def from_mapping(cls, mapping: Mapping[str, str]) -> SmellConfig:
+        threshold = 2
+        enabled = frozenset(SMELL_IDS)
+        if "scatter_threshold" in mapping:
+            try:
+                threshold = int(mapping["scatter_threshold"])
+            except ValueError as err:
+                raise ConfigError(
+                    f"scatter_threshold must be an integer: {mapping['scatter_threshold']!r}"
+                ) from err
+        if "smells" in mapping:
+            names = [n.strip().upper() for n in mapping["smells"].split(",") if n.strip()]
+            enabled = frozenset(names)
+        return cls(threshold, enabled)
+
+
 def _normalize_exts(value: str) -> tuple[str, ...]:
+    """Configured extensions, lowercased as `_front_end` lowercases a file's suffix."""
     out = []
-    for item in _split_list(value):
+    for item in _split_list(value.lower()):
         if item == "*":
             out.append("*")
         else:

@@ -441,6 +441,18 @@ def test_scaffold_empty_architecture(capsys, tmp_path: Path) -> None:
     assert list(out_dir.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "option", [["--format", "json"], ["--config", "archlint.conf"]], ids=["format", "config"]
+)
+def test_scaffold_takes_only_arch_and_out(capsys, tmp_path: Path, option: list[str]) -> None:
+    out_dir = tmp_path / "skeleton"
+    argv = ["scaffold", "--arch", str(DATA / "car" / "car.arch"), "--out", str(out_dir)]
+    code, _, err = run(capsys, *argv, *option)
+    assert code == 2
+    assert f"unrecognized arguments: {option[0]}" in err
+    assert not out_dir.exists()
+
+
 # --- shared plumbing --------------------------------------------------------
 
 
@@ -585,7 +597,8 @@ print(code, *sorted(m for m in sys.modules if m.startswith("archlint.")))
     "command", ["check", "smells", "extract", "lookup", "refactor", "scaffold"]
 )
 def test_each_command_loads_only_its_modules(tmp_path: Path, command: str) -> None:
-    """Only `refactor` imports the refactoring module, only `scaffold` the scaffolder."""
+    """Only `refactor` imports the refactoring module, only `smells` the smell
+    detectors, and only `scaffold` the scaffolder."""
     argv = _car_argv(tmp_path, command)
     env = {**os.environ, "PYTHONPATH": str(Path(archlint.__file__).parent.parent)}
     proc = subprocess.run(
@@ -594,7 +607,7 @@ def test_each_command_loads_only_its_modules(tmp_path: Path, command: str) -> No
     code, *modules = proc.stdout.split()
     assert code == "0", proc.stderr
     assert "archlint.cli" in modules
-    for module in ("refactor", "scaffold"):
+    for module in ("refactor", "smells", "scaffold"):
         assert (f"archlint.{module}" in modules) == (command == module), modules
 
 

@@ -16,7 +16,7 @@ from archlint.conformance import (
     run_all,
 )
 from archlint.findings import SourceLocation, finding
-from archlint.model import ArchitectureModel, Direction, matches_connector
+from archlint.model import ArchitectureModel, Direction, ElementRef
 from archlint.scan import ScanConfig, scan_tree
 
 DATA = Path(__file__).parent / "data"
@@ -142,12 +142,13 @@ def test_declared_triples_car(car_arch: ArchitectureModel) -> None:
     assert pairs == {("Car.rear", "Engine#p")}
 
 
-def test_matches_connector_direction_rules() -> None:
-    declared = ("A.x", "B#y", Direction.LEFT)
-    assert matches_connector(("A.x", "B#y", Direction.LEFT), declared)
-    assert matches_connector(("A.x", "B#y", None), declared)
-    assert not matches_connector(("A.x", "B#y", Direction.RIGHT), declared)
-    assert not matches_connector(("A.x", "B#z", None), declared)
+def test_connector_index_matching_direction_rules(car_arch: ArchitectureModel) -> None:
+    matching = car_arch.connector_index.matching
+    c1 = ElementRef.connector("Car", "c1")  # declared ("Car.rear", "Engine#p", LEFT)
+    assert matching(("Car.rear", "Engine#p", Direction.LEFT)) == [c1]
+    assert matching(("Car.rear", "Engine#p", None)) == [c1]
+    assert matching(("Car.rear", "Engine#p", Direction.RIGHT)) == []
+    assert matching(("Car.rear", "Wheel#q", None)) == []
 
 
 def test_connection_matches_regardless_of_attr_order(
@@ -262,9 +263,13 @@ def test_resolve_connection_orders_endpoints(car_arch: ArchitectureModel, tmp_pa
         },
     )
     inst = code.instances[-1]
-    triple, errors = resolve_connection(car_arch, inst)
-    assert errors == []
-    assert triple == ("Car.rear", "Engine#p", None)
+    resolution = resolve_connection(car_arch, inst)
+    assert resolution.findings == []
+    assert resolution.triple == ("Car.rear", "Engine#p", None)
+    left, right = resolution.walks
+    assert [ref.path for ref in left] == ["Car.e", "Engine#p"]
+    assert [ref.path for ref in right] == ["Car.rear"]
+    assert resolution.matches == {ElementRef.connector("Car", "c1")}
 
 
 def test_spec_mutation_combo_yields_exactly_two(car_arch: ArchitectureModel, tmp_path: Path) -> None:

@@ -7,6 +7,7 @@ path shows up as a call count that quadruples when the model doubles.
 
 import sys
 
+from archlint import conformance as conformance_module
 from archlint import model as model_module
 from archlint.annotations import AnnotationInstance, AnnotationKind, CodeModel, TargetKind
 from archlint.findings import SourceLocation
@@ -21,7 +22,7 @@ from archlint.model import (
     Port,
     ROOT_CONTEXT,
 )
-from archlint.conformance import lookup
+from archlint.conformance import connector_usages, instance_refs, lookup
 from archlint.refactor import (
     AddPort,
     RefactoringPlan,
@@ -111,6 +112,66 @@ def test_connector_queries_walk_linearly(monkeypatch) -> None:
         large = _walks(calls, operation, 120)
         assert small > 0, name
         assert large <= 2.2 * small, (name, small, large)
+
+
+def test_instance_refs_walks_each_endpoint_once(monkeypatch) -> None:
+    arch, code = _chain(4), _chain_code(4)
+    arch.connector_index  # built before counting
+    original = model_module.walk_endpoint
+    calls = _count_walks(monkeypatch)
+    counting = model_module.walk_endpoint
+    assert counting is not original and conformance_module.walk_endpoint is counting
+
+    link1 = next(inst for inst in code.instances if inst.target_name == "link1")
+    refs = instance_refs(link1, arch)
+    assert calls[0] == 2
+    assert refs == {
+        ElementRef.component("C1"),
+        ElementRef.port("C1", "b"),
+        ElementRef.component("C2"),
+        ElementRef.port("C2", "a"),
+        ElementRef.connector(ROOT_CONTEXT, "c1"),
+    }
+
+
+def test_a_ref_declared_twice_gets_each_annotation_once() -> None:
+    """A hand-built model may declare one connector ref twice (the ADL parser
+    refuses that): every query files an annotation under the ref once when
+    it matches either declaration."""
+
+    def side(port: str) -> tuple[EndpointPath, EndpointPath]:
+        return (EndpointPath(("A", port)), EndpointPath(("B", "r")))
+
+    arch = ArchitectureModel(
+        (Component("A", ports=(Port("p"), Port("q"))), Component("B", ports=(Port("r"),))),
+        (
+            Connector("c1", ROOT_CONTEXT, *side("p"), Direction.RIGHT),
+            Connector("c1", ROOT_CONTEXT, *side("q"), Direction.RIGHT),
+            Connector("c2", ROOT_CONTEXT, *side("p"), Direction.RIGHT),
+            Connector("c2", ROOT_CONTEXT, *side("p"), Direction.LEFT),
+        ),
+    )
+    instances = [
+        AnnotationInstance(
+            kind, (), {"left": f"A.{port}", "right": "B.r"}, TargetKind.METHOD, name, (),
+            SourceLocation("A.java", line, 1), "gen",
+        )
+        for line, (kind, port, name) in enumerate(
+            [
+                (AnnotationKind.CONNECTS, "p", "open"),
+                (AnnotationKind.CONNECTS, "q", "reopen"),
+                (AnnotationKind.DISCONNECTS, "p", "close"),
+            ],
+            start=1,
+        )
+    ]
+    code = CodeModel.build(instances)
+    for cid in ("c1", "c2"):
+        ref = ElementRef.connector(ROOT_CONTEXT, cid)
+        usages = connector_usages(code, ref, arch)
+        assert list(usages.connects + usages.disconnects) == lookup(code, ref, arch), cid
+    messages = [f.message for f in smell_connector_lifecycle(arch, code)]
+    assert messages == ["connector '/c1' has more than one connecting method (2)"]
 
 
 def test_renamed_connector_is_found_through_the_new_models_index() -> None:

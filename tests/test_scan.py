@@ -242,6 +242,31 @@ def test_config_extension_normalization() -> None:
 
 
 @pytest.mark.parametrize(
+    "setting, name, text",
+    [
+        pytest.param(
+            "attribute_extensions = .JAVA", "Car.java", '@Component("Car") class Car {}\n',
+            id="attribute_extensions",
+        ),
+        pytest.param(
+            "pragma_extensions = .TXT", "car.txt", '//@arch Component("Car") @on type Car\n',
+            id="pragma_extensions",
+        ),
+    ],
+)
+def test_config_extensions_ignore_case(tmp_path: Path, setting: str, name: str, text: str) -> None:
+    # File suffixes are matched lowercased, so the configured ones are too.
+    cfg_path = tmp_path / "archlint.conf"
+    cfg_path.write_text(setting + "\n")
+    src = tmp_path / "src"
+    src.mkdir()
+    (src / name).write_text(text)
+    code = scan_tree([src], ScanConfig.from_mapping(load_config_file(cfg_path)))
+    assert [(i.kind, i.values) for i in code.instances] == [(AnnotationKind.COMPONENT, ("Car",))]
+    assert code.findings == ()
+
+
+@pytest.mark.parametrize(
     "mapping",
     [
         {"sigil": "tab\there"},

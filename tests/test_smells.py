@@ -6,11 +6,10 @@ from archlint.adl import parse_architecture
 from archlint.annotations import CodeModel
 from archlint.errors import ConfigError
 from archlint.model import ArchitectureModel
-from archlint.scan import scan_tree
+from archlint.scan import SmellConfig, scan_tree
 from archlint.smells import (
     CONNECTOR_LIFECYCLE,
     SCATTERED_COMPONENT,
-    SmellConfig,
     run_smells,
     smell_connector_lifecycle,
     smell_scattered_component,
