@@ -31,7 +31,6 @@ from .model import (
     Part,
     Port,
     ROOT_CONTEXT,
-    validate_model,
 )
 
 HEADER = "// architecture description"
@@ -199,7 +198,7 @@ def parse_architecture(text: str) -> ArchitectureModel:
     parser = _Parser(tokens)
     parser.parse_document()
     model = ArchitectureModel(tuple(parser.components), tuple(parser.connectors))
-    problems = validate_model(model)
+    problems = model.validation
     if problems:
         first = problems[0]
         pos = (0, 0)

@@ -10,6 +10,8 @@ Two front-ends produce the same AnnotationInstance shape:
 Extraction never raises on bad input; problems become findings
 (MALFORMED_PRAGMA, MALFORMED_ANNOTATION, UNCLASSIFIABLE_TARGET) and the
 offending annotation is dropped.
+
+`named_elements` is the one rule for what an element annotation names.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from .lexer import (
     tokenize,
     unescape,
 )
-from .model import ROOT_CONTEXT, ElementRef
+from .model import ROOT_CONTEXT, ElementRef, RefKind
 
 __all__ = [
     "AnnotationKind",
@@ -48,12 +50,13 @@ __all__ = [
     "resolve_context",
     "validate_targets",
     "side_context",
-    "part_owners",
+    "named_elements",
     "syntactic_refs",
     "code_model_payload",
     "canonical_json",
     "dump_code_model",
     "ALLOWED_TARGETS",
+    "ELEMENT_KINDS",
     "VALUE_REQUIRED",
     "CONNECTION_KINDS",
 ]
@@ -91,15 +94,19 @@ ALLOWED_TARGETS: Mapping[AnnotationKind, frozenset[TargetKind]] = {
     AnnotationKind.CONNECTOR: frozenset({TargetKind.TYPE, TargetKind.FIELD, TargetKind.LOCAL}),
 }
 
-VALUE_REQUIRED = frozenset(
-    {
-        AnnotationKind.COMPONENT,
-        AnnotationKind.PART,
-        AnnotationKind.PORT,
-        AnnotationKind.ADD_PART,
-        AnnotationKind.REMOVE_PART,
-    }
+# The kinds that name architecture elements (`named_elements`); each needs a value.
+ELEMENT_KINDS = (
+    AnnotationKind.COMPONENT,
+    AnnotationKind.PART,
+    AnnotationKind.PORT,
+    AnnotationKind.ADD_PART,
+    AnnotationKind.REMOVE_PART,
 )
+VALUE_REQUIRED = frozenset(ELEMENT_KINDS)
+# Bound once for `named_elements`, which runs per instance in checks 1 and 2
+# and in lookup: on Python 3.11 every `SomeEnum.MEMBER` is a slow lookup.
+_COMPONENT, _PART, _PORT, _ADD_PART, _REMOVE_PART = ELEMENT_KINDS
+_NAMES_COMPONENT, _NAMES_PART, _NAMES_PORT = RefKind.COMPONENT, RefKind.PART, RefKind.PORT
 
 CONNECTION_KINDS = frozenset(
     {AnnotationKind.CONNECTS, AnnotationKind.DISCONNECTS, AnnotationKind.CONNECTOR}
@@ -951,58 +958,65 @@ def side_context(instance: AnnotationInstance, side: str) -> str:
     return ROOT_CONTEXT
 
 
-def part_owners(instance: AnnotationInstance) -> tuple[str, ...]:
-    """The components an @AddPart or @RemovePart changes: componentname, else enclosing."""
-    explicit = instance.attrs.get("componentname")
-    return (explicit,) if explicit else instance.enclosing_components
+def named_elements(instance: AnnotationInstance) -> tuple[RefKind, tuple[str, ...]] | None:
+    """The element kind an annotation names, and the owners it names each
+    value in: for @Component the root (""), for @Part and @Port each
+    enclosing component, for @AddPart and @RemovePart the `componentname`,
+    else each enclosing component. None for connection annotations.
+    """
+    kind = instance.kind
+    if kind is _COMPONENT:
+        return _NAMES_COMPONENT, ("",)
+    if kind is _PART:
+        return _NAMES_PART, instance.enclosing_components
+    if kind is _PORT:
+        return _NAMES_PORT, instance.enclosing_components
+    if kind is _ADD_PART or kind is _REMOVE_PART:
+        explicit = instance.attrs.get("componentname")
+        return _NAMES_PART, (explicit,) if explicit else instance.enclosing_components
+    return None
 
 
 def syntactic_refs(instance: AnnotationInstance) -> frozenset[ElementRef]:
     """Architecture elements this instance textually references.
 
-    Endpoint paths are interpreted without the architecture: a one-segment
-    path could be a part or a port of the side's context, so both refs are
-    indexed; lookup with an architecture model refines this.
+    Enclosing components, and for an element annotation each element and
+    owner `named_elements` gives. Endpoint paths are interpreted without
+    the architecture: a one-segment path could be a part or a port of the
+    side's context, so both refs are indexed; lookup with an architecture
+    model refines this.
     """
     refs: set[ElementRef] = set()
-    for name in instance.enclosing_components:
+    enclosing = instance.enclosing_components
+    for name in enclosing:
         refs.add(ElementRef.component(name))
-    kind = instance.kind
-    if kind is AnnotationKind.COMPONENT:
-        for value in instance.values:
-            refs.add(ElementRef.component(value))
-    elif kind is AnnotationKind.PART:
-        for ctx in instance.enclosing_components:
+    named = named_elements(instance)
+    if named is not None:
+        ref_kind, owners = named
+        for owner in owners:
+            if ref_kind is not _NAMES_COMPONENT and owner not in enclosing:
+                refs.add(ElementRef.component(owner))
             for value in instance.values:
-                refs.add(ElementRef.part(ctx, value))
-    elif kind is AnnotationKind.PORT:
-        for ctx in instance.enclosing_components:
-            for value in instance.values:
-                refs.add(ElementRef.port(ctx, value))
-    elif kind in (AnnotationKind.ADD_PART, AnnotationKind.REMOVE_PART):
-        for owner in part_owners(instance):
-            refs.add(ElementRef.component(owner))
-            for value in instance.values:
-                refs.add(ElementRef.part(owner, value))
-    else:
-        for side in ("left", "right"):
-            path = instance.attrs.get(side)
-            if not path:
-                continue
-            explicit = instance.attrs.get(f"{side}component")
-            if explicit:
-                refs.add(ElementRef.component(explicit))
-            context = side_context(instance, side)
-            segments = path.split(".")
-            first = segments[0]
-            if context == ROOT_CONTEXT:
-                if len(segments) > 1:
-                    refs.add(ElementRef.component(first))
-            elif len(segments) == 1:
-                refs.add(ElementRef.part(context, first))
-                refs.add(ElementRef.port(context, first))
-            else:
-                refs.add(ElementRef.part(context, first))
+                refs.add(ElementRef.member(ref_kind, owner, value))
+        return frozenset(refs)
+    for side in ("left", "right"):
+        path = instance.attrs.get(side)
+        if not path:
+            continue
+        explicit = instance.attrs.get(f"{side}component")
+        if explicit:
+            refs.add(ElementRef.component(explicit))
+        context = side_context(instance, side)
+        segments = path.split(".")
+        first = segments[0]
+        if context == ROOT_CONTEXT:
+            if len(segments) > 1:
+                refs.add(ElementRef.component(first))
+        elif len(segments) == 1:
+            refs.add(ElementRef.part(context, first))
+            refs.add(ElementRef.port(context, first))
+        else:
+            refs.add(ElementRef.part(context, first))
     return frozenset(refs)
 
 

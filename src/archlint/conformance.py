@@ -12,6 +12,9 @@ the annotation lookup.
 Connection-shaped annotations (@Connects/@Disconnects/@Connector) are checked
 only by check 3, so one mistake is reported once.
 
+Checks 1 and 2 and the lookup (through `syntactic_refs`) read what an
+element annotation names from one rule, `annotations.named_elements`.
+
 Every connector query reads `resolve_connection`: check 3, the annotation
 lookup (`lookup` and `instance_refs`, which refactoring impact reports also
 use), `connector_usages` and the connector-lifecycle smell (both through
@@ -33,8 +36,9 @@ from .annotations import (
     AnnotationKind,
     CodeModel,
     CONNECTION_KINDS,
+    ELEMENT_KINDS,
     code_model_payload,
-    part_owners,
+    named_elements,
     side_context,
     syntactic_refs,
 )
@@ -46,9 +50,7 @@ from .model import (
     ElementRef,
     RefKind,
     canonical_triple,
-    list_elements,
     normalize_connector,
-    validate_model,
     walk_endpoint,
 )
 
@@ -198,108 +200,78 @@ def connector_usages(
 
 
 def check_annotation_completeness(arch: ArchitectureModel, code: CodeModel) -> list[Finding]:
-    """MISSING_ANNOTATION per component/part/port with no covering instance."""
-    components_covered: set[str] = set()
-    for inst in code.by_kind[AnnotationKind.COMPONENT]:
-        components_covered.update(inst.values)
+    """MISSING_ANNOTATION per component/part/port with no covering instance.
 
-    parts_covered: set[tuple[str, str]] = set()
-    for inst in code.by_kind[AnnotationKind.PART]:
-        for context in inst.enclosing_components:
-            for value in inst.values:
-                parts_covered.add((context, value))
-    for inst in code.by_kind[AnnotationKind.ADD_PART]:
-        for owner in part_owners(inst):
-            for value in inst.values:
-                parts_covered.add((owner, value))
+    An element annotation covers the (owner, value) pairs `named_elements`
+    gives, except @RemovePart, which covers none.
+    """
+    components: set[tuple[str, str]] = set()
+    parts: set[tuple[str, str]] = set()
+    ports: set[tuple[str, str]] = set()
+    for kind in ELEMENT_KINDS:
+        if kind is AnnotationKind.REMOVE_PART:
+            continue
+        for inst in code.by_kind[kind]:
+            ref_kind, owners = named_elements(inst)
+            if ref_kind is RefKind.PART:
+                covered = parts
+            elif ref_kind is RefKind.PORT:
+                covered = ports
+            else:
+                covered = components
+            for owner in owners:
+                for value in inst.values:
+                    covered.add((owner, value))
 
-    ports_covered: set[tuple[str, str]] = set()
-    for inst in code.by_kind[AnnotationKind.PORT]:
-        for context in inst.enclosing_components:
-            for value in inst.values:
-                ports_covered.add((context, value))
-
-    findings: list[Finding] = []
-    for ref in list_elements(arch):
-        if ref.kind is RefKind.COMPONENT:
-            if ref.path not in components_covered:
-                findings.append(
-                    finding("MISSING_ANNOTATION", f"no annotation covers component '{ref.path}'", ref)
-                )
-        elif ref.kind is RefKind.PART:
-            if tuple(ref.split()) not in parts_covered:
-                findings.append(
-                    finding("MISSING_ANNOTATION", f"no annotation covers part '{ref.path}'", ref)
-                )
-        elif ref.kind is RefKind.PORT:
-            if tuple(ref.split()) not in ports_covered:
-                findings.append(
-                    finding("MISSING_ANNOTATION", f"no annotation covers port '{ref.path}'", ref)
-                )
-    return sort_findings(findings)
+    missing: set[ElementRef] = set()
+    for comp in arch.components:
+        owner = comp.name
+        if ("", owner) not in components:
+            missing.add(ElementRef.component(owner))
+        for part in comp.parts:
+            if (owner, part.role) not in parts:
+                missing.add(ElementRef.part(owner, part.role))
+        for port in comp.ports:
+            if (owner, port.name) not in ports:
+                missing.add(ElementRef.port(owner, port.name))
+    return sort_findings(
+        finding("MISSING_ANNOTATION", f"no annotation covers {ref.kind.value} '{ref.path}'", ref)
+        for ref in missing
+    )
 
 
 def check_architecture_completeness(arch: ArchitectureModel, code: CodeModel) -> list[Finding]:
-    """UNKNOWN_ELEMENT per annotation referent absent from the architecture.
-
-    Connection-shaped annotations are check 3's business and skipped here.
+    """UNKNOWN_ELEMENT per element an annotation names (`named_elements`)
+    that the architecture does not declare, and per element annotation that
+    has no owner. Connection-shaped annotations are check 3's business.
     """
     findings: list[Finding] = []
-
-    def missing_member(
-        inst: AnnotationInstance, owners: tuple[str, ...], member_kind: str
-    ) -> None:
-        if not owners:
-            findings.append(
-                finding(
-                    "UNKNOWN_ELEMENT",
-                    f"@{inst.kind.value} has no enclosing component to resolve against",
-                    locations=[inst.location],
-                )
-            )
-            return
-        for owner in owners:
-            comp = arch.component(owner)
-            for value in inst.values:
-                if member_kind == "part":
-                    present = comp is not None and comp.part(value) is not None
-                    ref = ElementRef.part(owner, value)
-                    label = f"part '{value}'"
-                else:
-                    present = comp is not None and comp.port(value) is not None
-                    ref = ElementRef.port(owner, value)
-                    label = f"port '{value}'"
-                if not present:
-                    where = f"component '{owner}'" if comp is not None else f"unknown component '{owner}'"
-                    findings.append(
-                        finding(
-                            "UNKNOWN_ELEMENT",
-                            f"@{inst.kind.value} names {label} not declared in {where}",
-                            ref,
-                            locations=[inst.location],
+    for kind in ELEMENT_KINDS:
+        for inst in code.by_kind[kind]:
+            ref_kind, owners = named_elements(inst)
+            if not owners:
+                message = f"@{kind.value} has no enclosing component to resolve against"
+                findings.append(finding("UNKNOWN_ELEMENT", message, locations=[inst.location]))
+            for owner in owners:
+                comp = arch.component(owner)
+                for value in inst.values:
+                    if ref_kind is RefKind.COMPONENT:
+                        if arch.component(value) is not None:
+                            continue
+                        message = f"@Component names unknown component '{value}'"
+                    else:
+                        if comp is None:
+                            where = "unknown component"
+                        elif (comp.part(value) if ref_kind is RefKind.PART else comp.port(value)) is None:
+                            where = "component"
+                        else:
+                            continue
+                        message = (
+                            f"@{kind.value} names {ref_kind.value} '{value}' "
+                            f"not declared in {where} '{owner}'"
                         )
-                    )
-
-    for inst in code.instances:
-        if inst.kind in CONNECTION_KINDS:
-            continue
-        if inst.kind is AnnotationKind.COMPONENT:
-            for value in inst.values:
-                if arch.component(value) is None:
-                    findings.append(
-                        finding(
-                            "UNKNOWN_ELEMENT",
-                            f"@Component names unknown component '{value}'",
-                            ElementRef.component(value),
-                            locations=[inst.location],
-                        )
-                    )
-        elif inst.kind is AnnotationKind.PART:
-            missing_member(inst, inst.enclosing_components, "part")
-        elif inst.kind is AnnotationKind.PORT:
-            missing_member(inst, inst.enclosing_components, "port")
-        else:  # ADD_PART / REMOVE_PART
-            missing_member(inst, part_owners(inst), "part")
+                    ref = ElementRef.member(ref_kind, owner, value)
+                    findings.append(finding("UNKNOWN_ELEMENT", message, ref, locations=[inst.location]))
     return sort_findings(findings)
 
 
@@ -369,7 +341,7 @@ def run_all(arch: ArchitectureModel, code: CodeModel) -> ConformanceReport:
     findings with the rest of `code.findings`. Every finding is kept, so two
     roots holding the same malformed file report it twice.
     """
-    model_findings = validate_model(arch)
+    model_findings = arch.validation
     findings: list[Finding] = list(model_findings)
     findings.extend(code.findings)
     if not model_findings:

@@ -149,6 +149,10 @@ class ElementRef:
     def __str__(self) -> str:
         return self.path
 
+    def __hash__(self) -> int:
+        # The path alone: hashing `kind` too would run Enum.__hash__, Python code.
+        return hash(self.path)
+
     def sort_key(self) -> tuple[str, str]:
         return (self.path, self.kind.value)
 
@@ -163,6 +167,15 @@ class ElementRef:
     @classmethod
     def port(cls, owner: str, name: str) -> ElementRef:
         return cls(RefKind.PORT, f"{owner}#{name}")
+
+    @classmethod
+    def member(cls, kind: RefKind, owner: str, name: str) -> ElementRef:
+        """The part or port `name` of owner, or for COMPONENT the component `name`."""
+        if kind is RefKind.PART:
+            return cls(kind, f"{owner}.{name}")
+        if kind is RefKind.PORT:
+            return cls(kind, f"{owner}#{name}")
+        return cls(kind, name)
 
     @classmethod
     def connector(cls, context: str, cid: str) -> ElementRef:
@@ -208,7 +221,8 @@ class ArchitectureModel:
     """Components and connectors, sorted on construction.
 
     Cached lookups such as `connector_index`, which resolves every connector
-    on first use, live as long as this object and never enter equality.
+    on first use, and `validation`, live as long as this object and never
+    enter equality.
     """
 
     components: tuple[Component, ...] = ()
@@ -236,6 +250,11 @@ class ArchitectureModel:
     @cached_property
     def connector_index(self) -> ConnectorIndex:
         return ConnectorIndex(self)
+
+    @cached_property
+    def validation(self) -> tuple[Finding, ...]:
+        """`validate_model`'s findings: empty when the model is well-formed."""
+        return tuple(validate_model(self))
 
     def component(self, name: str) -> Component | None:
         return self._component_map.get(name)

@@ -33,7 +33,6 @@ from .model import (
     normalize_connector,
     parse_ref,
     resolve_endpoint,
-    validate_model,
     walk_endpoint,
 )
 
@@ -500,7 +499,7 @@ def apply_op(
     references (e.g. MovePart breaking an endpoint path) fails instead.
     """
     new_model, touched = _HANDLERS[type(op)](model, op)
-    problems = validate_model(new_model)
+    problems = new_model.validation
     if problems:
         raise _fail(op, f"resulting model is not well-formed: {problems[0].message}",
                     problems[0].element)

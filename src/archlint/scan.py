@@ -72,6 +72,8 @@ class ScanConfig:
 
     attribute_extensions claims files for the Java-style front-end;
     pragma_extensions claims the rest ("*" means every other file).
+    Extensions are kept lowercased, with a leading dot, as `_front_end`
+    compares them with a file's lowercased suffix.
     """
 
     sigil: str = "@arch"
@@ -80,6 +82,10 @@ class ScanConfig:
     exclude: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
+        for name in ("attribute_extensions", "pragma_extensions"):
+            exts = [ext.lower() for ext in getattr(self, name)]
+            exts = [ext if ext == "*" or ext.startswith(".") else f".{ext}" for ext in exts]
+            object.__setattr__(self, name, tuple(exts))
         sigil = self.sigil
         if not sigil or any(ch.isspace() for ch in sigil):
             raise ConfigError(f"invalid sigil {sigil!r}")
@@ -94,9 +100,9 @@ class ScanConfig:
         if "sigil" in mapping:
             cfg = replace(cfg, sigil=mapping["sigil"])
         if "attribute_extensions" in mapping:
-            cfg = replace(cfg, attribute_extensions=_normalize_exts(mapping["attribute_extensions"]))
+            cfg = replace(cfg, attribute_extensions=_split_list(mapping["attribute_extensions"]))
         if "pragma_extensions" in mapping:
-            cfg = replace(cfg, pragma_extensions=_normalize_exts(mapping["pragma_extensions"]))
+            cfg = replace(cfg, pragma_extensions=_split_list(mapping["pragma_extensions"]))
         if "exclude" in mapping:
             cfg = replace(cfg, exclude=_split_list(mapping["exclude"]))
         return cfg
@@ -143,17 +149,6 @@ class SmellConfig:
             names = [n.strip().upper() for n in mapping["smells"].split(",") if n.strip()]
             enabled = frozenset(names)
         return cls(threshold, enabled)
-
-
-def _normalize_exts(value: str) -> tuple[str, ...]:
-    """Configured extensions, lowercased as `_front_end` lowercases a file's suffix."""
-    out = []
-    for item in _split_list(value.lower()):
-        if item == "*":
-            out.append("*")
-        else:
-            out.append(item if item.startswith(".") else f".{item}")
-    return tuple(out)
 
 
 def _front_end(config: ScanConfig, suffix: str) -> str | None:

@@ -142,6 +142,7 @@ _TARGET_FOR = {
     AnnotationKind.PART: TargetKind.FIELD,
     AnnotationKind.PORT: TargetKind.METHOD,
     AnnotationKind.ADD_PART: TargetKind.CONSTRUCTOR,
+    AnnotationKind.REMOVE_PART: TargetKind.METHOD,
     AnnotationKind.CONNECTS: TargetKind.METHOD,
     AnnotationKind.DISCONNECTS: TargetKind.METHOD,
     AnnotationKind.CONNECTOR: TargetKind.FIELD,
@@ -229,6 +230,52 @@ def random_code_for(rng: random.Random, model: ArchitectureModel) -> CodeModel:
         if rng.random() < 0.2:
             connection(conn, AnnotationKind.DISCONNECTS, flip=rng.random() < 0.2)
     return CodeModel.build(sink.instances, (), "gen")
+
+
+# Names the ADL cannot declare but annotations can hold.
+_ODD_NAMES = ("x.y", "p#q", "é", "Ünï.c#d")
+_ELEMENT_KINDS = (
+    AnnotationKind.COMPONENT,
+    AnnotationKind.PART,
+    AnnotationKind.PORT,
+    AnnotationKind.ADD_PART,
+    AnnotationKind.REMOVE_PART,
+)
+
+
+def with_odd_elements(rng: random.Random, model: ArchitectureModel, code: CodeModel) -> CodeModel:
+    """Add element annotations at the edges of the referent rule.
+
+    They include @RemovePart, `componentname` (known or unknown), unknown
+    and several enclosing components, no enclosing component, empty values,
+    and names holding `.`, `#` or non-ASCII characters.
+    """
+    owners = [c.name for c in model.components] + ["Nowhere", "a.b"]
+    members = [name for c in model.components for name in (
+        *(p.role for p in c.parts), *(p.name for p in c.ports)
+    )]
+    extra = []
+    for n in range(rng.randint(1, 10)):
+        kind = rng.choice(_ELEMENT_KINDS)
+        pool = owners if kind is AnnotationKind.COMPONENT else members
+        values = tuple(rng.sample(pool + list(_ODD_NAMES), rng.choice((0, 1, 1, 2))))
+        enclosing = tuple(rng.sample(owners, rng.choice((0, 1, 1, 2, 3))))
+        attrs = {}
+        if kind in (AnnotationKind.ADD_PART, AnnotationKind.REMOVE_PART) and rng.random() < 0.5:
+            attrs["componentname"] = rng.choice(owners)
+        extra.append(
+            AnnotationInstance(
+                kind=kind,
+                values=values,
+                attrs=attrs,
+                target=_TARGET_FOR[kind],
+                target_name=f"odd{n}",
+                enclosing_components=enclosing,
+                location=SourceLocation(f"gen/Odd{n % 3}.java", 20_000 + n, 1),
+                package="gen",
+            )
+        )
+    return CodeModel.build(code.instances + tuple(extra), code.findings, code.config_fingerprint)
 
 
 def _fresh(rng: random.Random, prefix: str) -> str:

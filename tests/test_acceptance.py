@@ -18,11 +18,11 @@ from archlint.annotations import (
     CodeModel,
     TargetKind,
     dump_code_model,
-    syntactic_refs,
 )
 from archlint.cli import main
 from archlint.conformance import (
     check_annotation_completeness,
+    check_architecture_completeness,
     check_connection_consistency,
     connector_usages,
     lookup,
@@ -34,6 +34,7 @@ from archlint.model import (
     ArchitectureModel,
     Direction,
     ElementRef,
+    RefKind,
     list_elements,
     validate_model,
 )
@@ -47,7 +48,13 @@ from archlint.refactor import (
 from archlint.scaffold import write_scaffold
 from archlint.scan import scan_tree
 from archlint.smells import run_smells, smell_connector_lifecycle
-from modelgen import inverse_of, random_code_for, random_model, random_op_sequence
+from modelgen import (
+    inverse_of,
+    random_code_for,
+    random_model,
+    random_op_sequence,
+    with_odd_elements,
+)
 
 DATA = Path(__file__).parent / "data"
 
@@ -198,6 +205,47 @@ def _oracle_missing(model: ArchitectureModel, code: CodeModel) -> set[str]:
     return missing
 
 
+def _oracle_owners(inst) -> list[str]:
+    """The components a part/port annotation's values live in."""
+    explicit = inst.attrs.get("componentname")
+    if explicit and inst.kind in (AnnotationKind.ADD_PART, AnnotationKind.REMOVE_PART):
+        return [explicit]
+    return list(inst.enclosing_components)
+
+
+def _oracle_unknown(model: ArchitectureModel, code: CodeModel) -> Counter:
+    """Check 2's findings as (check id, element, kind, message, locations)."""
+    declared = {c.name: c for c in reversed(model.components)}  # first declaration wins
+    out: Counter = Counter()
+    for inst in code.instances:
+        at = (inst.location,)
+        if inst.kind is AnnotationKind.COMPONENT:
+            for value in inst.values:
+                if value not in declared:
+                    message = f"@Component names unknown component '{value}'"
+                    out["UNKNOWN_ELEMENT", value, "component", message, at] += 1
+            continue
+        if inst.kind in _CONNECTION_KINDS:
+            continue
+        owners = _oracle_owners(inst)
+        if not owners:
+            message = f"@{inst.kind.value} has no enclosing component to resolve against"
+            out["UNKNOWN_ELEMENT", None, None, message, at] += 1
+        member, sep = ("port", "#") if inst.kind is AnnotationKind.PORT else ("part", ".")
+        for owner in owners:
+            comp = declared.get(owner)
+            names = []
+            if comp is not None:
+                names = [p.name for p in comp.ports] if member == "port" else [p.role for p in comp.parts]
+            for value in inst.values:
+                if value in names:
+                    continue
+                where = "component" if comp is not None else "unknown component"
+                message = f"@{inst.kind.value} names {member} '{value}' not declared in {where} '{owner}'"
+                out["UNKNOWN_ELEMENT", f"{owner}{sep}{value}", member, message, at] += 1
+    return out
+
+
 def _oracle_undeclared(model: ArchitectureModel, code: CodeModel) -> Counter:
     triples = set()
     pairs = set()
@@ -245,16 +293,29 @@ def _oracle_undeclared(model: ArchitectureModel, code: CodeModel) -> Counter:
 
 def test_criterion_3_oracle_equivalence() -> None:
     rng = random.Random(20260818)
+    odd = random.Random(20261018)  # apart, so `rng` draws what it always drew
     pairs = 0
     while pairs < 200:
         model = random_model(rng, max_components=rng.randint(2, 20))
-        code = random_code_for(rng, model)
+        code = with_odd_elements(odd, model, random_code_for(rng, model))
         pairs += 1
 
         got_missing = {
             f.element.path for f in check_annotation_completeness(model, code)
         }
         assert got_missing == _oracle_missing(model, code)
+
+        got_unknown = Counter(
+            (
+                f.check_id,
+                f.element.path if f.element is not None else None,
+                f.element.kind.value if f.element is not None else None,
+                f.message,
+                f.locations,
+            )
+            for f in check_architecture_completeness(model, code)
+        )
+        assert got_unknown == _oracle_unknown(model, code)
 
         got_undeclared = Counter(
             f.locations[0]
@@ -342,6 +403,43 @@ def _oracle_connectors(model: ArchitectureModel, inst) -> list[ElementRef]:
     return out
 
 
+def _oracle_syntactic(inst) -> set[ElementRef]:
+    """What an instance names without the architecture.
+
+    Its enclosing components; for an element annotation each component,
+    part or port it names and each part owner; for a connection annotation
+    each side's explicit context component and a guess at its first step.
+    """
+    refs = {ElementRef.component(name) for name in inst.enclosing_components}
+    if inst.kind is AnnotationKind.COMPONENT:
+        return refs | {ElementRef.component(value) for value in inst.values}
+    if inst.kind not in _CONNECTION_KINDS:
+        for owner in _oracle_owners(inst):
+            refs.add(ElementRef.component(owner))
+            for value in inst.values:
+                if inst.kind is AnnotationKind.PORT:
+                    refs.add(ElementRef(RefKind.PORT, f"{owner}#{value}"))
+                else:
+                    refs.add(ElementRef(RefKind.PART, f"{owner}.{value}"))
+        return refs
+    for side in ("left", "right"):
+        path = inst.attrs.get(side)
+        if not path:
+            continue
+        context = _oracle_context(inst, side)
+        if inst.attrs.get(f"{side}component"):
+            refs.add(ElementRef.component(context))
+        first, *rest = path.split(".")
+        if context == "":
+            if rest:
+                refs.add(ElementRef.component(first))
+            continue
+        refs.add(ElementRef(RefKind.PART, f"{context}.{first}"))
+        if not rest:
+            refs.add(ElementRef(RefKind.PORT, f"{context}#{first}"))
+    return refs
+
+
 def _oracle_refs(model: ArchitectureModel, inst) -> set[ElementRef]:
     """Every element an instance references, given the architecture.
 
@@ -350,7 +448,7 @@ def _oracle_refs(model: ArchitectureModel, inst) -> set[ElementRef]:
     when a walk fails) and each declared connector it matches.
     """
     if inst.kind not in _CONNECTION_KINDS:
-        return set(syntactic_refs(inst))
+        return _oracle_syntactic(inst)
     refs = {ElementRef.component(name) for name in inst.enclosing_components}
     for side in ("left", "right"):
         path = inst.attrs.get(side)
@@ -360,7 +458,7 @@ def _oracle_refs(model: ArchitectureModel, inst) -> set[ElementRef]:
         if explicit:
             refs.add(ElementRef.component(explicit))
         walked = _oracle_walk(model, _oracle_context(inst, side), path)
-        refs |= walked if walked is not None else syntactic_refs(inst)
+        refs |= walked if walked is not None else _oracle_syntactic(inst)
     refs.update(_oracle_connectors(model, inst))
     return refs
 
@@ -389,10 +487,12 @@ def _with_odd_connections(rng: random.Random, code: CodeModel) -> CodeModel:
 def test_criterion_3_lookup_impact_oracle() -> None:
     """lookup, connector_usages, lifecycle smells and plan impact vs brute force."""
     rng = random.Random(20261017)
+    odd = random.Random(20261018)  # apart, so `rng` draws what it always drew
     plans = 0
     for _ in range(120):
         model = random_model(rng, max_components=rng.randint(2, 12))
         code = _with_odd_connections(rng, random_code_for(rng, model))
+        code = with_odd_elements(odd, model, code)
         refs_of = [(inst, _oracle_refs(model, inst)) for inst in code.instances]
         wanted = set(list_elements(model)).union(*(refs for _, refs in refs_of))
         for ref in sorted(wanted, key=lambda r: r.sort_key()):

@@ -62,6 +62,37 @@ def test_check_clean_tree(capsys) -> None:
     assert err == ""
 
 
+def test_check_validates_the_model_once(capsys, monkeypatch) -> None:
+    # Every archlint module that binds validate_model gets the counting one.
+    original = archlint.model.validate_model
+    calls = []
+
+    def counting(model):
+        calls.append(model)
+        return original(model)
+
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("archlint") and hasattr(module, "validate_model"):
+            if getattr(module, "validate_model") is original:
+                monkeypatch.setattr(module, "validate_model", counting)
+    code, _, _ = run(capsys, "check", *CAR)
+    assert code == 0
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_check_report_matches_golden(capsys, fmt: str) -> None:
+    """Every message shape of checks 1 and 2, byte for byte."""
+    tree = DATA / "referents"
+    code, out, err = run(
+        capsys, "check", "--arch", str(tree / "referents.arch"), "--src", str(tree / "src"),
+        "--format", fmt,
+    )
+    assert (code, err) == (1, "")
+    suffix = "json" if fmt == "json" else "txt"
+    assert out == (DATA / "golden" / f"referents_check.golden.{suffix}").read_text(encoding="utf-8")
+
+
 def test_check_json_is_schema_valid(capsys) -> None:
     code, out, _ = run(capsys, "check", *CAR, "--format", "json")
     assert code == 0

@@ -6,7 +6,7 @@ from typing import Callable
 import pytest
 
 from archlint.adl import parse_architecture
-from archlint.annotations import AnnotationInstance, AnnotationKind, CodeModel
+from archlint.annotations import AnnotationInstance, AnnotationKind, CodeModel, TargetKind
 from archlint.conformance import (
     check_annotation_completeness,
     check_architecture_completeness,
@@ -133,6 +133,84 @@ def test_part_in_unknown_component(car_arch: ArchitectureModel, tmp_path: Path) 
     findings = check_architecture_completeness(car_arch, code)
     assert [f.check_id for f in findings] == ["UNKNOWN_ELEMENT"]
     assert "part 'keel'" in findings[0].message
+
+
+def test_remove_part_covers_nothing(car_arch: ArchitectureModel, tmp_path: Path) -> None:
+    code = _scan_texts(
+        tmp_path,
+        **{
+            "Car.java": (
+                'public @Component("Car") class Car {\n'
+                '    private @Part("e") Engine e;\n'
+                '    public @RemovePart("rear") void scrap() {}\n'
+                "}\n"
+            )
+        },
+    )
+    missing = {f.element.path for f in check_annotation_completeness(car_arch, code)}
+    assert "Car.rear" in missing and "Car.e" not in missing
+    assert check_architecture_completeness(car_arch, code) == []
+
+
+def test_remove_part_in_unknown_component(car_arch: ArchitectureModel, tmp_path: Path) -> None:
+    code = _scan_texts(
+        tmp_path,
+        **{
+            "Boat.java": (
+                'public @Component("Boat") class Boat {\n'
+                '    public @RemovePart("keel") void scrap() {}\n'
+                "}\n"
+            )
+        },
+    )
+    findings = check_architecture_completeness(car_arch, code)
+    assert [(f.element.path, f.message) for f in findings] == [
+        ("Boat", "@Component names unknown component 'Boat'"),
+        ("Boat.keel", "@RemovePart names part 'keel' not declared in unknown component 'Boat'"),
+    ]
+
+
+def test_remove_part_componentname_without_enclosing_component(
+    car_arch: ArchitectureModel, tmp_path: Path
+) -> None:
+    code = _scan_texts(
+        tmp_path,
+        **{
+            "loose.txt": (
+                '//@arch RemovePart(value="e", componentname="Car") @on method drop\n'
+                '//@arch RemovePart(value="fin", componentname="Car") @on method trim\n'
+            )
+        },
+    )
+    assert all(not inst.enclosing_components for inst in code.instances)
+    missing = {f.element.path for f in check_annotation_completeness(car_arch, code)}
+    assert "Car.e" in missing
+    findings = check_architecture_completeness(car_arch, code)
+    assert [(f.element.path, f.message) for f in findings] == [
+        ("Car.fin", "@RemovePart names part 'fin' not declared in component 'Car'"),
+    ]
+
+
+def _instance(kind: AnnotationKind, values: tuple[str, ...], enclosing: tuple[str, ...] = ()):
+    return AnnotationInstance(
+        kind, values, {}, TargetKind.TYPE, "t", enclosing, SourceLocation("F.java", 1, 1), "p"
+    )
+
+
+def test_no_owner_finding_depends_only_on_the_owners(car_arch: ArchitectureModel) -> None:
+    # A @Component has the document root as owner, even with nothing around
+    # it; an element annotation with no values still needs an owner.
+    code = CodeModel.build(
+        [
+            _instance(AnnotationKind.COMPONENT, ("Car",)),
+            _instance(AnnotationKind.PART, (), ("Car",)),
+            _instance(AnnotationKind.PORT, ()),
+        ]
+    )
+    findings = check_architecture_completeness(car_arch, code)
+    assert [(f.element, f.message) for f in findings] == [
+        (None, "@Port has no enclosing component to resolve against"),
+    ]
 
 
 def test_declared_triples_car(car_arch: ArchitectureModel) -> None:

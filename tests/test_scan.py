@@ -266,6 +266,26 @@ def test_config_extensions_ignore_case(tmp_path: Path, setting: str, name: str, 
     assert code.findings == ()
 
 
+@pytest.mark.parametrize("extensions", [(".JAVA",), ("java",)])
+def test_built_config_normalizes_extensions(tmp_path: Path, extensions: tuple[str, ...]) -> None:
+    # A ScanConfig built in code claims the files one read from a file does.
+    (tmp_path / "Car.java").write_text('@Component("Car") class Car {}\n')
+    config = ScanConfig(attribute_extensions=extensions)
+    assert config == ScanConfig()
+    code = scan_tree([tmp_path], config)
+    assert [(i.kind, i.values) for i in code.instances] == [(AnnotationKind.COMPONENT, ("Car",))]
+    assert code.findings == ()
+
+
+def test_config_file_fingerprint_is_pinned() -> None:
+    # Normalizing in the constructor keeps the fingerprint of file configs.
+    cfg = ScanConfig.from_mapping({"attribute_extensions": "JAVA, .Cs", "pragma_extensions": "TXT, *"})
+    assert (cfg.attribute_extensions, cfg.pragma_extensions) == ((".java", ".cs"), (".txt", "*"))
+    assert cfg.semantic_fingerprint() == (
+        "2da3cc707033afd16321dfd08a662ac11341de96cd7269055f033ce83eb9e7a6"
+    )
+
+
 @pytest.mark.parametrize(
     "mapping",
     [
