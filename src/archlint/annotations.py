@@ -38,7 +38,7 @@ from .lexer import (
     tokenize,
     unescape,
 )
-from .model import ROOT_CONTEXT, ElementRef, RefKind
+from .model import ROOT_CONTEXT, Direction, ElementRef, RefKind
 
 __all__ = [
     "AnnotationKind",
@@ -126,8 +126,6 @@ _ALLOWED_ATTRS: Mapping[AnnotationKind, frozenset[str]] = {
         {"left", "right", "leftcomponent", "rightcomponent", "type"}
     ),
 }
-
-_DIRECTIONS = frozenset({"LEFT", "RIGHT", "BIDIR"})
 
 
 @dataclass(frozen=True)
@@ -229,7 +227,7 @@ def _parse_token_path(cursor: _Cursor) -> str:
 
 def _normalize_direction(raw: str) -> str:
     tail = raw.split(".")[-1]
-    if tail not in _DIRECTIONS:
+    if tail not in Direction.__members__:
         raise _ArgProblem(f"direction must be LEFT, RIGHT, or BIDIR, not '{raw}'")
     return tail
 
@@ -938,13 +936,6 @@ class CodeModel:
             out[inst.kind].append(inst)
         return {k: tuple(v) for k, v in out.items()}
 
-    @cached_property
-    def packages_by_component(self) -> Mapping[str, frozenset[str]]:
-        out: dict[str, set[str]] = {}
-        for inst in self.by_kind[AnnotationKind.COMPONENT]:
-            for name in inst.values:
-                out.setdefault(name, set()).add(inst.package)
-        return {k: frozenset(v) for k, v in out.items()}
 
 
 def side_context(instance: AnnotationInstance, side: str) -> str:

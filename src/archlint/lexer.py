@@ -93,10 +93,13 @@ PRAGMA = _table(
     error=r".",
 )
 
+# An ADL identifier; `model.IDENT_RE` is built from it.
+ADL_IDENT = r"[A-Za-z_][A-Za-z0-9_]*"
+
 ADL = _table(
     r"[ \t\r\n]",
     r"//[^\n]*",
-    ident=r"[A-Za-z_][A-Za-z0-9_]*",
+    ident=ADL_IDENT,
     number=r"\d+",
     punct=r"<->|->|<-|\.\.|[{}\[\]:;.*]",
     error=r".",

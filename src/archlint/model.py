@@ -26,8 +26,9 @@ from typing import Mapping
 
 from .errors import EndpointError
 from .findings import Finding, finding, sort_findings
+from .lexer import ADL_IDENT
 
-IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+IDENT_RE = re.compile(ADL_IDENT + r"\Z")
 
 # Context name of connectors declared at document root.
 ROOT_CONTEXT = ""

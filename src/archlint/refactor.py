@@ -7,13 +7,17 @@ construction. The ImpactReport tells the developer which annotations (by
 location) reference each architecture element a step created, deleted, or
 re-homed, matched by `conformance.instance_refs` as the annotation lookup
 matches them; rewriting the code stays a manual task.
+
+`OPERATIONS` is the one definition of each operation: its class, its plan
+name, how each field is read from and written to plan text, and its
+handler. `parse_plan`, `op_text`, `op_name` and `apply_op` read it.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
-from typing import Mapping, Union
+from dataclasses import dataclass, fields, replace
+from typing import Any, Callable, Mapping, NamedTuple, Union
 
 from .annotations import AnnotationInstance, CodeModel
 from .conformance import instance_refs
@@ -87,42 +91,6 @@ class MovePart:
 RefactoringOp = Union[
     AddPort, RemovePort, AddConnector, RemoveConnector, SplitComponent, RenameElement, MovePart
 ]
-
-_OP_NAMES: dict[type, str] = {
-    AddPort: "add-port",
-    RemovePort: "remove-port",
-    AddConnector: "add-connector",
-    RemoveConnector: "remove-connector",
-    SplitComponent: "split-component",
-    RenameElement: "rename-element",
-    MovePart: "move-part",
-}
-
-
-def op_name(op: RefactoringOp) -> str:
-    return _OP_NAMES[type(op)]
-
-
-def op_text(op: RefactoringOp) -> str:
-    """The plan-file spelling of an operation."""
-    if isinstance(op, AddPort):
-        return f"add-port({op.component}, {op.port})"
-    if isinstance(op, RemovePort):
-        return f"remove-port({op.component}, {op.port})"
-    if isinstance(op, AddConnector):
-        context = op.context if op.context else "/"
-        return (
-            f"add-connector({op.id}, {context}, {op.left}, {op.right}, {op.direction.value})"
-        )
-    if isinstance(op, RemoveConnector):
-        return f"remove-connector({op.id})"
-    if isinstance(op, SplitComponent):
-        pairs = ", ".join(f"{k}={v}" for k, v in sorted(op.partition.items()))
-        head = f"split-component({op.target}, {op.name_a}, {op.name_b}"
-        return f"{head}, {pairs})" if pairs else f"{head})"
-    if isinstance(op, RenameElement):
-        return f"rename-element({op.ref.path}, {op.new_name})"
-    return f"move-part({op.role}, {op.from_component}, {op.to_component})"
 
 
 def _fail(op: RefactoringOp, reason: str, ref: ElementRef | None = None) -> PreconditionError:
@@ -479,15 +447,100 @@ def _apply_split(model: ArchitectureModel, op: SplitComponent):
     return (new_model, touched)
 
 
-_HANDLERS = {
-    AddPort: _apply_add_port,
-    RemovePort: _apply_remove_port,
-    AddConnector: _apply_add_connector,
-    RemoveConnector: _apply_remove_connector,
-    RenameElement: _apply_rename,
-    MovePart: _apply_move_part,
-    SplitComponent: _apply_split,
-}
+# ---------------------------------------------------------------------------
+# the operation table
+
+
+class _Arg(NamedTuple):
+    """How one field of an operation is read from its plan argument and
+    written back; a `rest` field reads and writes a list of arguments."""
+
+    read: Callable[[Any], Any]
+    write: Callable[[Any], Any] = str
+    rest: bool = False
+
+
+def _identifier(arg: str, label: str) -> str:
+    if not is_identifier(arg):
+        raise ValueError(f"invalid {label} '{arg}'")
+    return arg
+
+
+def _ident(label: str) -> _Arg:
+    return _Arg(lambda arg: _identifier(arg, label))
+
+
+def _read_direction(arg: str) -> Direction:
+    direction = Direction.__members__.get(arg)
+    if direction is None:
+        raise ValueError(f"direction must be LEFT, RIGHT, or BIDIR, not '{arg}'")
+    return direction
+
+
+def _read_members(args: list[str]) -> dict[str, str]:
+    partition: dict[str, str] = {}
+    for pair in args:
+        key, sep, value = pair.partition("=")
+        if not sep:
+            raise ValueError(f"expected role=Side, got '{pair}'")
+        member = _identifier(key.strip(), "member")
+        side = _identifier(value.strip(), "side")
+        if member in partition:
+            raise ValueError(f"duplicate member '{member}'")
+        partition[member] = side
+    return partition
+
+
+_COMPONENT = _ident("component")
+_NEW_COMPONENT = _ident("component name")
+_CONNECTOR_ID = _ident("connector id")
+_CONTEXT = _Arg(lambda arg: ROOT_CONTEXT if arg == "/" else _identifier(arg, "context"),
+                lambda context: context or "/")
+_PATH = _Arg(EndpointPath.parse)
+_DIRECTION = _Arg(_read_direction, lambda direction: direction.value)
+_REF = _Arg(parse_ref, lambda ref: ref.path)
+_MEMBERS = _Arg(
+    _read_members, lambda partition: [f"{k}={v}" for k, v in sorted(partition.items())], True
+)
+
+class OpRow(NamedTuple):
+    """An operation's class, plan name, arguments in field order and
+    handler. `usage` words the arity error of a row that ends in `rest`."""
+
+    cls: type
+    name: str
+    args: tuple[_Arg, ...]
+    apply: Callable[[ArchitectureModel, Any], tuple[ArchitectureModel, set[ElementRef]]]
+    usage: str = ""
+
+
+OPERATIONS: tuple[OpRow, ...] = (
+    OpRow(AddPort, "add-port", (_COMPONENT, _ident("port")), _apply_add_port),
+    OpRow(RemovePort, "remove-port", (_COMPONENT, _ident("port")), _apply_remove_port),
+    OpRow(AddConnector, "add-connector", (_CONNECTOR_ID, _CONTEXT, _PATH, _PATH, _DIRECTION),
+          _apply_add_connector),
+    OpRow(RemoveConnector, "remove-connector", (_CONNECTOR_ID,), _apply_remove_connector),
+    OpRow(SplitComponent, "split-component", (_COMPONENT, _NEW_COMPONENT, _NEW_COMPONENT, _MEMBERS),
+          _apply_split, "target, two names, then role=Side pairs"),
+    OpRow(RenameElement, "rename-element", (_REF, _ident("name")), _apply_rename),
+    OpRow(MovePart, "move-part", (_ident("part role"), _COMPONENT, _COMPONENT), _apply_move_part),
+)
+_ROW_OF = {row.cls: row for row in OPERATIONS}
+_ROW_NAMED = {row.name: row for row in OPERATIONS}
+
+
+def op_name(op: RefactoringOp) -> str:
+    return _ROW_OF[type(op)].name
+
+
+def op_text(op: RefactoringOp) -> str:
+    """The plan-file spelling of an operation."""
+    row = _ROW_OF[type(op)]
+    texts: list[str] = []
+    for field, arg in zip(fields(op), row.args):
+        text = arg.write(getattr(op, field.name))
+        texts += text if arg.rest else [text]
+    return f"{row.name}({', '.join(texts)})"
 
 
 def apply_op(
@@ -498,7 +551,7 @@ def apply_op(
     The result always validates: an operation that would leave dangling
     references (e.g. MovePart breaking an endpoint path) fails instead.
     """
-    new_model, touched = _HANDLERS[type(op)](model, op)
+    new_model, touched = _ROW_OF[type(op)].apply(model, op)
     problems = new_model.validation
     if problems:
         raise _fail(op, f"resulting model is not well-formed: {problems[0].message}",
@@ -554,76 +607,22 @@ def apply_plan(
 # plan files
 
 _OP_LINE_RE = re.compile(r"^([a-z][a-z-]*)\s*\((.*)\)\s*$")
-_DIRECTIONS = {d.value: d for d in Direction}
 
 
-def _plan_ident(arg: str, what: str, lineno: int) -> str:
-    if not is_identifier(arg):
-        raise PlanParseError(f"invalid {what} '{arg}'", lineno)
-    return arg
-
-
-def _plan_path(arg: str, lineno: int) -> EndpointPath:
-    try:
-        return EndpointPath.parse(arg)
-    except ValueError as err:
-        raise PlanParseError(str(err), lineno) from err
-
-
-def _parse_op(name: str, args: list[str], lineno: int) -> RefactoringOp:
-    def arity(n: int) -> None:
-        if len(args) != n:
-            raise PlanParseError(f"{name} takes {n} arguments, got {len(args)}", lineno)
-
-    if name == "add-port":
-        arity(2)
-        return AddPort(_plan_ident(args[0], "component", lineno), _plan_ident(args[1], "port", lineno))
-    if name == "remove-port":
-        arity(2)
-        return RemovePort(_plan_ident(args[0], "component", lineno), _plan_ident(args[1], "port", lineno))
-    if name == "add-connector":
-        arity(5)
-        cid = _plan_ident(args[0], "connector id", lineno)
-        context = ROOT_CONTEXT if args[1] == "/" else _plan_ident(args[1], "context", lineno)
-        left = _plan_path(args[2], lineno)
-        right = _plan_path(args[3], lineno)
-        direction = _DIRECTIONS.get(args[4])
-        if direction is None:
-            raise PlanParseError(f"direction must be LEFT, RIGHT, or BIDIR, not '{args[4]}'", lineno)
-        return AddConnector(cid, context, left, right, direction)
-    if name == "remove-connector":
-        arity(1)
-        return RemoveConnector(_plan_ident(args[0], "connector id", lineno))
-    if name == "rename-element":
-        arity(2)
-        try:
-            ref = parse_ref(args[0])
-        except ValueError as err:
-            raise PlanParseError(str(err), lineno) from err
-        return RenameElement(ref, _plan_ident(args[1], "name", lineno))
-    if name == "move-part":
-        arity(3)
-        return MovePart(
-            _plan_ident(args[0], "part role", lineno),
-            _plan_ident(args[1], "component", lineno),
-            _plan_ident(args[2], "component", lineno),
-        )
-    if name == "split-component":
-        if len(args) < 3:
-            raise PlanParseError("split-component takes target, two names, then role=Side pairs", lineno)
-        target = _plan_ident(args[0], "component", lineno)
-        name_a = _plan_ident(args[1], "component name", lineno)
-        name_b = _plan_ident(args[2], "component name", lineno)
-        partition: dict[str, str] = {}
-        for pair in args[3:]:
-            key, sep, value = pair.partition("=")
-            if not sep:
-                raise PlanParseError(f"expected role=Side, got '{pair}'", lineno)
-            partition[_plan_ident(key.strip(), "member", lineno)] = _plan_ident(
-                value.strip(), "side", lineno
-            )
-        return SplitComponent(target, name_a, name_b, partition)
-    raise PlanParseError(f"unknown operation '{name}'", lineno)
+def _read_op(word: str, args: list[str]) -> RefactoringOp:
+    """The operation a plan line spells; raises ValueError with the reason."""
+    row = _ROW_NAMED.get(word)
+    if row is None:
+        raise ValueError(f"unknown operation '{word}'")
+    *fixed, last = row.args
+    if not last.rest:
+        if len(args) != len(row.args):
+            raise ValueError(f"{word} takes {len(row.args)} arguments, got {len(args)}")
+        return row.cls(*(arg.read(text) for arg, text in zip(row.args, args)))
+    if len(args) < len(fixed):
+        raise ValueError(f"{word} takes {row.usage}")
+    values = [arg.read(text) for arg, text in zip(fixed, args)]
+    return row.cls(*values, last.read(args[len(fixed):]))
 
 
 def parse_plan(text: str, name: str = "plan") -> RefactoringPlan:
@@ -638,7 +637,10 @@ def parse_plan(text: str, name: str = "plan") -> RefactoringPlan:
             raise PlanParseError("expected 'op-name(arguments)'", lineno)
         op_word, arg_text = match.group(1), match.group(2)
         args = [a.strip() for a in arg_text.split(",")] if arg_text.strip() else []
-        ops.append(_parse_op(op_word, args, lineno))
+        try:
+            ops.append(_read_op(op_word, args))
+        except ValueError as err:
+            raise PlanParseError(str(err), lineno) from err
     if not ops:
         raise PlanParseError("plan contains no operations")
     return RefactoringPlan(name, tuple(ops))

@@ -22,15 +22,16 @@ def smell_scattered_component(
 ) -> list[Finding]:
     """Component classes spread over >= scatter_threshold distinct packages."""
     cfg = cfg or SmellConfig()
+    spread: dict[str, tuple[set[str], list[SourceLocation]]] = {}
+    for inst in code.by_kind[AnnotationKind.COMPONENT]:
+        for name in set(inst.values):
+            packages, locations = spread.setdefault(name, (set(), []))
+            packages.add(inst.package)
+            locations.append(inst.location)
     findings: list[Finding] = []
-    for name in sorted(code.packages_by_component):
-        packages = code.packages_by_component[name]
+    for name, (packages, locations) in sorted(spread.items()):
         if len(packages) < cfg.scatter_threshold:
             continue
-        locations: list[SourceLocation] = []
-        for inst in code.by_kind[AnnotationKind.COMPONENT]:
-            if name in inst.values:
-                locations.append(inst.location)
         locations.sort(key=lambda loc: loc.sort_key())
         shown = ", ".join(sorted(p if p else "<root>" for p in packages))
         findings.append(

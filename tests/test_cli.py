@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import re
@@ -11,7 +12,7 @@ import jsonschema
 import pytest
 
 import archlint
-from archlint.cli import main
+from archlint.cli import build_parser, main
 
 DATA = Path(__file__).parent / "data"
 SCHEMA = json.loads((Path(__file__).parent.parent / "docs" / "report-schema.json").read_text())
@@ -673,3 +674,37 @@ def test_oldest_declared_python_gives_the_same_report(command: str, arch: str, s
     ]
     assert runs[0].stderr == runs[1].stderr
     assert (runs[0].returncode, runs[0].stdout) == (runs[1].returncode, runs[1].stdout)
+
+
+# --- README -----------------------------------------------------------------
+
+README = Path(__file__).parent.parent / "README.md"
+
+
+def _readme_section(title: str) -> str:
+    return README.read_text(encoding="utf-8").split(f"\n## {title}\n", 1)[1].split("\n## ", 1)[0]
+
+
+def test_readme_synopsis_lists_every_option() -> None:
+    block = _readme_section("Commands").split("```")[1]
+    synopsis = {line.split()[1]: line for line in block.splitlines() if line.startswith("archlint ")}
+    commands = next(
+        action.choices for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    assert set(synopsis) == set(commands)
+    for name, command in commands.items():
+        shown = set(re.findall(r"--[a-z-]+|\b[A-Z]+\b", synopsis[name]))
+        for action in command._actions:
+            if isinstance(action, argparse._HelpAction):
+                continue
+            words = action.option_strings or [action.dest.upper()]
+            assert shown & set(words), (name, words)
+
+
+def test_readme_lists_every_plan_operation() -> None:
+    from archlint.refactor import OPERATIONS
+
+    section = _readme_section("Refactoring plans")
+    for row in OPERATIONS:
+        assert f"\n| `{row.name}` | " in section, row.name

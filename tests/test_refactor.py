@@ -1,6 +1,8 @@
 import random
 from collections import Counter
+from dataclasses import fields
 from pathlib import Path
+from typing import get_args
 
 import pytest
 
@@ -27,9 +29,11 @@ from archlint.model import (
 )
 from archlint.conformance import connector_usages, lookup
 from archlint.refactor import (
+    OPERATIONS,
     AddConnector,
     AddPort,
     MovePart,
+    RefactoringOp,
     RefactoringPlan,
     RemoveConnector,
     RemovePort,
@@ -48,6 +52,7 @@ from modelgen import (
     random_model,
     random_op_sequence,
 )
+from plan_grid import grid_report
 
 DATA = Path(__file__).parent / "data"
 
@@ -105,8 +110,25 @@ def test_op_text_round_trips() -> None:
         MovePart("x", "A", "B"),
         SplitComponent("S", "L", "R", {"a": "L", "b": "R", "p": "L"}),
     )
-    for op in ops:
+    rng = random.Random(53)
+    drawn = [op for _ in range(500) for op in random_op_sequence(rng, random_model(rng))[0]]
+    assert {type(op) for op in drawn} == set(get_args(RefactoringOp))
+    for op in ops + tuple(drawn):
         assert parse_plan(op_text(op)).ops == (op,)
+
+
+def test_every_operation_has_one_table_row() -> None:
+    assert [row.cls for row in OPERATIONS] == list(get_args(RefactoringOp))
+    assert len({row.name for row in OPERATIONS}) == len(OPERATIONS)
+    for row in OPERATIONS:
+        rest = [arg.rest for arg in row.args]
+        assert rest == [False] * (len(rest) - 1) + [bool(row.usage)]
+        assert len(row.args) == len(fields(row.cls))
+
+
+def test_plan_grid_matches_golden() -> None:
+    golden = (DATA / "golden" / "plan_grid.golden.txt").read_text(encoding="utf-8")
+    assert grid_report() == golden
 
 
 @pytest.mark.parametrize(
@@ -120,6 +142,8 @@ def test_op_text_round_trips() -> None:
         ("add-connector(c, S, a.p, b.q, SIDEWAYS)", "SIDEWAYS"),
         ("rename-element(Car..x, y)", "Car..x"),
         ("split-component(S, L, R, x)", "x"),
+        ("split-component(S, L, R, a=L, a=R)", "line 1: duplicate member 'a'"),
+        ("split-component(S, L, R, a=L, b=R, a=L)", "line 1: duplicate member 'a'"),
         ("add-port A p", "expected"),
     ],
 )
