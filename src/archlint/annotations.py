@@ -11,7 +11,9 @@ Extraction never raises on bad input; problems become findings
 (MALFORMED_PRAGMA, MALFORMED_ANNOTATION, UNCLASSIFIABLE_TARGET) and the
 offending annotation is dropped.
 
-`named_elements` is the one rule for what an element annotation names.
+Every rule about a kind of annotation reads that kind's row in
+`AnnotationKind`. `named_elements` is the one rule for what an element
+annotation names.
 """
 
 from __future__ import annotations
@@ -40,38 +42,6 @@ from .lexer import (
 )
 from .model import ROOT_CONTEXT, Direction, ElementRef, RefKind
 
-__all__ = [
-    "AnnotationKind",
-    "TargetKind",
-    "AnnotationInstance",
-    "CodeModel",
-    "extract_pragmas",
-    "extract_attributes",
-    "resolve_context",
-    "validate_targets",
-    "side_context",
-    "named_elements",
-    "syntactic_refs",
-    "code_model_payload",
-    "canonical_json",
-    "dump_code_model",
-    "ALLOWED_TARGETS",
-    "ELEMENT_KINDS",
-    "VALUE_REQUIRED",
-    "CONNECTION_KINDS",
-]
-
-
-class AnnotationKind(enum.Enum):
-    COMPONENT = "Component"
-    PART = "Part"
-    PORT = "Port"
-    ADD_PART = "AddPart"
-    REMOVE_PART = "RemovePart"
-    CONNECTS = "Connects"
-    DISCONNECTS = "Disconnects"
-    CONNECTOR = "Connector"
-
 
 class TargetKind(enum.Enum):
     TYPE = "type"
@@ -81,51 +51,70 @@ class TargetKind(enum.Enum):
     LOCAL = "local"
 
 
+def _root(instance: AnnotationInstance) -> tuple[str, ...]:
+    return (ROOT_CONTEXT,)
+
+
+def _enclosing(instance: AnnotationInstance) -> tuple[str, ...]:
+    return instance.enclosing_components
+
+
+def _componentname_or_enclosing(instance: AnnotationInstance) -> tuple[str, ...]:
+    explicit = instance.attrs.get("componentname")
+    return (explicit,) if explicit else instance.enclosing_components
+
+
+_METHODS = "method constructor"
+_ENDPOINTS = "left right leftcomponent rightcomponent type"
+
+
+class AnnotationKind(enum.Enum):
+    """The eight annotation kinds, one row each. A row is the one definition
+    of its kind's facts, and every rule reads them as `kind.<fact>`:
+
+    * `targets`: the target kinds it may annotate (`validate_targets`);
+    * `accepted`: the attributes it takes (`_check_arg`);
+    * `required` and `value_required`: the attributes it must have, and
+      whether it must have a value (`_finish_instance`);
+    * `referent`: the element kind each value names, None for a connection
+      kind; `owners`: the owners of an instance's values (`named_elements`);
+    * `covers`: whether check 1 counts what it names as annotated;
+    * `usage`: the `ConnectorUsages` group a connection kind fills.
+
+    `targets`, `accepted` and `required` are written as words.
+    """
+
+    def __new__(
+        cls, value: str, targets: str, accepted: str, required: str, value_required: bool,
+        referent: RefKind | None, owners: Callable | None, covers: bool, usage: str | None,
+    ) -> AnnotationKind:
+        kind = object.__new__(cls)
+        kind._value_ = value
+        kind.targets = frozenset(TargetKind(word) for word in targets.split())
+        kind.accepted = frozenset(accepted.split())
+        kind.required = tuple(required.split())
+        kind.value_required = value_required
+        kind.referent = referent
+        kind.owners = owners
+        kind.covers = covers
+        kind.usage = usage
+        return kind
+
+    COMPONENT = "Component", "type", "", "", True, RefKind.COMPONENT, _root, True, None
+    PART = "Part", "field", "", "", True, RefKind.PART, _enclosing, True, None
+    PORT = "Port", "method constructor type", "", "", True, RefKind.PORT, _enclosing, True, None
+    ADD_PART = ("AddPart", _METHODS, "componentname", "", True,
+                RefKind.PART, _componentname_or_enclosing, True, None)
+    REMOVE_PART = ("RemovePart", _METHODS, "componentname", "", True,
+                   RefKind.PART, _componentname_or_enclosing, False, None)
+    CONNECTS = "Connects", _METHODS, _ENDPOINTS, "left right", False, None, None, False, "connects"
+    DISCONNECTS = ("Disconnects", _METHODS, _ENDPOINTS, "left right", False,
+                   None, None, False, "disconnects")
+    CONNECTOR = ("Connector", "type field local", _ENDPOINTS, "left right", False,
+                 None, None, False, "stores")
+
+
 ANNOTATION_NAMES: Mapping[str, AnnotationKind] = {k.value: k for k in AnnotationKind}
-
-ALLOWED_TARGETS: Mapping[AnnotationKind, frozenset[TargetKind]] = {
-    AnnotationKind.COMPONENT: frozenset({TargetKind.TYPE}),
-    AnnotationKind.PART: frozenset({TargetKind.FIELD}),
-    AnnotationKind.PORT: frozenset({TargetKind.METHOD, TargetKind.CONSTRUCTOR, TargetKind.TYPE}),
-    AnnotationKind.ADD_PART: frozenset({TargetKind.METHOD, TargetKind.CONSTRUCTOR}),
-    AnnotationKind.REMOVE_PART: frozenset({TargetKind.METHOD, TargetKind.CONSTRUCTOR}),
-    AnnotationKind.CONNECTS: frozenset({TargetKind.METHOD, TargetKind.CONSTRUCTOR}),
-    AnnotationKind.DISCONNECTS: frozenset({TargetKind.METHOD, TargetKind.CONSTRUCTOR}),
-    AnnotationKind.CONNECTOR: frozenset({TargetKind.TYPE, TargetKind.FIELD, TargetKind.LOCAL}),
-}
-
-# The kinds that name architecture elements (`named_elements`); each needs a value.
-ELEMENT_KINDS = (
-    AnnotationKind.COMPONENT,
-    AnnotationKind.PART,
-    AnnotationKind.PORT,
-    AnnotationKind.ADD_PART,
-    AnnotationKind.REMOVE_PART,
-)
-VALUE_REQUIRED = frozenset(ELEMENT_KINDS)
-# Bound once for `named_elements`, which runs per instance in checks 1 and 2
-# and in lookup: on Python 3.11 every `SomeEnum.MEMBER` is a slow lookup.
-_COMPONENT, _PART, _PORT, _ADD_PART, _REMOVE_PART = ELEMENT_KINDS
-_NAMES_COMPONENT, _NAMES_PART, _NAMES_PORT = RefKind.COMPONENT, RefKind.PART, RefKind.PORT
-
-CONNECTION_KINDS = frozenset(
-    {AnnotationKind.CONNECTS, AnnotationKind.DISCONNECTS, AnnotationKind.CONNECTOR}
-)
-
-_ALLOWED_ATTRS: Mapping[AnnotationKind, frozenset[str]] = {
-    AnnotationKind.COMPONENT: frozenset(),
-    AnnotationKind.PART: frozenset(),
-    AnnotationKind.PORT: frozenset(),
-    AnnotationKind.ADD_PART: frozenset({"componentname"}),
-    AnnotationKind.REMOVE_PART: frozenset({"componentname"}),
-    AnnotationKind.CONNECTS: frozenset({"left", "right", "leftcomponent", "rightcomponent", "type"}),
-    AnnotationKind.DISCONNECTS: frozenset(
-        {"left", "right", "leftcomponent", "rightcomponent", "type"}
-    ),
-    AnnotationKind.CONNECTOR: frozenset(
-        {"left", "right", "leftcomponent", "rightcomponent", "type"}
-    ),
-}
 
 
 @dataclass(frozen=True)
@@ -145,9 +134,10 @@ class AnnotationInstance:
 
 def validate_targets(instance: AnnotationInstance) -> list[Finding]:
     """One TARGET_RULE_VIOLATION iff the (kind, target) pair is not permitted."""
-    if instance.target in ALLOWED_TARGETS[instance.kind]:
+    targets = instance.kind.targets
+    if instance.target in targets:
         return []
-    allowed = ", ".join(sorted(t.value for t in ALLOWED_TARGETS[instance.kind]))
+    allowed = ", ".join(sorted(t.value for t in targets))
     return [
         finding(
             "TARGET_RULE_VIOLATION",
@@ -256,7 +246,7 @@ def _check_arg(
     elif key == "value":
         if values is not None:
             raise _ArgProblem("duplicate value argument")
-    elif key not in _ALLOWED_ATTRS[kind]:
+    elif key not in kind.accepted:
         raise _ArgProblem(f"@{kind.value} does not take attribute '{key}'")
     elif key in attrs:
         raise _ArgProblem(f"duplicate attribute '{key}'")
@@ -306,12 +296,11 @@ def _finish_instance(
     package: str,
 ) -> AnnotationInstance:
     """Construction-time invariants; raises _ArgProblem when violated."""
-    if kind in VALUE_REQUIRED and not values:
+    if kind.value_required and not values:
         raise _ArgProblem(f"@{kind.value} requires at least one value")
-    if kind in CONNECTION_KINDS:
-        missing = [k for k in ("left", "right") if k not in attrs]
-        if missing:
-            raise _ArgProblem(f"@{kind.value} requires attributes: {', '.join(missing)}")
+    missing = [k for k in kind.required if k not in attrs]
+    if missing:
+        raise _ArgProblem(f"@{kind.value} requires attributes: {', '.join(missing)}")
     return AnnotationInstance(
         kind, values, dict(attrs), target, target_name, enclosing, location, package
     )
@@ -459,7 +448,7 @@ def _parse_pragma_tokens(
 PRAGMA_LEADERS = " \t/#;*'\"!<%->"
 
 # The characters `str.splitlines` breaks at; a pragma never spans one.
-_LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 
 
 def _sigil_and_tail(sigil: str) -> re.Pattern[str]:
@@ -468,7 +457,7 @@ def _sigil_and_tail(sigil: str) -> re.Pattern[str]:
     A sigil followed by a letter, digit, `_` or `$` starts a longer word,
     not a pragma.
     """
-    return re.compile(f"{re.escape(sigil)}(?![A-Za-z0-9_$])(?P<tail>[^{_LINE_BREAKS}]*)")
+    return re.compile(f"{re.escape(sigil)}(?![A-Za-z0-9_$])(?P<tail>[^{LINE_BREAKS}]*)")
 
 
 def extract_pragmas(
@@ -498,7 +487,7 @@ def extract_pragmas(
         lead = start
         while lead and file_text[lead - 1] in PRAGMA_LEADERS:
             lead -= 1
-        if lead and file_text[lead - 1] not in _LINE_BREAKS:
+        if lead and file_text[lead - 1] not in LINE_BREAKS:
             continue  # the sigil is not the first thing on its line
         newlines = file_text.count("\n", counted, start)
         if newlines:
@@ -951,21 +940,13 @@ def side_context(instance: AnnotationInstance, side: str) -> str:
 
 def named_elements(instance: AnnotationInstance) -> tuple[RefKind, tuple[str, ...]] | None:
     """The element kind an annotation names, and the owners it names each
-    value in: for @Component the root (""), for @Part and @Port each
-    enclosing component, for @AddPart and @RemovePart the `componentname`,
-    else each enclosing component. None for connection annotations.
+    value in, from its kind's `referent` and `owners`. None for connection
+    annotations.
     """
     kind = instance.kind
-    if kind is _COMPONENT:
-        return _NAMES_COMPONENT, ("",)
-    if kind is _PART:
-        return _NAMES_PART, instance.enclosing_components
-    if kind is _PORT:
-        return _NAMES_PORT, instance.enclosing_components
-    if kind is _ADD_PART or kind is _REMOVE_PART:
-        explicit = instance.attrs.get("componentname")
-        return _NAMES_PART, (explicit,) if explicit else instance.enclosing_components
-    return None
+    if kind.referent is None:
+        return None
+    return kind.referent, kind.owners(instance)
 
 
 def syntactic_refs(instance: AnnotationInstance) -> frozenset[ElementRef]:
@@ -985,7 +966,7 @@ def syntactic_refs(instance: AnnotationInstance) -> frozenset[ElementRef]:
     if named is not None:
         ref_kind, owners = named
         for owner in owners:
-            if ref_kind is not _NAMES_COMPONENT and owner not in enclosing:
+            if owner != ROOT_CONTEXT and owner not in enclosing:
                 refs.add(ElementRef.component(owner))
             for value in instance.values:
                 refs.add(ElementRef.member(ref_kind, owner, value))

@@ -11,14 +11,17 @@ command.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from collections import Counter
+from dataclasses import fields
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Sequence, TextIO
 
 from . import __version__
 from .adl import parse_architecture, serialize_architecture
 from .annotations import (
+    LINE_BREAKS,
     AnnotationInstance,
     CodeModel,
     canonical_json,
@@ -74,10 +77,19 @@ def _scan(args: argparse.Namespace, config: ScanConfig) -> CodeModel:
         raise _CliError(str(err)) from err
 
 
+_LINE_BREAK = re.compile(f"[{LINE_BREAKS}]")
+
+
+def _one_line(text: str) -> str:
+    """`text` with each character `str.splitlines` breaks at written as its
+    Python escape, so one record stays one line of text output."""
+    return _LINE_BREAK.sub(lambda m: m[0].encode("unicode_escape").decode("ascii"), text)
+
+
 def _finding_line(f: Finding) -> str:
     place = str(f.locations[0]) if f.locations else "-:0:0"
     element = f.element.path if f.element is not None else "-"
-    return f"{place} {f.severity.value} {f.check_id} {element} {f.message}"
+    return _one_line(f"{place} {f.severity.value} {f.check_id} {element} {f.message}")
 
 
 def _instance_line(inst: AnnotationInstance) -> str:
@@ -87,7 +99,7 @@ def _instance_line(inst: AnnotationInstance) -> str:
     text += f" on {inst.target.value} {inst.target_name}"
     if inst.enclosing_components:
         text += f" in {','.join(inst.enclosing_components)}"
-    return text
+    return _one_line(text)
 
 
 def _render_report(
@@ -161,11 +173,7 @@ def cmd_lookup(args: argparse.Namespace) -> int:
         raise _CliError(f"unknown element '{ref.path}'")
     if ref.kind is RefKind.CONNECTOR:
         usages = connector_usages(code, ref, arch)
-        groups = (
-            ("connects", usages.connects),
-            ("disconnects", usages.disconnects),
-            ("stores", usages.stores),
-        )
+        groups = [(f.name, getattr(usages, f.name)) for f in fields(usages)]
         if args.format == "json":
             payload: dict = {"version": REPORT_VERSION, "element": ref.path}
             for label, group in groups:

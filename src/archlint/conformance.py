@@ -27,16 +27,13 @@ from __future__ import annotations
 import hashlib
 import json
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Mapping, NamedTuple
 
 from .adl import serialize_architecture
 from .annotations import (
     AnnotationInstance,
-    AnnotationKind,
     CodeModel,
-    CONNECTION_KINDS,
-    ELEMENT_KINDS,
     code_model_payload,
     named_elements,
     side_context,
@@ -103,7 +100,7 @@ def resolve_connection(
 
 
 def connection_instances(code: CodeModel) -> list[AnnotationInstance]:
-    return [i for i in code.instances if i.kind in CONNECTION_KINDS]
+    return [i for i in code.instances if i.kind.usage is not None]
 
 
 # ---------------------------------------------------------------------------
@@ -120,7 +117,7 @@ def instance_refs(
     connector its resolution matches. Without a model, or for a side whose
     walk fails, the syntactic approximation is used.
     """
-    if arch is None or instance.kind not in CONNECTION_KINDS:
+    if arch is None or instance.kind.usage is None:
         return syntactic_refs(instance)
     resolution = resolve_connection(arch, instance)
     refs = {ElementRef.component(name) for name in instance.enclosing_components}
@@ -150,6 +147,8 @@ def lookup(
 
 @dataclass(frozen=True)
 class ConnectorUsages:
+    """A connector's annotations; a connection kind's `usage` names its field."""
+
     connects: tuple[AnnotationInstance, ...]
     disconnects: tuple[AnnotationInstance, ...]
     stores: tuple[AnnotationInstance, ...]
@@ -163,16 +162,15 @@ def usages_by_connector(
     Each connection instance is resolved once and filed under every
     connector it matches, in code order.
     """
-    kinds = (AnnotationKind.CONNECTS, AnnotationKind.DISCONNECTS, AnnotationKind.CONNECTOR)
     groups = {
-        ElementRef.connector(conn.context, conn.id): {kind: [] for kind in kinds}
+        ElementRef.connector(conn.context, conn.id): {f.name: [] for f in fields(ConnectorUsages)}
         for conn in arch.connector_index.triples
     }
     for inst in connection_instances(code):
         for ref in resolve_connection(arch, inst).matches:
-            groups[ref][inst.kind].append(inst)
+            groups[ref][inst.kind.usage].append(inst)
     return {
-        ref: ConnectorUsages(*(tuple(group[kind]) for kind in kinds))
+        ref: ConnectorUsages(**{name: tuple(insts) for name, insts in group.items()})
         for ref, group in groups.items()
     }
 
@@ -202,26 +200,22 @@ def connector_usages(
 def check_annotation_completeness(arch: ArchitectureModel, code: CodeModel) -> list[Finding]:
     """MISSING_ANNOTATION per component/part/port with no covering instance.
 
-    An element annotation covers the (owner, value) pairs `named_elements`
-    gives, except @RemovePart, which covers none.
+    An annotation whose kind `covers` covers the (owner, value) pairs
+    `named_elements` gives.
     """
     components: set[tuple[str, str]] = set()
     parts: set[tuple[str, str]] = set()
     ports: set[tuple[str, str]] = set()
-    for kind in ELEMENT_KINDS:
-        if kind is AnnotationKind.REMOVE_PART:
+    covered = {RefKind.COMPONENT: components, RefKind.PART: parts, RefKind.PORT: ports}
+    for kind, instances in code.by_kind.items():
+        if not kind.covers:
             continue
-        for inst in code.by_kind[kind]:
-            ref_kind, owners = named_elements(inst)
-            if ref_kind is RefKind.PART:
-                covered = parts
-            elif ref_kind is RefKind.PORT:
-                covered = ports
-            else:
-                covered = components
+        pairs = covered[kind.referent]
+        for inst in instances:
+            _, owners = named_elements(inst)
             for owner in owners:
                 for value in inst.values:
-                    covered.add((owner, value))
+                    pairs.add((owner, value))
 
     missing: set[ElementRef] = set()
     for comp in arch.components:
@@ -246,8 +240,10 @@ def check_architecture_completeness(arch: ArchitectureModel, code: CodeModel) ->
     has no owner. Connection-shaped annotations are check 3's business.
     """
     findings: list[Finding] = []
-    for kind in ELEMENT_KINDS:
-        for inst in code.by_kind[kind]:
+    for kind, instances in code.by_kind.items():
+        if kind.referent is None:
+            continue
+        for inst in instances:
             ref_kind, owners = named_elements(inst)
             if not owners:
                 message = f"@{kind.value} has no enclosing component to resolve against"
@@ -258,7 +254,7 @@ def check_architecture_completeness(arch: ArchitectureModel, code: CodeModel) ->
                     if ref_kind is RefKind.COMPONENT:
                         if arch.component(value) is not None:
                             continue
-                        message = f"@Component names unknown component '{value}'"
+                        message = f"@{kind.value} names unknown component '{value}'"
                     else:
                         if comp is None:
                             where = "unknown component"

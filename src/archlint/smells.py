@@ -45,9 +45,7 @@ def smell_scattered_component(
     return sort_findings(findings)
 
 
-def smell_connector_lifecycle(
-    arch: ArchitectureModel, code: CodeModel, cfg: SmellConfig | None = None
-) -> list[Finding]:
+def smell_connector_lifecycle(arch: ArchitectureModel, code: CodeModel) -> list[Finding]:
     """Connectors whose connect or disconnect method count differs from one."""
     findings: list[Finding] = []
     for ref, usages in usages_by_connector(arch, code).items():
@@ -86,5 +84,5 @@ def run_smells(
     if SCATTERED_COMPONENT in cfg.enabled:
         findings.extend(smell_scattered_component(arch, code, cfg))
     if CONNECTOR_LIFECYCLE in cfg.enabled:
-        findings.extend(smell_connector_lifecycle(arch, code, cfg))
+        findings.extend(smell_connector_lifecycle(arch, code))
     return sort_findings(findings)

@@ -1,6 +1,8 @@
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
+from annotation_grid import grid_report
 
 from archlint.annotations import (
     AnnotationInstance,
@@ -14,6 +16,7 @@ from archlint.annotations import (
     resolve_context,
     validate_targets,
 )
+from archlint.conformance import ConnectorUsages
 
 DATA = Path(__file__).parent / "data"
 
@@ -433,3 +436,27 @@ def test_dump_code_model_stable(car_solo_code: CodeModel) -> None:
 def test_dump_matches_golden(car_solo_code: CodeModel) -> None:
     golden = (DATA / "golden" / "car_solo_extract.golden.json").read_text()
     assert dump_code_model(car_solo_code) == golden
+
+
+def test_annotation_grid_matches_golden() -> None:
+    golden = (DATA / "golden" / "annotation_grid.golden.txt").read_text(encoding="utf-8")
+    assert grid_report() == golden
+
+
+def test_kind_rows_keep_names_and_fill_every_usage_group() -> None:
+    assert [(k.name, k.value) for k in AnnotationKind] == [
+        ("COMPONENT", "Component"),
+        ("PART", "Part"),
+        ("PORT", "Port"),
+        ("ADD_PART", "AddPart"),
+        ("REMOVE_PART", "RemovePart"),
+        ("CONNECTS", "Connects"),
+        ("DISCONNECTS", "Disconnects"),
+        ("CONNECTOR", "Connector"),
+    ]
+    usages = [k.usage for k in AnnotationKind if k.usage is not None]
+    assert sorted(usages) == sorted(f.name for f in fields(ConnectorUsages))
+    for kind in AnnotationKind:
+        # A kind names elements or fills a usage group, never both.
+        assert (kind.referent is None) == (kind.usage is not None) == (kind.owners is None)
+        assert not kind.covers or kind.referent is not None

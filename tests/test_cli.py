@@ -708,3 +708,81 @@ def test_readme_lists_every_plan_operation() -> None:
     section = _readme_section("Refactoring plans")
     for row in OPERATIONS:
         assert f"\n| `{row.name}` | " in section, row.name
+
+
+def _readme_table(section: str, caption: str) -> list[list[str]]:
+    """The cells of each body row of the table after `caption`."""
+    lines = section.split(caption, 1)[1].strip().splitlines()
+    rows = []
+    for line in lines[2:]:
+        if not line.startswith("|"):
+            break
+        rows.append([cell.strip() for cell in line.strip("|").split(" | ")])
+    return rows
+
+
+def test_readme_annotation_tables_match_the_kind_rows() -> None:
+    from archlint.annotations import (
+        AnnotationKind,
+        _componentname_or_enclosing,
+        _enclosing,
+        _root,
+    )
+
+    rows = _readme_table(
+        _readme_section("Source annotations"), "The eight annotations and their legal targets:"
+    )
+    assert len(rows) == len(AnnotationKind)
+    for (annotation, targets, _), kind in zip(rows, AnnotationKind):
+        assert annotation.startswith(f"`@{kind.value}("), annotation
+        assert set(targets.split(", ")) == {t.value for t in kind.targets}, kind
+        assert all(f"{key}=" in annotation for key in kind.required), kind
+        assert ('"' in annotation) == kind.value_required, kind
+
+    owner_words = {
+        _root: "the document root",
+        _enclosing: "each enclosing component",
+        _componentname_or_enclosing: "`componentname`, else each enclosing component",
+    }
+    checks = _readme_section("Conformance checks")
+    shown = {
+        name: (names, owners)
+        for annotations, names, owners in _readme_table(checks, "what each value names:")
+        for name in annotations.split(", ")
+    }
+    assert shown == {
+        f"`@{kind.value}`": (f"a {kind.referent.value}", owner_words[kind.owners])
+        for kind in AnnotationKind
+        if kind.referent is not None
+    }
+    for kind in AnnotationKind:
+        if kind.referent is not None and not kind.covers:
+            assert f"except `@{kind.value}`, which covers nothing" in " ".join(checks.split())
+
+
+def test_text_output_keeps_each_record_on_one_line(capsys, tmp_path: Path) -> None:
+    """A line break inside a value or a file name is escaped, so `extract`
+    prints one line per instance and finding, and `check` one per finding
+    and the summary."""
+    java = tmp_path / "java"
+    java.mkdir()
+    (java / "A.java").write_text(
+        '@Component("""\n    A\n    B\n    """) class A {}\n', encoding="utf-8"
+    )
+    odd = tmp_path / "pragma" / "odd\ndir\u2028"
+    odd.mkdir(parents=True)
+    (odd / "a\x85b\rc.txt").write_text(
+        '// @arch Component("A") @on type A\n// @arch Bogus() @on type B\n', encoding="utf-8"
+    )
+    arch = tmp_path / "app.arch"
+    arch.write_text("component A {\n}\ncomponent C {\n}\n", encoding="utf-8")
+    for src, records in ((java, 1), (tmp_path / "pragma", 2)):
+        _, dump, _ = run(capsys, "extract", "--src", str(src), "--format", "json")
+        model = json.loads(dump)
+        _, out, _ = run(capsys, "extract", "--src", str(src))
+        assert len(out.splitlines()) == len(model["instances"]) + len(model["findings"]) == records
+        _, report, _ = run(capsys, "check", "--arch", str(arch), "--src", str(src), "--format", "json")
+        _, out, _ = run(capsys, "check", "--arch", str(arch), "--src", str(src))
+        assert len(out.splitlines()) == len(json.loads(report)["findings"]) + 1
+        assert "\\n" in out
+    assert "odd\\ndir\\u2028/a\\x85b\\rc.txt:2:4 ERROR MALFORMED_PRAGMA" in out

@@ -14,9 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from archlint.annotations import (
-    _ALLOWED_ATTRS,
     ANNOTATION_NAMES,
-    CONNECTION_KINDS,
     _ArgProblem,
     _match_pragma_tail,
     _parse_pragma_tail,
@@ -100,22 +98,22 @@ def _tail(rng: random.Random, rule: str | None = None) -> str:
 
     names = sorted(ANNOTATION_NAMES)
     if rule in ("direction", "type array"):
-        names = [n for n in names if "type" in _ALLOWED_ATTRS[ANNOTATION_NAMES[n]]]
+        names = [n for n in names if "type" in ANNOTATION_NAMES[n].accepted]
     elif rule == "unquoted attribute":
-        names = [n for n in names if _ALLOWED_ATTRS[ANNOTATION_NAMES[n]] - {"type"}]
+        names = [n for n in names if ANNOTATION_NAMES[n].accepted - {"type"}]
     name = rng.choice(names)
     kind = ANNOTATION_NAMES[name]
     args = []
     if rule in ("positional path", "value path"):
         args.append(path() if rule == "positional path" else f"value{blank()}={blank()}{path()}")
-    elif kind not in CONNECTION_KINDS or rng.random() < 0.3:
+    elif kind.usage is None or rng.random() < 0.3:
         value = string() if rng.random() < 0.5 else array()
         args.append(value if rng.random() < 0.7 else f"value{blank()}={blank()}{value}")
-    unquoted = rng.choice(sorted(_ALLOWED_ATTRS[kind] - {"type"})) if rule == "unquoted attribute" else None
+    unquoted = rng.choice(sorted(kind.accepted - {"type"})) if rule == "unquoted attribute" else None
     needed = {"left", "right", unquoted, "type" if rule in ("direction", "type array") else None}
-    named = [key for key in sorted(_ALLOWED_ATTRS[kind]) if key in needed or rng.random() < 0.5]
+    named = [key for key in sorted(kind.accepted) if key in needed or rng.random() < 0.5]
     if rule == "attribute":
-        named.append("componentname" if kind in CONNECTION_KINDS else "left")
+        named.append("componentname" if kind.usage is not None else "left")
     rng.shuffle(named)
 
     def attribute(key: str) -> str:
