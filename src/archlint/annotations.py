@@ -19,7 +19,6 @@ annotation names.
 from __future__ import annotations
 
 import enum
-import json
 import re
 from dataclasses import dataclass
 from functools import cache, cached_property
@@ -990,54 +989,3 @@ def syntactic_refs(instance: AnnotationInstance) -> frozenset[ElementRef]:
         else:
             refs.add(ElementRef.part(context, first))
     return frozenset(refs)
-
-
-def instance_payload(inst: AnnotationInstance) -> dict:
-    return {
-        "kind": inst.kind.name,
-        "values": list(inst.values),
-        "attrs": dict(sorted(inst.attrs.items())),
-        "target": inst.target.value,
-        "target_name": inst.target_name,
-        "enclosing_components": list(inst.enclosing_components),
-        "location": {
-            "file": inst.location.file,
-            "line": inst.location.line,
-            "column": inst.location.column,
-        },
-        "package": inst.package,
-    }
-
-
-def finding_payload(f: Finding) -> dict:
-    return {
-        "check_id": f.check_id,
-        "severity": f.severity.value,
-        "message": f.message,
-        "element": f.element.path if f.element is not None else None,
-        "element_kind": f.element.kind.value if f.element is not None else None,
-        "locations": [
-            {"file": loc.file, "line": loc.line, "column": loc.column} for loc in f.locations
-        ],
-    }
-
-
-def code_model_payload(code: CodeModel) -> dict:
-    """The JSON form of a CodeModel: what `extract --format json` prints and
-    what the report fingerprint hashes."""
-    return {
-        "version": "1",
-        "instances": [instance_payload(i) for i in code.instances],
-        "findings": [finding_payload(f) for f in code.findings],
-    }
-
-
-def canonical_json(payload: dict) -> str:
-    """Indented, key-sorted JSON plus a newline, the form of every JSON
-    document archlint prints; byte-identical for equal payloads."""
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-
-def dump_code_model(code: CodeModel) -> str:
-    """Canonical JSON dump of a CodeModel; byte-identical for equal models."""
-    return canonical_json(code_model_payload(code))

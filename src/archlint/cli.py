@@ -13,22 +13,13 @@ from __future__ import annotations
 import argparse
 import re
 import sys
-from collections import Counter
 from dataclasses import fields
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Sequence, TextIO
 
-from . import __version__
+from . import __version__, jsontext
 from .adl import parse_architecture, serialize_architecture
-from .annotations import (
-    LINE_BREAKS,
-    AnnotationInstance,
-    CodeModel,
-    canonical_json,
-    dump_code_model,
-    finding_payload,
-    instance_payload,
-)
+from .annotations import LINE_BREAKS, AnnotationInstance, CodeModel
 from .conformance import connector_usages, lookup, report_fingerprint, run_all
 from .errors import AdlParseError, ArchlintError, PlanError, PlanParseError
 from .findings import Finding, Severity
@@ -37,9 +28,6 @@ from .scan import ScanConfig, SmellConfig, load_config_file, scan_tree
 
 if TYPE_CHECKING:
     from .refactor import ImpactReport
-
-REPORT_VERSION = "1"
-
 
 class _CliError(ArchlintError):
     """Anything that should end the run with exit status 2."""
@@ -92,9 +80,13 @@ def _finding_line(f: Finding) -> str:
     return _one_line(f"{place} {f.severity.value} {f.check_id} {element} {f.message}")
 
 
+def _quoted(text: str) -> str:
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def _instance_line(inst: AnnotationInstance) -> str:
-    rendered_args = [f'"{v}"' for v in inst.values]
-    rendered_args += [f'{k}="{v}"' for k, v in sorted(inst.attrs.items())]
+    rendered_args = [_quoted(v) for v in inst.values]
+    rendered_args += [f"{k}={_quoted(v)}" for k, v in sorted(inst.attrs.items())]
     text = f"{inst.location} @{inst.kind.value}({', '.join(rendered_args)})"
     text += f" on {inst.target.value} {inst.target_name}"
     if inst.enclosing_components:
@@ -106,14 +98,7 @@ def _render_report(
     findings: Sequence[Finding], fingerprint: str, fmt: str, out: TextIO
 ) -> None:
     if fmt == "json":
-        counts = Counter(f.check_id for f in findings)
-        payload = {
-            "version": REPORT_VERSION,
-            "fingerprint": fingerprint,
-            "counts": dict(sorted(counts.items())),
-            "findings": [finding_payload(f) for f in findings],
-        }
-        out.write(canonical_json(payload))
+        out.write(jsontext.report(findings, fingerprint))
         return
     for f in findings:
         out.write(_finding_line(f) + "\n")
@@ -141,7 +126,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
     scan_cfg, _ = _load_configs(args)
     code = _scan(args, scan_cfg)
     if args.format == "json":
-        sys.stdout.write(dump_code_model(code))
+        sys.stdout.write(jsontext.dump_code_model(code))
         return 0
     for inst in code.instances:
         sys.stdout.write(_instance_line(inst) + "\n")
@@ -173,27 +158,19 @@ def cmd_lookup(args: argparse.Namespace) -> int:
         raise _CliError(f"unknown element '{ref.path}'")
     if ref.kind is RefKind.CONNECTOR:
         usages = connector_usages(code, ref, arch)
-        groups = [(f.name, getattr(usages, f.name)) for f in fields(usages)]
+        groups = {f.name: getattr(usages, f.name) for f in fields(usages)}
         if args.format == "json":
-            payload: dict = {"version": REPORT_VERSION, "element": ref.path}
-            for label, group in groups:
-                payload[label] = [instance_payload(i) for i in group]
-            sys.stdout.write(canonical_json(payload))
+            sys.stdout.write(jsontext.lookup(ref.path, groups))
             return 0
         sys.stdout.write(f"connector {ref.path}\n")
-        for label, group in groups:
+        for label, group in groups.items():
             sys.stdout.write(f"  {label} ({len(group)})\n")
             for inst in group:
                 sys.stdout.write(f"    {_instance_line(inst)}\n")
         return 0
     instances = lookup(code, ref, arch)
     if args.format == "json":
-        payload = {
-            "version": REPORT_VERSION,
-            "element": ref.path,
-            "instances": [instance_payload(i) for i in instances],
-        }
-        sys.stdout.write(canonical_json(payload))
+        sys.stdout.write(jsontext.lookup(ref.path, {"instances": instances}))
         return 0
     sys.stdout.write(f"{ref.path}: {len(instances)} annotation(s)\n")
     for inst in instances:
@@ -205,28 +182,7 @@ def _render_impact(impact: ImpactReport, fmt: str, out: TextIO) -> None:
     from .refactor import op_text
 
     if fmt == "json":
-        payload = {
-            "version": REPORT_VERSION,
-            "plan": impact.plan_name,
-            "steps": [
-                {
-                    "step": entry.step,
-                    "op": op_text(entry.op),
-                    "touched": [
-                        {
-                            "ref": ref.path,
-                            "kind": ref.kind.value,
-                            "instances": [
-                                instance_payload(i) for i in entry.instances[ref]
-                            ],
-                        }
-                        for ref in entry.touched
-                    ],
-                }
-                for entry in impact.entries
-            ],
-        }
-        out.write(canonical_json(payload))
+        out.write(jsontext.impact(impact))
         return
     out.write(f"plan {impact.plan_name}: {len(impact.entries)} step(s)\n")
     for entry in impact.entries:

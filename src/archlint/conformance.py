@@ -25,16 +25,15 @@ once and matches the result against the model's connector index.
 from __future__ import annotations
 
 import hashlib
-import json
 from collections import Counter
 from dataclasses import dataclass, fields
 from typing import Mapping, NamedTuple
 
+from . import jsontext
 from .adl import serialize_architecture
 from .annotations import (
     AnnotationInstance,
     CodeModel,
-    code_model_payload,
     named_elements,
     side_context,
     syntactic_refs,
@@ -315,13 +314,9 @@ class ConformanceReport:
 
 def report_fingerprint(arch: ArchitectureModel, code: CodeModel) -> str:
     """SHA-256 over the serialized architecture, the compact canonical JSON of
-    the code model (the payload `extract --format json` prints), and the scan
-    configuration's fingerprint.
-
-    The compact form keeps `json` on its C encoder, which it uses only
-    without `indent`.
-    """
-    model = json.dumps(code_model_payload(code), sort_keys=True, separators=(",", ":"))
+    the code model (the record `extract --format json` prints), and the scan
+    configuration's fingerprint."""
+    model = jsontext.code_model(code, None)
     digest = hashlib.sha256()
     digest.update(serialize_architecture(arch).encode("utf-8"))
     digest.update(model.encode("utf-8"))

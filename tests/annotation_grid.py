@@ -16,10 +16,11 @@ from __future__ import annotations
 
 import json
 
+from payload_oracle import instance_payload
+
 from archlint.annotations import (
     extract_attributes,
     extract_pragmas,
-    instance_payload,
     resolve_context,
     syntactic_refs,
     validate_targets,

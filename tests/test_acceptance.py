@@ -13,12 +13,7 @@ from pathlib import Path
 import pytest
 
 from archlint.adl import parse_architecture, serialize_architecture
-from archlint.annotations import (
-    AnnotationKind,
-    CodeModel,
-    TargetKind,
-    dump_code_model,
-)
+from archlint.annotations import AnnotationKind, CodeModel, TargetKind
 from archlint.cli import main
 from archlint.conformance import (
     check_annotation_completeness,
@@ -30,6 +25,7 @@ from archlint.conformance import (
 )
 from archlint.errors import PlanError
 from archlint.findings import SourceLocation
+from archlint.jsontext import dump_code_model
 from archlint.model import (
     ArchitectureModel,
     Direction,

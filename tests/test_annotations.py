@@ -10,13 +10,13 @@ from archlint.annotations import (
     CodeModel,
     SourceLocation,
     TargetKind,
-    dump_code_model,
     extract_attributes,
     extract_pragmas,
     resolve_context,
     validate_targets,
 )
 from archlint.conformance import ConnectorUsages
+from archlint.jsontext import dump_code_model
 
 DATA = Path(__file__).parent / "data"
 

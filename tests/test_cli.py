@@ -227,6 +227,19 @@ def test_extract_json_matches_golden(capsys, tmp_path: Path) -> None:
     assert out == (DATA / "golden" / "car_solo_extract.golden.json").read_text()
 
 
+def test_extract_text_escapes_quotes_and_backslashes(capsys, tmp_path: Path) -> None:
+    (tmp_path / "a.txt").write_text(
+        '// @arch Component("A\\", right=\\"B") @on type A\n'
+        '// @arch Connects(left="b\\\\q", right="p") @on method m @in C\n'
+    )
+    code, out, _ = run(capsys, "extract", "--src", str(tmp_path))
+    assert code == 0
+    assert out.splitlines() == [
+        'a.txt:1:4 @Component("A\\", right=\\"B") on type A',
+        'a.txt:2:4 @Connects(left="b\\\\q", right="p") on method m in C',
+    ]
+
+
 def test_extract_scans_same_relative_path_in_every_root(capsys, tmp_path: Path) -> None:
     for root, name in (("r1", "A"), ("r2", "B")):
         (tmp_path / root).mkdir()
@@ -307,6 +320,16 @@ def test_smells_config_threshold(capsys, tmp_path: Path) -> None:
     assert "SCATTERED_COMPONENT" not in out
 
 
+def test_smells_json_matches_golden(capsys) -> None:
+    tree = DATA / "scatter"
+    code, out, err = run(
+        capsys, "smells", "--arch", str(tree / "scatter.arch"), "--src", str(tree / "src"),
+        "--format", "json",
+    )
+    assert (code, err) == (0, "")
+    assert out == (DATA / "golden" / "scatter_smells.golden.json").read_text(encoding="utf-8")
+
+
 # --- lookup -----------------------------------------------------------------
 
 
@@ -327,6 +350,14 @@ def test_lookup_connector_grouping(capsys) -> None:
     assert "connects (1)" in out
     assert "disconnects (0)" in out
     assert "stores (0)" in out
+
+
+@pytest.mark.parametrize("element", ["Car", "Car.rear", "Engine#p", "Car/c1"])
+def test_lookup_json_matches_golden(capsys, element: str) -> None:
+    code, out, err = run(capsys, "lookup", *CAR, "--format", "json", element)
+    assert (code, err) == (0, "")
+    name = re.sub(r"[./#]", "_", element)
+    assert out == (DATA / "golden" / f"car_lookup_{name}.golden.json").read_text(encoding="utf-8")
 
 
 def test_lookup_unknown_element(capsys) -> None:
@@ -405,6 +436,19 @@ def test_refactor_json_impact(capsys, desktop_copy: Path) -> None:
     assert step8["op"] == "remove-connector(c_direct)"
     touched_refs = {t["ref"] for t in step8["touched"]}
     assert "System/c_direct" in touched_refs
+
+
+def test_refactor_json_matches_golden(capsys, desktop_copy: Path) -> None:
+    code, out, _ = run(
+        capsys,
+        "refactor",
+        "--arch", str(desktop_copy / "desktop.arch"),
+        "--src", str(desktop_copy / "src"),
+        "--plan", str(desktop_copy / "desktop.plan"),
+        "--format", "json",
+    )
+    assert code == 0
+    assert out == (DATA / "golden" / "desktop_refactor.golden.json").read_text(encoding="utf-8")
 
 
 def test_refactor_failing_plan_writes_nothing(capsys, desktop_copy: Path) -> None:

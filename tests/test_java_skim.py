@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 
 import java_oracle
 from archlint import annotations
-from archlint.annotations import dump_code_model, extract_attributes
+from archlint.annotations import extract_attributes
+from archlint.jsontext import dump_code_model
 from archlint.lexer import JAVA
 from archlint.scan import ScanConfig, load_config_file, scan_tree
 

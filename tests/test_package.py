@@ -2,6 +2,7 @@
 
 import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -62,3 +63,14 @@ def test_version_is_unchanged() -> None:
     )
     assert proc.returncode == 0
     assert proc.stdout == "archlint 0.1.0\n"
+
+
+def test_json_text_comes_only_from_the_record_templates() -> None:
+    """`archlint.jsontext` is the one definition of each record's JSON shape."""
+    defines_payload = re.compile(r"^\s*def (\w*_payload|canonical_json)\b", re.MULTILINE)
+    modules = sorted(Path(archlint.__file__).parent.glob("*.py"))
+    assert modules
+    for module in modules:
+        text = module.read_text(encoding="utf-8")
+        assert "json.dumps" not in text, module.name
+        assert defines_payload.search(text) is None, module.name
