@@ -35,6 +35,7 @@ from .lexer import (
     JAVA_TYPE_KEYWORDS,
     PRAGMA,
     Token,
+    java_unescape,
     lex,
     tokenize,
     unescape,
@@ -568,7 +569,7 @@ def _text_block_string(tok: Token) -> Token:
     significant = [line for line in lines[:-1] if line.strip()] + [lines[-1]]
     indent = min(len(line) - len(line.lstrip()) for line in significant)
     value = "\n".join(line[indent:].rstrip() for line in lines)
-    return Token("string", unescape(value), tok.line, tok.column)
+    return Token("string", java_unescape(value), tok.line, tok.column)
 
 
 @dataclass

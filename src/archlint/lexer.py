@@ -6,8 +6,9 @@ first passes over the table's gap, the text it skips: `blank` characters
 and whole `skipped` pieces (comments). Every table ends in an `eof` group that matches the end of the
 text. The ADL and pragma tables have an `error` group that matches any
 other single character: lexing stops at it and the caller reports it in its
-own terms. The text of a `string` token is its unescaped `body`, without the
-quotes.
+own terms. The text of a `string` token is its `body`, without the quotes,
+with its escapes decoded: a Java string's as the JLS says (`java_unescape`),
+any other string's by dropping each backslash (`unescape`).
 
 `JAVA_SKIM` is read from a `JAVA` token boundary without building tokens.
 It matches comments, strings, text blocks and char literals whole (`skip`),
@@ -114,6 +115,29 @@ def unescape(body: str) -> str:
     return _ESCAPE.sub(r"\1", body) if "\\" in body else body
 
 
+# A Unicode escape, an octal escape, or a one-character escape; a text
+# block's `\<line break>` joins its two lines.
+_JAVA_ESCAPE = re.compile(r"\\(?:u+([0-9A-Fa-f]{4})|([0-3][0-7]{0,2}|[4-7][0-7]?)|(.))", re.S)
+_JAVA_ESCAPED = {"b": "\b", "s": " ", "t": "\t", "n": "\n", "f": "\f", "r": "\r", "\n": ""}
+
+
+def _java_escape(match: re.Match[str]) -> str:
+    hex_digits, octal, char = match.groups()
+    if hex_digits is not None:
+        return chr(int(hex_digits, 16))
+    if octal is not None:
+        return chr(int(octal, 8))
+    return _JAVA_ESCAPED.get(char, char)
+
+
+def java_unescape(body: str) -> str:
+    """A Java string or text block's body with its escapes decoded: JLS
+    3.10.7 escapes, octal escapes and `\\<line break>`, and Unicode escapes
+    `\\uXXXX`, whose character is taken as it is. The backslash of any
+    other escape is dropped, as `unescape` drops it."""
+    return _JAVA_ESCAPE.sub(_java_escape, body) if "\\" in body else body
+
+
 # Builds a Token from a tuple without the Python-level NamedTuple
 # constructor, which costs about a sixth of `lex`.
 _new_token = tuple.__new__
@@ -135,6 +159,7 @@ def lex(
     token, or in the first `punct` token whose text is in `until`.
     """
     tokens: list[Token] = []
+    decode = java_unescape if table is JAVA else unescape
     counted = pos  # newlines in text[:counted] are already in `line`
     line_start = pos + 1 - column  # the text index that column 1 of the current line maps to
     for match in table.finditer(text, pos):
@@ -145,7 +170,7 @@ def lex(
             line += newlines
             line_start = text.rindex("\n", counted, start) + 1
         counted = start
-        value = unescape(match.group("body")) if kind == "string" else match.group(kind)
+        value = decode(match.group("body")) if kind == "string" else match.group(kind)
         tokens.append(_new_token(Token, (kind, value, line, start - line_start + 1)))
         if kind == "eof" or kind == "error" or (kind == "punct" and value in until):
             return tokens, match.end()

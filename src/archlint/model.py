@@ -136,6 +136,14 @@ class RefKind(enum.Enum):
     CONNECTOR = "connector"
 
 
+# Module globals for the refs built per annotation: on Python 3.11 each
+# `RefKind.X` lookup runs `EnumType.__getattr__`.
+_COMPONENT = RefKind.COMPONENT
+_PART = RefKind.PART
+_PORT = RefKind.PORT
+_CONNECTOR = RefKind.CONNECTOR
+
+
 @dataclass(frozen=True)
 class ElementRef:
     """Uniform address of an architecture element.
@@ -159,36 +167,36 @@ class ElementRef:
 
     @classmethod
     def component(cls, name: str) -> ElementRef:
-        return cls(RefKind.COMPONENT, name)
+        return cls(_COMPONENT, name)
 
     @classmethod
     def part(cls, owner: str, role: str) -> ElementRef:
-        return cls(RefKind.PART, f"{owner}.{role}")
+        return cls(_PART, f"{owner}.{role}")
 
     @classmethod
     def port(cls, owner: str, name: str) -> ElementRef:
-        return cls(RefKind.PORT, f"{owner}#{name}")
+        return cls(_PORT, f"{owner}#{name}")
 
     @classmethod
     def member(cls, kind: RefKind, owner: str, name: str) -> ElementRef:
         """The part or port `name` of owner, or for COMPONENT the component `name`."""
-        if kind is RefKind.PART:
+        if kind is _PART:
             return cls(kind, f"{owner}.{name}")
-        if kind is RefKind.PORT:
+        if kind is _PORT:
             return cls(kind, f"{owner}#{name}")
         return cls(kind, name)
 
     @classmethod
     def connector(cls, context: str, cid: str) -> ElementRef:
-        return cls(RefKind.CONNECTOR, f"{context}/{cid}")
+        return cls(_CONNECTOR, f"{context}/{cid}")
 
     def split(self) -> tuple[str, str]:
         """Owner/member pair for PART, PORT, CONNECTOR refs."""
-        if self.kind is RefKind.PART:
+        if self.kind is _PART:
             owner, _, member = self.path.rpartition(".")
-        elif self.kind is RefKind.PORT:
+        elif self.kind is _PORT:
             owner, _, member = self.path.partition("#")
-        elif self.kind is RefKind.CONNECTOR:
+        elif self.kind is _CONNECTOR:
             owner, _, member = self.path.partition("/")
         else:
             return (self.path, "")

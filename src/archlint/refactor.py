@@ -6,7 +6,9 @@ PreconditionError and leaves the input untouched, so plans are atomic by
 construction. The ImpactReport tells the developer which annotations (by
 location) reference each architecture element a step created, deleted, or
 re-homed, matched by `conformance.instance_refs` as the annotation lookup
-matches them; rewriting the code stays a manual task.
+matches them; rewriting the code stays a manual task. What an element
+annotation references never depends on the model, so those are indexed once
+per plan; only connection annotations are resolved again at each step.
 
 `OPERATIONS` is the one definition of each operation: its class, its plan
 name, how each field is read from and written to plan text, and its
@@ -19,7 +21,7 @@ import re
 from dataclasses import dataclass, fields, replace
 from typing import Any, Callable, Mapping, NamedTuple, Union
 
-from .annotations import AnnotationInstance, CodeModel
+from .annotations import AnnotationInstance, CodeModel, syntactic_refs
 from .conformance import instance_refs
 from .errors import EndpointError, PlanError, PlanParseError, PreconditionError
 from .model import (
@@ -579,6 +581,18 @@ class ImpactReport:
     entries: tuple[ImpactEntry, ...]
 
 
+def _element_index(code: CodeModel) -> dict[ElementRef, list[int]]:
+    """Each element the element annotations reference, mapped to their
+    positions in `code.instances`, in code order. `instance_refs` gives an
+    element annotation its `syntactic_refs` whatever the model."""
+    index: dict[ElementRef, list[int]] = {}
+    for position, inst in enumerate(code.instances):
+        if inst.kind.usage is None:
+            for ref in syntactic_refs(inst):
+                index.setdefault(ref, []).append(position)
+    return index
+
+
 def apply_plan(
     model: ArchitectureModel, plan: RefactoringPlan, code: CodeModel
 ) -> tuple[ArchitectureModel, ImpactReport]:
@@ -586,8 +600,12 @@ def apply_plan(
 
     Each impact entry is the annotation lookup of every touched ref against
     the pre-step model, the architecture in which the touched names still
-    have their old meaning, from one pass over the instances per step.
+    have their old meaning. Element annotations are indexed once per plan;
+    each step resolves only the connection annotations against its model.
     """
+    instances = code.instances
+    index = _element_index(code)
+    connections = [(p, inst) for p, inst in enumerate(instances) if inst.kind.usage is not None]
     current = model
     entries: list[ImpactEntry] = []
     for step, op in enumerate(plan.ops, start=1):
@@ -596,8 +614,11 @@ def apply_plan(
         except PreconditionError as err:
             raise PlanError(step, err) from err
         refs = tuple(sorted(touched, key=lambda r: r.sort_key()))
-        refs_of = [(inst, instance_refs(inst, current)) for inst in code.instances]
-        impact = {ref: tuple(i for i, found in refs_of if ref in found) for ref in refs}
+        resolved = [(p, instance_refs(inst, current)) for p, inst in connections]
+        impact: dict[ElementRef, tuple[AnnotationInstance, ...]] = {}
+        for ref in refs:
+            hits = index.get(ref, []) + [p for p, found in resolved if ref in found]
+            impact[ref] = tuple(instances[p] for p in sorted(hits))
         entries.append(ImpactEntry(step, op, refs, impact))
         current = new_model
     return (current, ImpactReport(plan.name, tuple(entries)))

@@ -201,6 +201,33 @@ def test_text_block_argument_is_a_string() -> None:
     assert [f.message for f in findings] == ["expected a value or attribute"]
 
 
+@pytest.mark.parametrize(
+    "literal, value",
+    [
+        (r'"a\tb\u0041"', "a\tbA"),
+        (r'"\b\s\t\n\f\r\"\'\\"', "\b \t\n\f\r\"'\\"),
+        # Octal escapes take at most three digits, and only up to \377.
+        (r'"\0\7\77\377\400"', "\0\7?\xff 0"),
+        # A Unicode escape may repeat its `u`; after an escaped backslash
+        # `u0041` is plain text.
+        (r'"\uuu00e9\\u0041"', "é\\u0041"),
+        # Escapes are decoded after a text block's indentation is stripped;
+        # `\<line break>` joins two lines and `\s` keeps a trailing space.
+        ('"""\n    a\\\n    b\\s \n    """', "ab \n"),
+    ],
+)
+def test_java_string_escapes_are_decoded(literal: str, value: str) -> None:
+    assert _attrs(f"@Component({literal}) class A {{}}", "A.java")[0].values == (value,)
+
+
+def test_pragma_string_escapes_keep_the_next_character() -> None:
+    # A pragma string drops each backslash and keeps the character after it.
+    text = r'// @arch Component("tab\there\u0041") @on type A'
+    instances, findings = extract_pragmas(text, "a.txt")
+    assert findings == []
+    assert instances[0].values == ("tabthereu0041",)
+
+
 def test_unicode_identifiers_are_names() -> None:
     # JLS 3.8: identifiers are Unicode letters and digits, `_` and `$`.
     text = '@Component("A") class Ä { @Part("p") Bäume bäume; @Port("q") void señal() {} }'

@@ -2,11 +2,14 @@
 
 The cost test counts endpoint walks instead of timing anything: every
 connector query resolves endpoints through `walk_endpoint`, so a quadratic
-path shows up as a call count that quadruples when the model doubles.
+path shows up as a call count that quadruples when the model doubles. Plan
+impact's once-per-plan index is checked the same way, by counting
+`syntactic_refs` calls.
 """
 
 import sys
 
+from archlint import annotations as annotations_module
 from archlint import conformance as conformance_module
 from archlint import model as model_module
 from archlint.annotations import AnnotationInstance, AnnotationKind, CodeModel, TargetKind
@@ -69,19 +72,25 @@ def _chain_code(n: int) -> CodeModel:
     return CodeModel.build(instances)
 
 
-def _count_walks(monkeypatch) -> list[int]:
-    """Count every call of the endpoint walker, wherever a module bound it."""
+def _count_calls(monkeypatch, home, function: str, counted=lambda *args: True) -> list[int]:
+    """Count the calls of `home.function` whose arguments `counted` accepts,
+    wherever an archlint module bound the function."""
     calls = [0]
-    original = model_module.walk_endpoint
+    original = getattr(home, function)
 
     def counting(*args, **kwargs):
-        calls[0] += 1
+        calls[0] += counted(*args)
         return original(*args, **kwargs)
 
     for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "archlint" and getattr(module, "walk_endpoint", None) is original:
-            monkeypatch.setattr(module, "walk_endpoint", counting)
+        if name.split(".")[0] == "archlint" and getattr(module, function, None) is original:
+            monkeypatch.setattr(module, function, counting)
     return calls
+
+
+def _count_walks(monkeypatch) -> list[int]:
+    """Count every call of the endpoint walker."""
+    return _count_calls(monkeypatch, model_module, "walk_endpoint")
 
 
 def _walks(calls: list[int], operation, n: int) -> int:
@@ -112,6 +121,30 @@ def test_connector_queries_walk_linearly(monkeypatch) -> None:
         large = _walks(calls, operation, 120)
         assert small > 0, name
         assert large <= 2.2 * small, (name, small, large)
+
+
+def test_apply_plan_reads_each_element_annotation_once(monkeypatch) -> None:
+    """Element annotations reference the same elements in every model, so a
+    plan asks `syntactic_refs` for each of them once, however many steps."""
+    chain = _chain_code(8).instances
+    components = tuple(
+        AnnotationInstance(
+            AnnotationKind.COMPONENT, (f"C{k}",), {}, TargetKind.TYPE, f"C{k}", (),
+            SourceLocation(f"C{k}.java", 1, 1), "gen",
+        )
+        for k in range(8)
+    )
+    arch, code = _chain(8), CodeModel.build(chain + components)
+    elements = sum(inst.kind.usage is None for inst in code.instances)
+    calls = _count_calls(
+        monkeypatch, annotations_module, "syntactic_refs", lambda inst: inst.kind.usage is None
+    )
+    for steps in (1, 6):
+        plan = RefactoringPlan("grow", tuple(AddPort(f"C{k}", "z") for k in range(steps)))
+        before = calls[0]
+        _, report = apply_plan(arch, plan, code)
+        assert calls[0] - before == elements == 9, steps
+        assert len(report.entries) == steps
 
 
 def test_instance_refs_walks_each_endpoint_once(monkeypatch) -> None:

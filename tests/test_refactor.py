@@ -529,6 +529,71 @@ def test_impact_includes_traversal_matches(
         apply_plan(grown, plan, car_code)
 
 
+_WIRED_ARCH = """\
+component Car {
+    part e: Engine;
+    part w: Wheel;
+    connector c1: e.p -> w.h;
+}
+component Engine { port p; }
+component Wheel { port h; }
+"""
+
+
+def _wired_code(tmp_path: Path, *pragmas: str) -> CodeModel:
+    (tmp_path / "Car.txt").write_text("".join(f"// @arch {p}\n" for p in pragmas))
+    return scan_tree([tmp_path])
+
+
+def _assert_pre_step_lookups(model: ArchitectureModel, report, code: CodeModel) -> None:
+    """Each entry lists, for every touched ref, the lookup against the model
+    before that step."""
+    for entry in report.entries:
+        for ref in entry.touched:
+            assert list(entry.instances[ref]) == lookup(code, ref, model), (entry.step, ref)
+        model, _ = apply_op(model, entry.op)
+
+
+def test_impact_of_a_ref_touched_in_two_steps(tmp_path: Path) -> None:
+    arch = parse_architecture(_WIRED_ARCH)
+    code = _wired_code(
+        tmp_path,
+        'Port("q") @on method q @in Engine',
+        'Port("r") @on method r @in Engine',
+        'Connects(left="e.q", right="w.h", type=RIGHT) @on method link @in Car',
+    )
+    plan = parse_plan("add-port(Engine, q)\nrename-element(Engine#q, r)")
+    _, report = apply_plan(arch, plan, code)
+    q, r = parse_ref("Engine#q"), parse_ref("Engine#r")
+    port_q, port_r, link = code.instances
+    # `e.q` walks to Engine#q only once the port exists; before that the
+    # syntactic reading of the path names Car.e and Car#e.
+    assert report.entries[0].instances[q] == (port_q,)
+    assert report.entries[1].instances[q] == (port_q, link)
+    assert report.entries[1].instances[r] == (port_r,)
+    _assert_pre_step_lookups(arch, report, code)
+
+
+def test_impact_follows_a_connection_a_rename_redirects(tmp_path: Path) -> None:
+    arch = parse_architecture(_WIRED_ARCH)
+    code = _wired_code(
+        tmp_path,
+        'Connects(left="e.p", right="w.h", type=RIGHT) @on method old @in Car',
+        'Connects(left="motor.p", right="w.h", type=RIGHT) @on method new @in Car',
+    )
+    plan = parse_plan("rename-element(Car.e, motor)\nremove-connector(c1)")
+    _, report = apply_plan(arch, plan, code)
+    old, new = code.instances
+    c1 = parse_ref("Car/c1")
+    assert lookup(code, c1, arch) == [old]
+    # Before the rename, `motor.p` does not walk and is read syntactically.
+    assert report.entries[0].instances[parse_ref("Car.e")] == (old,)
+    assert report.entries[0].instances[parse_ref("Car.motor")] == (new,)
+    # After it, `motor.p` resolves to c1 and `e.p` no longer does.
+    assert report.entries[1].instances[c1] == (new,)
+    _assert_pre_step_lookups(arch, report, code)
+
+
 # --- lookup -----------------------------------------------------------------
 
 
