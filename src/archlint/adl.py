@@ -20,7 +20,7 @@ connectors, each group sorted, so equal models serialize byte-identically.
 from __future__ import annotations
 
 from .errors import AdlParseError
-from .lexer import ADL, Token, tokenize
+from .lexer import ADL, Cursor, Token, tokenize
 from .model import (
     ArchitectureModel,
     Component,
@@ -39,52 +39,27 @@ _ARROWS = {"->": Direction.RIGHT, "<-": Direction.LEFT, "<->": Direction.BIDIR}
 _ARROW_TEXT = {v: k for k, v in _ARROWS.items()}
 
 
-class _Parser:
+class _Parser(Cursor):
     def __init__(self, tokens: list[Token]) -> None:
-        self.tokens = tokens
-        self.pos = 0
+        super().__init__(tokens)
         self.components: list[Component] = []
         self.connectors: list[Connector] = []
         # declaration positions by ref path, for semantic diagnostics
         self.positions: dict[str, tuple[int, int]] = {}
 
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
-
-    def advance(self) -> Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "eof":
-            self.pos += 1
-        return tok
-
-    def error(self, message: str, tok: Token | None = None) -> AdlParseError:
-        tok = tok or self.peek()
+    def error(self, message: str) -> AdlParseError:
+        tok = self.peek()
         return AdlParseError(message, tok.line, tok.column)
 
-    def expect_punct(self, text: str) -> Token:
-        tok = self.peek()
-        if tok.kind != "punct" or tok.text != text:
-            raise self.error(f"expected '{text}', found {tok.text!r}" if tok.text else f"expected '{text}'")
-        return self.advance()
-
-    def expect_ident(self, what: str) -> Token:
-        tok = self.peek()
-        if tok.kind != "ident":
-            raise self.error(f"expected {what}, found {tok.text!r}" if tok.text else f"expected {what}")
-        return self.advance()
-
-    def at_keyword(self, word: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "ident" and tok.text == word
+    def fail(self, expected: str) -> AdlParseError:
+        found = self.peek().text
+        return self.error(f"expected {expected}" + (f", found {found!r}" if found else ""))
 
     def parse_document(self) -> None:
-        while True:
-            tok = self.peek()
-            if tok.kind == "eof":
-                return
-            if self.at_keyword("component"):
+        while self.peek().kind != "eof":
+            if self.at_ident("component"):
                 self.parse_component()
-            elif self.at_keyword("connector"):
+            elif self.at_ident("connector"):
                 self.parse_connector(ROOT_CONTEXT)
             else:
                 raise self.error("expected 'component' or 'connector' declaration")
@@ -96,12 +71,8 @@ class _Parser:
         self.expect_punct("{")
         ports: list[Port] = []
         parts: list[Part] = []
-        while True:
-            tok = self.peek()
-            if tok.kind == "punct" and tok.text == "}":
-                self.advance()
-                break
-            if self.at_keyword("port"):
+        while not self.at_punct("}"):
+            if self.at_ident("port"):
                 self.advance()
                 port_tok = self.expect_ident("port name")
                 self.expect_punct(";")
@@ -109,7 +80,7 @@ class _Parser:
                 self.positions.setdefault(
                     f"{name_tok.text}#{port_tok.text}", (port_tok.line, port_tok.column)
                 )
-            elif self.at_keyword("part"):
+            elif self.at_ident("part"):
                 self.advance()
                 role_tok = self.expect_ident("part role")
                 self.expect_punct(":")
@@ -120,34 +91,31 @@ class _Parser:
                 self.positions.setdefault(
                     f"{name_tok.text}.{role_tok.text}", (role_tok.line, role_tok.column)
                 )
-            elif self.at_keyword("connector"):
+            elif self.at_ident("connector"):
                 self.parse_connector(name_tok.text)
             else:
                 raise self.error("expected 'port', 'part', 'connector', or '}'")
+        self.advance()
         self.components.append(Component(name_tok.text, tuple(ports), tuple(parts)))
 
     def parse_multiplicity(self) -> Multiplicity:
-        tok = self.peek()
-        if tok.kind != "punct" or tok.text != "[":
+        if not self.at_punct("["):
             return Multiplicity(1, 1)
         self.advance()
-        tok = self.peek()
-        if tok.kind == "punct" and tok.text == "*":
+        if self.at_punct("*"):
             self.advance()
             self.expect_punct("]")
             return Multiplicity(0, None)
-        if tok.kind != "number":
+        if self.peek().kind != "number":
             raise self.error("expected a number or '*' in multiplicity")
         lower = int(self.advance().text)
-        tok = self.peek()
-        if tok.kind == "punct" and tok.text == "..":
+        if self.at_punct(".."):
             self.advance()
-            tok = self.peek()
-            if tok.kind == "punct" and tok.text == "*":
+            if self.at_punct("*"):
                 self.advance()
                 self.expect_punct("]")
                 return Multiplicity(lower, None)
-            if tok.kind != "number":
+            if self.peek().kind != "number":
                 raise self.error("expected a number or '*' after '..'")
             upper = int(self.advance().text)
             self.expect_punct("]")
@@ -172,15 +140,10 @@ class _Parser:
         self.positions.setdefault(f"{context}/{id_tok.text}", (id_tok.line, id_tok.column))
 
     def parse_path(self) -> EndpointPath:
-        first = self.expect_ident("endpoint path")
-        segments = [first.text]
-        while True:
-            tok = self.peek()
-            if tok.kind == "punct" and tok.text == ".":
-                self.advance()
-                segments.append(self.expect_ident("path segment").text)
-            else:
-                break
+        segments = [self.expect_ident("endpoint path").text]
+        while self.at_punct("."):
+            self.advance()
+            segments.append(self.expect_ident("path segment").text)
         return EndpointPath(tuple(segments))
 
 

@@ -34,6 +34,7 @@ from .lexer import (
     JAVA_SKIM,
     JAVA_TYPE_KEYWORDS,
     PRAGMA,
+    Cursor,
     Token,
     java_unescape,
     lex,
@@ -158,35 +159,9 @@ class _ArgProblem(Exception):
         self.message = message
 
 
-class _Cursor:
-    def __init__(self, tokens: list[Token]) -> None:
-        self.tokens = tokens
-        self.pos = 0
-
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
-
-    def advance(self) -> Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "eof":
-            self.pos += 1
-        return tok
-
-    def at_punct(self, value: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "punct" and tok.text == value
-
-    def expect_punct(self, value: str) -> None:
-        if not self.at_punct(value):
-            raise _ArgProblem(f"expected '{value}'")
-        self.advance()
-
-    def expect_ident(self, what: str) -> str:
-        tok = self.peek()
-        if tok.kind != "ident":
-            raise _ArgProblem(f"expected {what}")
-        self.advance()
-        return tok.text
+class _Cursor(Cursor):
+    def fail(self, expected: str) -> _ArgProblem:
+        return _ArgProblem(f"expected {expected}")
 
 
 def _parse_string_array(cursor: _Cursor) -> tuple[str, ...]:
@@ -208,10 +183,10 @@ def _parse_string_array(cursor: _Cursor) -> tuple[str, ...]:
 
 
 def _parse_token_path(cursor: _Cursor) -> str:
-    parts = [cursor.expect_ident("a value")]
+    parts = [cursor.expect_ident("a value").text]
     while cursor.at_punct("."):
         cursor.advance()
-        parts.append(cursor.expect_ident("a path segment"))
+        parts.append(cursor.expect_ident("a path segment").text)
     return ".".join(parts)
 
 
@@ -419,24 +394,24 @@ def _parse_pragma_tokens(
             "unterminated string" if bad.text == '"' else f"unexpected character {bad.text!r}"
         )
     cursor = _Cursor(tokens)
-    kind = _known(ANNOTATION_NAMES, cursor.expect_ident("an annotation name"), "annotation")
+    kind = _known(ANNOTATION_NAMES, cursor.expect_ident("an annotation name").text, "annotation")
     values, attrs = _parse_args(cursor, kind)
     cursor.expect_punct("@")
-    if cursor.expect_ident("'on'") != "on":
+    if cursor.expect_ident("'on'").text != "on":
         raise _ArgProblem("expected '@on'")
-    target = _known(_TARGET_WORDS, cursor.expect_ident("a target kind"), "target kind")
+    target = _known(_TARGET_WORDS, cursor.expect_ident("a target kind").text, "target kind")
     target_name = ""
     if cursor.peek().kind == "ident":
         target_name = cursor.advance().text
     enclosing: tuple[str, ...] = ()
     if cursor.at_punct("@"):
         cursor.advance()
-        if cursor.expect_ident("'in'") != "in":
+        if cursor.expect_ident("'in'").text != "in":
             raise _ArgProblem("expected '@in'")
-        names = [cursor.expect_ident("a component name")]
+        names = [cursor.expect_ident("a component name").text]
         while cursor.at_punct(","):
             cursor.advance()
-            names.append(cursor.expect_ident("a component name"))
+            names.append(cursor.expect_ident("a component name").text)
         enclosing = tuple(names)
     if cursor.peek().kind != "eof":
         raise _ArgProblem(f"unexpected trailing input '{cursor.peek().text}'")
@@ -506,11 +481,15 @@ def extract_pragmas(
 
 def resolve_context(instances: Iterable[AnnotationInstance]) -> list[AnnotationInstance]:
     """Fill empty enclosing_components from the nearest preceding TYPE-targeted
-    COMPONENT instance in file order; explicit contexts are left untouched."""
+    COMPONENT instance of the same file, in file order; explicit contexts are
+    left untouched."""
     ordered = sorted(instances, key=lambda i: i.sort_key())
+    file = None
     current: tuple[str, ...] = ()
     out: list[AnnotationInstance] = []
     for inst in ordered:
+        if inst.location.file != file:
+            file, current = inst.location.file, ()
         if inst.kind is AnnotationKind.COMPONENT:
             if inst.target is TargetKind.TYPE:
                 current = inst.values
@@ -552,6 +531,12 @@ _TYPE_KEYWORDS = frozenset(JAVA_TYPE_KEYWORDS)
 # A text block's opening `"""` ends its line; `content` runs to the closing one.
 _TEXT_BLOCK = re.compile(r'"""[ \t\f]*(?:\r\n?|\n)(?P<content>(?:[^\\]|\\.)*?)"""\Z', re.S)
 _LINE_TERMINATOR = re.compile(r"\r\n?|\n")
+# The characters of Java's `Character.isWhitespace`: Python's white space
+# less U+0085 and the no-break spaces U+00A0, U+2007 and U+202F.
+_JAVA_WHITESPACE = (
+    "\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f \u1680\u2000\u2001\u2002\u2003\u2004\u2005\u2006"
+    "\u2008\u2009\u200a\u2028\u2029\u205f\u3000"
+)
 
 
 def _text_block_string(tok: Token) -> Token:
@@ -566,9 +551,9 @@ def _text_block_string(tok: Token) -> Token:
     if match is None:
         return tok
     lines = _LINE_TERMINATOR.split(match["content"])
-    significant = [line for line in lines[:-1] if line.strip()] + [lines[-1]]
-    indent = min(len(line) - len(line.lstrip()) for line in significant)
-    value = "\n".join(line[indent:].rstrip() for line in lines)
+    significant = [line for line in lines[:-1] if line.strip(_JAVA_WHITESPACE)] + [lines[-1]]
+    indent = min(len(line) - len(line.lstrip(_JAVA_WHITESPACE)) for line in significant)
+    value = "\n".join(line[indent:].rstrip(_JAVA_WHITESPACE) for line in lines)
     return Token("string", java_unescape(value), tok.line, tok.column)
 
 
@@ -599,15 +584,16 @@ def _detect_package(tokens: list[Token], path: str) -> str:
     return _default_package(path)
 
 
+# A scope: the type whose body it is, the component context inside that
+# body, and the body's brace depth.
+_Scope = tuple[str, tuple[str, ...], int]
+
+
 def _classify_member(
-    tokens: list[Token],
-    more: Callable[[], bool],
-    start: int,
-    type_stack: list[tuple[str, int]],
-    depth: int,
+    at: Callable[[int], Token | None], start: int, scope: list[_Scope], depth: int
 ) -> tuple[TargetKind, str] | None:
-    """Decide what declaration begins at tokens[start]; `more()` lexes
-    further tokens onto `tokens`.
+    """Decide what declaration begins at token `start`; `at(j)` is token j,
+    None past `eof`.
 
     First decisive token wins: `(` makes it a method (constructor when the
     name matches the innermost type); `=` or `;` makes it a field, or a local
@@ -615,27 +601,23 @@ def _classify_member(
     """
     last_ident: str | None = None
     j = start
-    while j < len(tokens) or more():
-        tok = tokens[j]
+    while (tok := at(j)) is not None:
         if tok.kind == "ident":
             last_ident = tok.text
         elif tok.kind == "punct":
             if tok.text == "(":
                 if last_ident is None:
                     return None
-                inner = type_stack[-1][0] if type_stack else None
-                if last_ident == inner:
+                if scope and last_ident == scope[-1][0]:
                     return (TargetKind.CONSTRUCTOR, last_ident)
                 return (TargetKind.METHOD, last_ident)
             if tok.text in ("=", ";"):
                 if last_ident is None:
                     return None
-                inside_body = bool(type_stack) and depth > type_stack[-1][1]
+                inside_body = bool(scope) and depth > scope[-1][2]
                 return (TargetKind.LOCAL if inside_body else TargetKind.FIELD, last_ident)
             if tok.text in ("{", "}", "@"):
                 return None
-        elif tok.kind == "eof":
-            return None
         j += 1
     return None
 
@@ -646,10 +628,16 @@ def extract_attributes(
     """Extract Java-style annotations with heuristic target classification.
 
     Annotations accumulate across modifiers until a declaration starts; the
-    declaration fixes target kind and name for the whole group. Brace depth
-    tracks enclosing types, and @Component bodies define the enclosing
-    component context for everything inside them. Annotation names outside
-    the recognized eight are ignored.
+    declaration fixes target kind and name for the whole group. Annotation
+    names outside the recognized eight are ignored.
+
+    One scope stack tracks the enclosing types. A type declaration waits for
+    its body (`opening`: its name and its group's @Component values), and
+    the brace that opens the body pushes a scope: the type's name, the
+    component context inside it, and the body's brace depth. The context is
+    the type's own @Component values, or else the context the type is
+    nested in. The brace that closes the body pops the scope; a `;` before
+    the body drops the waiting type.
 
     Full tokens are built only in windows. With nothing pending and no type
     waiting for its body (idle), only `@`, a brace or a type keyword changes
@@ -666,26 +654,29 @@ def extract_attributes(
     frontier = 0  # the text offset just past the window's last token
     frontier_at = (1, 1)  # (line, column) of file_text[frontier]
 
-    def more() -> bool:
-        """Lex the window's next statement; False once `eof` is lexed."""
+    def at(j: int) -> Token | None:
+        """Token j of the window, lexing its next statements as far as that;
+        None past the `eof` token."""
         nonlocal frontier, frontier_at
-        if tokens and tokens[-1].kind == "eof":
-            return False
-        lexed, frontier = lex(JAVA, file_text, frontier, *frontier_at, _STATEMENT_ENDS)
-        tokens.extend(lexed)
-        last = lexed[-1]  # a one-character `punct`, or `eof`
-        frontier_at = (last.line, last.column + 1)
-        return True
+        while j >= len(tokens):
+            if tokens and tokens[-1].kind == "eof":
+                return None
+            lexed, frontier = lex(JAVA, file_text, frontier, *frontier_at, _STATEMENT_ENDS)
+            tokens.extend(lexed)
+            last = lexed[-1]  # a one-character `punct`, or `eof`
+            frontier_at = (last.line, last.column + 1)
+        return tokens[j]
 
-    more()
+    at(0)
     package = _detect_package(tokens, path)
 
     depth = 0
-    type_stack: list[tuple[str, int]] = []  # (type name, body depth)
-    comp_stack: list[tuple[tuple[str, ...], int]] = []  # (component values, body depth)
+    scope: list[_Scope] = []
+    opening: tuple[str, tuple[str, ...]] | None = None
     pending: list[_PendingAnnotation] = []
-    pending_type: str | None = None
-    pending_comp_values: tuple[str, ...] | None = None
+
+    def context() -> tuple[str, ...]:
+        return scope[-1][1] if scope else ()
 
     def drop_pending(reason: str) -> None:
         nonlocal pending
@@ -700,21 +691,14 @@ def extract_attributes(
             )
             pending = []
 
-    def context_values() -> tuple[str, ...]:
-        return comp_stack[-1][0] if comp_stack else ()
-
-    def emit(target: TargetKind, target_name: str) -> None:
+    def emit(target: TargetKind, target_name: str) -> tuple[str, ...]:
+        """Finish the pending group on its declaration; returns the values of
+        the group's @Component annotations."""
         nonlocal pending
-        group_component = tuple(
-            v for p in pending if p.kind is AnnotationKind.COMPONENT for v in p.values
-        )
+        own = tuple(v for p in pending if p.kind is AnnotationKind.COMPONENT for v in p.values)
+        group_context = own if own and target is TargetKind.TYPE else context()
         for p in pending:
-            if p.kind is AnnotationKind.COMPONENT:
-                enclosing: tuple[str, ...] = ()
-            elif target is TargetKind.TYPE and group_component:
-                enclosing = group_component
-            else:
-                enclosing = context_values()
+            enclosing = () if p.kind is AnnotationKind.COMPONENT else group_context
             try:
                 instances.append(
                     _finish_instance(
@@ -726,35 +710,34 @@ def extract_attributes(
                     finding("MALFORMED_ANNOTATION", problem.message, locations=[p.location])
                 )
         pending = []
+        return own
 
-    def begin_type(name: str) -> None:
-        nonlocal pending_type, pending_comp_values
-        component_values = tuple(
-            v for p in pending if p.kind is AnnotationKind.COMPONENT for v in p.values
-        )
-        emit(TargetKind.TYPE, name)
-        pending_type = name
-        pending_comp_values = component_values or None
+    def begin_type(j: int, what: str) -> int:
+        """Declare the type `what` whose name is token j; the index of the
+        token to read next."""
+        nonlocal opening
+        name_tok = at(j)
+        if name_tok.kind != "ident":
+            drop_pending(f"{what} without a name")
+            return j
+        opening = (name_tok.text, emit(TargetKind.TYPE, name_tok.text))
+        return j + 1
 
     def open_block() -> None:
-        nonlocal depth, pending_type, pending_comp_values
+        nonlocal depth, opening
         depth += 1
-        if pending_type is not None:
-            type_stack.append((pending_type, depth))
-            if pending_comp_values is not None:
-                comp_stack.append((pending_comp_values, depth))
-            pending_type = None
-            pending_comp_values = None
+        if opening is not None:
+            name, own = opening
+            scope.append((name, own or context(), depth))
+            opening = None
         else:
             drop_pending("a block starts without a declaration")
 
     def close_block() -> None:
         nonlocal depth
         drop_pending("the enclosing block ends")
-        while type_stack and type_stack[-1][1] == depth:
-            type_stack.pop()
-        while comp_stack and comp_stack[-1][1] == depth:
-            comp_stack.pop()
+        if scope and scope[-1][2] == depth:
+            scope.pop()
         depth = max(0, depth - 1)
 
     def next_window() -> bool:
@@ -786,112 +769,69 @@ def extract_attributes(
             column += start - frontier
         frontier, frontier_at = start, (line, column)
         tokens.clear()
-        return more()
+        return True
 
     i = 0
     while True:
-        if i >= len(tokens):
-            if pending or pending_type is not None:
-                if not more():
-                    break
-            elif next_window():
-                i = 0
-            else:
+        if i >= len(tokens) and not pending and opening is None:
+            if not next_window():
                 break
-        tok = tokens[i]
-        if tok.kind == "punct" and tok.text == "{":
+            i = 0
+        tok = tokens[i] if i < len(tokens) else at(i)
+        if tok is None:
+            break
+        i += 1
+        kind, text = tok.kind, tok.text
+        if kind == "punct" and text == "{":
             open_block()
-            i += 1
-            continue
-        if tok.kind == "punct" and tok.text == "}":
+        elif kind == "punct" and text == "}":
             close_block()
-            i += 1
-            continue
-        if tok.kind == "punct" and tok.text == ";":
-            # `class X;` style: a pending type without a body never opens a scope
-            pending_type = None
-            pending_comp_values = None
-            i += 1
-            continue
-        if tok.kind == "punct" and tok.text == "@":
-            nxt = tokens[i + 1] if i + 1 < len(tokens) or more() else None
-            if nxt is not None and nxt.kind == "ident" and nxt.text == "interface":
-                name_tok = tokens[i + 2] if i + 2 < len(tokens) or more() else None
-                if name_tok is not None and name_tok.kind == "ident":
-                    begin_type(name_tok.text)
-                    i += 3
-                    continue
-                drop_pending("'@interface' without a name")
-                i += 2
-                continue
-            if nxt is not None and nxt.kind == "ident":
+        elif kind == "punct" and text == ";":
+            opening = None  # a type without a body opens no scope
+        elif kind == "punct" and text == "@":
+            nxt = at(i)  # `@` is not `eof`, so a token follows it
+            if nxt.kind == "ident" and nxt.text == "interface":
+                i = begin_type(i + 1, "'@interface'")
+            elif nxt.kind == "ident":
                 location = SourceLocation(path, tok.line, tok.column)
-                j = i + 2
+                i += 1
                 arg_tokens: list[Token] | None = None
-                if (
-                    (j < len(tokens) or more())
-                    and tokens[j].kind == "punct"
-                    and tokens[j].text == "("
-                ):
+                paren = at(i)
+                if paren.kind == "punct" and paren.text == "(":
+                    arg_tokens = []
                     nesting = 0
-                    k = j
-                    collected: list[Token] = []
-                    while k < len(tokens) or more():
-                        t = tokens[k]
-                        collected.append(_text_block_string(t) if t.kind == "text_block" else t)
+                    while (t := at(i)) is not None:
+                        i += 1
+                        arg_tokens.append(_text_block_string(t) if t.kind == "text_block" else t)
                         if t.kind == "punct" and t.text == "(":
                             nesting += 1
                         elif t.kind == "punct" and t.text == ")":
                             nesting -= 1
                             if nesting == 0:
                                 break
-                        k += 1
-                    arg_tokens = collected
-                    j = k + 1
-                kind = ANNOTATION_NAMES.get(nxt.text)
-                if kind is not None:
+                annotation = ANNOTATION_NAMES.get(nxt.text)
+                if annotation is not None:
                     try:
                         if arg_tokens is None:
                             values, attrs = (), {}
                         else:
                             cursor = _Cursor(arg_tokens + [Token("eof", "", tok.line, tok.column)])
-                            values, attrs = _parse_args(cursor, kind)
+                            values, attrs = _parse_args(cursor, annotation)
                             if cursor.peek().kind != "eof":
                                 raise _ArgProblem("unexpected trailing input in arguments")
-                        pending.append(_PendingAnnotation(kind, values, attrs, location))
+                        pending.append(_PendingAnnotation(annotation, values, attrs, location))
                     except _ArgProblem as problem:
                         findings.append(
                             finding("MALFORMED_ANNOTATION", problem.message, locations=[location])
                         )
-                i = j
-                continue
-            i += 1
-            continue
-        if tok.kind == "ident":
-            word = tok.text
-            if word in _TYPE_KEYWORDS:
-                name_tok = tokens[i + 1] if i + 1 < len(tokens) or more() else None
-                if name_tok is not None and name_tok.kind == "ident":
-                    begin_type(name_tok.text)
-                    i += 2
-                    continue
-                drop_pending(f"'{word}' without a name")
-                i += 1
-                continue
-            if word in _MODIFIERS:
-                i += 1
-                continue
-            if pending:
-                classified = _classify_member(tokens, more, i, type_stack, depth)
-                if classified is None:
-                    drop_pending("no declaration found")
-                else:
-                    emit(*classified)
-            i += 1
-            continue
-        if pending:
-            drop_pending("no declaration found")
-        i += 1
+        elif kind == "ident" and text in _TYPE_KEYWORDS:
+            i = begin_type(i, f"'{text}'")
+        elif pending and (kind != "ident" or text not in _MODIFIERS):
+            classified = _classify_member(at, i - 1, scope, depth) if kind == "ident" else None
+            if classified is None:
+                drop_pending("no declaration found")
+            else:
+                emit(*classified)
     drop_pending("end of file")
     return instances, findings
 

@@ -15,6 +15,10 @@ It matches comments, strings, text blocks and char literals whole (`skip`),
 as `JAVA` does, and stops at `@`, a brace or a type keyword; its gap passes
 over everything else. Each stop is a `JAVA` token, except a keyword after a
 `.` that a number swallows (`1.class` is one number).
+
+`Cursor` is the one token reader: the ADL parser and the pragma and
+annotation argument parsers subclass it and say only how a failed
+expectation is reported (`fail`).
 """
 
 from __future__ import annotations
@@ -180,4 +184,44 @@ def lex(
 def tokenize(table: re.Pattern[str], text: str) -> list[Token]:
     """The tokens of `text` through the `eof` token or the first `error` token."""
     return lex(table, text)[0]
+
+
+class Cursor:
+    """A position in a list of tokens that ends in an `eof` token."""
+
+    def __init__(self, tokens: list[Token]) -> None:
+        self.tokens = tokens
+        self.pos = 0
+
+    def peek(self) -> Token:
+        return self.tokens[self.pos]
+
+    def advance(self) -> Token:
+        """The current token; the cursor moves past it unless it is `eof`."""
+        tok = self.tokens[self.pos]
+        if tok.kind != "eof":
+            self.pos += 1
+        return tok
+
+    def at_punct(self, text: str) -> bool:
+        tok = self.tokens[self.pos]
+        return tok.kind == "punct" and tok.text == text
+
+    def at_ident(self, text: str) -> bool:
+        tok = self.tokens[self.pos]
+        return tok.kind == "ident" and tok.text == text
+
+    def expect_punct(self, text: str) -> Token:
+        if not self.at_punct(text):
+            raise self.fail(f"'{text}'")
+        return self.advance()
+
+    def expect_ident(self, what: str) -> Token:
+        if self.tokens[self.pos].kind != "ident":
+            raise self.fail(what)
+        return self.advance()
+
+    def fail(self, expected: str) -> Exception:
+        """The exception that says the current token is not `expected`."""
+        raise NotImplementedError
 

@@ -201,6 +201,19 @@ def test_text_block_argument_is_a_string() -> None:
     assert [f.message for f in findings] == ["expected a value or attribute"]
 
 
+@pytest.mark.parametrize("char", ["\u00a0", "\u2007", "\u202f", "\x85"])
+def test_text_block_keeps_what_java_does_not_call_white_space(char: str) -> None:
+    # `String.stripIndent` strips only `Character.isWhitespace` characters,
+    # which exclude the no-break spaces and U+0085.
+    def value(content: str) -> str:
+        return _attrs(f'@Component("""\n{content}""") class A {{}}', "A.java")[0].values[0]
+
+    assert value(f"    a{char}\n    ") == f"a{char}\n"
+    assert value(f"{char}   a\n    ") == f"{char}   a\n"
+    assert value(f"    a{char}\u2003\x1c\n    ") == f"a{char}\n"
+    assert value(f"\u2003\x1c  a\n    ") == "a\n"
+
+
 @pytest.mark.parametrize(
     "literal, value",
     [
@@ -433,6 +446,17 @@ def test_resolve_context_keeps_explicit_context() -> None:
     )
     resolved = resolve_context([comp, port])
     assert resolved[1].enclosing_components == ("Engine",)
+
+
+def test_resolve_context_restarts_at_each_file() -> None:
+    a = extract_pragmas('//@arch Component("A") @on type A\n', "a.txt")[0]
+    b = extract_pragmas('//@arch Port("p") @on method p\n', "b.txt")[0]
+    for instances in (a + b, b + a):
+        resolved = resolve_context(instances)
+        assert [(i.location.file, i.enclosing_components) for i in resolved] == [
+            ("a.txt", ()),
+            ("b.txt", ()),
+        ]
 
 
 def test_code_model_build_sorts_by_location() -> None:

@@ -5,14 +5,18 @@ import inspect
 import pkgutil
 import re
 import string
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from parser_grid import grid_report
 
 import archlint
 from archlint.adl import AdlParseError, parse_architecture
 from archlint.annotations import PRAGMA_LEADERS, extract_attributes, extract_pragmas
+
+GOLDEN = Path(__file__).parent / "data" / "golden"
 
 
 def _position(front_end: str, text: str) -> tuple[int, int]:
@@ -169,3 +173,8 @@ def test_patterns_use_no_syntax_newer_than_python_3_10() -> None:
         ))
     }
     assert newer == {}
+
+
+def test_parser_grid_matches_golden() -> None:
+    golden = (GOLDEN / "parser_grid.golden.txt").read_text(encoding="utf-8")
+    assert grid_report() == golden

@@ -74,3 +74,12 @@ def test_json_text_comes_only_from_the_record_templates() -> None:
         text = module.read_text(encoding="utf-8")
         assert "json.dumps" not in text, module.name
         assert defines_payload.search(text) is None, module.name
+
+
+def test_only_the_lexer_defines_the_token_cursor() -> None:
+    """`lexer.Cursor` is the one token reader; parsers subclass it."""
+    defines_cursor = re.compile(r"^\s*def (peek|advance|expect_punct|expect_ident)\b", re.MULTILINE)
+    modules = sorted(Path(archlint.__file__).parent.glob("*.py"))
+    assert [m.name for m in modules if defines_cursor.search(m.read_text(encoding="utf-8"))] == [
+        "lexer.py"
+    ]
