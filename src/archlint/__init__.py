@@ -33,6 +33,7 @@ _MODULES = {
         "Port",
         "RefKind",
         "ROOT_CONTEXT",
+        "created_or_deleted",
         "list_elements",
         "normalize_connector",
         "parse_ref",

@@ -569,6 +569,18 @@ class _PendingAnnotation:
 _STATEMENT_ENDS = frozenset("{};")
 
 
+def _may_follow(prev: Token, tok: Token) -> bool:
+    """Whether an annotation's argument list can hold `tok` after `prev`:
+    anything but a `;`, a `{` after none of `(`, `,`, `=` and `{`, or a
+    type keyword not after a `.`. The list ends before the first token it
+    cannot hold, so an unbalanced `(` swallows no more than its statement."""
+    if tok.kind == "punct" and tok.text in ";{":
+        return tok.text == "{" and prev.kind == "punct" and prev.text in "(,={"
+    if tok.kind == "ident" and tok.text in _TYPE_KEYWORDS:
+        return prev.kind == "punct" and prev.text == "."
+    return True
+
+
 def _detect_package(tokens: list[Token], path: str) -> str:
     if tokens and tokens[0].kind == "ident" and tokens[0].text == "package":
         parts: list[str] = []
@@ -592,28 +604,24 @@ _Scope = tuple[str, tuple[str, ...], int]
 def _classify_member(
     at: Callable[[int], Token | None], start: int, scope: list[_Scope], depth: int
 ) -> tuple[TargetKind, str] | None:
-    """Decide what declaration begins at token `start`; `at(j)` is token j,
-    None past `eof`.
+    """Decide what declaration begins at the `ident` token `start`; `at(j)`
+    is token j, None past `eof`.
 
     First decisive token wins: `(` makes it a method (constructor when the
     name matches the innermost type); `=` or `;` makes it a field, or a local
     variable when we are below the innermost type's body depth.
     """
-    last_ident: str | None = None
+    last_ident = ""
     j = start
     while (tok := at(j)) is not None:
         if tok.kind == "ident":
             last_ident = tok.text
         elif tok.kind == "punct":
             if tok.text == "(":
-                if last_ident is None:
-                    return None
                 if scope and last_ident == scope[-1][0]:
                     return (TargetKind.CONSTRUCTOR, last_ident)
                 return (TargetKind.METHOD, last_ident)
             if tok.text in ("=", ";"):
-                if last_ident is None:
-                    return None
                 inside_body = bool(scope) and depth > scope[-1][2]
                 return (TargetKind.LOCAL if inside_body else TargetKind.FIELD, last_ident)
             if tok.text in ("{", "}", "@"):
@@ -798,17 +806,16 @@ def extract_attributes(
                 arg_tokens: list[Token] | None = None
                 paren = at(i)
                 if paren.kind == "punct" and paren.text == "(":
-                    arg_tokens = []
-                    nesting = 0
-                    while (t := at(i)) is not None:
+                    arg_tokens = [paren]
+                    nesting = 1
+                    i += 1
+                    while nesting and (t := at(i)) is not None and _may_follow(arg_tokens[-1], t):
                         i += 1
                         arg_tokens.append(_text_block_string(t) if t.kind == "text_block" else t)
                         if t.kind == "punct" and t.text == "(":
                             nesting += 1
                         elif t.kind == "punct" and t.text == ")":
                             nesting -= 1
-                            if nesting == 0:
-                                break
                 annotation = ANNOTATION_NAMES.get(nxt.text)
                 if annotation is not None:
                     try:
@@ -817,8 +824,6 @@ def extract_attributes(
                         else:
                             cursor = _Cursor(arg_tokens + [Token("eof", "", tok.line, tok.column)])
                             values, attrs = _parse_args(cursor, annotation)
-                            if cursor.peek().kind != "eof":
-                                raise _ArgProblem("unexpected trailing input in arguments")
                         pending.append(_PendingAnnotation(annotation, values, attrs, location))
                     except _ArgProblem as problem:
                         findings.append(

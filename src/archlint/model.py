@@ -22,7 +22,7 @@ import enum
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from .errors import EndpointError
 from .findings import Finding, finding, sort_findings
@@ -411,17 +411,36 @@ def canonical_triple(
     return triple
 
 
-def list_elements(model: ArchitectureModel) -> set[ElementRef]:
+def _component_refs(comps: Iterable[Component]) -> set[ElementRef]:
+    """The elements components declare: each component, its ports and its parts."""
     refs: set[ElementRef] = set()
-    for comp in model.components:
+    for comp in comps:
         refs.add(ElementRef.component(comp.name))
-        for port in comp.ports:
-            refs.add(ElementRef.port(comp.name, port.name))
-        for part in comp.parts:
-            refs.add(ElementRef.part(comp.name, part.role))
-    for conn in model.connectors:
-        refs.add(ElementRef.connector(conn.context, conn.id))
+        refs.update(ElementRef.port(comp.name, port.name) for port in comp.ports)
+        refs.update(ElementRef.part(comp.name, part.role) for part in comp.parts)
     return refs
+
+
+def list_elements(model: ArchitectureModel) -> set[ElementRef]:
+    connectors = {ElementRef.connector(conn.context, conn.id) for conn in model.connectors}
+    return _component_refs(model.components) | connectors
+
+
+def created_or_deleted(old: ArchitectureModel, new: ArchitectureModel) -> frozenset[ElementRef]:
+    """The elements declared in exactly one of two models: `list_elements(old)
+    ^ list_elements(new)`, skipping the components of a name that are the
+    same objects or equal in both, with connectors compared by (context, id)."""
+    named: dict[str, tuple[list[Component], list[Component]]] = {}
+    for side, model in enumerate((old, new)):
+        for comp in model.components:
+            named.setdefault(comp.name, ([], []))[side].append(comp)
+    refs: set[ElementRef] = set()
+    for before, after in named.values():
+        if before != after:
+            refs |= _component_refs(before) ^ _component_refs(after)
+    keys = {(c.context, c.id) for c in old.connectors} ^ {(c.context, c.id) for c in new.connectors}
+    refs.update(ElementRef.connector(context, cid) for context, cid in keys)
+    return frozenset(refs)
 
 
 def validate_model(model: ArchitectureModel) -> list[Finding]:

@@ -3,12 +3,15 @@
 Operations are pure model transformations; the source code is never touched.
 Every operation either returns a new model that validates, or raises
 PreconditionError and leaves the input untouched, so plans are atomic by
-construction. The ImpactReport tells the developer which annotations (by
-location) reference each architecture element a step created, deleted, or
-re-homed, matched by `conformance.instance_refs` as the annotation lookup
-matches them; rewriting the code stays a manual task. What an element
-annotation references never depends on the model, so those are indexed once
-per plan; only connection annotations are resolved again at each step.
+construction. A handler returns only the new model; the elements a step
+touches are those it creates or deletes, `model.created_or_deleted` of the
+two models, so a rename or a move touches the old element and the new one.
+The ImpactReport tells the developer which annotations (by location)
+reference each element a step touched, matched by `conformance.instance_refs`
+as the annotation lookup matches them; rewriting the code stays a manual
+task. What an element annotation references never depends on the model, so
+those are indexed once per plan; only connection annotations are resolved
+again at each step.
 
 `OPERATIONS` is the one definition of each operation: its class, its plan
 name, how each field is read from and written to plan text, and its
@@ -35,6 +38,7 @@ from .model import (
     Port,
     RefKind,
     ROOT_CONTEXT,
+    created_or_deleted,
     is_identifier,
     normalize_connector,
     parse_ref,
@@ -118,7 +122,7 @@ def _apply_add_port(model: ArchitectureModel, op: AddPort):
     if comp.port(op.port) is not None:
         raise _fail(op, f"port '{op.port}' already exists in '{op.component}'", ref)
     new_comp = replace(comp, ports=comp.ports + (Port(op.port),))
-    return (replace(model, components=_swap_component(model, new_comp)), {ref})
+    return replace(model, components=_swap_component(model, new_comp))
 
 
 def _apply_remove_port(model: ArchitectureModel, op: RemovePort):
@@ -134,7 +138,7 @@ def _apply_remove_port(model: ArchitectureModel, op: RemovePort):
                 ElementRef.connector(conn.context, conn.id),
             )
     new_comp = replace(comp, ports=tuple(p for p in comp.ports if p.name != op.port))
-    return (replace(model, components=_swap_component(model, new_comp)), {ref})
+    return replace(model, components=_swap_component(model, new_comp))
 
 
 def _apply_add_connector(model: ArchitectureModel, op: AddConnector):
@@ -158,17 +162,13 @@ def _apply_add_connector(model: ArchitectureModel, op: AddConnector):
         if direction is nd and context == op.context:
             raise _fail(op, f"connector '{cid}' already declares this connection")
     new_conn = Connector(op.id, op.context, op.left, op.right, op.direction)
-    ref = ElementRef.connector(op.context, op.id)
-    return (replace(model, connectors=model.connectors + (new_conn,)), {ref})
+    return replace(model, connectors=model.connectors + (new_conn,))
 
 
 def _apply_remove_connector(model: ArchitectureModel, op: RemoveConnector):
-    conn = model.connector_by_id(op.id)
-    if conn is None:
+    if model.connector_by_id(op.id) is None:
         raise _fail(op, f"no connector with id '{op.id}'")
-    ref = ElementRef.connector(conn.context, conn.id)
-    remaining = tuple(c for c in model.connectors if c.id != op.id)
-    return (replace(model, connectors=remaining), {ref})
+    return replace(model, connectors=tuple(c for c in model.connectors if c.id != op.id))
 
 
 def _reached(model: ArchitectureModel, context: str, path: EndpointPath) -> list[ElementRef | None]:
@@ -214,7 +214,7 @@ def _apply_rename(model: ArchitectureModel, op: RenameElement):
 def _rename_component(model: ArchitectureModel, op: RenameElement):
     old = op.ref.path
     new = op.new_name
-    comp = _require_component(model, old, op)
+    _require_component(model, old, op)
     if model.component(new) is not None:
         raise _fail(op, f"component '{new}' already exists", ElementRef.component(new))
     connectors = tuple(
@@ -227,19 +227,7 @@ def _rename_component(model: ArchitectureModel, op: RenameElement):
         )
         name = new if c.name == old else c.name
         components.append(replace(c, name=name, parts=parts))
-
-    touched = {ElementRef.component(old), ElementRef.component(new)}
-    for port in comp.ports:
-        touched.add(ElementRef.port(old, port.name))
-        touched.add(ElementRef.port(new, port.name))
-    for part in comp.parts:
-        touched.add(ElementRef.part(old, part.role))
-        touched.add(ElementRef.part(new, part.role))
-    for conn in model.connectors:
-        if conn.context == old:
-            touched.add(ElementRef.connector(old, conn.id))
-            touched.add(ElementRef.connector(new, conn.id))
-    return (ArchitectureModel(tuple(components), connectors), touched)
+    return ArchitectureModel(tuple(components), connectors)
 
 
 def _rename_part(model: ArchitectureModel, op: RenameElement):
@@ -254,8 +242,7 @@ def _rename_part(model: ArchitectureModel, op: RenameElement):
         comp,
         parts=tuple(replace(p, role=op.new_name) if p.role == role else p for p in comp.parts),
     )
-    new_model = ArchitectureModel(_swap_component(model, new_comp), _renamed_paths(model, op))
-    return (new_model, {op.ref, ElementRef.part(owner_name, op.new_name)})
+    return ArchitectureModel(_swap_component(model, new_comp), _renamed_paths(model, op))
 
 
 def _rename_port(model: ArchitectureModel, op: RenameElement):
@@ -269,12 +256,10 @@ def _rename_port(model: ArchitectureModel, op: RenameElement):
         comp,
         ports=tuple(Port(op.new_name) if p.name == port_name else p for p in comp.ports),
     )
-    new_model = ArchitectureModel(_swap_component(model, new_comp), _renamed_paths(model, op))
-    return (new_model, {op.ref, ElementRef.port(owner_name, op.new_name)})
+    return ArchitectureModel(_swap_component(model, new_comp), _renamed_paths(model, op))
 
 
 def _rename_connector(model: ArchitectureModel, op: RenameElement):
-    context, _ = op.ref.split()
     conn = model.connector_index.by_ref.get(op.ref)
     if conn is None:
         raise _fail(op, f"no connector '{op.ref.path}'", op.ref)
@@ -283,17 +268,16 @@ def _rename_connector(model: ArchitectureModel, op: RenameElement):
     connectors = tuple(
         replace(c, id=op.new_name) if c is conn else c for c in model.connectors
     )
-    new_model = replace(model, connectors=connectors)
-    return (new_model, {op.ref, ElementRef.connector(context, op.new_name)})
+    return replace(model, connectors=connectors)
 
 
 def _apply_move_part(model: ArchitectureModel, op: MovePart):
     source = _require_component(model, op.from_component, op)
     target = _require_component(model, op.to_component, op)
     part = source.part(op.role)
-    old_ref = ElementRef.part(op.from_component, op.role)
     if part is None:
-        raise _fail(op, f"no part '{op.role}' in '{op.from_component}'", old_ref)
+        raise _fail(op, f"no part '{op.role}' in '{op.from_component}'",
+                    ElementRef.part(op.from_component, op.role))
     if target.part(op.role) is not None:
         raise _fail(op, f"part '{op.role}' already exists in '{op.to_component}'")
     new_source = replace(source, parts=tuple(p for p in source.parts if p.role != op.role))
@@ -302,8 +286,7 @@ def _apply_move_part(model: ArchitectureModel, op: MovePart):
         new_source if c.name == op.from_component else new_target if c.name == op.to_component else c
         for c in model.components
     )
-    new_ref = ElementRef.part(op.to_component, op.role)
-    return (replace(model, components=components), {old_ref, new_ref})
+    return replace(model, components=components)
 
 
 def _apply_split(model: ArchitectureModel, op: SplitComponent):
@@ -332,18 +315,6 @@ def _apply_split(model: ArchitectureModel, op: SplitComponent):
     if bad:
         raise _fail(op, f"partition sides must be '{op.name_a}' or '{op.name_b}', not {', '.join(bad)}")
 
-    touched: set[ElementRef] = {
-        ElementRef.component(op.target),
-        ElementRef.component(op.name_a),
-        ElementRef.component(op.name_b),
-    }
-    for port in target.ports:
-        touched.add(ElementRef.port(op.target, port.name))
-        touched.add(ElementRef.port(side_of[port.name], port.name))
-    for part in target.parts:
-        touched.add(ElementRef.part(op.target, part.role))
-        touched.add(ElementRef.part(side_of[part.role], part.role))
-
     new_a = Component(
         op.name_a,
         ports=tuple(p for p in target.ports if side_of[p.name] == op.name_a),
@@ -369,7 +340,6 @@ def _apply_split(model: ArchitectureModel, op: SplitComponent):
             if part.type_component != op.target:
                 continue
             holders.append((comp.name, part.role))
-            touched.add(ElementRef.part(comp.name, part.role))
             for side in (op.name_a, op.name_b):
                 role = f"{part.role}_{side}"
                 if role in names_in_use:
@@ -380,7 +350,6 @@ def _apply_split(model: ArchitectureModel, op: SplitComponent):
                     )
                 names_in_use.add(role)
                 new_parts.append(Part(role, side, part.multiplicity))
-                touched.add(ElementRef.part(comp.name, role))
         components.append(replace(comp, parts=tuple(new_parts)))
 
     target_was_top = model.is_top_level(op.target)
@@ -414,7 +383,6 @@ def _apply_split(model: ArchitectureModel, op: SplitComponent):
 
     connectors: list[Connector] = []
     for conn in model.connectors:
-        old_ref = ElementRef.connector(conn.context, conn.id)
         if conn.context == op.target:
             side_left = side_of.get(conn.left.segments[0])
             side_right = side_of.get(conn.right.segments[0])
@@ -422,31 +390,23 @@ def _apply_split(model: ArchitectureModel, op: SplitComponent):
                 # dangling endpoint in the input model; keep for validation
                 connectors.append(conn)
                 continue
-            touched.add(old_ref)
             if side_left == side_right:
                 connectors.append(replace(conn, context=side_left))
-                touched.add(ElementRef.connector(side_left, conn.id))
             elif target_was_top:
                 left = EndpointPath((side_left,) + conn.left.segments)
                 right = EndpointPath((side_right,) + conn.right.segments)
                 connectors.append(Connector(conn.id, ROOT_CONTEXT, left, right, conn.direction))
-                touched.add(ElementRef.connector(ROOT_CONTEXT, conn.id))
             else:
                 for owner, role in holders:
                     cid = conn.id if len(holders) == 1 else f"{conn.id}_{role}"
                     left = EndpointPath((f"{role}_{side_left}",) + conn.left.segments)
                     right = EndpointPath((f"{role}_{side_right}",) + conn.right.segments)
                     connectors.append(Connector(cid, owner, left, right, conn.direction))
-                    touched.add(ElementRef.connector(owner, cid))
         else:
-            left = rewrite_path(conn, conn.left)
-            right = rewrite_path(conn, conn.right)
-            if left != conn.left or right != conn.right:
-                touched.add(old_ref)
-            connectors.append(replace(conn, left=left, right=right))
-
-    new_model = ArchitectureModel(tuple(components), tuple(connectors))
-    return (new_model, touched)
+            connectors.append(replace(
+                conn, left=rewrite_path(conn, conn.left), right=rewrite_path(conn, conn.right)
+            ))
+    return ArchitectureModel(tuple(components), tuple(connectors))
 
 
 # ---------------------------------------------------------------------------
@@ -507,12 +467,14 @@ _MEMBERS = _Arg(
 
 class OpRow(NamedTuple):
     """An operation's class, plan name, arguments in field order and
-    handler. `usage` words the arity error of a row that ends in `rest`."""
+    handler. The handler returns only the new model, or raises
+    PreconditionError. `usage` words the arity error of a row that ends in
+    `rest`."""
 
     cls: type
     name: str
     args: tuple[_Arg, ...]
-    apply: Callable[[ArchitectureModel, Any], tuple[ArchitectureModel, set[ElementRef]]]
+    apply: Callable[[ArchitectureModel, Any], ArchitectureModel]
     usage: str = ""
 
 
@@ -549,16 +511,18 @@ def apply_op(
     model: ArchitectureModel, op: RefactoringOp
 ) -> tuple[ArchitectureModel, frozenset[ElementRef]]:
     """Apply one operation; atomic (the input model is never mutated).
+    Returns the new model and the elements the step touched: those declared
+    in exactly one of the two models.
 
     The result always validates: an operation that would leave dangling
     references (e.g. MovePart breaking an endpoint path) fails instead.
     """
-    new_model, touched = _ROW_OF[type(op)].apply(model, op)
+    new_model = _ROW_OF[type(op)].apply(model, op)
     problems = new_model.validation
     if problems:
         raise _fail(op, f"resulting model is not well-formed: {problems[0].message}",
                     problems[0].element)
-    return (new_model, frozenset(touched))
+    return (new_model, created_or_deleted(model, new_model))
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,7 @@ from archlint.annotations import (
     _Cursor,
     _default_package,
     _finish_instance,
+    _may_follow,
     _parse_args,
     _PendingAnnotation,
     _text_block_string,
@@ -201,16 +202,19 @@ def extract_attributes(
                     collected: list[Token] = []
                     while k < len(tokens):
                         t = tokens[k]
+                        if collected and not _may_follow(collected[-1], t):
+                            break
                         collected.append(_text_block_string(t) if t.kind == "text_block" else t)
                         if t.kind == "punct" and t.text == "(":
                             nesting += 1
                         elif t.kind == "punct" and t.text == ")":
                             nesting -= 1
                             if nesting == 0:
+                                k += 1
                                 break
                         k += 1
                     arg_tokens = collected
-                    j = k + 1
+                    j = k
                 kind = ANNOTATION_NAMES.get(nxt.text)
                 if kind is not None:
                     try:

@@ -170,6 +170,34 @@ def test_malformed_annotation_missing_value() -> None:
     assert [f.check_id for f in findings] == ["MALFORMED_ANNOTATION"]
 
 
+def test_unbalanced_paren_ends_the_arguments_at_the_statement() -> None:
+    text = (
+        '@Component("A") class A {\n'
+        '    @Part(("x") B b;\n'
+        '    @Port("p") void p() {}\n'
+        '    @Part("y") C c;\n'
+        "}\n"
+    )
+    instances, findings = extract_attributes(text, "A.java")
+    assert [(f.check_id, f.message, f.locations[0].line) for f in findings] == [
+        ("MALFORMED_ANNOTATION", "expected a value or attribute", 2)
+    ]
+    assert [(i.kind, i.values, i.target_name) for i in instances] == [
+        (AnnotationKind.COMPONENT, ("A",), "A"),
+        (AnnotationKind.PORT, ("p",), "p"),
+        (AnnotationKind.PART, ("y",), "c"),
+    ]
+
+
+def test_unbalanced_paren_of_a_foreign_annotation_ends_at_a_type_keyword() -> None:
+    text = '@Componen(("Car") public class Car { @Part("rear") Wheel rear; }'
+    instances, findings = extract_attributes(text, "Car.java")
+    assert findings == []
+    assert [(i.kind, i.values, i.target, i.target_name) for i in instances] == [
+        (AnnotationKind.PART, ("rear",), TargetKind.FIELD, "rear")
+    ]
+
+
 def test_text_block_does_not_hide_following_annotation() -> None:
     text = (
         'public @Component("Car") class Car {\n'

@@ -89,6 +89,10 @@ def test_skim_matches_the_whole_file_oracle(text: str) -> None:
         '@Component("A") class A { String s = """\n  @Part("x") class Z {\n  """; @Part("p") B b; }',
         # a Unicode type name keeps its component context
         '@Component("A") class Ä { @Part("p") B b; }',
+        # an unbalanced `(` ends the arguments at a `;`, a body's `{` or a type keyword
+        '@Component("A") class A { @Part(("x") B b; @Port("p") void p() {} @Part("y") C c; }',
+        '@Componen(("Car") public class Car { @Part("rear") Wheel rear; }',
+        '@Component("A") class A { @Part(("x" void m() { @Port("p") void p() {} } }',
     ],
 )
 def test_skim_traps_match_the_oracle(text: str) -> None:

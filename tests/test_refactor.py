@@ -23,6 +23,7 @@ from archlint.model import (
     Part,
     Port,
     RefKind,
+    list_elements,
     parse_ref,
     resolve_endpoint,
     validate_model,
@@ -458,6 +459,67 @@ def test_split_rejects_terminal_part_endpoint() -> None:
     assert "bad" in str(exc.value)
 
 
+@pytest.mark.parametrize(
+    "model, op, reason, ref",
+    [
+        (
+            "desktop",
+            RenameElement(parse_ref("Model#ghost"), "x"),
+            "no port 'ghost' in 'Model'",
+            parse_ref("Model#ghost"),
+        ),
+        (
+            "desktop",
+            RenameElement(parse_ref("System/ghost"), "x"),
+            "no connector 'System/ghost'",
+            parse_ref("System/ghost"),
+        ),
+        (
+            parse_architecture("component A { part x: C; }\ncomponent B { part x: C; }\ncomponent C { }"),
+            MovePart("x", "A", "B"),
+            "part 'x' already exists in 'B'",
+            None,
+        ),
+        (
+            "desktop",
+            SplitComponent(
+                "System", "9Client", "Server",
+                {"ui": "9Client", "model": "9Client", "query": "Server", "store": "Server"},
+            ),
+            "invalid component name '9Client'",
+            None,
+        ),
+        (
+            "desktop",
+            SplitComponent(
+                "System", "Client", "Server",
+                {"ui": "Client", "model": "Client", "query": "Server", "store": "Server",
+                 "ghost": "Server"},
+            ),
+            "partition must cover exactly the target's parts and ports (not members: ghost)",
+            None,
+        ),
+        (
+            parse_architecture(
+                "component T { port a; port b; }\n"
+                "component X { }\n"
+                "component Outer { part t: T; part t_Ta: X; }\n"
+            ),
+            SplitComponent("T", "Ta", "Tb", {"a": "Ta", "b": "Tb"}),
+            "replacement part role 't_Ta' collides in component 'Outer'",
+            parse_ref("Outer.t_Ta"),
+        ),
+    ],
+)
+def test_unreached_preconditions_give_their_reason_and_ref(
+    desktop_arch: ArchitectureModel, model, op, reason: str, ref
+) -> None:
+    with pytest.raises(PreconditionError) as exc:
+        apply_op(desktop_arch if model == "desktop" else model, op)
+    assert exc.value.reason == reason
+    assert exc.value.ref == ref
+
+
 def test_post_validation_names_the_breakage(car_arch: ArchitectureModel) -> None:
     with pytest.raises(PreconditionError) as exc:
         apply_op(car_arch, MovePart("e", "Car", "Wheel"))
@@ -699,6 +761,38 @@ def test_random_endpoint_stops_at_a_part_of_undeclared_type() -> None:
     drawn = [_random_endpoint(random.Random(seed), broken, "A") for seed in range(40)]
     assert None in drawn
     assert {path.segments for path in drawn if path is not None} == {("p",)}
+
+
+def test_a_step_touches_what_it_creates_or_deletes() -> None:
+    """Every step of 1,000 seeded `random_op_sequence` chains touches
+    exactly the elements declared in one of its two models."""
+    rng = random.Random(307)
+    applied: Counter = Counter()
+    for _ in range(1000):
+        model = random_model(rng)
+        ops, _ = random_op_sequence(rng, model)
+        for op in ops:
+            new_model, touched = apply_op(model, op)
+            assert touched == frozenset(list_elements(model) ^ list_elements(new_model)), op_text(op)
+            applied[type(op)] += 1
+            model = new_model
+    assert min(applied[row.cls] for row in OPERATIONS) >= 100, applied
+
+
+def test_split_does_not_touch_a_connector_it_reroutes(tmp_path: Path) -> None:
+    arch = parse_architecture(
+        "component T { port a; port b; }\n"
+        "component W { port w; }\n"
+        "component Outer { part t: T; part v: W; connector k: t.a -> v.w; }\n"
+    )
+    code = _wired_code(tmp_path, 'Connects(left="t.a", right="v.w", type=RIGHT) @on method link @in Outer')
+    plan = parse_plan("split-component(T, Ta, Tb, a=Ta, b=Tb)")
+    out, report = apply_plan(arch, plan, code)
+    assert str(out.connector_by_id("k").left) == "t_Ta.a"
+    (entry,) = report.entries
+    assert parse_ref("Outer/k") not in entry.touched
+    assert entry.instances[parse_ref("Outer.t")] == code.instances
+    _assert_pre_step_lookups(arch, report, code)
 
 
 def test_inverse_ops_restore_model() -> None:
