@@ -20,10 +20,10 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cache, cached_property
 from pathlib import PurePosixPath
-from typing import Callable, Iterable, Mapping, TypeVar
+from typing import Callable, Iterable, Mapping, NamedTuple, TypeVar
 
 from .findings import Finding, SourceLocation, finding, sort_findings
 from .lexer import (
@@ -50,6 +50,9 @@ class TargetKind(enum.Enum):
     METHOD = "method"
     CONSTRUCTOR = "constructor"
     LOCAL = "local"
+
+    # By identity, as members compare: `Enum.__hash__` is Python code.
+    __hash__ = object.__hash__
 
 
 def _root(instance: AnnotationInstance) -> tuple[str, ...]:
@@ -114,12 +117,19 @@ class AnnotationKind(enum.Enum):
     CONNECTOR = ("Connector", "type field local", _ENDPOINTS, "left right", False,
                  None, None, False, "stores")
 
+    __hash__ = object.__hash__  # as TargetKind's
+
+
+# Module globals for the rules run per instance: on Python 3.11 each
+# `AnnotationKind.X` lookup runs `EnumType.__getattr__`.
+_COMPONENT = AnnotationKind.COMPONENT
+_TYPE = TargetKind.TYPE
+
 
 ANNOTATION_NAMES: Mapping[str, AnnotationKind] = {k.value: k for k in AnnotationKind}
 
 
-@dataclass(frozen=True)
-class AnnotationInstance:
+class AnnotationInstance(NamedTuple):
     kind: AnnotationKind
     values: tuple[str, ...]
     attrs: Mapping[str, str]
@@ -269,8 +279,13 @@ def _finish_instance(
     enclosing: tuple[str, ...],
     location: SourceLocation,
     package: str,
+    inherited: tuple[str, ...] = (),
 ) -> AnnotationInstance:
-    """Construction-time invariants; raises _ArgProblem when violated."""
+    """Construction-time invariants; raises _ArgProblem when violated. An
+    instance with no enclosing components takes `inherited`, unless it is a
+    @Component."""
+    if not enclosing and kind is not _COMPONENT:
+        enclosing = inherited
     if kind.value_required and not values:
         raise _ArgProblem(f"@{kind.value} requires at least one value")
     missing = [k for k in kind.required if k not in attrs]
@@ -293,15 +308,15 @@ def _default_package(path: str) -> str:
 
 
 def _parse_pragma_tail(
-    tail: str, location: SourceLocation, package: str
+    tail: str, location: SourceLocation, package: str, inherited: tuple[str, ...] = ()
 ) -> AnnotationInstance:
     """Parse everything after the sigil; raises _ArgProblem on any deviation.
 
     A tail the fast path declines goes to the token parser.
     """
-    instance = _match_pragma_tail(tail, location, package)
+    instance = _match_pragma_tail(tail, location, package, inherited)
     if instance is None:
-        instance = _parse_pragma_tokens(tail, location, package)
+        instance = _parse_pragma_tokens(tail, location, package, inherited)
     return instance
 
 
@@ -342,7 +357,7 @@ def _pragma_arg_pattern() -> re.Pattern[str]:
 
 
 def _match_pragma_tail(
-    tail: str, location: SourceLocation, package: str
+    tail: str, location: SourceLocation, package: str, inherited: tuple[str, ...] = ()
 ) -> AnnotationInstance | None:
     """The instance of a tail that `_pragma_tail_pattern` matches whole, or
     None when it does not match or has an argument the token grammar rejects:
@@ -379,12 +394,13 @@ def _match_pragma_tail(
     within = match["within"]
     enclosing = () if within is None else tuple("".join(within.split()).split(","))
     return _finish_instance(
-        kind, values or (), attrs, target, match["target_name"] or "", enclosing, location, package
+        kind, values or (), attrs, target, match["target_name"] or "", enclosing, location, package,
+        inherited,
     )
 
 
 def _parse_pragma_tokens(
-    tail: str, location: SourceLocation, package: str
+    tail: str, location: SourceLocation, package: str, inherited: tuple[str, ...] = ()
 ) -> AnnotationInstance:
     """The token parser behind `_parse_pragma_tail`: every tail, every message."""
     tokens = tokenize(PRAGMA, tail)
@@ -415,7 +431,9 @@ def _parse_pragma_tokens(
         enclosing = tuple(names)
     if cursor.peek().kind != "eof":
         raise _ArgProblem(f"unexpected trailing input '{cursor.peek().text}'")
-    return _finish_instance(kind, values, attrs, target, target_name, enclosing, location, package)
+    return _finish_instance(
+        kind, values, attrs, target, target_name, enclosing, location, package, inherited
+    )
 
 
 # Whitespace and comment punctuation a pragma line may start with; stripped
@@ -436,7 +454,7 @@ def _sigil_and_tail(sigil: str) -> re.Pattern[str]:
 
 
 def extract_pragmas(
-    file_text: str, path: str, sigil: str = "@arch"
+    file_text: str, path: str, sigil: str = "@arch", *, fill_context: bool = False
 ) -> tuple[list[AnnotationInstance], list[Finding]]:
     """One instance per well-formed pragma line; malformed lines become findings.
 
@@ -444,8 +462,9 @@ def extract_pragmas(
     then `Name(args) @on kind [name] [@in Component,...]`. Lines not starting
     with the sigil are ignored; lines break where `str.splitlines` breaks
     them. Locations count lines at `\\n` and columns from the last `\\n`,
-    as `lexer.tokenize` does. Context resolution is a separate pass
-    (resolve_context); only explicit `@in` fills enclosing_components here.
+    as `lexer.tokenize` does. Only explicit `@in` fills enclosing_components,
+    unless `fill_context` is set: then each instance is built with the
+    context `resolve_context` would give it, and that pass copies none.
     """
     instances: list[AnnotationInstance] = []
     findings: list[Finding] = []
@@ -457,6 +476,7 @@ def extract_pragmas(
     line = 1
     line_start = 0  # text index of column 1 of `line`
     counted = 0  # newlines in file_text[:counted] are already in `line`
+    context: tuple[str, ...] = ()  # the last type @Component's values, when filling
     for match in _sigil_and_tail(sigil).finditer(file_text):
         start = match.start()
         lead = start
@@ -471,11 +491,15 @@ def extract_pragmas(
         counted = start
         location = SourceLocation(path, line, start - line_start + 1)
         try:
-            instances.append(_parse_pragma_tail(match.group("tail"), location, package))
+            instance = _parse_pragma_tail(match.group("tail"), location, package, context)
         except _ArgProblem as problem:
             findings.append(
                 finding("MALFORMED_PRAGMA", problem.message, locations=[location])
             )
+            continue
+        if fill_context and instance.kind is _COMPONENT and instance.target is _TYPE:
+            context = instance.values
+        instances.append(instance)
     return instances, findings
 
 
@@ -490,16 +514,10 @@ def resolve_context(instances: Iterable[AnnotationInstance]) -> list[AnnotationI
     for inst in ordered:
         if inst.location.file != file:
             file, current = inst.location.file, ()
-        if inst.kind is AnnotationKind.COMPONENT:
-            if inst.target is TargetKind.TYPE:
-                current = inst.values
-            out.append(inst)
-            continue
-        if not inst.enclosing_components and current:
-            inst = AnnotationInstance(
-                inst.kind, inst.values, inst.attrs, inst.target, inst.target_name,
-                current, inst.location, inst.package,
-            )
+        if inst.kind is _COMPONENT and inst.target is _TYPE:
+            current = inst.values
+        elif inst.kind is not _COMPONENT and not inst.enclosing_components and current:
+            inst = inst._replace(enclosing_components=current)
         out.append(inst)
     return out
 
@@ -557,8 +575,7 @@ def _text_block_string(tok: Token) -> Token:
     return Token("string", java_unescape(value), tok.line, tok.column)
 
 
-@dataclass
-class _PendingAnnotation:
+class _PendingAnnotation(NamedTuple):
     kind: AnnotationKind
     values: tuple[str, ...]
     attrs: dict[str, str]
@@ -569,12 +586,16 @@ class _PendingAnnotation:
 _STATEMENT_ENDS = frozenset("{};")
 
 
-def _may_follow(prev: Token, tok: Token) -> bool:
-    """Whether an annotation's argument list can hold `tok` after `prev`:
-    anything but a `;`, a `{` after none of `(`, `,`, `=` and `{`, or a
-    type keyword not after a `.`. The list ends before the first token it
-    cannot hold, so an unbalanced `(` swallows no more than its statement."""
-    if tok.kind == "punct" and tok.text in ";{":
+def _may_follow(prev: Token, tok: Token, braces: int) -> bool:
+    """Whether an annotation's argument list can hold `tok` after `prev`,
+    with `braces` of the `{` it holds still open: anything but a `;`, a `{`
+    after none of `(`, `,`, `=` and `{`, a `}` that closes none of them, or
+    a type keyword not after a `.`. The list ends before the first token it
+    cannot hold, so an unbalanced `(` swallows no more than its statement
+    and leaves the brace that ends its block to the block."""
+    if tok.kind == "punct" and tok.text in ";{}":
+        if tok.text == "}":
+            return braces > 0
         return tok.text == "{" and prev.kind == "punct" and prev.text in "(,={"
     if tok.kind == "ident" and tok.text in _TYPE_KEYWORDS:
         return prev.kind == "punct" and prev.text == "."
@@ -703,14 +724,14 @@ def extract_attributes(
         """Finish the pending group on its declaration; returns the values of
         the group's @Component annotations."""
         nonlocal pending
-        own = tuple(v for p in pending if p.kind is AnnotationKind.COMPONENT for v in p.values)
-        group_context = own if own and target is TargetKind.TYPE else context()
+        own = tuple(v for p in pending if p.kind is _COMPONENT for v in p.values)
+        group_context = own if own and target is _TYPE else context()
         for p in pending:
-            enclosing = () if p.kind is AnnotationKind.COMPONENT else group_context
             try:
                 instances.append(
                     _finish_instance(
-                        p.kind, p.values, p.attrs, target, target_name, enclosing, p.location, package
+                        p.kind, p.values, p.attrs, target, target_name, (), p.location, package,
+                        group_context,
                     )
                 )
             except _ArgProblem as problem:
@@ -808,14 +829,14 @@ def extract_attributes(
                 if paren.kind == "punct" and paren.text == "(":
                     arg_tokens = [paren]
                     nesting = 1
+                    braces = 0
                     i += 1
-                    while nesting and (t := at(i)) is not None and _may_follow(arg_tokens[-1], t):
+                    while nesting and (t := at(i)) is not None and _may_follow(arg_tokens[-1], t, braces):
                         i += 1
                         arg_tokens.append(_text_block_string(t) if t.kind == "text_block" else t)
-                        if t.kind == "punct" and t.text == "(":
-                            nesting += 1
-                        elif t.kind == "punct" and t.text == ")":
-                            nesting -= 1
+                        if t.kind == "punct":
+                            nesting += (t.text == "(") - (t.text == ")")
+                            braces += (t.text == "{") - (t.text == "}")
                 annotation = ANNOTATION_NAMES.get(nxt.text)
                 if annotation is not None:
                     try:
@@ -845,13 +866,11 @@ def extract_attributes(
 # the lightweight architectural model
 
 
-@dataclass(frozen=True)
-class CodeModel:
-    """All extracted instances plus extraction findings, canonically sorted."""
-
-    instances: tuple[AnnotationInstance, ...] = ()
-    findings: tuple[Finding, ...] = ()
-    config_fingerprint: str = ""
+class CodeModel(
+    namedtuple("CodeModel", "instances findings config_fingerprint", defaults=((), (), ""))
+):
+    """All extracted instances (a tuple of AnnotationInstance) plus extraction
+    findings, canonically sorted, and the scan configuration's fingerprint."""
 
     @classmethod
     def build(

@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import re
 import sys
-from dataclasses import fields
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Sequence, TextIO
 
@@ -158,7 +157,7 @@ def cmd_lookup(args: argparse.Namespace) -> int:
         raise _CliError(f"unknown element '{ref.path}'")
     if ref.kind is RefKind.CONNECTOR:
         usages = connector_usages(code, ref, arch)
-        groups = {f.name: getattr(usages, f.name) for f in fields(usages)}
+        groups = usages._asdict()
         if args.format == "json":
             sys.stdout.write(jsontext.lookup(ref.path, groups))
             return 0

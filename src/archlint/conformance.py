@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import hashlib
 from collections import Counter
-from dataclasses import dataclass, fields
 from typing import Mapping, NamedTuple
 
 from . import jsontext
@@ -144,8 +143,7 @@ def lookup(
     return [inst for inst in code.instances if ref in instance_refs(inst, arch)]
 
 
-@dataclass(frozen=True)
-class ConnectorUsages:
+class ConnectorUsages(NamedTuple):
     """A connector's annotations; a connection kind's `usage` names its field."""
 
     connects: tuple[AnnotationInstance, ...]
@@ -162,16 +160,13 @@ def usages_by_connector(
     connector it matches, in code order.
     """
     groups = {
-        ElementRef.connector(conn.context, conn.id): {f.name: [] for f in fields(ConnectorUsages)}
+        ElementRef.connector(conn.context, conn.id): {name: [] for name in ConnectorUsages._fields}
         for conn in arch.connector_index.triples
     }
     for inst in connection_instances(code):
         for ref in resolve_connection(arch, inst).matches:
             groups[ref][inst.kind.usage].append(inst)
-    return {
-        ref: ConnectorUsages(**{name: tuple(insts) for name, insts in group.items()})
-        for ref, group in groups.items()
-    }
+    return {ref: ConnectorUsages(*map(tuple, group.values())) for ref, group in groups.items()}
 
 
 def connector_usages(
@@ -305,8 +300,7 @@ def check_connection_consistency(arch: ArchitectureModel, code: CodeModel) -> li
     return sort_findings(findings)
 
 
-@dataclass(frozen=True)
-class ConformanceReport:
+class ConformanceReport(NamedTuple):
     findings: tuple[Finding, ...]
     counts: Mapping[str, int]
     fingerprint: str

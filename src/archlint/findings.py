@@ -8,8 +8,7 @@ catalog below, so renderers and exit-code logic never meet an unknown id.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 if TYPE_CHECKING:
     from .model import ElementRef
@@ -20,8 +19,7 @@ class Severity(enum.Enum):
     WARNING = "WARNING"
 
 
-@dataclass(frozen=True)
-class SourceLocation:
+class SourceLocation(NamedTuple):
     """1-based position inside a scanned file; file is root-relative."""
 
     file: str
@@ -68,8 +66,7 @@ CATALOG: dict[str, Severity] = {
 SMELL_IDS = frozenset({"SCATTERED_COMPONENT", "CONNECTOR_LIFECYCLE"})
 
 
-@dataclass(frozen=True)
-class Finding:
+class Finding(NamedTuple):
     check_id: str
     severity: Severity
     message: str
@@ -89,11 +86,8 @@ def finding(
 
 
 def finding_sort_key(f: Finding) -> tuple:
-    loc = f.locations[0] if f.locations else None
     return (
-        loc.file if loc else "",
-        loc.line if loc else 0,
-        loc.column if loc else 0,
+        *(f.locations[0] if f.locations else ("", 0, 0)),  # file, line, column
         f.check_id,
         f.element.path if f.element is not None else "",
         f.message,

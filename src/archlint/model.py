@@ -20,9 +20,9 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .errors import EndpointError
 from .findings import Finding, finding, sort_findings
@@ -52,8 +52,7 @@ def flip(direction: Direction) -> Direction:
     return direction
 
 
-@dataclass(frozen=True)
-class Multiplicity:
+class Multiplicity(NamedTuple):
     lower: int = 1
     upper: int | None = 1  # None = unbounded
 
@@ -68,27 +67,26 @@ class Multiplicity:
 MULT_ONE = Multiplicity(1, 1)
 
 
-@dataclass(frozen=True)
-class Port:
+class Port(NamedTuple):
     name: str
 
 
-@dataclass(frozen=True)
-class Part:
+class Part(NamedTuple):
     role: str
     type_component: str
     multiplicity: Multiplicity = MULT_ONE
 
 
-@dataclass(frozen=True)
-class Component:
-    name: str
-    ports: tuple[Port, ...] = ()
-    parts: tuple[Part, ...] = ()
+class Component(namedtuple("Component", "name ports parts")):
+    """A component, its ports sorted by name and its parts by role."""
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "ports", tuple(sorted(self.ports, key=lambda p: p.name)))
-        object.__setattr__(self, "parts", tuple(sorted(self.parts, key=lambda p: p.role)))
+    def __new__(cls, name: str, ports: Iterable[Port] = (), parts: Iterable[Part] = ()) -> Component:
+        ports = tuple(sorted(ports, key=lambda p: p.name))
+        parts = tuple(sorted(parts, key=lambda p: p.role))
+        return super().__new__(cls, name, ports, parts)
+
+    # `_replace` builds through `_make`: through the constructor, sorted too.
+    _make = classmethod(lambda cls, values: cls(*values))
 
     @cached_property
     def _port_map(self) -> Mapping[str, Port]:
@@ -105,8 +103,7 @@ class Component:
         return self._part_map.get(role)
 
 
-@dataclass(frozen=True)
-class EndpointPath:
+class EndpointPath(NamedTuple):
     segments: tuple[str, ...]
 
     def __str__(self) -> str:
@@ -120,8 +117,7 @@ class EndpointPath:
         return cls(tuple(segments))
 
 
-@dataclass(frozen=True)
-class Connector:
+class Connector(NamedTuple):
     id: str
     context: str
     left: EndpointPath
@@ -144,8 +140,7 @@ _PORT = RefKind.PORT
 _CONNECTOR = RefKind.CONNECTOR
 
 
-@dataclass(frozen=True)
-class ElementRef:
+class ElementRef(NamedTuple):
     """Uniform address of an architecture element.
 
     Path shapes: component `Car`, part `Car.rear`, port `Engine#p`,
@@ -225,8 +220,7 @@ def parse_ref(text: str) -> ElementRef:
     return ElementRef.component(text)
 
 
-@dataclass(frozen=True)
-class ArchitectureModel:
+class ArchitectureModel(namedtuple("ArchitectureModel", "components connectors")):
     """Components and connectors, sorted on construction.
 
     Cached lookups such as `connector_index`, which resolves every connector
@@ -234,16 +228,14 @@ class ArchitectureModel:
     enter equality.
     """
 
-    components: tuple[Component, ...] = ()
-    connectors: tuple[Connector, ...] = ()
+    def __new__(
+        cls, components: Iterable[Component] = (), connectors: Iterable[Connector] = ()
+    ) -> ArchitectureModel:
+        components = tuple(sorted(components, key=lambda c: c.name))
+        connectors = tuple(sorted(connectors, key=lambda c: (c.context, c.id)))
+        return super().__new__(cls, components, connectors)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "components", tuple(sorted(self.components, key=lambda c: c.name))
-        )
-        object.__setattr__(
-            self, "connectors", tuple(sorted(self.connectors, key=lambda c: (c.context, c.id)))
-        )
+    _make = classmethod(lambda cls, values: cls(*values))
 
     @cached_property
     def _component_map(self) -> Mapping[str, Component]:

@@ -21,7 +21,6 @@ handler. `parse_plan`, `op_text`, `op_name` and `apply_op` read it.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, fields, replace
 from typing import Any, Callable, Mapping, NamedTuple, Union
 
 from .annotations import AnnotationInstance, CodeModel, syntactic_refs
@@ -47,51 +46,57 @@ from .model import (
 )
 
 
-@dataclass(frozen=True)
-class AddPort:
+def _same_op(op: tuple, other: object) -> bool:
+    """Operations compare by type, then fields: AddPort and RemovePort hold
+    the same items, and tuples that do are equal. `object.__ne__` inverts it."""
+    return type(other) is type(op) and tuple.__eq__(op, other)
+
+
+class AddPort(NamedTuple):
     component: str
     port: str
+    __eq__, __ne__ = _same_op, object.__ne__
 
 
-@dataclass(frozen=True)
-class RemovePort:
+class RemovePort(NamedTuple):
     component: str
     port: str
+    __eq__, __ne__ = _same_op, object.__ne__
 
 
-@dataclass(frozen=True)
-class AddConnector:
+class AddConnector(NamedTuple):
     id: str
     context: str
     left: EndpointPath
     right: EndpointPath
     direction: Direction
+    __eq__, __ne__ = _same_op, object.__ne__
 
 
-@dataclass(frozen=True)
-class RemoveConnector:
+class RemoveConnector(NamedTuple):
     id: str
+    __eq__, __ne__ = _same_op, object.__ne__
 
 
-@dataclass(frozen=True)
-class SplitComponent:
+class SplitComponent(NamedTuple):
     target: str
     name_a: str
     name_b: str
     partition: Mapping[str, str]  # part role / port name -> name_a | name_b
+    __eq__, __ne__ = _same_op, object.__ne__
 
 
-@dataclass(frozen=True)
-class RenameElement:
+class RenameElement(NamedTuple):
     ref: ElementRef
     new_name: str
+    __eq__, __ne__ = _same_op, object.__ne__
 
 
-@dataclass(frozen=True)
-class MovePart:
+class MovePart(NamedTuple):
     role: str
     from_component: str
     to_component: str
+    __eq__, __ne__ = _same_op, object.__ne__
 
 
 RefactoringOp = Union[
@@ -121,8 +126,8 @@ def _apply_add_port(model: ArchitectureModel, op: AddPort):
         raise _fail(op, f"invalid port name '{op.port}'")
     if comp.port(op.port) is not None:
         raise _fail(op, f"port '{op.port}' already exists in '{op.component}'", ref)
-    new_comp = replace(comp, ports=comp.ports + (Port(op.port),))
-    return replace(model, components=_swap_component(model, new_comp))
+    new_comp = comp._replace(ports=comp.ports + (Port(op.port),))
+    return model._replace(components=_swap_component(model, new_comp))
 
 
 def _apply_remove_port(model: ArchitectureModel, op: RemovePort):
@@ -137,8 +142,8 @@ def _apply_remove_port(model: ArchitectureModel, op: RemovePort):
                 f"connector '{conn.id}' is attached to port '{ref.path}'",
                 ElementRef.connector(conn.context, conn.id),
             )
-    new_comp = replace(comp, ports=tuple(p for p in comp.ports if p.name != op.port))
-    return replace(model, components=_swap_component(model, new_comp))
+    new_comp = comp._replace(ports=tuple(p for p in comp.ports if p.name != op.port))
+    return model._replace(components=_swap_component(model, new_comp))
 
 
 def _apply_add_connector(model: ArchitectureModel, op: AddConnector):
@@ -162,13 +167,13 @@ def _apply_add_connector(model: ArchitectureModel, op: AddConnector):
         if direction is nd and context == op.context:
             raise _fail(op, f"connector '{cid}' already declares this connection")
     new_conn = Connector(op.id, op.context, op.left, op.right, op.direction)
-    return replace(model, connectors=model.connectors + (new_conn,))
+    return model._replace(connectors=model.connectors + (new_conn,))
 
 
 def _apply_remove_connector(model: ArchitectureModel, op: RemoveConnector):
     if model.connector_by_id(op.id) is None:
         raise _fail(op, f"no connector with id '{op.id}'")
-    return replace(model, connectors=tuple(c for c in model.connectors if c.id != op.id))
+    return model._replace(connectors=tuple(c for c in model.connectors if c.id != op.id))
 
 
 def _reached(model: ArchitectureModel, context: str, path: EndpointPath) -> list[ElementRef | None]:
@@ -193,7 +198,7 @@ def _renamed_paths(model: ArchitectureModel, op: RenameElement) -> tuple[Connect
         ))
 
     return tuple(
-        replace(conn, left=rename(conn, conn.left), right=rename(conn, conn.right))
+        conn._replace(left=rename(conn, conn.left), right=rename(conn, conn.right))
         for conn in model.connectors
     )
 
@@ -218,16 +223,21 @@ def _rename_component(model: ArchitectureModel, op: RenameElement):
     if model.component(new) is not None:
         raise _fail(op, f"component '{new}' already exists", ElementRef.component(new))
     connectors = tuple(
-        replace(c, context=new) if c.context == old else c for c in _renamed_paths(model, op)
+        c._replace(context=new) if c.context == old else c for c in _renamed_paths(model, op)
     )
-    components = []
-    for c in model.components:
+
+    def renamed(c: Component) -> Component:
         parts = tuple(
-            replace(p, type_component=new) if p.type_component == old else p for p in c.parts
+            p._replace(type_component=new) if p.type_component == old else p for p in c.parts
         )
-        name = new if c.name == old else c.name
-        components.append(replace(c, name=name, parts=parts))
-    return ArchitectureModel(tuple(components), connectors)
+        return c._replace(name=new if c.name == old else c.name, parts=parts)
+
+    # Only the renamed component and those with a part of its type change.
+    components = (
+        renamed(c) if c.name == old or any(p.type_component == old for p in c.parts) else c
+        for c in model.components
+    )
+    return ArchitectureModel(components, connectors)
 
 
 def _rename_part(model: ArchitectureModel, op: RenameElement):
@@ -238,9 +248,8 @@ def _rename_part(model: ArchitectureModel, op: RenameElement):
         raise _fail(op, f"no part '{role}' in '{owner_name}'", op.ref)
     if comp.part(op.new_name) is not None:
         raise _fail(op, f"part '{op.new_name}' already exists in '{owner_name}'")
-    new_comp = replace(
-        comp,
-        parts=tuple(replace(p, role=op.new_name) if p.role == role else p for p in comp.parts),
+    new_comp = comp._replace(
+        parts=tuple(p._replace(role=op.new_name) if p.role == role else p for p in comp.parts),
     )
     return ArchitectureModel(_swap_component(model, new_comp), _renamed_paths(model, op))
 
@@ -252,8 +261,7 @@ def _rename_port(model: ArchitectureModel, op: RenameElement):
         raise _fail(op, f"no port '{port_name}' in '{owner_name}'", op.ref)
     if comp.port(op.new_name) is not None:
         raise _fail(op, f"port '{op.new_name}' already exists in '{owner_name}'")
-    new_comp = replace(
-        comp,
+    new_comp = comp._replace(
         ports=tuple(Port(op.new_name) if p.name == port_name else p for p in comp.ports),
     )
     return ArchitectureModel(_swap_component(model, new_comp), _renamed_paths(model, op))
@@ -266,9 +274,9 @@ def _rename_connector(model: ArchitectureModel, op: RenameElement):
     if model.connector_by_id(op.new_name) is not None:
         raise _fail(op, f"connector id '{op.new_name}' already exists")
     connectors = tuple(
-        replace(c, id=op.new_name) if c is conn else c for c in model.connectors
+        c._replace(id=op.new_name) if c is conn else c for c in model.connectors
     )
-    return replace(model, connectors=connectors)
+    return model._replace(connectors=connectors)
 
 
 def _apply_move_part(model: ArchitectureModel, op: MovePart):
@@ -280,13 +288,13 @@ def _apply_move_part(model: ArchitectureModel, op: MovePart):
                     ElementRef.part(op.from_component, op.role))
     if target.part(op.role) is not None:
         raise _fail(op, f"part '{op.role}' already exists in '{op.to_component}'")
-    new_source = replace(source, parts=tuple(p for p in source.parts if p.role != op.role))
-    new_target = replace(target, parts=target.parts + (part,))
+    new_source = source._replace(parts=tuple(p for p in source.parts if p.role != op.role))
+    new_target = target._replace(parts=target.parts + (part,))
     components = tuple(
         new_source if c.name == op.from_component else new_target if c.name == op.to_component else c
         for c in model.components
     )
-    return replace(model, components=components)
+    return model._replace(components=components)
 
 
 def _apply_split(model: ArchitectureModel, op: SplitComponent):
@@ -350,7 +358,7 @@ def _apply_split(model: ArchitectureModel, op: SplitComponent):
                     )
                 names_in_use.add(role)
                 new_parts.append(Part(role, side, part.multiplicity))
-        components.append(replace(comp, parts=tuple(new_parts)))
+        components.append(comp._replace(parts=tuple(new_parts)))
 
     target_was_top = model.is_top_level(op.target)
     target_ref = ElementRef.component(op.target)
@@ -391,7 +399,7 @@ def _apply_split(model: ArchitectureModel, op: SplitComponent):
                 connectors.append(conn)
                 continue
             if side_left == side_right:
-                connectors.append(replace(conn, context=side_left))
+                connectors.append(conn._replace(context=side_left))
             elif target_was_top:
                 left = EndpointPath((side_left,) + conn.left.segments)
                 right = EndpointPath((side_right,) + conn.right.segments)
@@ -403,8 +411,8 @@ def _apply_split(model: ArchitectureModel, op: SplitComponent):
                     right = EndpointPath((f"{role}_{side_right}",) + conn.right.segments)
                     connectors.append(Connector(cid, owner, left, right, conn.direction))
         else:
-            connectors.append(replace(
-                conn, left=rewrite_path(conn, conn.left), right=rewrite_path(conn, conn.right)
+            connectors.append(conn._replace(
+                left=rewrite_path(conn, conn.left), right=rewrite_path(conn, conn.right)
             ))
     return ArchitectureModel(tuple(components), tuple(connectors))
 
@@ -501,8 +509,8 @@ def op_text(op: RefactoringOp) -> str:
     """The plan-file spelling of an operation."""
     row = _ROW_OF[type(op)]
     texts: list[str] = []
-    for field, arg in zip(fields(op), row.args):
-        text = arg.write(getattr(op, field.name))
+    for value, arg in zip(op, row.args):
+        text = arg.write(value)
         texts += text if arg.rest else [text]
     return f"{row.name}({', '.join(texts)})"
 
@@ -525,22 +533,19 @@ def apply_op(
     return (new_model, created_or_deleted(model, new_model))
 
 
-@dataclass(frozen=True)
-class RefactoringPlan:
+class RefactoringPlan(NamedTuple):
     name: str
     ops: tuple[RefactoringOp, ...]
 
 
-@dataclass(frozen=True)
-class ImpactEntry:
+class ImpactEntry(NamedTuple):
     step: int
     op: RefactoringOp
     touched: tuple[ElementRef, ...]
     instances: Mapping[ElementRef, tuple[AnnotationInstance, ...]]
 
 
-@dataclass(frozen=True)
-class ImpactReport:
+class ImpactReport(NamedTuple):
     plan_name: str
     entries: tuple[ImpactEntry, ...]
 

@@ -10,7 +10,7 @@ and `ScanConfig` and `SmellConfig` check and hold its settings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from collections import namedtuple
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
 import fnmatch
@@ -66,8 +66,7 @@ def _split_list(value: str) -> tuple[str, ...]:
     return tuple(item.strip() for item in value.split(",") if item.strip())
 
 
-@dataclass(frozen=True)
-class ScanConfig:
+class ScanConfig(namedtuple("ScanConfig", "sigil attribute_extensions pragma_extensions exclude")):
     """Which files each front-end reads.
 
     attribute_extensions claims files for the Java-style front-end;
@@ -76,63 +75,57 @@ class ScanConfig:
     compares them with a file's lowercased suffix.
     """
 
-    sigil: str = "@arch"
-    attribute_extensions: tuple[str, ...] = (".java",)
-    pragma_extensions: tuple[str, ...] = ("*",)
-    exclude: tuple[str, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for name in ("attribute_extensions", "pragma_extensions"):
-            exts = [ext.lower() for ext in getattr(self, name)]
-            exts = [ext if ext == "*" or ext.startswith(".") else f".{ext}" for ext in exts]
-            object.__setattr__(self, name, tuple(exts))
-        sigil = self.sigil
+    def __new__(
+        cls, sigil: str = "@arch", attribute_extensions: Iterable[str] = (".java",),
+        pragma_extensions: Iterable[str] = ("*",), exclude: Iterable[str] = (),
+    ) -> ScanConfig:
+        extensions = [
+            tuple(e if e == "*" or e.startswith(".") else f".{e}" for e in map(str.lower, exts))
+            for exts in (attribute_extensions, pragma_extensions)
+        ]
         if not sigil or any(ch.isspace() for ch in sigil):
             raise ConfigError(f"invalid sigil {sigil!r}")
         if sigil[0] in PRAGMA_LEADERS:
             raise ConfigError(
                 f"invalid sigil {sigil!r}: pragma lines strip a leading {sigil[0]!r}"
             )
+        return super().__new__(cls, sigil, *extensions, exclude)
+
+    # `_replace` builds through `_make`: through the constructor, checked too.
+    _make = classmethod(lambda cls, values: cls(*values))
 
     @classmethod
     def from_mapping(cls, mapping: Mapping[str, str]) -> ScanConfig:
-        cfg = cls()
-        if "sigil" in mapping:
-            cfg = replace(cfg, sigil=mapping["sigil"])
-        if "attribute_extensions" in mapping:
-            cfg = replace(cfg, attribute_extensions=_split_list(mapping["attribute_extensions"]))
-        if "pragma_extensions" in mapping:
-            cfg = replace(cfg, pragma_extensions=_split_list(mapping["pragma_extensions"]))
-        if "exclude" in mapping:
-            cfg = replace(cfg, exclude=_split_list(mapping["exclude"]))
-        return cfg
+        return cls(**{
+            key: mapping[key] if key == "sigil" else _split_list(mapping[key])
+            for key in cls._fields
+            if key in mapping
+        })
 
     def semantic_fingerprint(self) -> str:
         """Hash of everything that can change scan output."""
-        payload = "\x1f".join(
-            (
-                self.sigil,
-                ",".join(self.attribute_extensions),
-                ",".join(self.pragma_extensions),
-                ",".join(self.exclude),
-            )
-        )
+        payload = "\x1f".join((self.sigil, *(",".join(items) for items in self[1:])))
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-@dataclass(frozen=True)
-class SmellConfig:
+class SmellConfig(namedtuple("SmellConfig", "scatter_threshold enabled")):
     """Which smell detectors run, and the scattered-component threshold."""
 
-    scatter_threshold: int = 2
-    enabled: frozenset[str] = frozenset(SMELL_IDS)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.scatter_threshold < 2:
+    def __new__(
+        cls, scatter_threshold: int = 2, enabled: frozenset[str] = frozenset(SMELL_IDS)
+    ) -> SmellConfig:
+        if scatter_threshold < 2:
             raise ConfigError("scatter_threshold must be >= 2")
-        unknown = set(self.enabled) - set(SMELL_IDS)
+        unknown = set(enabled) - set(SMELL_IDS)
         if unknown:
             raise ConfigError(f"unknown smell ids: {', '.join(sorted(unknown))}")
+        return super().__new__(cls, scatter_threshold, enabled)
+
+    _make = classmethod(lambda cls, values: cls(*values))
 
     @classmethod
     def from_mapping(cls, mapping: Mapping[str, str]) -> SmellConfig:
@@ -221,8 +214,8 @@ def _scan_file(
     if front_end == "attribute":
         instances, findings = extract_attributes(text, rel)
     else:
-        instances, findings = extract_pragmas(text, rel, config.sigil)
-        instances = resolve_context(instances)
+        instances, findings = extract_pragmas(text, rel, config.sigil, fill_context=True)
+        instances = resolve_context(instances)  # copies none: the contexts are filled
     for inst in instances:
         findings.extend(validate_targets(inst))
     return (instances, findings)

@@ -198,14 +198,19 @@ def extract_attributes(
                 arg_tokens: list[Token] | None = None
                 if j < len(tokens) and tokens[j].kind == "punct" and tokens[j].text == "(":
                     nesting = 0
+                    braces = 0
                     k = j
                     collected: list[Token] = []
                     while k < len(tokens):
                         t = tokens[k]
-                        if collected and not _may_follow(collected[-1], t):
+                        if collected and not _may_follow(collected[-1], t, braces):
                             break
                         collected.append(_text_block_string(t) if t.kind == "text_block" else t)
-                        if t.kind == "punct" and t.text == "(":
+                        if t.kind == "punct" and t.text == "{":
+                            braces += 1
+                        elif t.kind == "punct" and t.text == "}":
+                            braces -= 1
+                        elif t.kind == "punct" and t.text == "(":
                             nesting += 1
                         elif t.kind == "punct" and t.text == ")":
                             nesting -= 1

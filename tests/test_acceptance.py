@@ -7,7 +7,6 @@ they can disagree with the production code.
 
 import random
 from collections import Counter
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -476,7 +475,7 @@ def _with_odd_connections(rng: random.Random, code: CodeModel) -> CodeModel:
             attrs = {**inst.attrs, "leftcomponent": inst.enclosing_components[0]}
         else:
             attrs = {**inst.attrs, "leftcomponent": "NoSuchContext"}
-        extra.append(replace(inst, attrs=attrs, location=SourceLocation("gen/odd.java", line, 1)))
+        extra.append(inst._replace(attrs=attrs, location=SourceLocation("gen/odd.java", line, 1)))
     return CodeModel.build(code.instances + tuple(extra), code.findings, code.config_fingerprint)
 
 

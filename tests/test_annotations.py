@@ -1,4 +1,4 @@
-from dataclasses import fields
+import random
 from pathlib import Path
 
 import pytest
@@ -487,6 +487,52 @@ def test_resolve_context_restarts_at_each_file() -> None:
         ]
 
 
+_PRAGMA_LINES = (
+    '//@arch Component("A") @on type A',
+    '//@arch Component("B", "C") @on type B',
+    '//@arch Component("M") @on method m',
+    '//@arch Port("p") @on method p',
+    '//@arch Port("q") @on method q @in Z',
+    '//@arch Part("x") @on field x',
+    '//@arch Connects(left="a", right="b") @on method w',
+    '//@arch Part( @on field y',
+    "plain text",
+)
+
+
+def test_filled_pragma_contexts_are_what_resolve_context_gives() -> None:
+    """`fill_context` builds each instance once, with the context
+    `resolve_context` gives it; that pass then keeps every instance."""
+    rng = random.Random(18)
+    for _ in range(300):
+        text = "\n".join(rng.choice(_PRAGMA_LINES) for _ in range(rng.randint(0, 12)))
+        plain, plain_findings = extract_pragmas(text, "d/f.txt")
+        filled, findings = extract_pragmas(text, "d/f.txt", fill_context=True)
+        assert findings == plain_findings
+        assert filled == resolve_context(plain)
+        assert all(a is b for a, b in zip(resolve_context(filled), filled, strict=True))
+
+
+def test_unbalanced_paren_before_a_closing_brace_keeps_the_next_member() -> None:
+    """The `}` that closes `B` ends `@Part`'s argument list, so `@Port`
+    after it is extracted in `A`'s context."""
+    text = (
+        '@Component("A") class A {\n'
+        '  @Component("B") class B { @Part(("x") }\n'
+        '  @Port("p") void p() {}\n'
+        "}"
+    )
+    instances, findings = extract_attributes(text, "A.java")
+    assert [(i.kind, i.values, i.enclosing_components, str(i.location)) for i in instances] == [
+        (AnnotationKind.COMPONENT, ("A",), (), "A.java:1:1"),
+        (AnnotationKind.COMPONENT, ("B",), (), "A.java:2:3"),
+        (AnnotationKind.PORT, ("p",), ("A",), "A.java:3:3"),
+    ]
+    assert [(f.check_id, str(f.locations[0])) for f in findings] == [
+        ("MALFORMED_ANNOTATION", "A.java:2:29")
+    ]
+
+
 def test_code_model_build_sorts_by_location() -> None:
     def inst(line: int, file: str) -> AnnotationInstance:
         return AnnotationInstance(
@@ -534,7 +580,7 @@ def test_kind_rows_keep_names_and_fill_every_usage_group() -> None:
         ("CONNECTOR", "Connector"),
     ]
     usages = [k.usage for k in AnnotationKind if k.usage is not None]
-    assert sorted(usages) == sorted(f.name for f in fields(ConnectorUsages))
+    assert sorted(usages) == sorted(ConnectorUsages._fields)
     for kind in AnnotationKind:
         # A kind names elements or fills a usage group, never both.
         assert (kind.referent is None) == (kind.usage is not None) == (kind.owners is None)

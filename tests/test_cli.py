@@ -665,7 +665,7 @@ import contextlib, io, sys
 from archlint.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     code = main(sys.argv[1:])
-print(code, *sorted(m for m in sys.modules if m.startswith("archlint.")))
+print(code, "dataclasses" in sys.modules, *sorted(m for m in sys.modules if m.startswith("archlint.")))
 """
 
 
@@ -674,17 +674,25 @@ print(code, *sorted(m for m in sys.modules if m.startswith("archlint.")))
 )
 def test_each_command_loads_only_its_modules(tmp_path: Path, command: str) -> None:
     """Only `refactor` imports the refactoring module, only `smells` the smell
-    detectors, and only `scaffold` the scaffolder."""
+    detectors, and only `scaffold` the scaffolder. No command imports
+    `dataclasses` (with `inspect`, `ast`, `dis` and `tokenize` behind it)
+    unless the interpreter loads it at start-up."""
     argv = _car_argv(tmp_path, command)
     env = {**os.environ, "PYTHONPATH": str(Path(archlint.__file__).parent.parent)}
     proc = subprocess.run(
         [sys.executable, "-c", _LOADED_MODULES, *argv], capture_output=True, text=True, env=env
     )
-    code, *modules = proc.stdout.split()
+    code, dataclasses_loaded, *modules = proc.stdout.split()
     assert code == "0", proc.stderr
     assert "archlint.cli" in modules
     for module in ("refactor", "smells", "scaffold"):
         assert (f"archlint.{module}" in modules) == (command == module), modules
+    at_start = subprocess.run(
+        [sys.executable, "-c", 'import sys; print("dataclasses" in sys.modules)'],
+        capture_output=True, text=True, env=env,
+    ).stdout.strip()
+    if at_start != "True":
+        assert dataclasses_loaded == "False", command
 
 
 def _lowest_declared_python() -> str | None:

@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 from pathlib import Path
 from typing import Callable
 
@@ -376,10 +375,9 @@ def test_run_all_skips_checks_on_invalid_model(car_code: CodeModel) -> None:
         "component Car { part rear: Wheel [*]; part e: Engine;"
         " connector c1: rear <- e.p; } component Engine { port p; } component Wheel { }"
     )
-    from dataclasses import replace
     from archlint.model import Component
 
-    invalid = replace(broken, components=broken.components + (Component("Car"),))
+    invalid = broken._replace(components=broken.components + (Component("Car"),))
     report = run_all(invalid, car_code)
     assert [f.check_id for f in report.findings] == ["DUPLICATE_COMPONENT"]
 
@@ -431,16 +429,16 @@ def _changed(code: CodeModel, kind: AnnotationKind, change: Callable) -> CodeMod
 
 def _moved(inst: AnnotationInstance) -> AnnotationInstance:
     loc = inst.location
-    return replace(inst, location=SourceLocation(loc.file, loc.line, loc.column + 1))
+    return inst._replace(location=SourceLocation(loc.file, loc.line, loc.column + 1))
 
 
 _CHANGES: dict[str, Callable[[CodeModel], CodeModel]] = {
     "location": lambda code: _changed(code, AnnotationKind.PART, _moved),
     "attr": lambda code: _changed(
-        code, AnnotationKind.CONNECTS, lambda i: replace(i, attrs={**i.attrs, "left": "front"})
+        code, AnnotationKind.CONNECTS, lambda i: i._replace(attrs={**i.attrs, "left": "front"})
     ),
     "enclosing": lambda code: _changed(
-        code, AnnotationKind.PORT, lambda i: replace(i, enclosing_components=("Car",))
+        code, AnnotationKind.PORT, lambda i: i._replace(enclosing_components=("Car",))
     ),
     "finding_message": lambda code: _with_finding(code, "cannot read file: gone"),
     "sigil": lambda code: CodeModel.build(

@@ -1,6 +1,5 @@
 import random
 from collections import Counter
-from dataclasses import fields
 from pathlib import Path
 from typing import get_args
 
@@ -124,7 +123,7 @@ def test_every_operation_has_one_table_row() -> None:
     for row in OPERATIONS:
         rest = [arg.rest for arg in row.args]
         assert rest == [False] * (len(rest) - 1) + [bool(row.usage)]
-        assert len(row.args) == len(fields(row.cls))
+        assert len(row.args) == len(row.cls._fields)
 
 
 def test_plan_grid_matches_golden() -> None:
@@ -858,3 +857,28 @@ def test_rename_and_split_keep_every_endpoints_meaning() -> None:
                     assert after == _image(op, before), (op_text(op), conn, new_conn)
     assert applied[RenameElement] >= 100, applied
     assert applied[SplitComponent] >= 50, applied
+
+
+def test_rename_component_keeps_untouched_components() -> None:
+    """Only the renamed component and those with a part of its type are
+    rebuilt; every other component is passed through as the same object."""
+    rng = random.Random(1818)
+    renames = 0
+    for _ in range(200):
+        model = random_model(rng)
+        comp = rng.choice(model.components)
+        new_model, _ = apply_op(model, RenameElement(ElementRef.component(comp.name), "Renamed"))
+        for old in model.components:
+            if old.name == comp.name:
+                continue
+            new = new_model.component(old.name)
+            if any(p.type_component == comp.name for p in old.parts):
+                assert new is not old
+                assert [p.type_component for p in new.parts] == [
+                    "Renamed" if p.type_component == comp.name else p.type_component
+                    for p in old.parts
+                ]
+            else:
+                assert new is old, old.name
+        renames += 1
+    assert renames == 200
