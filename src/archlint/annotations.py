@@ -23,7 +23,7 @@ import re
 from collections import namedtuple
 from functools import cache, cached_property
 from pathlib import PurePosixPath
-from typing import Callable, Iterable, Mapping, NamedTuple, TypeVar
+from typing import Callable, Iterable, Mapping, TypeVar
 
 from .findings import Finding, SourceLocation, finding, sort_findings
 from .lexer import (
@@ -129,15 +129,18 @@ _TYPE = TargetKind.TYPE
 ANNOTATION_NAMES: Mapping[str, AnnotationKind] = {k.value: k for k in AnnotationKind}
 
 
-class AnnotationInstance(NamedTuple):
-    kind: AnnotationKind
-    values: tuple[str, ...]
-    attrs: Mapping[str, str]
-    target: TargetKind
-    target_name: str
-    enclosing_components: tuple[str, ...]
-    location: SourceLocation
-    package: str
+class AnnotationInstance(
+    namedtuple(
+        "AnnotationInstance",
+        "kind values attrs target target_name enclosing_components location package",
+    )
+):
+    """One extracted annotation: its kind (AnnotationKind), values
+    (tuple[str, ...]), attrs (Mapping[str, str]), target (TargetKind),
+    target_name (str), enclosing_components (tuple[str, ...]), location
+    (SourceLocation) and package (str)."""
+
+    __slots__ = ()
 
     def sort_key(self) -> tuple[str, int, int]:
         return self.location.sort_key()
@@ -575,11 +578,12 @@ def _text_block_string(tok: Token) -> Token:
     return Token("string", java_unescape(value), tok.line, tok.column)
 
 
-class _PendingAnnotation(NamedTuple):
-    kind: AnnotationKind
-    values: tuple[str, ...]
-    attrs: dict[str, str]
-    location: SourceLocation
+class _PendingAnnotation(namedtuple("_PendingAnnotation", "kind values attrs location")):
+    """A parsed annotation waiting for its declaration: kind
+    (AnnotationKind), values (tuple[str, ...]), attrs (dict[str, str]) and
+    location (SourceLocation)."""
+
+    __slots__ = ()
 
 
 # A window lexes on through the next of these, a statement at a time.
@@ -775,20 +779,21 @@ def extract_attributes(
         nonlocal frontier, frontier_at
         start = frontier  # the end of the last skim match: a token boundary
         for stop in JAVA_SKIM.finditer(file_text, frontier):
-            kind = stop.lastgroup
-            if kind == "open":
+            found = stop.start()
+            first = file_text[found]
+            if first == "{":
                 open_block()
-            elif kind == "close":
+            elif first == "}":
                 close_block()
-            elif kind == "at" or kind == "keyword":
+            elif first not in "/\"'":  # `@` or a type keyword
                 # A keyword after a `.` may end a number, as `1.class` does:
                 # that window starts back at the last skim match instead.
-                if kind == "at" or file_text[stop.start(kind) - 1] != ".":
-                    start = stop.start(kind)
+                if first == "@" or file_text[found - 1] != ".":
+                    start = found
                 break
-            elif kind == "eof":
-                return False
             start = stop.end()
+        else:
+            return False
         line, column = frontier_at
         newlines = file_text.count("\n", frontier, start)
         if newlines:

@@ -311,7 +311,3 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ArchlintError as err:
         print(f"archlint: {err}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

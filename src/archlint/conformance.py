@@ -25,8 +25,8 @@ once and matches the result against the model's connector index.
 from __future__ import annotations
 
 import hashlib
-from collections import Counter
-from typing import Mapping, NamedTuple
+from collections import Counter, namedtuple
+from typing import Mapping
 
 from . import jsontext
 from .adl import serialize_architecture
@@ -50,21 +50,20 @@ from .model import (
 )
 
 
-class ConnectionResolution(NamedTuple):
+class ConnectionResolution(namedtuple("ConnectionResolution", "triple findings walks matches")):
     """A connection annotation resolved against one architecture.
 
-    `triple` is the canonical (left, right, direction), None when a side
-    does not resolve; its direction is None when the annotation omits
-    `type`, and the endpoints are still ordered canonically. `findings`
-    holds an UNRESOLVED_ENDPOINT finding per failed side, `walks` each
-    side's `walk_endpoint` result (None when it fails), and `matches` the
-    declared connectors the triple matches.
+    `triple` (tuple[str, str, Direction | None] | None) is the canonical
+    (left, right, direction), None when a side does not resolve; its
+    direction is None when the annotation omits `type`, and the endpoints
+    are still ordered canonically. `findings` (list[Finding]) holds an
+    UNRESOLVED_ENDPOINT finding per failed side, `walks` each side's
+    `walk_endpoint` result (a pair of tuple[ElementRef, ...] | None, None
+    when it fails), and `matches` (frozenset[ElementRef]) the declared
+    connectors the triple matches.
     """
 
-    triple: tuple[str, str, Direction | None] | None
-    findings: list[Finding]
-    walks: tuple[tuple[ElementRef, ...] | None, tuple[ElementRef, ...] | None]
-    matches: frozenset[ElementRef]
+    __slots__ = ()
 
 
 def resolve_connection(
@@ -143,12 +142,11 @@ def lookup(
     return [inst for inst in code.instances if ref in instance_refs(inst, arch)]
 
 
-class ConnectorUsages(NamedTuple):
-    """A connector's annotations; a connection kind's `usage` names its field."""
+class ConnectorUsages(namedtuple("ConnectorUsages", "connects disconnects stores")):
+    """A connector's annotations, each field a tuple[AnnotationInstance, ...];
+    a connection kind's `usage` names its field."""
 
-    connects: tuple[AnnotationInstance, ...]
-    disconnects: tuple[AnnotationInstance, ...]
-    stores: tuple[AnnotationInstance, ...]
+    __slots__ = ()
 
 
 def usages_by_connector(
@@ -300,10 +298,11 @@ def check_connection_consistency(arch: ArchitectureModel, code: CodeModel) -> li
     return sort_findings(findings)
 
 
-class ConformanceReport(NamedTuple):
-    findings: tuple[Finding, ...]
-    counts: Mapping[str, int]
-    fingerprint: str
+class ConformanceReport(namedtuple("ConformanceReport", "findings counts fingerprint")):
+    """The three checks' findings (tuple[Finding, ...]), the count per check
+    id (counts, Mapping[str, int]) and the report fingerprint (str)."""
+
+    __slots__ = ()
 
 
 def report_fingerprint(arch: ArchitectureModel, code: CodeModel) -> str:

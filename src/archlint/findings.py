@@ -8,7 +8,8 @@ catalog below, so renderers and exit-code logic never meet an unknown id.
 from __future__ import annotations
 
 import enum
-from typing import TYPE_CHECKING, Iterable, NamedTuple
+from collections import namedtuple
+from typing import TYPE_CHECKING, Iterable
 
 if TYPE_CHECKING:
     from .model import ElementRef
@@ -19,12 +20,11 @@ class Severity(enum.Enum):
     WARNING = "WARNING"
 
 
-class SourceLocation(NamedTuple):
-    """1-based position inside a scanned file; file is root-relative."""
+class SourceLocation(namedtuple("SourceLocation", "file line column")):
+    """1-based position inside a scanned file: file (str, root-relative),
+    line and column (int)."""
 
-    file: str
-    line: int
-    column: int
+    __slots__ = ()
 
     def __str__(self) -> str:
         return f"{self.file}:{self.line}:{self.column}"
@@ -66,12 +66,14 @@ CATALOG: dict[str, Severity] = {
 SMELL_IDS = frozenset({"SCATTERED_COMPONENT", "CONNECTOR_LIFECYCLE"})
 
 
-class Finding(NamedTuple):
-    check_id: str
-    severity: Severity
-    message: str
-    element: ElementRef | None = None
-    locations: tuple[SourceLocation, ...] = ()
+class Finding(
+    namedtuple("Finding", "check_id severity message element locations", defaults=(None, ()))
+):
+    """A diagnostic: check_id (str, a CATALOG key), severity (Severity),
+    message (str), element (ElementRef | None) and locations
+    (tuple[SourceLocation, ...])."""
+
+    __slots__ = ()
 
 
 def finding(

@@ -10,11 +10,15 @@ own terms. The text of a `string` token is its `body`, without the quotes,
 with its escapes decoded: a Java string's as the JLS says (`java_unescape`),
 any other string's by dropping each backslash (`unescape`).
 
-`JAVA_SKIM` is read from a `JAVA` token boundary without building tokens.
-It matches comments, strings, text blocks and char literals whole (`skip`),
-as `JAVA` does, and stops at `@`, a brace or a type keyword; its gap passes
-over everything else. Each stop is a `JAVA` token, except a keyword after a
-`.` that a number swallows (`1.class` is one number).
+`JAVA_SKIM` is searched from a `JAVA` token boundary without building
+tokens. It is one alternation without named groups, every branch starting
+with a literal character, so that the regex engine passes in C over the
+text between two candidates. It matches comments, text blocks, strings and
+char literals whole, as `JAVA` does, and stops at `@`, a brace or a type
+keyword that is a whole word; the caller tells the stops apart by their
+first character. Each stop is a `JAVA` token, except a keyword after a `.`
+that a number swallows (`1.class` is one number). A Java string, as javac
+reads it, ends at its line: an unclosed one stops before the line break.
 
 `Cursor` is the one token reader: the ADL parser and the pragma and
 annotation argument parsers subclass it and say only how a failed
@@ -24,14 +28,14 @@ expectation is reported (`fail`).
 from __future__ import annotations
 
 import re
-from typing import NamedTuple
+from collections import namedtuple
 
 
-class Token(NamedTuple):
-    kind: str
-    text: str
-    line: int
-    column: int
+class Token(namedtuple("Token", "kind text line column")):
+    """A token: its kind (str, the name of the group that matched), its text
+    (str), and the line and column (int, 1-based) where it starts."""
+
+    __slots__ = ()
 
 
 def _table(blank: str, skipped: str | None, **groups: str) -> re.Pattern[str]:
@@ -40,9 +44,8 @@ def _table(blank: str, skipped: str | None, **groups: str) -> re.Pattern[str]:
 
     No `skipped` piece may start with a `blank` character. The groups must
     match wherever the gap stops, so that no match backtracks into it:
-    `punct` and `error` take any character, and the skim's gap stops only
-    where one of its groups starts. The gap is an unrolled loop, which is
-    about as fast as the possessive form that Python 3.10 lacks.
+    `punct` and `error` take any character. The gap is an unrolled loop,
+    which is about as fast as the possessive form that Python 3.10 lacks.
     """
     gap = f"{blank}*" if skipped is None else f"{blank}*(?:(?:{skipped}){blank}*)*"
     body = "|".join(f"(?P<{kind}>{regex})" for kind, regex in groups.items())
@@ -59,7 +62,7 @@ _STRING_BODY = r'[^"\\]*(?:\\.[^"\\]*)*'
 _JAVA_WORD = r"[\w$]"
 _JAVA_COMMENT = r"//[^\n]*|/\*.*?(?:\*/|\Z)"
 _JAVA_TEXT_BLOCK = r'"""(?:[^\\]|\\.)*?(?:"""|\\?\Z)'
-_JAVA_STRING = r'"(?P<body>(?:[^"\\]|\\.)*)(?:"|\\?\Z)'
+_JAVA_STRING = r'"(?P<body>(?:[^"\\\r\n]|\\[^\r\n])*)(?:"|\\?(?=[\r\n]|\Z))'
 _JAVA_CHAR = r"'(?:[^'\\]|\\.)*(?:'|\\?\Z)"
 
 JAVA_TYPE_KEYWORDS = ("class", "interface", "enum", "record")
@@ -75,17 +78,14 @@ JAVA = _table(
     punct=r".",
 )
 
-_JAVA_KEYWORD = "|".join(JAVA_TYPE_KEYWORDS)
-
-# The gap passes whole words, so a keyword is tried only where a word starts.
-JAVA_SKIM = _table(
-    r"""[^/"'@{}\w$]""",
-    rf"(?!(?:{_JAVA_KEYWORD})(?!{_JAVA_WORD})){_JAVA_WORD}+|/(?![/*])",
-    skip="|".join((_JAVA_COMMENT, _JAVA_TEXT_BLOCK, _JAVA_STRING, _JAVA_CHAR)),
-    at="@",
-    open=r"\{",
-    close=r"\}",
-    keyword=f"(?<!{_JAVA_WORD})(?:{_JAVA_KEYWORD})(?!{_JAVA_WORD})",
+# A keyword is a stop only as a whole word; the lookbehind comes after it
+# so that its branch still starts with a literal.
+JAVA_SKIM = re.compile(
+    "|".join((
+        _JAVA_COMMENT, _JAVA_TEXT_BLOCK, _JAVA_STRING, _JAVA_CHAR, "@", r"\{", r"\}",
+        *(f"{kw}(?!{_JAVA_WORD})(?<!{_JAVA_WORD}{kw})" for kw in JAVA_TYPE_KEYWORDS),
+    )),
+    re.S,
 )
 
 PRAGMA = _table(
@@ -142,7 +142,7 @@ def java_unescape(body: str) -> str:
     return _JAVA_ESCAPE.sub(_java_escape, body) if "\\" in body else body
 
 
-# Builds a Token from a tuple without the Python-level NamedTuple
+# Builds a Token from a tuple without the Python-level namedtuple
 # constructor, which costs about a sixth of `lex`.
 _new_token = tuple.__new__
 

@@ -22,7 +22,7 @@ import enum
 import re
 from collections import namedtuple
 from functools import cached_property
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, Mapping
 
 from .errors import EndpointError
 from .findings import Finding, finding, sort_findings
@@ -52,9 +52,10 @@ def flip(direction: Direction) -> Direction:
     return direction
 
 
-class Multiplicity(NamedTuple):
-    lower: int = 1
-    upper: int | None = 1  # None = unbounded
+class Multiplicity(namedtuple("Multiplicity", "lower upper", defaults=(1, 1))):
+    """A part's bounds: lower (int) and upper (int, or None for unbounded)."""
+
+    __slots__ = ()
 
     def is_valid(self) -> bool:
         if self.lower < 0:
@@ -67,14 +68,17 @@ class Multiplicity(NamedTuple):
 MULT_ONE = Multiplicity(1, 1)
 
 
-class Port(NamedTuple):
-    name: str
+class Port(namedtuple("Port", "name")):
+    """A port: its name (str)."""
+
+    __slots__ = ()
 
 
-class Part(NamedTuple):
-    role: str
-    type_component: str
-    multiplicity: Multiplicity = MULT_ONE
+class Part(namedtuple("Part", "role type_component multiplicity", defaults=(MULT_ONE,))):
+    """A part: its role (str), the name of the component that types it
+    (type_component, str) and its multiplicity (Multiplicity)."""
+
+    __slots__ = ()
 
 
 class Component(namedtuple("Component", "name ports parts")):
@@ -103,8 +107,10 @@ class Component(namedtuple("Component", "name ports parts")):
         return self._part_map.get(role)
 
 
-class EndpointPath(NamedTuple):
-    segments: tuple[str, ...]
+class EndpointPath(namedtuple("EndpointPath", "segments")):
+    """A dotted endpoint path: its segments (tuple[str, ...])."""
+
+    __slots__ = ()
 
     def __str__(self) -> str:
         return ".".join(self.segments)
@@ -117,12 +123,12 @@ class EndpointPath(NamedTuple):
         return cls(tuple(segments))
 
 
-class Connector(NamedTuple):
-    id: str
-    context: str
-    left: EndpointPath
-    right: EndpointPath
-    direction: Direction
+class Connector(namedtuple("Connector", "id context left right direction")):
+    """A declared connector: its id (str), the context component it is
+    declared in (context, str; ROOT_CONTEXT at document root), its left and
+    right endpoints (EndpointPath) and its direction (Direction)."""
+
+    __slots__ = ()
 
 
 class RefKind(enum.Enum):
@@ -140,15 +146,15 @@ _PORT = RefKind.PORT
 _CONNECTOR = RefKind.CONNECTOR
 
 
-class ElementRef(NamedTuple):
-    """Uniform address of an architecture element.
+class ElementRef(namedtuple("ElementRef", "kind path")):
+    """Uniform address of an architecture element: its kind (RefKind) and
+    path (str).
 
     Path shapes: component `Car`, part `Car.rear`, port `Engine#p`,
     connector `Car/c1` (root connectors render as `/c1`).
     """
 
-    kind: RefKind
-    path: str
+    __slots__ = ()
 
     def __str__(self) -> str:
         return self.path

@@ -21,7 +21,8 @@ handler. `parse_plan`, `op_text`, `op_name` and `apply_op` read it.
 from __future__ import annotations
 
 import re
-from typing import Any, Callable, Mapping, NamedTuple, Union
+from collections import namedtuple
+from typing import Any, Callable, Mapping, Union
 
 from .annotations import AnnotationInstance, CodeModel, syntactic_refs
 from .conformance import instance_refs
@@ -52,51 +53,59 @@ def _same_op(op: tuple, other: object) -> bool:
     return type(other) is type(op) and tuple.__eq__(op, other)
 
 
-class AddPort(NamedTuple):
-    component: str
-    port: str
-    __eq__, __ne__ = _same_op, object.__ne__
+# Each operation class sets `__hash__` again: a class body that sets
+# `__eq__` alone makes its instances unhashable.
 
 
-class RemovePort(NamedTuple):
-    component: str
-    port: str
-    __eq__, __ne__ = _same_op, object.__ne__
+class AddPort(namedtuple("AddPort", "component port")):
+    """Add the port `port` (str) to `component` (str)."""
+
+    __slots__ = ()
+    __eq__, __ne__, __hash__ = _same_op, object.__ne__, tuple.__hash__
 
 
-class AddConnector(NamedTuple):
-    id: str
-    context: str
-    left: EndpointPath
-    right: EndpointPath
-    direction: Direction
-    __eq__, __ne__ = _same_op, object.__ne__
+class RemovePort(namedtuple("RemovePort", "component port")):
+    """Remove the port `port` (str) from `component` (str)."""
+
+    __slots__ = ()
+    __eq__, __ne__, __hash__ = _same_op, object.__ne__, tuple.__hash__
 
 
-class RemoveConnector(NamedTuple):
-    id: str
-    __eq__, __ne__ = _same_op, object.__ne__
+class AddConnector(namedtuple("AddConnector", "id context left right direction")):
+    """Declare a connector: id and context (str), left and right
+    (EndpointPath) and direction (Direction), as a Connector holds them."""
+
+    __slots__ = ()
+    __eq__, __ne__, __hash__ = _same_op, object.__ne__, tuple.__hash__
 
 
-class SplitComponent(NamedTuple):
-    target: str
-    name_a: str
-    name_b: str
-    partition: Mapping[str, str]  # part role / port name -> name_a | name_b
-    __eq__, __ne__ = _same_op, object.__ne__
+class RemoveConnector(namedtuple("RemoveConnector", "id")):
+    """Remove the connector `id` (str)."""
+
+    __slots__ = ()
+    __eq__, __ne__, __hash__ = _same_op, object.__ne__, tuple.__hash__
 
 
-class RenameElement(NamedTuple):
-    ref: ElementRef
-    new_name: str
-    __eq__, __ne__ = _same_op, object.__ne__
+class SplitComponent(namedtuple("SplitComponent", "target name_a name_b partition")):
+    """Split `target` (str) into `name_a` and `name_b` (str); `partition`
+    (Mapping[str, str]) maps each part role and port name to one of them."""
+
+    __slots__ = ()
+    __eq__, __ne__, __hash__ = _same_op, object.__ne__, tuple.__hash__
 
 
-class MovePart(NamedTuple):
-    role: str
-    from_component: str
-    to_component: str
-    __eq__, __ne__ = _same_op, object.__ne__
+class RenameElement(namedtuple("RenameElement", "ref new_name")):
+    """Rename the element `ref` (ElementRef) to `new_name` (str)."""
+
+    __slots__ = ()
+    __eq__, __ne__, __hash__ = _same_op, object.__ne__, tuple.__hash__
+
+
+class MovePart(namedtuple("MovePart", "role from_component to_component")):
+    """Move the part `role` (str) from `from_component` to `to_component` (str)."""
+
+    __slots__ = ()
+    __eq__, __ne__, __hash__ = _same_op, object.__ne__, tuple.__hash__
 
 
 RefactoringOp = Union[
@@ -421,13 +430,12 @@ def _apply_split(model: ArchitectureModel, op: SplitComponent):
 # the operation table
 
 
-class _Arg(NamedTuple):
-    """How one field of an operation is read from its plan argument and
-    written back; a `rest` field reads and writes a list of arguments."""
+class _Arg(namedtuple("_Arg", "read write rest", defaults=(str, False))):
+    """How one field of an operation is read from its plan argument (read,
+    Callable[[Any], Any]) and written back (write, the same); a `rest`
+    (bool) field reads and writes a list of arguments."""
 
-    read: Callable[[Any], Any]
-    write: Callable[[Any], Any] = str
-    rest: bool = False
+    __slots__ = ()
 
 
 def _identifier(arg: str, label: str) -> str:
@@ -473,17 +481,14 @@ _MEMBERS = _Arg(
     _read_members, lambda partition: [f"{k}={v}" for k, v in sorted(partition.items())], True
 )
 
-class OpRow(NamedTuple):
-    """An operation's class, plan name, arguments in field order and
-    handler. The handler returns only the new model, or raises
-    PreconditionError. `usage` words the arity error of a row that ends in
-    `rest`."""
+class OpRow(namedtuple("OpRow", "cls name args apply usage", defaults=("",))):
+    """An operation's class (cls, type), plan name (str), arguments in field
+    order (args, tuple[_Arg, ...]) and handler (apply, Callable[
+    [ArchitectureModel, Any], ArchitectureModel]). The handler returns only
+    the new model, or raises PreconditionError. `usage` (str) words the
+    arity error of a row that ends in `rest`."""
 
-    cls: type
-    name: str
-    args: tuple[_Arg, ...]
-    apply: Callable[[ArchitectureModel, Any], ArchitectureModel]
-    usage: str = ""
+    __slots__ = ()
 
 
 OPERATIONS: tuple[OpRow, ...] = (
@@ -533,21 +538,25 @@ def apply_op(
     return (new_model, created_or_deleted(model, new_model))
 
 
-class RefactoringPlan(NamedTuple):
-    name: str
-    ops: tuple[RefactoringOp, ...]
+class RefactoringPlan(namedtuple("RefactoringPlan", "name ops")):
+    """A named plan: name (str) and ops (tuple[RefactoringOp, ...])."""
+
+    __slots__ = ()
 
 
-class ImpactEntry(NamedTuple):
-    step: int
-    op: RefactoringOp
-    touched: tuple[ElementRef, ...]
-    instances: Mapping[ElementRef, tuple[AnnotationInstance, ...]]
+class ImpactEntry(namedtuple("ImpactEntry", "step op touched instances")):
+    """One step's impact: step (int, 1-based), op (RefactoringOp), the
+    elements it touched (touched, tuple[ElementRef, ...]) and the
+    annotations that reference each (instances, Mapping[ElementRef,
+    tuple[AnnotationInstance, ...]])."""
+
+    __slots__ = ()
 
 
-class ImpactReport(NamedTuple):
-    plan_name: str
-    entries: tuple[ImpactEntry, ...]
+class ImpactReport(namedtuple("ImpactReport", "plan_name entries")):
+    """A plan's impact: plan_name (str) and entries (tuple[ImpactEntry, ...])."""
+
+    __slots__ = ()
 
 
 def _element_index(code: CodeModel) -> dict[ElementRef, list[int]]:

@@ -214,6 +214,25 @@ def test_text_block_does_not_hide_following_annotation() -> None:
     ]
 
 
+@pytest.mark.parametrize("end", ["", "\\"])
+@pytest.mark.parametrize("newline", ["\n", "\r\n"])
+def test_unclosed_string_ends_at_its_line(end: str, newline: str) -> None:
+    # A Java string cannot hold a line terminator, not even after a
+    # backslash: a stray quote hides nothing on the lines after it.
+    lines = ["class A {", f'  String s = "a;{end}', '  @Port("p") void p() {}', '  @Part("y") C c;', "}"]
+    instances = _attrs(newline.join(lines) + newline, "A.java")
+    assert [(i.kind, i.values, i.target_name, i.location.line) for i in instances] == [
+        (AnnotationKind.PORT, ("p",), "p", 3),
+        (AnnotationKind.PART, ("y",), "c", 4),
+    ]
+
+
+def test_line_break_in_a_string_value_is_malformed() -> None:
+    instances, findings = extract_attributes('@Part("a\nb") B b;', "B.java")
+    assert [(f.check_id, f.locations[0].line) for f in findings] == [("MALFORMED_ANNOTATION", 1)]
+    assert instances == []
+
+
 def test_text_block_argument_is_a_string() -> None:
     instances, findings = extract_attributes('@Part("""\n    w""") B w;', "B.java")
     assert findings == []
