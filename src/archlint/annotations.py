@@ -177,6 +177,9 @@ class _Cursor(Cursor):
         return _ArgProblem(f"expected {expected}")
 
 
+_QUOTED = frozenset({"string", "cut_string"})  # a cut string ends its list (`_may_follow`)
+
+
 def _parse_string_array(cursor: _Cursor) -> tuple[str, ...]:
     cursor.expect_punct("{")
     items: list[str] = []
@@ -185,7 +188,7 @@ def _parse_string_array(cursor: _Cursor) -> tuple[str, ...]:
         return ()
     while True:
         tok = cursor.peek()
-        if tok.kind != "string":
+        if tok.kind not in _QUOTED:
             raise _ArgProblem("array elements must be quoted strings")
         items.append(cursor.advance().text)
         if cursor.at_punct(","):
@@ -255,9 +258,9 @@ def _parse_args(cursor: _Cursor, kind: AnnotationKind) -> tuple[tuple[str, ...],
         if cursor.peek().kind == "ident":
             key = cursor.advance().text
             cursor.expect_punct("=")
-        elif cursor.peek().kind != "string" and not cursor.at_punct("{"):
+        elif cursor.peek().kind not in _QUOTED and not cursor.at_punct("{"):
             raise _ArgProblem("expected a value or attribute")
-        quoted = cursor.peek().kind == "string"
+        quoted = cursor.peek().kind in _QUOTED
         _check_arg(kind, key, quoted, values, attrs)
         if key is None or key == "value":
             values = (cursor.advance().text,) if quoted else _parse_string_array(cursor)
@@ -457,7 +460,7 @@ def _sigil_and_tail(sigil: str) -> re.Pattern[str]:
 
 
 def extract_pragmas(
-    file_text: str, path: str, sigil: str = "@arch", *, fill_context: bool = False
+    file_text: str, path: str, sigil: str = "@arch"
 ) -> tuple[list[AnnotationInstance], list[Finding]]:
     """One instance per well-formed pragma line; malformed lines become findings.
 
@@ -465,9 +468,8 @@ def extract_pragmas(
     then `Name(args) @on kind [name] [@in Component,...]`. Lines not starting
     with the sigil are ignored; lines break where `str.splitlines` breaks
     them. Locations count lines at `\\n` and columns from the last `\\n`,
-    as `lexer.tokenize` does. Only explicit `@in` fills enclosing_components,
-    unless `fill_context` is set: then each instance is built with the
-    context `resolve_context` would give it, and that pass copies none.
+    as `lexer.tokenize` does. Each instance is built with the context
+    `resolve_context` would give it, so that pass copies none.
     """
     instances: list[AnnotationInstance] = []
     findings: list[Finding] = []
@@ -479,7 +481,7 @@ def extract_pragmas(
     line = 1
     line_start = 0  # text index of column 1 of `line`
     counted = 0  # newlines in file_text[:counted] are already in `line`
-    context: tuple[str, ...] = ()  # the last type @Component's values, when filling
+    context: tuple[str, ...] = ()  # the last type @Component's values
     for match in _sigil_and_tail(sigil).finditer(file_text):
         start = match.start()
         lead = start
@@ -500,7 +502,7 @@ def extract_pragmas(
                 finding("MALFORMED_PRAGMA", problem.message, locations=[location])
             )
             continue
-        if fill_context and instance.kind is _COMPONENT and instance.target is _TYPE:
+        if instance.kind is _COMPONENT and instance.target is _TYPE:
             context = instance.values
         instances.append(instance)
     return instances, findings
@@ -594,9 +596,12 @@ def _may_follow(prev: Token, tok: Token, braces: int) -> bool:
     """Whether an annotation's argument list can hold `tok` after `prev`,
     with `braces` of the `{` it holds still open: anything but a `;`, a `{`
     after none of `(`, `,`, `=` and `{`, a `}` that closes none of them, or
-    a type keyword not after a `.`. The list ends before the first token it
-    cannot hold, so an unbalanced `(` swallows no more than its statement
-    and leaves the brace that ends its block to the block."""
+    a type keyword not after a `.`, and nothing after a string cut at its
+    line break. The list ends before the first token it cannot hold, so an
+    unbalanced `(` swallows no more than its statement and leaves the brace
+    that ends its block to the block."""
+    if prev.kind == "cut_string":
+        return False
     if tok.kind == "punct" and tok.text in ";{}":
         if tok.text == "}":
             return braces > 0
@@ -894,6 +899,16 @@ class CodeModel(
             out[inst.kind].append(inst)
         return {k: tuple(v) for k, v in out.items()}
 
+    @cached_property
+    def element_refs(self) -> Mapping[ElementRef, list[int]]:
+        """Each element the element annotations reference (`syntactic_refs`,
+        whatever the model), mapped to their positions in `instances`."""
+        index: dict[ElementRef, list[int]] = {}
+        for position, inst in enumerate(self.instances):
+            if inst.kind.usage is None:
+                for ref in syntactic_refs(inst):
+                    index.setdefault(ref, []).append(position)
+        return index
 
 
 def side_context(instance: AnnotationInstance, side: str) -> str:

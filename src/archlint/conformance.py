@@ -15,18 +15,18 @@ only by check 3, so one mistake is reported once.
 Checks 1 and 2 and the lookup (through `syntactic_refs`) read what an
 element annotation names from one rule, `annotations.named_elements`.
 
-Every connector query reads `resolve_connection`: check 3, the annotation
-lookup (`lookup` and `instance_refs`, which refactoring impact reports also
-use), `connector_usages` and the connector-lifecycle smell (both through
-`usages_by_connector`). It walks each endpoint of a connection annotation
-once and matches the result against the model's connector index.
+Every connector query reads `resolve_connection`: check 3, `references`
+(behind `lookup` and plan impact), `connector_usages` and the
+connector-lifecycle smell (both through `usages_by_connector`). It walks
+each endpoint of a connection annotation once and matches the result
+against the model's connector index.
 """
 
 from __future__ import annotations
 
 import hashlib
 from collections import Counter, namedtuple
-from typing import Mapping
+from typing import Iterable
 
 from . import jsontext
 from .adl import serialize_architecture
@@ -104,17 +104,15 @@ def connection_instances(code: CodeModel) -> list[AnnotationInstance]:
 # annotation lookup
 
 
-def instance_refs(
-    instance: AnnotationInstance, arch: ArchitectureModel | None = None
-) -> frozenset[ElementRef]:
-    """Elements an instance references; exact when the architecture is given.
+def instance_refs(instance: AnnotationInstance, arch: ArchitectureModel) -> frozenset[ElementRef]:
+    """Elements an instance references under the architecture.
 
-    With a model, a connection instance references every element its
-    endpoint walks reach (each traversed part counts) and each declared
-    connector its resolution matches. Without a model, or for a side whose
-    walk fails, the syntactic approximation is used.
+    An element annotation references its `syntactic_refs`. A connection
+    annotation references every element its endpoint walks reach (each
+    traversed part counts) and each declared connector its resolution
+    matches; a side whose walk fails is read syntactically.
     """
-    if arch is None or instance.kind.usage is None:
+    if instance.kind.usage is None:
         return syntactic_refs(instance)
     resolution = resolve_connection(arch, instance)
     refs = {ElementRef.component(name) for name in instance.enclosing_components}
@@ -129,17 +127,28 @@ def instance_refs(
     return frozenset(refs)
 
 
-def lookup(
-    code: CodeModel, ref: ElementRef, arch: ArchitectureModel | None = None
-) -> list[AnnotationInstance]:
-    """All instances referencing ref, in location order.
+def references(
+    code: CodeModel, refs: Iterable[ElementRef], arch: ArchitectureModel
+) -> dict[ElementRef, tuple[AnnotationInstance, ...]]:
+    """The annotations referencing each of `refs` under the architecture, in
+    location order: what `lookup` prints and each plan step's impact lists.
+    Element annotations come from `code.element_refs`; each connection
+    annotation is resolved once, through the connector index."""
+    index = code.element_refs
+    hits = {ref: list(index.get(ref, ())) for ref in refs}
+    instances = code.instances
+    for position, inst in enumerate(instances):
+        if inst.kind.usage is not None:
+            found = instance_refs(inst, arch)
+            for ref, positions in hits.items():
+                if ref in found:
+                    positions.append(position)
+    return {ref: tuple(instances[p] for p in sorted(positions)) for ref, positions in hits.items()}
 
-    Pass the architecture to resolve connection endpoints properly; without
-    it the match is purely syntactic. One pass over the instances; each
-    connection instance is matched through the architecture's connector
-    index, so the cost is linear in instances plus connectors.
-    """
-    return [inst for inst in code.instances if ref in instance_refs(inst, arch)]
+
+def lookup(code: CodeModel, ref: ElementRef, arch: ArchitectureModel) -> list[AnnotationInstance]:
+    """All instances referencing ref under the architecture, in location order."""
+    return list(references(code, (ref,), arch)[ref])
 
 
 class ConnectorUsages(namedtuple("ConnectorUsages", "connects disconnects stores")):

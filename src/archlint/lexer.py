@@ -17,8 +17,9 @@ text between two candidates. It matches comments, text blocks, strings and
 char literals whole, as `JAVA` does, and stops at `@`, a brace or a type
 keyword that is a whole word; the caller tells the stops apart by their
 first character. Each stop is a `JAVA` token, except a keyword after a `.`
-that a number swallows (`1.class` is one number). A Java string, as javac
-reads it, ends at its line: an unclosed one stops before the line break.
+that a number swallows (`1.class` is one number). A Java string or char
+literal, as javac reads it, ends at its line: an unclosed one stops before
+the line break, and an unclosed string is a `cut_string` token.
 
 `Cursor` is the one token reader: the ADL parser and the pragma and
 annotation argument parsers subclass it and say only how a failed
@@ -62,8 +63,8 @@ _STRING_BODY = r'[^"\\]*(?:\\.[^"\\]*)*'
 _JAVA_WORD = r"[\w$]"
 _JAVA_COMMENT = r"//[^\n]*|/\*.*?(?:\*/|\Z)"
 _JAVA_TEXT_BLOCK = r'"""(?:[^\\]|\\.)*?(?:"""|\\?\Z)'
-_JAVA_STRING = r'"(?P<body>(?:[^"\\\r\n]|\\[^\r\n])*)(?:"|\\?(?=[\r\n]|\Z))'
-_JAVA_CHAR = r"'(?:[^'\\]|\\.)*(?:'|\\?\Z)"
+_JAVA_STRING = r'"(?P<body>(?:[^"\\\r\n]|\\[^\r\n])*)(?:"|(?P<cut>\\?)(?=[\r\n]|\Z))'
+_JAVA_CHAR = r"'(?:[^'\\\r\n]|\\[^\r\n])*(?:'|\\?(?=[\r\n]|\Z))"
 
 JAVA_TYPE_KEYWORDS = ("class", "interface", "enum", "record")
 
@@ -163,7 +164,8 @@ def lex(
     token, or in the first `punct` token whose text is in `until`.
     """
     tokens: list[Token] = []
-    decode = java_unescape if table is JAVA else unescape
+    java = table is JAVA
+    decode = java_unescape if java else unescape
     counted = pos  # newlines in text[:counted] are already in `line`
     line_start = pos + 1 - column  # the text index that column 1 of the current line maps to
     for match in table.finditer(text, pos):
@@ -175,6 +177,8 @@ def lex(
             line_start = text.rindex("\n", counted, start) + 1
         counted = start
         value = decode(match.group("body")) if kind == "string" else match.group(kind)
+        if java and kind == "string" and match.start("cut") >= 0:
+            kind = "cut_string"
         tokens.append(_new_token(Token, (kind, value, line, start - line_start + 1)))
         if kind == "eof" or kind == "error" or (kind == "punct" and value in until):
             return tokens, match.end()

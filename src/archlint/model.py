@@ -137,6 +137,8 @@ class RefKind(enum.Enum):
     PORT = "port"
     CONNECTOR = "connector"
 
+    __hash__ = object.__hash__  # by identity, in C, so an ElementRef hashes as its tuple
+
 
 # Module globals for the refs built per annotation: on Python 3.11 each
 # `RefKind.X` lookup runs `EnumType.__getattr__`.
@@ -158,10 +160,6 @@ class ElementRef(namedtuple("ElementRef", "kind path")):
 
     def __str__(self) -> str:
         return self.path
-
-    def __hash__(self) -> int:
-        # The path alone: hashing `kind` too would run Enum.__hash__, Python code.
-        return hash(self.path)
 
     def sort_key(self) -> tuple[str, str]:
         return (self.path, self.kind.value)

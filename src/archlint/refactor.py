@@ -7,11 +7,9 @@ construction. A handler returns only the new model; the elements a step
 touches are those it creates or deletes, `model.created_or_deleted` of the
 two models, so a rename or a move touches the old element and the new one.
 The ImpactReport tells the developer which annotations (by location)
-reference each element a step touched, matched by `conformance.instance_refs`
-as the annotation lookup matches them; rewriting the code stays a manual
-task. What an element annotation references never depends on the model, so
-those are indexed once per plan; only connection annotations are resolved
-again at each step.
+reference each element a step touched, from `conformance.references`, the
+function behind the annotation lookup; rewriting the code stays a manual
+task.
 
 `OPERATIONS` is the one definition of each operation: its class, its plan
 name, how each field is read from and written to plan text, and its
@@ -24,8 +22,8 @@ import re
 from collections import namedtuple
 from typing import Any, Callable, Mapping, Union
 
-from .annotations import AnnotationInstance, CodeModel, syntactic_refs
-from .conformance import instance_refs
+from .annotations import CodeModel
+from .conformance import references
 from .errors import EndpointError, PlanError, PlanParseError, PreconditionError
 from .model import (
     ArchitectureModel,
@@ -47,65 +45,62 @@ from .model import (
 )
 
 
-def _same_op(op: tuple, other: object) -> bool:
-    """Operations compare by type, then fields: AddPort and RemovePort hold
-    the same items, and tuples that do are equal. `object.__ne__` inverts it."""
-    return type(other) is type(op) and tuple.__eq__(op, other)
+class _Op(tuple):
+    """The base of every operation record. Operations compare by type, then
+    fields: AddPort and RemovePort hold the same items, and tuples that do
+    are equal. `object.__ne__` inverts `__eq__`, and `__hash__` is set again
+    because a class body that sets `__eq__` alone makes instances unhashable."""
+
+    __slots__ = ()
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is type(self) and tuple.__eq__(self, other)
+
+    __ne__, __hash__ = object.__ne__, tuple.__hash__
 
 
-# Each operation class sets `__hash__` again: a class body that sets
-# `__eq__` alone makes its instances unhashable.
-
-
-class AddPort(namedtuple("AddPort", "component port")):
+class AddPort(_Op, namedtuple("AddPort", "component port")):
     """Add the port `port` (str) to `component` (str)."""
 
     __slots__ = ()
-    __eq__, __ne__, __hash__ = _same_op, object.__ne__, tuple.__hash__
 
 
-class RemovePort(namedtuple("RemovePort", "component port")):
+class RemovePort(_Op, namedtuple("RemovePort", "component port")):
     """Remove the port `port` (str) from `component` (str)."""
 
     __slots__ = ()
-    __eq__, __ne__, __hash__ = _same_op, object.__ne__, tuple.__hash__
 
 
-class AddConnector(namedtuple("AddConnector", "id context left right direction")):
+class AddConnector(_Op, namedtuple("AddConnector", "id context left right direction")):
     """Declare a connector: id and context (str), left and right
     (EndpointPath) and direction (Direction), as a Connector holds them."""
 
     __slots__ = ()
-    __eq__, __ne__, __hash__ = _same_op, object.__ne__, tuple.__hash__
 
 
-class RemoveConnector(namedtuple("RemoveConnector", "id")):
+class RemoveConnector(_Op, namedtuple("RemoveConnector", "id")):
     """Remove the connector `id` (str)."""
 
     __slots__ = ()
-    __eq__, __ne__, __hash__ = _same_op, object.__ne__, tuple.__hash__
 
 
-class SplitComponent(namedtuple("SplitComponent", "target name_a name_b partition")):
+class SplitComponent(_Op, namedtuple("SplitComponent", "target name_a name_b partition")):
     """Split `target` (str) into `name_a` and `name_b` (str); `partition`
     (Mapping[str, str]) maps each part role and port name to one of them."""
 
     __slots__ = ()
-    __eq__, __ne__, __hash__ = _same_op, object.__ne__, tuple.__hash__
 
 
-class RenameElement(namedtuple("RenameElement", "ref new_name")):
+class RenameElement(_Op, namedtuple("RenameElement", "ref new_name")):
     """Rename the element `ref` (ElementRef) to `new_name` (str)."""
 
     __slots__ = ()
-    __eq__, __ne__, __hash__ = _same_op, object.__ne__, tuple.__hash__
 
 
-class MovePart(namedtuple("MovePart", "role from_component to_component")):
+class MovePart(_Op, namedtuple("MovePart", "role from_component to_component")):
     """Move the part `role` (str) from `from_component` to `to_component` (str)."""
 
     __slots__ = ()
-    __eq__, __ne__, __hash__ = _same_op, object.__ne__, tuple.__hash__
 
 
 RefactoringOp = Union[
@@ -559,31 +554,15 @@ class ImpactReport(namedtuple("ImpactReport", "plan_name entries")):
     __slots__ = ()
 
 
-def _element_index(code: CodeModel) -> dict[ElementRef, list[int]]:
-    """Each element the element annotations reference, mapped to their
-    positions in `code.instances`, in code order. `instance_refs` gives an
-    element annotation its `syntactic_refs` whatever the model."""
-    index: dict[ElementRef, list[int]] = {}
-    for position, inst in enumerate(code.instances):
-        if inst.kind.usage is None:
-            for ref in syntactic_refs(inst):
-                index.setdefault(ref, []).append(position)
-    return index
-
-
 def apply_plan(
     model: ArchitectureModel, plan: RefactoringPlan, code: CodeModel
 ) -> tuple[ArchitectureModel, ImpactReport]:
     """Apply ops in order; the first failure raises PlanError (nothing kept).
 
-    Each impact entry is the annotation lookup of every touched ref against
-    the pre-step model, the architecture in which the touched names still
-    have their old meaning. Element annotations are indexed once per plan;
-    each step resolves only the connection annotations against its model.
+    Each impact entry lists, for every touched ref, the annotations that
+    reference it under the pre-step model (`conformance.references`), the
+    architecture in which the touched names still have their old meaning.
     """
-    instances = code.instances
-    index = _element_index(code)
-    connections = [(p, inst) for p, inst in enumerate(instances) if inst.kind.usage is not None]
     current = model
     entries: list[ImpactEntry] = []
     for step, op in enumerate(plan.ops, start=1):
@@ -592,12 +571,7 @@ def apply_plan(
         except PreconditionError as err:
             raise PlanError(step, err) from err
         refs = tuple(sorted(touched, key=lambda r: r.sort_key()))
-        resolved = [(p, instance_refs(inst, current)) for p, inst in connections]
-        impact: dict[ElementRef, tuple[AnnotationInstance, ...]] = {}
-        for ref in refs:
-            hits = index.get(ref, []) + [p for p, found in resolved if ref in found]
-            impact[ref] = tuple(instances[p] for p in sorted(hits))
-        entries.append(ImpactEntry(step, op, refs, impact))
+        entries.append(ImpactEntry(step, op, refs, references(code, refs, current)))
         current = new_model
     return (current, ImpactReport(plan.name, tuple(entries)))
 

@@ -23,7 +23,6 @@ from .annotations import (
     CodeModel,
     extract_attributes,
     extract_pragmas,
-    resolve_context,
     validate_targets,
 )
 from .errors import ConfigError
@@ -214,8 +213,7 @@ def _scan_file(
     if front_end == "attribute":
         instances, findings = extract_attributes(text, rel)
     else:
-        instances, findings = extract_pragmas(text, rel, config.sigil, fill_context=True)
-        instances = resolve_context(instances)  # copies none: the contexts are filled
+        instances, findings = extract_pragmas(text, rel, config.sigil)
     for inst in instances:
         findings.extend(validate_targets(inst))
     return (instances, findings)

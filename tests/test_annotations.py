@@ -227,6 +227,31 @@ def test_unclosed_string_ends_at_its_line(end: str, newline: str) -> None:
     ]
 
 
+@pytest.mark.parametrize("newline", ["\n", "\r\n"])
+def test_unclosed_char_ends_at_its_line(newline: str) -> None:
+    # As a string does: a stray `'` hides nothing on the lines after it.
+    lines = ["class A {", "  char s = 'a;", '  @Port("p") void p() {}', '  @Part("y") C c;', "}"]
+    instances, findings = extract_attributes(newline.join(lines) + newline, "A.java")
+    assert findings == []
+    assert [(i.kind, i.target_name, i.location.line) for i in instances] == [
+        (AnnotationKind.PORT, "p", 3),
+        (AnnotationKind.PART, "c", 4),
+    ]
+
+
+def test_string_cut_at_its_line_break_ends_the_argument_list() -> None:
+    # The second cut string swallows the `;` of its line, so without the
+    # rule the list would run on and take the next statement's annotation.
+    text = 'class Car {\n  @Part("r\nar") Wheel rear;\n  @Port("io") void io() {}\n}\n'
+    instances, findings = extract_attributes(text, "Car.java")
+    assert [(f.check_id, f.message, f.locations[0].line) for f in findings] == [
+        ("MALFORMED_ANNOTATION", "expected ')'", 2)
+    ]
+    assert [(i.kind, i.target_name, i.location.line) for i in instances] == [
+        (AnnotationKind.PORT, "io", 4)
+    ]
+
+
 def test_line_break_in_a_string_value_is_malformed() -> None:
     instances, findings = extract_attributes('@Part("a\nb") B b;', "B.java")
     assert [(f.check_id, f.locations[0].line) for f in findings] == [("MALFORMED_ANNOTATION", 1)]
@@ -520,13 +545,18 @@ _PRAGMA_LINES = (
 
 
 def test_filled_pragma_contexts_are_what_resolve_context_gives() -> None:
-    """`fill_context` builds each instance once, with the context
-    `resolve_context` gives it; that pass then keeps every instance."""
+    """`extract_pragmas` builds each instance once, with the context
+    `resolve_context` gives it; that pass then keeps every instance. Each
+    line read alone, at its own line number, has only its explicit `@in`."""
     rng = random.Random(18)
     for _ in range(300):
-        text = "\n".join(rng.choice(_PRAGMA_LINES) for _ in range(rng.randint(0, 12)))
-        plain, plain_findings = extract_pragmas(text, "d/f.txt")
-        filled, findings = extract_pragmas(text, "d/f.txt", fill_context=True)
+        lines = [rng.choice(_PRAGMA_LINES) for _ in range(rng.randint(0, 12))]
+        plain, plain_findings = [], []
+        for number, line in enumerate(lines):
+            instances, line_findings = extract_pragmas("\n" * number + line, "d/f.txt")
+            plain += instances
+            plain_findings += line_findings
+        filled, findings = extract_pragmas("\n".join(lines), "d/f.txt")
         assert findings == plain_findings
         assert filled == resolve_context(plain)
         assert all(a is b for a, b in zip(resolve_context(filled), filled, strict=True))

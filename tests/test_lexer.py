@@ -14,7 +14,7 @@ from parser_grid import grid_report
 
 import archlint
 from archlint.adl import AdlParseError, parse_architecture
-from archlint.annotations import PRAGMA_LEADERS, extract_attributes, extract_pragmas
+from archlint.annotations import PRAGMA_LEADERS, extract_attributes, extract_pragmas, resolve_context
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
 
@@ -79,7 +79,10 @@ def test_parse_architecture_raises_only_parse_errors(text: str) -> None:
 
 def _pragma_outcomes(text: str, sigil: str) -> tuple[list[tuple], list[tuple]]:
     """Instances and findings of extract_pragmas, locations aside."""
-    instances, findings = extract_pragmas(text, "d/f.txt", sigil)
+    return _outcomes(*extract_pragmas(text, "d/f.txt", sigil))
+
+
+def _outcomes(instances: list, findings: list) -> tuple[list[tuple], list[tuple]]:
     return (
         [
             (i.kind, i.values, dict(i.attrs), i.target, i.target_name, i.enclosing_components, i.package)
@@ -94,19 +97,20 @@ _WORD_CHARS = frozenset(string.ascii_letters + string.digits + "_$")
 
 def _per_line_pragmas(text: str, sigil: str) -> tuple[list[tuple], list[tuple]]:
     """Reference: each `str.splitlines` line that starts with leaders and the
-    sigil, not followed by a word character, extracted on its own."""
-    instances: list[tuple] = []
-    findings: list[tuple] = []
+    sigil, not followed by a word character, extracted on its own; then each
+    instance takes the context `resolve_context` gives it."""
+    instances: list = []
+    findings: list = []
     for line in text.splitlines():
         stripped = line.lstrip(PRAGMA_LEADERS)
         rest = stripped[len(sigil) :]
         if not stripped.startswith(sigil) or rest[:1] in _WORD_CHARS:
             continue
-        one_instances, one_findings = _pragma_outcomes(sigil + rest, sigil)
+        one_instances, one_findings = extract_pragmas(sigil + rest, "d/f.txt", sigil)
         assert len(one_instances) + len(one_findings) == 1
         instances += one_instances
         findings += one_findings
-    return instances, findings
+    return _outcomes(resolve_context(instances), findings)
 
 
 _PRAGMA_LINE = st.tuples(

@@ -679,11 +679,6 @@ def test_lookup_component(car_arch: ArchitectureModel, car_code: CodeModel) -> N
     assert len(car_hits) == 6
 
 
-def test_lookup_without_arch_is_syntactic(car_code: CodeModel) -> None:
-    hits = lookup(car_code, parse_ref("Engine#p"))
-    assert sorted(i.kind.value for i in hits) == ["Port"]
-
-
 def test_lookup_connector(car_arch: ArchitectureModel, car_code: CodeModel) -> None:
     hits = lookup(car_code, parse_ref("Car/c1"), car_arch)
     assert [i.kind.value for i in hits] == ["Connects"]
