@@ -23,7 +23,10 @@ from archlint.model import (
     Multiplicity,
     Part,
     Port,
+    RefKind,
     ROOT_CONTEXT,
+    flip,
+    list_elements,
     resolve_endpoint,
     validate_model,
     walk_endpoint,
@@ -469,3 +472,91 @@ def inverse_of(op: RefactoringOp, before: ArchitectureModel) -> RefactoringOp | 
         context, cid = ref.split()
         return RenameElement(ElementRef.connector(context, op.new_name), cid)
     return None
+
+
+def colliding_op(rng: random.Random, model: ArchitectureModel) -> RefactoringOp | None:
+    """An op that reuses a name the model declares, so most are refused.
+
+    It draws self-renames and renames onto a sibling or onto a name declared
+    elsewhere, `add-port` of an existing port, `remove-port` of an attached
+    port, `add-connector` reusing an id or a triple, naming an unknown
+    context or using one endpoint twice, `move-part` onto its own owner or
+    onto an owner that holds the role, and splits onto an existing name,
+    onto the target's own name or onto one name twice.
+    """
+    comps = model.components
+    comp = rng.choice(comps)
+    conns = model.connectors
+    pick = rng.choice(["rename_self", "rename_taken", "add_port", "remove_port",
+                       "add_connector", "move_part", "split"])
+    if pick in ("rename_self", "rename_taken"):
+        refs = sorted(list_elements(model), key=ElementRef.sort_key)
+        ref = rng.choice(refs)
+        if ref.kind is RefKind.COMPONENT:
+            own, taken = ref.path, [c.name for c in comps]
+        elif ref.kind is RefKind.CONNECTOR:
+            own, taken = ref.split()[1], [c.id for c in conns]
+        else:
+            own = ref.split()[1]
+            taken = [r.split()[1] for r in refs if r.kind is ref.kind]
+        return RenameElement(ref, own if pick == "rename_self" else rng.choice(taken))
+    if pick == "add_port":
+        if not comp.ports:
+            return None
+        return AddPort(comp.name, rng.choice(comp.ports).name)
+    if pick == "remove_port":
+        attached = sorted(
+            {side for sides in model.connector_index.sides.values() for side in sides
+             if isinstance(side, ElementRef) and side.kind is RefKind.PORT},
+            key=ElementRef.sort_key,
+        )
+        if not attached:
+            return None
+        return RemovePort(*rng.choice(attached).split())
+    if pick == "add_connector":
+        how = rng.choice(["id", "triple", "context", "twice"])
+        if how == "triple" and conns:
+            conn = rng.choice(conns)
+            if rng.random() < 0.5:
+                return AddConnector(_fresh(rng, "nc"), conn.context, conn.left, conn.right,
+                                    conn.direction)
+            return AddConnector(_fresh(rng, "nc"), conn.context, conn.right, conn.left,
+                                flip(conn.direction))
+        left = _random_endpoint(rng, model, comp.name)
+        right = _random_endpoint(rng, model, comp.name)
+        if left is None or right is None:
+            return None
+        cid, context = _fresh(rng, "nc"), comp.name
+        if how == "id" and conns:
+            cid = rng.choice(conns).id
+        elif how == "context":
+            context = "Nowhere"
+        elif how == "twice":
+            right = left
+        return AddConnector(cid, context, left, right, rng.choice(list(Direction)))
+    if pick == "move_part":
+        if rng.random() < 0.5:
+            if not comp.parts:
+                return None
+            return MovePart(rng.choice(comp.parts).role, comp.name, comp.name)
+        shared = [
+            (role, owner.name, other.name)
+            for owner in comps for role in (p.role for p in owner.parts)
+            for other in comps if other is not owner and other.part(role) is not None
+        ]
+        if not shared:
+            return None
+        return MovePart(*rng.choice(shared))
+    how = rng.choice(["taken", "own", "twice"])
+    name_a, name_b = _fresh(rng, "Sa"), _fresh(rng, "Sb")
+    if how == "taken":
+        name_a = rng.choice(comps).name
+    elif how == "own":
+        name_a = comp.name
+    else:
+        name_b = name_a
+    partition = {
+        member: rng.choice([name_a, name_b])
+        for member in [p.role for p in comp.parts] + [p.name for p in comp.ports]
+    }
+    return SplitComponent(comp.name, name_a, name_b, partition)

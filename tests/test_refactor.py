@@ -52,6 +52,7 @@ from modelgen import (
     random_model,
     random_op_sequence,
 )
+import apply_grid
 from plan_grid import grid_report
 
 DATA = Path(__file__).parent / "data"
@@ -129,6 +130,12 @@ def test_every_operation_has_one_table_row() -> None:
 def test_plan_grid_matches_golden() -> None:
     golden = (DATA / "golden" / "plan_grid.golden.txt").read_text(encoding="utf-8")
     assert grid_report() == golden
+
+
+def test_apply_grid_matches_golden() -> None:
+    """Which steps `apply_op` accepts, what each touches and builds."""
+    golden = (DATA / "golden" / "apply_grid.golden.txt").read_text(encoding="utf-8")
+    assert apply_grid.grid_report() == golden
 
 
 @pytest.mark.parametrize(
