@@ -106,22 +106,28 @@ class _Parser(Cursor):
             self.advance()
             self.expect_punct("]")
             return Multiplicity(0, None)
-        if self.peek().kind != "number":
-            raise self.error("expected a number or '*' in multiplicity")
-        lower = int(self.advance().text)
+        lower = self.parse_bound("expected a number or '*' in multiplicity")
         if self.at_punct(".."):
             self.advance()
             if self.at_punct("*"):
                 self.advance()
                 self.expect_punct("]")
                 return Multiplicity(lower, None)
-            if self.peek().kind != "number":
-                raise self.error("expected a number or '*' after '..'")
-            upper = int(self.advance().text)
+            upper = self.parse_bound("expected a number or '*' after '..'")
             self.expect_punct("]")
             return Multiplicity(lower, upper)
         self.expect_punct("]")
         return Multiplicity(lower, lower)
+
+    def parse_bound(self, expected: str) -> int:
+        if self.peek().kind != "number":
+            raise self.error(expected)
+        try:
+            bound = int(self.peek().text)
+        except ValueError:  # more digits than `sys.get_int_max_str_digits()`
+            raise self.error("multiplicity bound has too many digits") from None
+        self.advance()
+        return bound
 
     def parse_connector(self, context: str) -> None:
         self.advance()

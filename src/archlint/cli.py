@@ -35,7 +35,7 @@ class _CliError(ArchlintError):
 def _read_text(path: Path, what: str) -> str:
     try:
         return path.read_text(encoding="utf-8")
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise _CliError(f"cannot read {what} '{path}': {err}") from err
 
 

@@ -3,9 +3,13 @@
 Operations are pure model transformations; the source code is never touched.
 Every operation either returns a new model that validates, or raises
 PreconditionError and leaves the input untouched, so plans are atomic by
-construction. A handler returns only the new model; the elements a step
-touches are those it creates or deletes, `model.created_or_deleted` of the
-two models, so a rename or a move touches the old element and the new one.
+construction. A handler locates what it edits, checks that a new name is an
+identifier and returns only the new model. `apply_op` holds the rule every
+operation shares: a step whose result equals its input, or whose result
+fails `validate_model`, is refused, so no handler repeats a check that
+validation makes. The elements a step touches are those it creates or
+deletes, `model.created_or_deleted` of the two models, so a rename or a
+move touches the old element and the new one.
 The ImpactReport tells the developer which annotations (by location)
 reference each element a step touched, from `conformance.references`, the
 function behind the annotation lookup; rewriting the code stays a manual
@@ -20,7 +24,7 @@ from __future__ import annotations
 
 import re
 from collections import namedtuple
-from typing import Any, Callable, Mapping, Union
+from typing import Union
 
 from .annotations import CodeModel
 from .conformance import references
@@ -38,9 +42,7 @@ from .model import (
     ROOT_CONTEXT,
     created_or_deleted,
     is_identifier,
-    normalize_connector,
     parse_ref,
-    resolve_endpoint,
     walk_endpoint,
 )
 
@@ -125,27 +127,17 @@ def _swap_component(model: ArchitectureModel, comp: Component) -> tuple[Componen
 
 def _apply_add_port(model: ArchitectureModel, op: AddPort):
     comp = _require_component(model, op.component, op)
-    ref = ElementRef.port(op.component, op.port)
     if not is_identifier(op.port):
         raise _fail(op, f"invalid port name '{op.port}'")
-    if comp.port(op.port) is not None:
-        raise _fail(op, f"port '{op.port}' already exists in '{op.component}'", ref)
     new_comp = comp._replace(ports=comp.ports + (Port(op.port),))
     return model._replace(components=_swap_component(model, new_comp))
 
 
 def _apply_remove_port(model: ArchitectureModel, op: RemovePort):
     comp = _require_component(model, op.component, op)
-    ref = ElementRef.port(op.component, op.port)
     if comp.port(op.port) is None:
-        raise _fail(op, f"no port '{op.port}' in '{op.component}'", ref)
-    for conn, sides in model.connector_index.sides.items():
-        if ref in sides:
-            raise _fail(
-                op,
-                f"connector '{conn.id}' is attached to port '{ref.path}'",
-                ElementRef.connector(conn.context, conn.id),
-            )
+        raise _fail(op, f"no port '{op.port}' in '{op.component}'",
+                    ElementRef.port(op.component, op.port))
     new_comp = comp._replace(ports=tuple(p for p in comp.ports if p.name != op.port))
     return model._replace(components=_swap_component(model, new_comp))
 
@@ -153,25 +145,7 @@ def _apply_remove_port(model: ArchitectureModel, op: RemovePort):
 def _apply_add_connector(model: ArchitectureModel, op: AddConnector):
     if not is_identifier(op.id):
         raise _fail(op, f"invalid connector id '{op.id}'")
-    if model.connector_by_id(op.id) is not None:
-        raise _fail(op, f"connector id '{op.id}' already exists")
-    if op.context != ROOT_CONTEXT:
-        _require_component(model, op.context, op)
-    sides = []
-    for endpoint in (op.left, op.right):
-        try:
-            sides.append(resolve_endpoint(model, op.context, endpoint))
-        except EndpointError as err:
-            raise _fail(op, str(err)) from err
-    if sides[0].path == sides[1].path:
-        raise _fail(op, f"both endpoints resolve to '{sides[0].path}'")
-    nl, nr, nd = normalize_connector(sides[0], sides[1], op.direction)
-    for direction, ref in model.connector_index.by_pair.get((nl.path, nr.path), ()):
-        context, cid = ref.split()
-        if direction is nd and context == op.context:
-            raise _fail(op, f"connector '{cid}' already declares this connection")
-    new_conn = Connector(op.id, op.context, op.left, op.right, op.direction)
-    return model._replace(connectors=model.connectors + (new_conn,))
+    return model._replace(connectors=model.connectors + (Connector(*op),))
 
 
 def _apply_remove_connector(model: ArchitectureModel, op: RemoveConnector):
@@ -224,8 +198,6 @@ def _rename_component(model: ArchitectureModel, op: RenameElement):
     old = op.ref.path
     new = op.new_name
     _require_component(model, old, op)
-    if model.component(new) is not None:
-        raise _fail(op, f"component '{new}' already exists", ElementRef.component(new))
     connectors = tuple(
         c._replace(context=new) if c.context == old else c for c in _renamed_paths(model, op)
     )
@@ -250,8 +222,6 @@ def _rename_part(model: ArchitectureModel, op: RenameElement):
     part = comp.part(role)
     if part is None:
         raise _fail(op, f"no part '{role}' in '{owner_name}'", op.ref)
-    if comp.part(op.new_name) is not None:
-        raise _fail(op, f"part '{op.new_name}' already exists in '{owner_name}'")
     new_comp = comp._replace(
         parts=tuple(p._replace(role=op.new_name) if p.role == role else p for p in comp.parts),
     )
@@ -263,8 +233,6 @@ def _rename_port(model: ArchitectureModel, op: RenameElement):
     comp = _require_component(model, owner_name, op)
     if comp.port(port_name) is None:
         raise _fail(op, f"no port '{port_name}' in '{owner_name}'", op.ref)
-    if comp.port(op.new_name) is not None:
-        raise _fail(op, f"port '{op.new_name}' already exists in '{owner_name}'")
     new_comp = comp._replace(
         ports=tuple(Port(op.new_name) if p.name == port_name else p for p in comp.ports),
     )
@@ -275,8 +243,6 @@ def _rename_connector(model: ArchitectureModel, op: RenameElement):
     conn = model.connector_index.by_ref.get(op.ref)
     if conn is None:
         raise _fail(op, f"no connector '{op.ref.path}'", op.ref)
-    if model.connector_by_id(op.new_name) is not None:
-        raise _fail(op, f"connector id '{op.new_name}' already exists")
     connectors = tuple(
         c._replace(id=op.new_name) if c is conn else c for c in model.connectors
     )
@@ -284,32 +250,29 @@ def _rename_connector(model: ArchitectureModel, op: RenameElement):
 
 
 def _apply_move_part(model: ArchitectureModel, op: MovePart):
+    """The part leaves its owner, then joins the target as the target is
+    after that, so a move onto the owner gives back the model unchanged."""
     source = _require_component(model, op.from_component, op)
-    target = _require_component(model, op.to_component, op)
+    _require_component(model, op.to_component, op)
     part = source.part(op.role)
     if part is None:
         raise _fail(op, f"no part '{op.role}' in '{op.from_component}'",
                     ElementRef.part(op.from_component, op.role))
-    if target.part(op.role) is not None:
-        raise _fail(op, f"part '{op.role}' already exists in '{op.to_component}'")
-    new_source = source._replace(parts=tuple(p for p in source.parts if p.role != op.role))
-    new_target = target._replace(parts=target.parts + (part,))
-    components = tuple(
-        new_source if c.name == op.from_component else new_target if c.name == op.to_component else c
-        for c in model.components
-    )
-    return model._replace(components=components)
+    without = source._replace(parts=tuple(p for p in source.parts if p.role != op.role))
+    model = model._replace(components=_swap_component(model, without))
+    target = model.component(op.to_component)
+    joined = target._replace(parts=target.parts + (part,))
+    return model._replace(components=_swap_component(model, joined))
 
 
 def _apply_split(model: ArchitectureModel, op: SplitComponent):
     target = _require_component(model, op.target, op)
-    if op.name_a == op.name_b:
-        raise _fail(op, "the two new component names must differ")
     for name in (op.name_a, op.name_b):
         if not is_identifier(name):
             raise _fail(op, f"invalid component name '{name}'")
-        if model.component(name) is not None:
-            raise _fail(op, f"component '{name}' already exists", ElementRef.component(name))
+        if name == op.target:
+            raise _fail(op, f"a half cannot keep the target's name '{name}'",
+                        ElementRef.component(name))
 
     members = {p.role for p in target.parts} | {p.name for p in target.ports}
     side_of = dict(op.partition)
@@ -345,23 +308,12 @@ def _apply_split(model: ArchitectureModel, op: SplitComponent):
         if not any(p.type_component == op.target for p in comp.parts):
             components.append(comp)
             continue
-        kept = [p for p in comp.parts if p.type_component != op.target]
-        names_in_use = {p.role for p in kept}
-        new_parts = list(kept)
+        new_parts = [p for p in comp.parts if p.type_component != op.target]
         for part in comp.parts:
-            if part.type_component != op.target:
-                continue
-            holders.append((comp.name, part.role))
-            for side in (op.name_a, op.name_b):
-                role = f"{part.role}_{side}"
-                if role in names_in_use:
-                    raise _fail(
-                        op,
-                        f"replacement part role '{role}' collides in component '{comp.name}'",
-                        ElementRef.part(comp.name, role),
-                    )
-                names_in_use.add(role)
-                new_parts.append(Part(role, side, part.multiplicity))
+            if part.type_component == op.target:
+                holders.append((comp.name, part.role))
+                new_parts += (Part(f"{part.role}_{side}", side, part.multiplicity)
+                              for side in (op.name_a, op.name_b))
         components.append(comp._replace(parts=tuple(new_parts)))
 
     target_was_top = model.is_top_level(op.target)
@@ -375,22 +327,15 @@ def _apply_split(model: ArchitectureModel, op: SplitComponent):
 
     def rewrite_path(conn: Connector, path: EndpointPath) -> EndpointPath:
         """A root path's first segment names the side of its next segment; a
-        holder part becomes its replacement on that side."""
+        holder part becomes its replacement on that side. A path that ends at
+        a holder part is kept as it is, for validation to report."""
         segments = list(path.segments)
         for index, element in enumerate(_reached(model, conn.context, path)):
             follow = segments[index + 1] if index + 1 < len(segments) else None
             if element == target_ref and follow in side_of:
                 segments[index] = side_of[follow]
-            elif element in holder_refs:
-                if follow is None:
-                    raise _fail(
-                        op,
-                        f"connector '{conn.id}' endpoint ends at part "
-                        f"'{element.path}' of the split component",
-                        element,
-                    )
-                if follow in side_of:
-                    segments[index] = f"{segments[index]}_{side_of[follow]}"
+            elif element in holder_refs and follow in side_of:
+                segments[index] = f"{segments[index]}_{side_of[follow]}"
         return EndpointPath(tuple(segments))
 
     connectors: list[Connector] = []
@@ -522,10 +467,13 @@ def apply_op(
     Returns the new model and the elements the step touched: those declared
     in exactly one of the two models.
 
-    The result always validates: an operation that would leave dangling
-    references (e.g. MovePart breaking an endpoint path) fails instead.
+    The one rule every operation shares: a step is refused when its result
+    equals its input, or when its result fails `validate_model`, with the
+    first finding's message and element as the reason and ref.
     """
     new_model = _ROW_OF[type(op)].apply(model, op)
+    if new_model == model:
+        raise _fail(op, "the step changes nothing")
     problems = new_model.validation
     if problems:
         raise _fail(op, f"resulting model is not well-formed: {problems[0].message}",

@@ -44,7 +44,7 @@ def load_config_file(path: Path) -> dict[str, str]:
     """key = value lines; `#` comments; unknown keys are errors."""
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise ConfigError(f"cannot read config file {path}: {err}") from err
     out: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):

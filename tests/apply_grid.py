@@ -18,14 +18,15 @@ import random
 
 from archlint.adl import serialize_architecture
 from archlint.errors import PreconditionError
-from archlint.refactor import apply_op, op_text
+from archlint.model import ArchitectureModel
+from archlint.refactor import RefactoringOp, apply_op, op_text
 from modelgen import _candidate_op, colliding_op, random_model
 
 SEEDS = range(250)
 STEPS = 8
 
 
-def _outcome(model, op) -> tuple[str, object]:
+def _outcome(model: ArchitectureModel, op: RefactoringOp) -> tuple[str, ArchitectureModel]:
     try:
         new_model, touched = apply_op(model, op)
     except PreconditionError:

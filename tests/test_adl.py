@@ -102,6 +102,15 @@ def test_parse_errors_carry_position_or_cause(text: str, fragment: str) -> None:
     assert fragment in str(exc.value)
 
 
+@pytest.mark.parametrize("form, column", [("[{}]", 26), ("[1..{}]", 29)], ids=["lower", "upper"])
+def test_bound_too_long_for_int_is_a_parse_error(form: str, column: int) -> None:
+    """A bound with more digits than `int` reads is an error at its token."""
+    bound = form.format("9" * 5000)
+    with pytest.raises(AdlParseError) as exc:
+        parse_architecture(f"component A {{ part p: A {bound}; }}")
+    assert str(exc.value) == f"1:{column}: multiplicity bound has too many digits"
+
+
 def test_error_line_numbers_count_from_one() -> None:
     with pytest.raises(AdlParseError) as exc:
         parse_architecture("// fine\ncomponent A {\n  junk;\n}")

@@ -628,6 +628,27 @@ def test_every_command_checks_the_smell_config(capsys, tmp_path: Path, command: 
     assert not (tmp_path / "car.refactored.arch").exists()
 
 
+@pytest.mark.parametrize("kind", ["arch", "plan", "conf"])
+def test_non_utf8_input_file_is_a_file_problem(tmp_path: Path, kind: str) -> None:
+    """An input file that is not UTF-8 is a file problem: exit 2, no traceback."""
+    argv = _car_argv(tmp_path, "refactor")
+    cfg = tmp_path / "car.conf"
+    cfg.write_text("")
+    (tmp_path / f"car.{kind}").write_bytes(b"component \xff {}\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(archlint.__file__).parent.parent)}
+    proc = subprocess.run(
+        [sys.executable, "-m", "archlint", *argv, "--config", str(cfg)],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("archlint: cannot read "), proc.stderr
+    assert f"car.{kind}" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "car.refactored.arch").exists()
+
+
 def test_commands_call_public_functions_rebound_in_loaded_modules(
     capsys, monkeypatch, tmp_path: Path
 ) -> None:

@@ -1,5 +1,6 @@
 """The package surface: `archlint.__all__` names resolve on first use."""
 
+import ast
 import importlib
 import os
 import re
@@ -83,3 +84,18 @@ def test_only_the_lexer_defines_the_token_cursor() -> None:
     assert [m.name for m in modules if defines_cursor.search(m.read_text(encoding="utf-8"))] == [
         "lexer.py"
     ]
+
+
+def test_every_import_is_read() -> None:
+    """Each name a module imports is read somewhere in that module."""
+    for module in sorted(Path(archlint.__file__).parent.glob("*.py")):
+        tree = ast.parse(module.read_text(encoding="utf-8"))
+        imported = {
+            (alias.asname or alias.name).partition(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+        }
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        assert sorted(imported - read) == [], module.name

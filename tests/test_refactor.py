@@ -180,7 +180,7 @@ def test_add_port(car_arch: ArchitectureModel) -> None:
     "op, fragment",
     [
         (AddPort("Nope", "p"), "Nope"),
-        (AddPort("Engine", "p"), "already"),
+        pytest.param(AddPort("Engine", "p"), "declared more than once", id="op1-already"),
         (AddPort("Engine", "9p"), "9p"),
     ],
 )
@@ -227,19 +227,22 @@ def test_add_connector_at_root() -> None:
 @pytest.mark.parametrize(
     "op, fragment",
     [
-        (
+        pytest.param(
             AddConnector("c_qs", "System", _ep("model.api"), _ep("store.io"), Direction.LEFT),
-            "already exists",
+            "declared more than once",
+            id="op0-already exists",
         ),
         (AddConnector("cx", "Ghost", _ep("a"), _ep("b"), Direction.LEFT), "Ghost"),
         (AddConnector("cx", "System", _ep("model.zap"), _ep("store.io"), Direction.LEFT), "zap"),
-        (
+        pytest.param(
             AddConnector("cx", "System", _ep("model.api"), _ep("model.api"), Direction.LEFT),
-            "both endpoints resolve",
+            "to itself",
+            id="op3-both endpoints resolve",
         ),
-        (
+        pytest.param(
             AddConnector("cx", "System", _ep("query.fetch"), _ep("store.io"), Direction.RIGHT),
-            "already declares this connection",
+            "duplicates an existing connector",
+            id="op4-already declares this connection",
         ),
         (AddConnector("9c", "System", _ep("model.api"), _ep("store.io"), Direction.LEFT), "9c"),
     ],
@@ -436,14 +439,15 @@ def test_split_multi_holder_duplicates_connectors() -> None:
             ),
             "Model",
         ),
-        (
+        pytest.param(
             SplitComponent(
                 "System",
                 "Same",
                 "Same",
                 {"ui": "Same", "model": "Same", "query": "Same", "store": "Same"},
             ),
-            "differ",
+            "declared more than once",
+            id="op4-differ",
         ),
     ],
 )
@@ -480,11 +484,12 @@ def test_split_rejects_terminal_part_endpoint() -> None:
             "no connector 'System/ghost'",
             parse_ref("System/ghost"),
         ),
-        (
+        pytest.param(
             parse_architecture("component A { part x: C; }\ncomponent B { part x: C; }\ncomponent C { }"),
             MovePart("x", "A", "B"),
-            "part 'x' already exists in 'B'",
-            None,
+            "resulting model is not well-formed: part role 'x' declared more than once in 'B'",
+            parse_ref("B.x"),
+            id="model2-op2-part 'x' already held by the target",
         ),
         (
             "desktop",
@@ -505,15 +510,28 @@ def test_split_rejects_terminal_part_endpoint() -> None:
             "partition must cover exactly the target's parts and ports (not members: ghost)",
             None,
         ),
-        (
+        pytest.param(
             parse_architecture(
                 "component T { port a; port b; }\n"
                 "component X { }\n"
                 "component Outer { part t: T; part t_Ta: X; }\n"
             ),
             SplitComponent("T", "Ta", "Tb", {"a": "Ta", "b": "Tb"}),
-            "replacement part role 't_Ta' collides in component 'Outer'",
+            "resulting model is not well-formed: part role 't_Ta' declared more than once in 'Outer'",
             parse_ref("Outer.t_Ta"),
+            id="model5-op5-replacement part role collides",
+        ),
+        # The refusals validation cannot make: each result would validate.
+        ("desktop", RenameElement(parse_ref("Model"), "Model"), "the step changes nothing", None),
+        ("desktop", MovePart("model", "System", "System"), "the step changes nothing", None),
+        (
+            "desktop",
+            SplitComponent(
+                "System", "System", "Server",
+                {"ui": "System", "model": "System", "query": "Server", "store": "Server"},
+            ),
+            "a half cannot keep the target's name 'System'",
+            parse_ref("System"),
         ),
     ],
 )
@@ -839,10 +857,10 @@ def test_rename_and_split_keep_every_endpoints_meaning() -> None:
             try:
                 new_model, _ = apply_op(model, op)
             except PreconditionError as err:
-                # A fresh name always applies. A split refuses an endpoint that
-                # ends at a holder part, or a connector it would duplicate.
+                # A fresh name always applies. A split leaves unresolved an
+                # endpoint that ends at a holder part, or duplicates a connector.
                 assert isinstance(op, SplitComponent), op_text(op)
-                assert "of the split component" in err.reason or "duplicates" in err.reason, err
+                assert "cannot resolve" in err.reason or "duplicates" in err.reason, err
                 continue
             applied[type(op)] += 1
             for conn in model.connectors:
