@@ -7,7 +7,7 @@ construction. A handler locates what it edits, checks that a new name is an
 identifier and returns only the new model. `apply_op` holds the rule every
 operation shares: a step whose result equals its input, or whose result
 fails `validate_model`, is refused, so no handler repeats a check that
-validation makes. The elements a step touches are those it creates or
+validation makes; a handler refuses only what the gate cannot see. The elements a step touches are those it creates or
 deletes, `model.created_or_deleted` of the two models, so a rename or a
 move touches the old element and the new one.
 The ImpactReport tells the developer which annotations (by location)
@@ -328,14 +328,19 @@ def _apply_split(model: ArchitectureModel, op: SplitComponent):
     def rewrite_path(conn: Connector, path: EndpointPath) -> EndpointPath:
         """A root path's first segment names the side of its next segment; a
         holder part becomes its replacement on that side. A path that ends at
-        a holder part is kept as it is, for validation to report."""
+        a holder part is refused here: validation cannot always see it, as a
+        port of the holder's name in its owner would take the path over."""
         segments = list(path.segments)
         for index, element in enumerate(_reached(model, conn.context, path)):
             follow = segments[index + 1] if index + 1 < len(segments) else None
             if element == target_ref and follow in side_of:
                 segments[index] = side_of[follow]
-            elif element in holder_refs and follow in side_of:
-                segments[index] = f"{segments[index]}_{side_of[follow]}"
+            elif element in holder_refs:
+                if follow is None:
+                    raise _fail(op, f"connector '{conn.id}' endpoint ends at part "
+                                    f"'{element.path}' of the split component", element)
+                if follow in side_of:
+                    segments[index] = f"{segments[index]}_{side_of[follow]}"
         return EndpointPath(tuple(segments))
 
     connectors: list[Connector] = []

@@ -560,3 +560,39 @@ def colliding_op(rng: random.Random, model: ArchitectureModel) -> RefactoringOp 
         for member in [p.role for p in comp.parts] + [p.name for p in comp.ports]
     }
     return SplitComponent(comp.name, name_a, name_b, partition)
+
+
+def shadowing_ops(rng: random.Random, model: ArchitectureModel) -> list[RefactoringOp]:
+    """Two steps that give a port a part's name, then take the part away.
+
+    The first is `add-port` of a part's role to the part's owner; the second
+    splits the part's type or moves the part to another component. A part
+    that a connector endpoint ends at is preferred, so the second step meets
+    an endpoint path that, once the part is gone, names the new port.
+    """
+    ended = sorted(
+        {side for sides in model.connector_index.sides.values() for side in sides
+         if isinstance(side, ElementRef) and side.kind is RefKind.PART},
+        key=ElementRef.sort_key,
+    )
+    held = ended or sorted(
+        (ref for ref in list_elements(model) if ref.kind is RefKind.PART),
+        key=ElementRef.sort_key,
+    )
+    if not held:
+        return []
+    owner, role = rng.choice(held).split()
+    part = model.component(owner).part(role)
+    target = model.component(part.type_component)
+    if target is None or rng.random() < 0.5:
+        others = [c.name for c in model.components
+                  if c.name != owner and c.part(role) is None]
+        if not others:
+            return [AddPort(owner, role)]
+        return [AddPort(owner, role), MovePart(role, owner, rng.choice(others))]
+    name_a, name_b = _fresh(rng, "Sa"), _fresh(rng, "Sb")
+    partition = {
+        member: rng.choice([name_a, name_b])
+        for member in [p.role for p in target.parts] + [p.name for p in target.ports]
+    }
+    return [AddPort(owner, role), SplitComponent(target.name, name_a, name_b, partition)]

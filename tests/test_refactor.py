@@ -469,6 +469,21 @@ def test_split_rejects_terminal_part_endpoint() -> None:
     assert "bad" in str(exc.value)
 
 
+def test_split_rejects_terminal_part_endpoint_shadowing_a_port() -> None:
+    # Once part t is split, the path `t` resolves to port t, and the result
+    # validates: only the split's own check sees the endpoint move.
+    model = parse_architecture(
+        "component T { port a; }\n"
+        "component W { port w; }\n"
+        "component Outer { port t; part t: T; part v: W;"
+        " connector bad: t <-> v.w; }\n"
+    )
+    with pytest.raises(PreconditionError) as exc:
+        apply_op(model, SplitComponent("T", "Ta", "Tb", {"a": "Ta"}))
+    assert "bad" in str(exc.value)
+    assert exc.value.ref == parse_ref("Outer.t")
+
+
 @pytest.mark.parametrize(
     "model, op, reason, ref",
     [
@@ -857,10 +872,10 @@ def test_rename_and_split_keep_every_endpoints_meaning() -> None:
             try:
                 new_model, _ = apply_op(model, op)
             except PreconditionError as err:
-                # A fresh name always applies. A split leaves unresolved an
-                # endpoint that ends at a holder part, or duplicates a connector.
+                # A fresh name always applies. A split refuses an endpoint that
+                # ends at a holder part, or a connector it would duplicate.
                 assert isinstance(op, SplitComponent), op_text(op)
-                assert "cannot resolve" in err.reason or "duplicates" in err.reason, err
+                assert "of the split component" in err.reason or "duplicates" in err.reason, err
                 continue
             applied[type(op)] += 1
             for conn in model.connectors:
