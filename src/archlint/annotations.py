@@ -21,7 +21,7 @@ from __future__ import annotations
 import enum
 import re
 from collections import namedtuple
-from functools import cache, cached_property
+from functools import cache, cached_property, lru_cache
 from pathlib import PurePosixPath
 from typing import Callable, Iterable, Mapping, TypeVar
 
@@ -276,29 +276,44 @@ def _parse_args(cursor: _Cursor, kind: AnnotationKind) -> tuple[tuple[str, ...],
         return (values or (), attrs)
 
 
+# An annotation as its text and its declaration give it, before it has a
+# place in the source: (kind, values, attrs, target, target_name,
+# enclosing_components), with only the components it names itself.
+_Unplaced = tuple
+
+
 def _finish_instance(
     kind: AnnotationKind,
     values: tuple[str, ...],
     attrs: dict[str, str],
     target: TargetKind,
     target_name: str,
-    enclosing: tuple[str, ...],
-    location: SourceLocation,
-    package: str,
-    inherited: tuple[str, ...] = (),
-) -> AnnotationInstance:
-    """Construction-time invariants; raises _ArgProblem when violated. An
-    instance with no enclosing components takes `inherited`, unless it is a
-    @Component."""
-    if not enclosing and kind is not _COMPONENT:
-        enclosing = inherited
+    enclosing: tuple[str, ...] = (),
+) -> _Unplaced:
+    """The annotation, unplaced, once the construction-time invariants
+    hold; raises _ArgProblem when one is violated."""
     if kind.value_required and not values:
         raise _ArgProblem(f"@{kind.value} requires at least one value")
-    missing = [k for k in kind.required if k not in attrs]
-    if missing:
-        raise _ArgProblem(f"@{kind.value} requires attributes: {', '.join(missing)}")
-    return AnnotationInstance(
-        kind, values, dict(attrs), target, target_name, enclosing, location, package
+    for key in kind.required:
+        if key not in attrs:
+            missing = ", ".join(k for k in kind.required if k not in attrs)
+            raise _ArgProblem(f"@{kind.value} requires attributes: {missing}")
+    return kind, values, attrs, target, target_name, enclosing
+
+
+def _place(
+    unplaced: _Unplaced, location: SourceLocation, package: str, inherited: tuple[str, ...] = ()
+) -> AnnotationInstance:
+    """The instance of `unplaced` at `location`, with its own attrs dict.
+    With no enclosing components it takes `inherited`, unless it is a
+    @Component."""
+    kind, values, attrs, target, target_name, enclosing = unplaced
+    if not enclosing and kind is not _COMPONENT:
+        enclosing = inherited
+    # As the namedtuple's own `__new__` builds it, without that Python frame.
+    return tuple.__new__(
+        AnnotationInstance,
+        (kind, values, dict(attrs), target, target_name, enclosing, location, package),
     )
 
 
@@ -313,17 +328,26 @@ def _default_package(path: str) -> str:
     return "" if parent == "." else parent
 
 
-def _parse_pragma_tail(
-    tail: str, location: SourceLocation, package: str, inherited: tuple[str, ...] = ()
-) -> AnnotationInstance:
-    """Parse everything after the sigil; raises _ArgProblem on any deviation.
+# Tails of at most this many characters are remembered; a longer one is
+# parsed each time it appears, so the memo's keys stay short whatever a
+# tree holds. The memo keeps 4,096 tails: pragma-drift at four times the
+# benchmark's size holds about 2,650 distinct ones.
+_LONGEST_REMEMBERED_TAIL = 512
+
+
+@lru_cache(maxsize=4096)  # bounded: keyed by tails read from the input
+def _parse_pragma_tail(tail: str) -> _Unplaced | str:
+    """Parse everything after the sigil: its annotation, or the _ArgProblem
+    message of its first deviation. A tail depends on nothing but its text,
+    so each distinct tail is parsed once and its outcome reused.
 
     A tail the fast path declines goes to the token parser.
     """
-    instance = _match_pragma_tail(tail, location, package, inherited)
-    if instance is None:
-        instance = _parse_pragma_tokens(tail, location, package, inherited)
-    return instance
+    try:
+        parsed = _match_pragma_tail(tail)
+        return _parse_pragma_tokens(tail) if parsed is None else parsed
+    except _ArgProblem as problem:
+        return problem.message
 
 
 # Every optional blank run is followed by a non-blank, so a failing match
@@ -362,10 +386,8 @@ def _pragma_arg_pattern() -> re.Pattern[str]:
     )
 
 
-def _match_pragma_tail(
-    tail: str, location: SourceLocation, package: str, inherited: tuple[str, ...] = ()
-) -> AnnotationInstance | None:
-    """The instance of a tail that `_pragma_tail_pattern` matches whole, or
+def _match_pragma_tail(tail: str) -> _Unplaced | None:
+    """The annotation of a tail that `_pragma_tail_pattern` matches whole, or
     None when it does not match or has an argument the token grammar rejects:
     a positional path, a `value=` path or a `type=` array. A matched tail that
     breaks a rule raises _ArgProblem with the token parser's message.
@@ -373,10 +395,13 @@ def _match_pragma_tail(
     match = _pragma_tail_pattern().fullmatch(tail)
     if match is None:
         return None
-    kind = _known(ANNOTATION_NAMES, match["name"], "annotation")
+    name, args, target_word, target_name, within = match.group(
+        "name", "args", "target", "target_name", "within"
+    )
+    kind = _known(ANNOTATION_NAMES, name, "annotation")
     values: tuple[str, ...] | None = None
     attrs: dict[str, str] = {}
-    if match["args"] is not None:
+    if args is not None:
         for arg in _pragma_arg_pattern().finditer(tail, *match.span("args")):
             key, string, array, path = arg.groups()
             if path is not None and key in (None, "value") or array is not None and key == "type":
@@ -396,18 +421,12 @@ def _match_pragma_tail(
                 attrs[key] = _normalize_direction(raw)
             else:
                 attrs[key] = unescape(string)
-    target = _known(_TARGET_WORDS, match["target"], "target kind")
-    within = match["within"]
+    target = _known(_TARGET_WORDS, target_word, "target kind")
     enclosing = () if within is None else tuple("".join(within.split()).split(","))
-    return _finish_instance(
-        kind, values or (), attrs, target, match["target_name"] or "", enclosing, location, package,
-        inherited,
-    )
+    return _finish_instance(kind, values or (), attrs, target, target_name or "", enclosing)
 
 
-def _parse_pragma_tokens(
-    tail: str, location: SourceLocation, package: str, inherited: tuple[str, ...] = ()
-) -> AnnotationInstance:
+def _parse_pragma_tokens(tail: str) -> _Unplaced:
     """The token parser behind `_parse_pragma_tail`: every tail, every message."""
     tokens = tokenize(PRAGMA, tail)
     bad = tokens[-1]
@@ -437,9 +456,7 @@ def _parse_pragma_tokens(
         enclosing = tuple(names)
     if cursor.peek().kind != "eof":
         raise _ArgProblem(f"unexpected trailing input '{cursor.peek().text}'")
-    return _finish_instance(
-        kind, values, attrs, target, target_name, enclosing, location, package, inherited
-    )
+    return _finish_instance(kind, values, attrs, target, target_name, enclosing)
 
 
 # Whitespace and comment punctuation a pragma line may start with; stripped
@@ -450,6 +467,7 @@ PRAGMA_LEADERS = " \t/#;*'\"!<%->"
 LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 
 
+@cache
 def _sigil_and_tail(sigil: str) -> re.Pattern[str]:
     """The sigil and the rest of its line (group `tail`).
 
@@ -495,13 +513,15 @@ def extract_pragmas(
             line_start = file_text.rindex("\n", counted, start) + 1
         counted = start
         location = SourceLocation(path, line, start - line_start + 1)
-        try:
-            instance = _parse_pragma_tail(match.group("tail"), location, package, context)
-        except _ArgProblem as problem:
-            findings.append(
-                finding("MALFORMED_PRAGMA", problem.message, locations=[location])
-            )
+        tail = match["tail"]
+        if len(tail) <= _LONGEST_REMEMBERED_TAIL:
+            parsed = _parse_pragma_tail(tail)
+        else:
+            parsed = _parse_pragma_tail.__wrapped__(tail)
+        if isinstance(parsed, str):
+            findings.append(finding("MALFORMED_PRAGMA", parsed, locations=[location]))
             continue
+        instance = _place(parsed, location, package, context)
         if instance.kind is _COMPONENT and instance.target is _TYPE:
             context = instance.values
         instances.append(instance)
@@ -738,9 +758,9 @@ def extract_attributes(
         for p in pending:
             try:
                 instances.append(
-                    _finish_instance(
-                        p.kind, p.values, p.attrs, target, target_name, (), p.location, package,
-                        group_context,
+                    _place(
+                        _finish_instance(p.kind, p.values, p.attrs, target, target_name),
+                        p.location, package, group_context,
                     )
                 )
             except _ArgProblem as problem:

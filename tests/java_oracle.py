@@ -22,6 +22,7 @@ from archlint.annotations import (
     _may_follow,
     _parse_args,
     _PendingAnnotation,
+    _place,
     _text_block_string,
 )
 from archlint.findings import Finding, SourceLocation, finding
@@ -132,8 +133,9 @@ def extract_attributes(
                 enclosing = context_values()
             try:
                 instances.append(
-                    _finish_instance(
-                        p.kind, p.values, p.attrs, target, target_name, enclosing, p.location, package
+                    _place(
+                        _finish_instance(p.kind, p.values, p.attrs, target, target_name, enclosing),
+                        p.location, package,
                     )
                 )
             except _ArgProblem as problem:

@@ -99,3 +99,48 @@ def test_every_import_is_read() -> None:
         }
         read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         assert sorted(imported - read) == [], module.name
+
+
+# Caches keyed by constants of the program or of one run's configuration,
+# so they cannot grow with the input.
+_CONSTANT_KEYED_CACHES = {
+    "annotations._pragma_tail_pattern",
+    "annotations._pragma_arg_pattern",
+    "annotations._sigil_and_tail",
+    "jsontext._array_parts",
+}
+
+
+def test_every_input_keyed_cache_is_bounded() -> None:
+    """Each `functools` cache in `archlint` is a decorator with a finite
+    `maxsize`, or is one of the caches whose keys are constants."""
+    found = set()
+    for module in sorted(Path(archlint.__file__).parent.glob("*.py")):
+        tree = ast.parse(module.read_text(encoding="utf-8"))
+        uses = [
+            node
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and node.id in ("cache", "lru_cache")
+            or isinstance(node, ast.Attribute) and node.attr in ("cache", "lru_cache")
+        ]
+        decorated = 0
+        for func in ast.walk(tree):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for decorator in func.decorator_list:
+                call = decorator if isinstance(decorator, ast.Call) else None
+                target = call.func if call else decorator
+                name = target.id if isinstance(target, ast.Name) else getattr(target, "attr", None)
+                if name not in ("cache", "lru_cache"):
+                    continue
+                decorated += 1
+                where = f"{module.stem}.{func.name}"
+                found.add(where)
+                given = call.args[:1] + [k.value for k in call.keywords if k.arg == "maxsize"] if call else []
+                # `lru_cache` without a size keeps 128 entries; `cache` keeps all.
+                size = None if name == "cache" else ast.literal_eval(given[0]) if given else 128
+                assert isinstance(size, int) or where in _CONSTANT_KEYED_CACHES, (
+                    f"{where}: an unbounded cache not keyed by constants"
+                )
+        assert len(uses) == decorated, f"{module.name}: a cache made other than as a decorator"
+    assert found >= _CONSTANT_KEYED_CACHES

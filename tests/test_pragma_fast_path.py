@@ -1,19 +1,24 @@
-"""The pragma fast path against the token parser, its oracle.
+"""The pragma fast path and the tail memo against the token parser, their
+oracle.
 
-`_match_pragma_tail` builds an instance from one regex match, raises the
-token parser's message when a matched tail breaks an argument rule, and
-declines a tail only when its regex does not match or an argument has a
-shape the token grammar rejects; `_parse_pragma_tokens` parses every tail
-and gives every message.
+`_match_pragma_tail` parses a tail with one regex match, raises the token
+parser's message when a matched tail breaks an argument rule, and declines
+a tail only when its regex does not match or an argument has a shape the
+token grammar rejects; `_parse_pragma_tokens` parses every tail and gives
+every message. `_parse_pragma_tail` remembers the outcome of each distinct
+tail, and `extract_pragmas` places it on every line that holds the tail.
 """
 
 import random
 import time
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from archlint import annotations
 from archlint.annotations import (
+    _LONGEST_REMEMBERED_TAIL,
     ANNOTATION_NAMES,
     _ArgProblem,
     _match_pragma_tail,
@@ -23,15 +28,12 @@ from archlint.annotations import (
     _pragma_tail_pattern,
     extract_pragmas,
 )
-from archlint.findings import SourceLocation
-
-LOCATION = SourceLocation("d/f.txt", 3, 5)
 
 
 def _outcome(parse, tail: str):
-    """The instance, the _ArgProblem message, or None when declined."""
+    """The parsed tail, the _ArgProblem message, or None when declined."""
     try:
-        return parse(tail, LOCATION, "d")
+        return parse(tail)
     except _ArgProblem as problem:
         return problem.message
 
@@ -209,3 +211,101 @@ def test_hostile_tails_give_one_outcome_in_linear_time() -> None:
             assert len(instances) == 1 and findings == [], kind
         *_, large = _timed_extract(kind, 400_000)
         assert small < 2.0 and large < 8 * small, (kind, small, large)
+
+
+# Tails a regex match takes whole and `_finish_instance` then refuses.
+_UNFINISHED = ['Component() @on type A', 'Connects(left="a") @on method m']
+
+
+def _recurring_files(rng: random.Random) -> dict[str, str]:
+    """Two files in different packages, each holding every tail of one pool
+    on several lines, the lines shuffled among `Component(...) @on type`
+    pragmas that change the inherited context."""
+    tails = [_tail(rng, rng.choice([None, None, *_RULES, *_SHAPES])) for _ in range(30)]
+    tails += [_mutant(rng, _tail(rng)) for _ in range(30)] + _UNFINISHED
+    files = {}
+    for path in ("p/q/First.txt", "r/Second.txt"):
+        lines = [tail for tail in tails for _ in range(rng.randint(2, 4))]
+        lines += [f'Component("C{n}") @on type T{n}' for n in range(8)]
+        rng.shuffle(lines)
+        files[path] = "".join(f"// @arch {line}\n" for line in lines)
+    return files
+
+
+def _extract_all(files: dict[str, str]) -> tuple[list, list]:
+    instances, findings = [], []
+    for path, text in files.items():
+        found = extract_pragmas(text, path)
+        instances += found[0]
+        findings += found[1]
+    return instances, findings
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_memo_gives_what_the_token_parser_gives_on_every_line(seed: int, monkeypatch) -> None:
+    """A cleared memo and a warm one give the instances and findings that
+    the token parser gives when it runs on every line, and no two instances
+    share an attrs dict."""
+    files = _recurring_files(random.Random(seed))
+    _parse_pragma_tail.cache_clear()
+    cleared = _extract_all(files)
+    distinct = _parse_pragma_tail.cache_info().currsize
+    warm = _extract_all(files)
+    assert _parse_pragma_tail.cache_info().misses == distinct
+
+    parsed_lines = []
+
+    def every_line(tail: str):
+        parsed_lines.append(tail)
+        try:
+            return _parse_pragma_tokens(tail)
+        except _ArgProblem as problem:
+            return problem.message
+
+    monkeypatch.setattr(annotations, "_parse_pragma_tail", every_line)
+    reference = _extract_all(files)
+
+    assert len(parsed_lines) == len(reference[0]) + len(reference[1]) > distinct
+    assert cleared == reference and warm == reference
+    assert {f.message for f in reference[1]} >= {
+        "@Component requires at least one value",
+        "@Connects requires attributes: right",
+    }
+    instances = cleared[0] + warm[0] + reference[0]
+    assert len({id(i.attrs) for i in instances}) == len(instances)
+    line_at = {
+        (path, number): line
+        for path, text in files.items()
+        for number, line in enumerate(text.split("\n"), 1)
+    }
+    placings: dict[str, set] = {}
+    for i in reference[0]:
+        placing = (i.enclosing_components, i.package)
+        placings.setdefault(line_at[i.location.file, i.location.line], set()).add(placing)
+    assert any(
+        len({context for context, _ in placed}) > 1 and len({package for _, package in placed}) > 1
+        for placed in placings.values()
+    ), "no tail recurs under two contexts and in two packages"
+
+
+def test_memo_is_bounded_in_entries_and_in_tail_length() -> None:
+    """After more distinct tails than its size the memo holds its size, and
+    a tail longer than the bound is parsed but never stored."""
+    size = _parse_pragma_tail.cache_parameters()["maxsize"]
+    _parse_pragma_tail.cache_clear()
+    text = "".join(f'// @arch Part("p{n}") @on field f\n' for n in range(size + 50))
+    instances, findings = extract_pragmas(text, "f.txt")
+    assert len(instances) == size + 50 and findings == []
+    assert _parse_pragma_tail.cache_info().currsize == size
+
+    _parse_pragma_tail.cache_clear()
+    for length in (_LONGEST_REMEMBERED_TAIL + 1, 4 * _LONGEST_REMEMBERED_TAIL):
+        value = "v" * (length - len(' Part("") @on field f'))
+        line = f'// @arch Part("{value}") @on field f\n'
+        instances, findings = extract_pragmas(line + line, "f.txt")
+        assert [i.values for i in instances] == [(value,), (value,)] and findings == []
+        assert _parse_pragma_tail.cache_info().currsize == 0
+    value = "v" * (_LONGEST_REMEMBERED_TAIL - len(' Part("") @on field f'))
+    instances, _ = extract_pragmas(f'// @arch Part("{value}") @on field f\n', "f.txt")
+    assert [i.values for i in instances] == [(value,)]
+    assert _parse_pragma_tail.cache_info().currsize == 1
