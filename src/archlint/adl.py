@@ -20,7 +20,7 @@ connectors, each group sorted, so equal models serialize byte-identically.
 from __future__ import annotations
 
 from .errors import AdlParseError
-from .lexer import ADL, Cursor, Token, tokenize
+from .lexer import ADL, Cursor, Lines, tokenize
 from .model import (
     ArchitectureModel,
     Component,
@@ -40,16 +40,19 @@ _ARROW_TEXT = {v: k for k, v in _ARROWS.items()}
 
 
 class _Parser(Cursor):
-    def __init__(self, tokens: list[Token]) -> None:
-        super().__init__(tokens)
+    def __init__(self, text: str) -> None:
+        super().__init__(tokenize(ADL, text))
+        self.text = text
         self.components: list[Component] = []
         self.connectors: list[Connector] = []
-        # declaration positions by ref path, for semantic diagnostics
-        self.positions: dict[str, tuple[int, int]] = {}
+        # declaration offsets by ref path, for semantic diagnostics
+        self.positions: dict[str, int] = {}
+
+    def error_at(self, message: str, offset: int) -> AdlParseError:
+        return AdlParseError(message, *Lines(self.text).at(offset))
 
     def error(self, message: str) -> AdlParseError:
-        tok = self.peek()
-        return AdlParseError(message, tok.line, tok.column)
+        return self.error_at(message, self.peek().start)
 
     def fail(self, expected: str) -> AdlParseError:
         found = self.peek().text
@@ -67,7 +70,7 @@ class _Parser(Cursor):
     def parse_component(self) -> None:
         self.advance()
         name_tok = self.expect_ident("component name")
-        self.positions.setdefault(name_tok.text, (name_tok.line, name_tok.column))
+        self.positions.setdefault(name_tok.text, name_tok.start)
         self.expect_punct("{")
         ports: list[Port] = []
         parts: list[Part] = []
@@ -77,9 +80,7 @@ class _Parser(Cursor):
                 port_tok = self.expect_ident("port name")
                 self.expect_punct(";")
                 ports.append(Port(port_tok.text))
-                self.positions.setdefault(
-                    f"{name_tok.text}#{port_tok.text}", (port_tok.line, port_tok.column)
-                )
+                self.positions.setdefault(f"{name_tok.text}#{port_tok.text}", port_tok.start)
             elif self.at_ident("part"):
                 self.advance()
                 role_tok = self.expect_ident("part role")
@@ -88,9 +89,7 @@ class _Parser(Cursor):
                 mult = self.parse_multiplicity()
                 self.expect_punct(";")
                 parts.append(Part(role_tok.text, type_tok.text, mult))
-                self.positions.setdefault(
-                    f"{name_tok.text}.{role_tok.text}", (role_tok.line, role_tok.column)
-                )
+                self.positions.setdefault(f"{name_tok.text}.{role_tok.text}", role_tok.start)
             elif self.at_ident("connector"):
                 self.parse_connector(name_tok.text)
             else:
@@ -143,7 +142,7 @@ class _Parser(Cursor):
         self.connectors.append(
             Connector(id_tok.text, context, left, right, _ARROWS[arrow_tok.text])
         )
-        self.positions.setdefault(f"{context}/{id_tok.text}", (id_tok.line, id_tok.column))
+        self.positions.setdefault(f"{context}/{id_tok.text}", id_tok.start)
 
     def parse_path(self) -> EndpointPath:
         segments = [self.expect_ident("endpoint path").text]
@@ -160,20 +159,19 @@ def parse_architecture(text: str) -> ArchitectureModel:
     well-formedness violations (duplicate names, unresolved references),
     pointing at the offending declaration where known.
     """
-    tokens = tokenize(ADL, text)
-    last = tokens[-1]
+    parser = _Parser(text)
+    last = parser.tokens[-1]
     if last.kind == "error":
-        raise AdlParseError(f"unexpected character {last.text!r}", last.line, last.column)
-    parser = _Parser(tokens)
+        raise parser.error_at(f"unexpected character {last.text!r}", last.start)
     parser.parse_document()
     model = ArchitectureModel(tuple(parser.components), tuple(parser.connectors))
     problems = model.validation
     if problems:
         first = problems[0]
-        pos = (0, 0)
-        if first.element is not None:
-            pos = parser.positions.get(first.element.path, (0, 0))
-        raise AdlParseError(first.message, *pos)
+        offset = None if first.element is None else parser.positions.get(first.element.path)
+        if offset is None:
+            raise AdlParseError(first.message)
+        raise parser.error_at(first.message, offset)
     return model
 
 

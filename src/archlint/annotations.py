@@ -35,6 +35,7 @@ from .lexer import (
     JAVA_TYPE_KEYWORDS,
     PRAGMA,
     Cursor,
+    Lines,
     Token,
     java_unescape,
     lex,
@@ -485,9 +486,9 @@ def extract_pragmas(
     A pragma line is optional whitespace and comment punctuation, the sigil,
     then `Name(args) @on kind [name] [@in Component,...]`. Lines not starting
     with the sigil are ignored; lines break where `str.splitlines` breaks
-    them. Locations count lines at `\\n` and columns from the last `\\n`,
-    as `lexer.tokenize` does. Each instance is built with the context
-    `resolve_context` would give it, so that pass copies none.
+    them. Locations come from `lexer.Lines`, which counts lines at `\\n`
+    only. Each instance is built with the context `resolve_context` would
+    give it, so that pass copies none.
     """
     instances: list[AnnotationInstance] = []
     findings: list[Finding] = []
@@ -496,9 +497,7 @@ def extract_pragmas(
     if sigil.splitlines() != [sigil] or sigil[0] in PRAGMA_LEADERS or sigil not in file_text:
         return instances, findings
     package = _default_package(path)
-    line = 1
-    line_start = 0  # text index of column 1 of `line`
-    counted = 0  # newlines in file_text[:counted] are already in `line`
+    position = Lines(file_text).at
     context: tuple[str, ...] = ()  # the last type @Component's values
     for match in _sigil_and_tail(sigil).finditer(file_text):
         start = match.start()
@@ -507,12 +506,8 @@ def extract_pragmas(
             lead -= 1
         if lead and file_text[lead - 1] not in LINE_BREAKS:
             continue  # the sigil is not the first thing on its line
-        newlines = file_text.count("\n", counted, start)
-        if newlines:
-            line += newlines
-            line_start = file_text.rindex("\n", counted, start) + 1
-        counted = start
-        location = SourceLocation(path, line, start - line_start + 1)
+        # As the namedtuple's own `__new__` builds it, without that Python frame.
+        location = tuple.__new__(SourceLocation, (path, *position(start)))
         tail = match["tail"]
         if len(tail) <= _LONGEST_REMEMBERED_TAIL:
             parsed = _parse_pragma_tail(tail)
@@ -597,7 +592,7 @@ def _text_block_string(tok: Token) -> Token:
     significant = [line for line in lines[:-1] if line.strip(_JAVA_WHITESPACE)] + [lines[-1]]
     indent = min(len(line) - len(line.lstrip(_JAVA_WHITESPACE)) for line in significant)
     value = "\n".join(line[indent:].rstrip(_JAVA_WHITESPACE) for line in lines)
-    return Token("string", java_unescape(value), tok.line, tok.column)
+    return Token("string", java_unescape(value), tok.start)
 
 
 class _PendingAnnotation(namedtuple("_PendingAnnotation", "kind values attrs location")):
@@ -710,19 +705,17 @@ def extract_attributes(
 
     tokens: list[Token] = []  # the current window
     frontier = 0  # the text offset just past the window's last token
-    frontier_at = (1, 1)  # (line, column) of file_text[frontier]
+    position = Lines(file_text).at
 
     def at(j: int) -> Token | None:
         """Token j of the window, lexing its next statements as far as that;
         None past the `eof` token."""
-        nonlocal frontier, frontier_at
+        nonlocal frontier
         while j >= len(tokens):
             if tokens and tokens[-1].kind == "eof":
                 return None
-            lexed, frontier = lex(JAVA, file_text, frontier, *frontier_at, _STATEMENT_ENDS)
+            lexed, frontier = lex(JAVA, file_text, frontier, _STATEMENT_ENDS)
             tokens.extend(lexed)
-            last = lexed[-1]  # a one-character `punct`, or `eof`
-            frontier_at = (last.line, last.column + 1)
         return tokens[j]
 
     at(0)
@@ -801,7 +794,7 @@ def extract_attributes(
     def next_window() -> bool:
         """Skim from the frontier to the next `@` or type keyword and start a
         window there; False at the end of the text."""
-        nonlocal frontier, frontier_at
+        nonlocal frontier
         start = frontier  # the end of the last skim match: a token boundary
         for stop in JAVA_SKIM.finditer(file_text, frontier):
             found = stop.start()
@@ -819,14 +812,7 @@ def extract_attributes(
             start = stop.end()
         else:
             return False
-        line, column = frontier_at
-        newlines = file_text.count("\n", frontier, start)
-        if newlines:
-            line += newlines
-            column = start - file_text.rindex("\n", frontier, start)
-        else:
-            column += start - frontier
-        frontier, frontier_at = start, (line, column)
+        frontier = start
         tokens.clear()
         return True
 
@@ -852,7 +838,7 @@ def extract_attributes(
             if nxt.kind == "ident" and nxt.text == "interface":
                 i = begin_type(i + 1, "'@interface'")
             elif nxt.kind == "ident":
-                location = SourceLocation(path, tok.line, tok.column)
+                location = SourceLocation(path, *position(tok.start))
                 i += 1
                 arg_tokens: list[Token] | None = None
                 paren = at(i)
@@ -873,7 +859,7 @@ def extract_attributes(
                         if arg_tokens is None:
                             values, attrs = (), {}
                         else:
-                            cursor = _Cursor(arg_tokens + [Token("eof", "", tok.line, tok.column)])
+                            cursor = _Cursor(arg_tokens + [Token("eof", "", tok.start)])
                             values, attrs = _parse_args(cursor, annotation)
                         pending.append(_PendingAnnotation(annotation, values, attrs, location))
                     except _ArgProblem as problem:

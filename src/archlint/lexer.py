@@ -21,6 +21,11 @@ that a number swallows (`1.class` is one number). A Java string or char
 literal, as javac reads it, ends at its line: an unclosed one stops before
 the line break, and an unclosed string is a `cut_string` token.
 
+A token carries the text offset where it starts. `Lines` is the one
+position rule: it turns an offset into a line, counted at `\\n`, and a
+column, counting characters (tabs included) from the last `\\n`. The
+three front-ends report every location through it.
+
 `Cursor` is the one token reader: the ADL parser and the pragma and
 annotation argument parsers subclass it and say only how a failed
 expectation is reported (`fail`).
@@ -32,11 +37,35 @@ import re
 from collections import namedtuple
 
 
-class Token(namedtuple("Token", "kind text line column")):
+class Token(namedtuple("Token", "kind text start")):
     """A token: its kind (str, the name of the group that matched), its text
-    (str), and the line and column (int, 1-based) where it starts."""
+    (str), and the text offset (int) where it starts."""
 
     __slots__ = ()
+
+
+class Lines:
+    """The 1-based (line, column) of offsets in `text`: `at` counts forward
+    from its last answer, and from the start when asked for an earlier one."""
+
+    __slots__ = ("text", "offset", "line", "line_start")
+
+    def __init__(self, text: str) -> None:
+        self.text = text
+        self.offset = 0  # newlines in text[:offset] are already in `line`
+        self.line = 1
+        self.line_start = 0  # the offset of column 1 of `line`
+
+    def at(self, offset: int) -> tuple[int, int]:
+        counted = self.offset
+        if offset < counted:
+            counted, self.line, self.line_start = 0, 1, 0
+        self.offset = offset
+        newlines = self.text.count("\n", counted, offset)
+        if newlines:
+            self.line += newlines
+            self.line_start = self.text.rindex("\n", counted, offset) + 1
+        return self.line, offset - self.line_start + 1
 
 
 def _table(blank: str, skipped: str | None, **groups: str) -> re.Pattern[str]:
@@ -149,37 +178,24 @@ _new_token = tuple.__new__
 
 
 def lex(
-    table: re.Pattern[str],
-    text: str,
-    pos: int = 0,
-    line: int = 1,
-    column: int = 1,
-    until: frozenset[str] = frozenset(),
+    table: re.Pattern[str], text: str, pos: int = 0, until: frozenset[str] = frozenset()
 ) -> tuple[list[Token], int]:
-    """The tokens of `text` from the offset `pos` on, where text[pos] sits
-    at (line, column), and the offset just past the last of them.
+    """The tokens of `text` from the offset `pos` on, and the offset just
+    past the last of them.
 
-    Lines are counted at `\\n`; a column counts characters, tabs included.
     The tokens end in the `eof` token every table has, in the first `error`
     token, or in the first `punct` token whose text is in `until`.
     """
     tokens: list[Token] = []
     java = table is JAVA
     decode = java_unescape if java else unescape
-    counted = pos  # newlines in text[:counted] are already in `line`
-    line_start = pos + 1 - column  # the text index that column 1 of the current line maps to
     for match in table.finditer(text, pos):
         kind = match.lastgroup
         start = match.start(kind)
-        newlines = text.count("\n", counted, start)
-        if newlines:
-            line += newlines
-            line_start = text.rindex("\n", counted, start) + 1
-        counted = start
         value = decode(match.group("body")) if kind == "string" else match.group(kind)
         if java and kind == "string" and match.start("cut") >= 0:
             kind = "cut_string"
-        tokens.append(_new_token(Token, (kind, value, line, start - line_start + 1)))
+        tokens.append(_new_token(Token, (kind, value, start)))
         if kind == "eof" or kind == "error" or (kind == "punct" and value in until):
             return tokens, match.end()
     return tokens, len(text)

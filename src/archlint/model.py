@@ -271,9 +271,6 @@ class ArchitectureModel(namedtuple("ArchitectureModel", "components connectors")
         """A component is top-level when no part anywhere is typed by it."""
         return name in self._component_map and name not in self._part_type_uses
 
-    def top_level_components(self) -> tuple[Component, ...]:
-        return tuple(c for c in self.components if c.name not in self._part_type_uses)
-
 
 def walk_endpoint(
     model: ArchitectureModel, context: str, path: EndpointPath | str

@@ -195,7 +195,10 @@ def extract_attributes(
                 i += 2
                 continue
             if nxt is not None and nxt.kind == "ident":
-                location = SourceLocation(path, tok.line, tok.column)
+                # By brute force, not through `lexer.Lines`.
+                off = tok.start
+                line = file_text.count("\n", 0, off) + 1
+                location = SourceLocation(path, line, off - file_text.rfind("\n", 0, off))
                 j = i + 2
                 arg_tokens: list[Token] | None = None
                 if j < len(tokens) and tokens[j].kind == "punct" and tokens[j].text == "(":
@@ -228,7 +231,7 @@ def extract_attributes(
                         if arg_tokens is None:
                             values, attrs = (), {}
                         else:
-                            cursor = _Cursor(arg_tokens + [Token("eof", "", tok.line, tok.column)])
+                            cursor = _Cursor(arg_tokens + [Token("eof", "", tok.start)])
                             values, attrs = _parse_args(cursor, kind)
                             if cursor.peek().kind != "eof":
                                 raise _ArgProblem("unexpected trailing input in arguments")

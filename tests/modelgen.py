@@ -294,7 +294,7 @@ def _random_endpoint(
     }
     segments: list[str] = []
     if context == ROOT_CONTEXT:
-        top = model.top_level_components()
+        top = [c for c in model.components if model.is_top_level(c.name)]
         if not top:
             return None
         start = rng.choice(top).name

@@ -565,7 +565,7 @@ def test_criterion_5_refactoring_plan(
     )
 
     out, report = apply_plan(desktop_arch, plan, desktop_code)
-    assert len([c for c in out.top_level_components()]) == 2
+    assert len([c for c in out.components if out.is_top_level(c.name)]) == 2
     assert validate_model(out) == []
 
     fresh_code = scan_tree([DATA / "desktop" / "src"])

@@ -15,6 +15,7 @@ from parser_grid import grid_report
 import archlint
 from archlint.adl import AdlParseError, parse_architecture
 from archlint.annotations import PRAGMA_LEADERS, extract_attributes, extract_pragmas, resolve_context
+from archlint.lexer import Lines
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
 
@@ -49,6 +50,23 @@ def _position(front_end: str, text: str) -> tuple[int, int]:
 )
 def test_token_positions(front_end: str, text: str, expected: tuple[int, int]) -> None:
     assert _position(front_end, text) == expected
+
+
+def _brute_position(text: str, offset: int) -> tuple[int, int]:
+    return (text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_lines_matches_brute_force(data: st.DataObject) -> None:
+    """In increasing order `Lines.at` counts on from its last answer; in
+    shuffled order it restarts whenever an offset is earlier."""
+    pieces = st.sampled_from(["\n", "\r\n", "\r", " ", "\x0c", "\t", "a", "é"])
+    text = data.draw(st.lists(pieces).map("".join))
+    offsets = data.draw(st.lists(st.integers(0, len(text))))
+    for order in (sorted(offsets), data.draw(st.permutations(offsets))):
+        lines = Lines(text)
+        assert [lines.at(o) for o in order] == [_brute_position(text, o) for o in order]
 
 
 _SOURCE_LIKE = st.text(alphabet='@"\'\\/*(){}[]=;,.:<->\t\r\n 0²Az_$PartComponentarch')

@@ -226,7 +226,7 @@ def test_list_elements_cardinality() -> None:
 
 
 def test_top_level_components(car_arch: ArchitectureModel) -> None:
-    assert {c.name for c in car_arch.top_level_components()} == {"Car"}
+    assert {c.name for c in car_arch.components if car_arch.is_top_level(c.name)} == {"Car"}
     assert car_arch.is_top_level("Car")
     assert not car_arch.is_top_level("Engine")
 

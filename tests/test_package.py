@@ -86,6 +86,16 @@ def test_only_the_lexer_defines_the_token_cursor() -> None:
     ]
 
 
+def test_only_the_lexer_turns_an_offset_into_a_line() -> None:
+    """`lexer.Lines` is the one position rule: no other module counts the
+    newlines before an offset or finds the last one."""
+    counts_lines = re.compile(r"""\.(count|rindex|rfind)\(\s*["']\\n["']""")
+    modules = sorted(Path(archlint.__file__).parent.glob("*.py"))
+    assert [m.name for m in modules if counts_lines.search(m.read_text(encoding="utf-8"))] == [
+        "lexer.py"
+    ]
+
+
 def test_every_import_is_read() -> None:
     """Each name a module imports is read somewhere in that module."""
     for module in sorted(Path(archlint.__file__).parent.glob("*.py")):

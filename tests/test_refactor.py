@@ -371,7 +371,7 @@ def test_split_component_desktop(desktop_arch: ArchitectureModel) -> None:
     )
     out, touched = apply_op(desktop_arch, op)
     assert out.component("System") is None
-    assert {c.name for c in out.top_level_components()} == {"Client", "Server"}
+    assert {c.name for c in out.components if out.is_top_level(c.name)} == {"Client", "Server"}
     assert {p.role for p in out.component("Client").parts} == {"ui", "model"}
     assert {p.role for p in out.component("Server").parts} == {"query", "store"}
     assert out.connector_by_id("c_ui").context == "Client"
@@ -583,7 +583,7 @@ def test_apply_plan_happy_path(
 ) -> None:
     plan = parse_plan((DATA / "desktop" / "desktop.plan").read_text(), name="desktop")
     out, report = apply_plan(desktop_arch, plan, desktop_code)
-    assert {c.name for c in out.top_level_components()} == {"Client", "Server"}
+    assert {c.name for c in out.components if out.is_top_level(c.name)} == {"Client", "Server"}
     assert validate_model(out) == []
     assert report.plan_name == "desktop"
     assert [e.step for e in report.entries] == list(range(1, 12))
