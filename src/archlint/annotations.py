@@ -27,9 +27,6 @@ from typing import Callable, Iterable, Mapping, TypeVar
 
 from .findings import Finding, SourceLocation, finding, sort_findings
 from .lexer import (
-    _IDENT,
-    _PRAGMA_BLANK,
-    _STRING_BODY,
     JAVA,
     JAVA_SKIM,
     JAVA_TYPE_KEYWORDS,
@@ -40,7 +37,6 @@ from .lexer import (
     java_unescape,
     lex,
     tokenize,
-    unescape,
 )
 from .model import ROOT_CONTEXT, Direction, ElementRef, RefKind
 
@@ -78,7 +74,7 @@ class AnnotationKind(enum.Enum):
     of its kind's facts, and every rule reads them as `kind.<fact>`:
 
     * `targets`: the target kinds it may annotate (`validate_targets`);
-    * `accepted`: the attributes it takes (`_check_arg`);
+    * `accepted`: the attributes it takes (`_parse_args`);
     * `required` and `value_required`: the attributes it must have, and
       whether it must have a value (`_finish_instance`);
     * `referent`: the element kind each value names, None for a connection
@@ -225,27 +221,6 @@ def _known(names: Mapping[str, _Member], word: str, what: str) -> _Member:
     return member
 
 
-def _check_arg(
-    kind: AnnotationKind, key: str | None, quoted: bool, values: tuple | None, attrs: dict
-) -> None:
-    """The rules of `_parse_args` for one argument, checked before its value
-    is read: `key` is None for a positional value, `quoted` says whether the
-    value starts with a string, and `values` and `attrs` hold the arguments
-    read so far. Every pragma and Java-style argument list keeps them."""
-    if key is None:
-        if values is not None or attrs:
-            raise _ArgProblem("positional value must be the first argument")
-    elif key == "value":
-        if values is not None:
-            raise _ArgProblem("duplicate value argument")
-    elif key not in kind.accepted:
-        raise _ArgProblem(f"@{kind.value} does not take attribute '{key}'")
-    elif key in attrs:
-        raise _ArgProblem(f"duplicate attribute '{key}'")
-    elif key != "type" and not quoted:
-        raise _ArgProblem(f"attribute '{key}' must be a quoted string")
-
-
 def _parse_args(cursor: _Cursor, kind: AnnotationKind) -> tuple[tuple[str, ...], dict[str, str]]:
     """Argument list between parentheses: positional value, then named attrs."""
     cursor.expect_punct("(")
@@ -262,12 +237,21 @@ def _parse_args(cursor: _Cursor, kind: AnnotationKind) -> tuple[tuple[str, ...],
         elif cursor.peek().kind not in _QUOTED and not cursor.at_punct("{"):
             raise _ArgProblem("expected a value or attribute")
         quoted = cursor.peek().kind in _QUOTED
-        _check_arg(kind, key, quoted, values, attrs)
         if key is None or key == "value":
+            if key is None and (values is not None or attrs):
+                raise _ArgProblem("positional value must be the first argument")
+            if values is not None:
+                raise _ArgProblem("duplicate value argument")
             values = (cursor.advance().text,) if quoted else _parse_string_array(cursor)
+        elif key not in kind.accepted:
+            raise _ArgProblem(f"@{kind.value} does not take attribute '{key}'")
+        elif key in attrs:
+            raise _ArgProblem(f"duplicate attribute '{key}'")
         elif key == "type":
             raw = cursor.advance().text if quoted else _parse_token_path(cursor)
             attrs[key] = _normalize_direction(raw)
+        elif not quoted:
+            raise _ArgProblem(f"attribute '{key}' must be a quoted string")
         else:
             attrs[key] = cursor.advance().text
         if cursor.at_punct(","):
@@ -341,94 +325,15 @@ def _parse_pragma_tail(tail: str) -> _Unplaced | str:
     """Parse everything after the sigil: its annotation, or the _ArgProblem
     message of its first deviation. A tail depends on nothing but its text,
     so each distinct tail is parsed once and its outcome reused.
-
-    A tail the fast path declines goes to the token parser.
     """
     try:
-        parsed = _match_pragma_tail(tail)
-        return _parse_pragma_tokens(tail) if parsed is None else parsed
+        return _parse_pragma_tokens(tail)
     except _ArgProblem as problem:
         return problem.message
 
 
-# Every optional blank run is followed by a non-blank, so a failing match
-# never splits one run between two quantifiers; two identifiers in a row
-# are split by at least one blank, as the lexer splits them.
-_BLANKS = f"{_PRAGMA_BLANK}*"
-_GAP = f"{_PRAGMA_BLANK}+"
-_STRING = f'"{_STRING_BODY}"'
-_ARRAY = rf"\{{{_BLANKS}(?:{_STRING}(?:{_BLANKS},{_BLANKS}{_STRING})*{_BLANKS})?\}}"
-_PATH = rf"{_IDENT}(?:{_BLANKS}\.{_BLANKS}{_IDENT})*"
-
-
-@cache
-def _pragma_tail_pattern() -> re.Pattern[str]:
-    """A whole well-formed tail, `Name(args) @on kind [name] [@in A, B]`,
-    where an argument is an optional `key =` and then a string, an array of
-    strings or a dotted path. Compiled on first use."""
-    arg = rf"(?:{_IDENT}{_BLANKS}={_BLANKS})?(?:{_STRING}|{_ARRAY}|{_PATH})"
-    return re.compile(
-        rf"{_BLANKS}(?P<name>{_IDENT}){_BLANKS}\("
-        rf"{_BLANKS}(?:(?P<args>{arg}(?:{_BLANKS},{_BLANKS}{arg})*){_BLANKS})?\)"
-        rf"{_BLANKS}@{_BLANKS}on{_GAP}(?P<target>{_IDENT})(?:{_GAP}(?P<target_name>{_IDENT}))?"
-        rf"(?:{_BLANKS}@{_BLANKS}in{_GAP}(?P<within>{_IDENT}(?:{_BLANKS},{_BLANKS}{_IDENT})*))?"
-        rf"{_BLANKS}",
-        re.S,
-    )
-
-
-@cache
-def _pragma_arg_pattern() -> re.Pattern[str]:
-    """One argument of a matched tail, its parts in groups."""
-    return re.compile(
-        rf"(?:(?P<key>{_IDENT}){_BLANKS}={_BLANKS})?"
-        rf'(?:"(?P<string>{_STRING_BODY})"|(?P<array>{_ARRAY})|(?P<path>{_PATH}))',
-        re.S,
-    )
-
-
-def _match_pragma_tail(tail: str) -> _Unplaced | None:
-    """The annotation of a tail that `_pragma_tail_pattern` matches whole, or
-    None when it does not match or has an argument the token grammar rejects:
-    a positional path, a `value=` path or a `type=` array. A matched tail that
-    breaks a rule raises _ArgProblem with the token parser's message.
-    """
-    match = _pragma_tail_pattern().fullmatch(tail)
-    if match is None:
-        return None
-    name, args, target_word, target_name, within = match.group(
-        "name", "args", "target", "target_name", "within"
-    )
-    kind = _known(ANNOTATION_NAMES, name, "annotation")
-    values: tuple[str, ...] | None = None
-    attrs: dict[str, str] = {}
-    if args is not None:
-        for arg in _pragma_arg_pattern().finditer(tail, *match.span("args")):
-            key, string, array, path = arg.groups()
-            if path is not None and key in (None, "value") or array is not None and key == "type":
-                return None
-            _check_arg(kind, key, string is not None, values, attrs)
-            if key is None or key == "value":
-                if array is None:
-                    values = (unescape(string),)
-                else:
-                    values = tuple(
-                        unescape(item["body"])
-                        for item in PRAGMA.finditer(array)
-                        if item.lastgroup == "string"
-                    )
-            elif key == "type":
-                raw = "".join(path.split()) if string is None else unescape(string)
-                attrs[key] = _normalize_direction(raw)
-            else:
-                attrs[key] = unescape(string)
-    target = _known(_TARGET_WORDS, target_word, "target kind")
-    enclosing = () if within is None else tuple("".join(within.split()).split(","))
-    return _finish_instance(kind, values or (), attrs, target, target_name or "", enclosing)
-
-
 def _parse_pragma_tokens(tail: str) -> _Unplaced:
-    """The token parser behind `_parse_pragma_tail`: every tail, every message."""
+    """The annotation of `tail`; raises _ArgProblem at its first deviation."""
     tokens = tokenize(PRAGMA, tail)
     bad = tokens[-1]
     if bad.kind == "error":

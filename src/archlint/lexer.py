@@ -82,12 +82,6 @@ def _table(blank: str, skipped: str | None, **groups: str) -> re.Pattern[str]:
     return re.compile(rf"{gap}(?:{body}|(?P<eof>\Z))", re.S)
 
 
-_IDENT = r"[A-Za-z_$][A-Za-z0-9_$]*"
-# The pragma table's blank and string body; the pragma fast path in
-# `annotations` is built from them too.
-_PRAGMA_BLANK = r"[ \t\r]"
-_STRING_BODY = r'[^"\\]*(?:\\.[^"\\]*)*'
-
 # Java identifiers are Unicode (JLS 3.8); `_JAVA_WORD` is their character class.
 _JAVA_WORD = r"[\w$]"
 _JAVA_COMMENT = r"//[^\n]*|/\*.*?(?:\*/|\Z)"
@@ -119,10 +113,10 @@ JAVA_SKIM = re.compile(
 )
 
 PRAGMA = _table(
-    _PRAGMA_BLANK,
+    r"[ \t\r]",
     None,
-    string=f'"(?P<body>{_STRING_BODY})"',
-    ident=_IDENT,
+    string=r'"(?P<body>[^"\\]*(?:\\.[^"\\]*)*)"',
+    ident=r"[A-Za-z_$][A-Za-z0-9_$]*",
     number=r"\d(?:[^\W_]|\.)*",
     punct=r"[(){}@=,.]",
     error=r".",

@@ -186,7 +186,6 @@ def test_patterns_use_no_syntax_newer_than_python_3_10() -> None:
             if isinstance(value, re.Pattern):
                 patterns[f"{info.name}.{name}"] = value
     assert "lexer.JAVA_SKIM" in patterns
-    assert {"annotations._pragma_tail_pattern()", "annotations._pragma_arg_pattern()"} <= set(patterns)
     newer = {
         name: sorted(ops)
         for name, pattern in patterns.items()

@@ -114,8 +114,6 @@ def test_every_import_is_read() -> None:
 # Caches keyed by constants of the program or of one run's configuration,
 # so they cannot grow with the input.
 _CONSTANT_KEYED_CACHES = {
-    "annotations._pragma_tail_pattern",
-    "annotations._pragma_arg_pattern",
     "annotations._sigil_and_tail",
     "jsontext._array_parts",
 }

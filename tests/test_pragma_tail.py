@@ -1,15 +1,13 @@
-"""The pragma fast path and the tail memo against the token parser, their
-oracle.
+"""The pragma-tail parser and its memo.
 
-`_match_pragma_tail` parses a tail with one regex match, raises the token
-parser's message when a matched tail breaks an argument rule, and declines
-a tail only when its regex does not match or an argument has a shape the
-token grammar rejects; `_parse_pragma_tokens` parses every tail and gives
-every message. `_parse_pragma_tail` remembers the outcome of each distinct
-tail, and `extract_pragmas` places it on every line that holds the tail.
+`_parse_pragma_tail` parses a tail with the token parser and remembers the
+outcome of each distinct tail, an annotation or the message of its first
+deviation; `extract_pragmas` places it on every line that holds the tail.
+`_parse_pragma_tail.__wrapped__` is the same parser without the memo.
 """
 
 import random
+import re
 import time
 
 import pytest
@@ -20,23 +18,9 @@ from archlint import annotations
 from archlint.annotations import (
     _LONGEST_REMEMBERED_TAIL,
     ANNOTATION_NAMES,
-    _ArgProblem,
-    _match_pragma_tail,
     _parse_pragma_tail,
-    _parse_pragma_tokens,
-    _pragma_arg_pattern,
-    _pragma_tail_pattern,
     extract_pragmas,
 )
-
-
-def _outcome(parse, tail: str):
-    """The parsed tail, the _ArgProblem message, or None when declined."""
-    try:
-        return parse(tail)
-    except _ArgProblem as problem:
-        return problem.message
-
 
 _BLANKS = ["", " ", "\t", "  ", " \t "]
 _GAPS = [" ", "\t", "  "]
@@ -51,25 +35,13 @@ _MUTANTS = list('(){}@=,."\\ \tab_$1é') + ["on", "in", "type"]
 # attribute the kind does not take, a bad direction.
 _RULES = ["name", "target", "order", "duplicate", "attribute", "direction"]
 
-# Argument shapes the tail regex takes. The token grammar rejects the first
-# three, so the fast path declines them; the last breaks the rule that an
-# attribute other than `type` is a quoted string.
-_DECLINED = ["positional path", "value path", "type array"]
-_SHAPES = [*_DECLINED, "unquoted attribute"]
+# Argument shapes the grammar rejects: a path where a value goes, an array
+# for `type`, and an attribute other than `type` that is not a quoted string.
+_SHAPES = ["positional path", "value path", "type array", "unquoted attribute"]
 
-
-def _declinable(tail: str) -> bool:
-    """Whether the fast path may decline `tail`: the tail regex misses it, or
-    one of its arguments has a shape in `_DECLINED`."""
-    match = _pragma_tail_pattern().fullmatch(tail)
-    if match is None:
-        return True
-    args = _pragma_arg_pattern().finditer(tail, *match.span("args")) if match["args"] else ()
-    return any(
-        arg["path"] is not None and arg["key"] in (None, "value")
-        or arg["array"] is not None and arg["key"] == "type"
-        for arg in args
-    )
+# The messages of `_finish_instance`, which a tail of the grammar can still
+# get: `value={}` names no value.
+_UNFINISHED_MESSAGE = re.compile(r"@[A-Za-z]+ requires (?:at least one value|attributes: .+)")
 
 
 def _tail(rng: random.Random, rule: str | None = None) -> str:
@@ -152,24 +124,21 @@ def _mutant(rng: random.Random, tail: str) -> str:
 
 @settings(max_examples=2000, deadline=None)
 @given(st.randoms(use_true_random=True), st.sampled_from([None, "mutant", *_RULES, *_SHAPES]))
-def test_fast_path_agrees_with_token_parser(rng: random.Random, how: str | None) -> None:
-    """The fast path takes every well-formed tail and gives what the token
-    parser gives; on a tail that breaks a rule it gives the token parser's
-    message; it declines each shape the token grammar rejects, and on a
-    mutant it gives the same or declines only where it may."""
+def test_every_tail_gives_an_annotation_or_a_message(rng: random.Random, how: str | None) -> None:
+    """A well-formed tail gives an annotation, or a message only when
+    `_finish_instance` refuses it; a tail that breaks a rule or has a shape
+    the grammar rejects gives a message; a mutant gives one or the other
+    without raising; and the memo gives what the parser gives."""
     tail = _tail(rng, how if how != "mutant" else None)
     if how == "mutant":
         tail = _mutant(rng, tail)
-    expected = _outcome(_parse_pragma_tokens, tail)
-    fast = _outcome(_match_pragma_tail, tail)
+    parsed = _parse_pragma_tail.__wrapped__(tail)
     if how is None:
-        assert fast is not None, f"the fast path declined {tail!r}"
-    elif how in _DECLINED:
-        assert fast is None and isinstance(expected, str), tail
+        assert isinstance(parsed, tuple) or _UNFINISHED_MESSAGE.fullmatch(parsed), (tail, parsed)
     elif how in _RULES or how in _SHAPES:
-        assert fast == expected and isinstance(expected, str), tail
-    assert fast == expected or fast is None and _declinable(tail), tail
-    assert _outcome(_parse_pragma_tail, tail) == expected, tail
+        assert isinstance(parsed, str), tail
+    assert isinstance(parsed, (tuple, str)), tail
+    assert _parse_pragma_tail(tail) == parsed, tail
 
 
 def _hostile(kind: str, n: int) -> str:
@@ -198,10 +167,11 @@ def test_hostile_tails_give_one_outcome_in_linear_time() -> None:
     """Each 200k-character tail gives one instance or one finding, and the
     same tail at 400k characters takes less than 8 times as long.
 
-    Linear work doubles; the regex engine's backtracking stack (about 25 MB
-    at 200k characters) outgrowing the CPU caches has been seen to add up to
-    3x on top. Unbounded backtracking grows as n^2 or worse, which at these
-    sizes takes minutes, so the 2 s cap on the 200k tail is the real bound.
+    Linear work doubles; the token list (about 22 MB at 200k characters)
+    outgrowing the CPU caches, and the cyclic collector's passes over the
+    tokens built so far, have been seen to add up to 2x on top. A parser
+    that rescans its input grows as n^2 or worse, which at these sizes
+    takes minutes, so the 2 s cap on the 200k tail is the real bound.
     """
     for kind in ("type path", "string array", "unterminated string", "in list"):
         instances, findings, small = _timed_extract(kind, 200_000)
@@ -213,7 +183,7 @@ def test_hostile_tails_give_one_outcome_in_linear_time() -> None:
         assert small < 2.0 and large < 8 * small, (kind, small, large)
 
 
-# Tails a regex match takes whole and `_finish_instance` then refuses.
+# Tails of the grammar that `_finish_instance` refuses.
 _UNFINISHED = ['Component() @on type A', 'Connects(left="a") @on method m']
 
 
@@ -244,8 +214,8 @@ def _extract_all(files: dict[str, str]) -> tuple[list, list]:
 @pytest.mark.parametrize("seed", range(6))
 def test_memo_gives_what_the_token_parser_gives_on_every_line(seed: int, monkeypatch) -> None:
     """A cleared memo and a warm one give the instances and findings that
-    the token parser gives when it runs on every line, and no two instances
-    share an attrs dict."""
+    the parser without the memo gives when it runs on every line, and no
+    two instances share an attrs dict."""
     files = _recurring_files(random.Random(seed))
     _parse_pragma_tail.cache_clear()
     cleared = _extract_all(files)
@@ -254,13 +224,11 @@ def test_memo_gives_what_the_token_parser_gives_on_every_line(seed: int, monkeyp
     assert _parse_pragma_tail.cache_info().misses == distinct
 
     parsed_lines = []
+    parse = _parse_pragma_tail.__wrapped__
 
     def every_line(tail: str):
         parsed_lines.append(tail)
-        try:
-            return _parse_pragma_tokens(tail)
-        except _ArgProblem as problem:
-            return problem.message
+        return parse(tail)
 
     monkeypatch.setattr(annotations, "_parse_pragma_tail", every_line)
     reference = _extract_all(files)
