@@ -7,6 +7,12 @@ tree. So the process runs without the cyclic collector, and it freezes its
 heap before exit, so that shutting the interpreter down does not collect
 every object on it. `cli.main` and library use keep the collector as the
 caller set it.
+
+Beside that policy, the process keeps each scanned file's result in the
+per-file result store, `.archlint_cache/` in the working directory
+(`archlint.store`), so a file that has not changed since the last run is
+not extracted again. Only this entry opens the store: `cli.main` and
+library use read and write no file of their own.
 """
 
 import gc
@@ -18,7 +24,7 @@ def run() -> None:
     gc.disable()
     from .cli import main
 
-    code = main()
+    code = main(store=".archlint_cache")
     gc.freeze()
     sys.exit(code)
 

@@ -59,7 +59,7 @@ def _load_configs(args: argparse.Namespace) -> tuple[ScanConfig, SmellConfig]:
 def _scan(args: argparse.Namespace, config: ScanConfig) -> CodeModel:
     roots = [Path(p) for p in args.src]
     try:
-        return scan_tree(roots, config)
+        return scan_tree(roots, config, store=args.store)
     except FileNotFoundError as err:
         raise _CliError(str(err)) from err
 
@@ -300,12 +300,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Sequence[str] | None = None) -> int:
+def main(argv: Sequence[str] | None = None, store: Path | str | None = None) -> int:
+    """Run one command; with `store`, a directory, its scan keeps per-file
+    results there (`scan_tree`)."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
+    args.store = store
     try:
         return args.func(args)
     except ArchlintError as err:

@@ -2,7 +2,10 @@
 
 The scan result is a pure function of (relative paths, root order, file
 bytes, config): files are processed independently and merged by a stable
-sort on relative path, so traversal order never changes the output.
+sort on relative path, so traversal order never changes the output. The
+per-file result store (`archlint.store`) relies on exactly this: a file's
+result depends on nothing but its relative path, its front-end, its text
+and the config, so a stored result stands in for extracting it again.
 
 This module also owns the configuration file: `load_config_file` reads it,
 and `ScanConfig` and `SmellConfig` check and hold its settings.
@@ -12,7 +15,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 import fnmatch
 import hashlib
 import os
@@ -27,6 +30,9 @@ from .annotations import (
 )
 from .errors import ConfigError
 from .findings import SMELL_IDS, Finding, SourceLocation, finding
+
+if TYPE_CHECKING:
+    from .store import ResultStore
 
 _CONFIG_KEYS = frozenset(
     {
@@ -156,22 +162,28 @@ def _excluded(relpath: str, patterns: tuple[str, ...]) -> bool:
     return any(fnmatch.fnmatch(relpath, pat) for pat in patterns)
 
 
-def _walk_root(root: Path, exclude: tuple[str, ...]) -> Iterator[tuple[str, Path]]:
+def _walk_root(
+    root: Path, exclude: tuple[str, ...], skip: str = ""
+) -> Iterator[tuple[str, Path]]:
     """(relative posix path, path) of every file under root that no exclude
     pattern matches.
 
     Symlinked files are kept, symlinked directories are not entered, and
     unreadable directories are skipped. A directory is not entered when a
     pattern ending in `*`, with that `*` removed, matches `dir/`: every path
-    under it then matches the whole pattern.
+    under it then matches the whole pattern. Nor is the directory whose
+    relative path is `skip`.
     """
     prune = tuple(pat[:-1] for pat in exclude if pat.endswith("*"))
     top = os.path.join(root, "")
     for dirpath, dirnames, filenames in os.walk(top, followlinks=False):
         rel_dir = dirpath[len(top) :].replace(os.sep, "/")
         prefix = f"{rel_dir}/" if rel_dir else ""
-        if prune:
-            dirnames[:] = [d for d in dirnames if not _excluded(f"{prefix}{d}/", prune)]
+        if prune or skip:
+            dirnames[:] = [
+                d for d in dirnames
+                if f"{prefix}{d}" != skip and not _excluded(f"{prefix}{d}/", prune)
+            ]
         for name in filenames:
             rel = prefix + name
             path = Path(dirpath, name)
@@ -179,9 +191,12 @@ def _walk_root(root: Path, exclude: tuple[str, ...]) -> Iterator[tuple[str, Path
                 yield rel, path
 
 
-def _collect_files(roots: Iterable[Path], config: ScanConfig) -> list[tuple[str, Path]]:
+def _collect_files(
+    roots: Iterable[Path], config: ScanConfig, store: Path | None = None
+) -> list[tuple[str, Path]]:
     """(relative posix path, path) pairs of every root, sorted by relative
-    path and then root order; a directory given twice is walked once."""
+    path and then root order; a directory given twice is walked once, and
+    the resolved `store` directory not at all."""
     out: list[tuple[str, Path]] = []
     seen: set[Path] = set()
     for root in roots:
@@ -192,13 +207,16 @@ def _collect_files(roots: Iterable[Path], config: ScanConfig) -> list[tuple[str,
         if resolved in seen:
             continue
         seen.add(resolved)
-        out.extend(_walk_root(root, config.exclude))
+        skip = ""
+        if store is not None and store != resolved and store.is_relative_to(resolved):
+            skip = store.relative_to(resolved).as_posix()
+        out.extend(_walk_root(root, config.exclude, skip))
     out.sort(key=lambda pair: pair[0])
     return out
 
 
 def _scan_file(
-    rel: str, path: Path, config: ScanConfig
+    rel: str, path: Path, config: ScanConfig, results: ResultStore | None
 ) -> tuple[list[AnnotationInstance], list[Finding]]:
     front_end = _front_end(config, path.suffix)
     if front_end is None:
@@ -210,23 +228,46 @@ def _scan_file(
             [],
             [finding("IO_ERROR", f"cannot read file: {err}", locations=[SourceLocation(rel, 0, 0)])],
         )
+    if results is not None:
+        key = (rel, front_end, hashlib.sha256(text.encode()).digest())
+        stored = results.get(key)
+        if stored is not None:
+            return stored
     if front_end == "attribute":
         instances, findings = extract_attributes(text, rel)
     else:
         instances, findings = extract_pragmas(text, rel, config.sigil)
     for inst in instances:
         findings.extend(validate_targets(inst))
+    if results is not None:
+        results.put(key, (instances, findings))
     return (instances, findings)
 
 
-def scan_tree(roots: Iterable[Path | str], config: ScanConfig | None = None) -> CodeModel:
-    """Scan source roots into a CodeModel; unreadable files become IO_ERROR findings."""
+def scan_tree(
+    roots: Iterable[Path | str], config: ScanConfig | None = None, store: Path | str | None = None
+) -> CodeModel:
+    """Scan source roots into a CodeModel; unreadable files become IO_ERROR findings.
+
+    With `store`, a directory, each file's result is kept there and an
+    unchanged file is not extracted again (`archlint.store`). The model is
+    the one a scan without it gives, except that the store directory is
+    never scanned, even when it lies under a root.
+    """
     config = config or ScanConfig()
-    files = _collect_files([Path(r) for r in roots], config)
+    root_paths = [Path(r) for r in roots]
+    files = _collect_files(root_paths, config, None if store is None else Path(store).resolve())
+    results = None
+    if store is not None:
+        from .store import ResultStore
+
+        results = ResultStore(store, root_paths, config.semantic_fingerprint())
     instances: list[AnnotationInstance] = []
     findings: list[Finding] = []
     for rel, path in files:
-        file_instances, file_findings = _scan_file(rel, path, config)
+        file_instances, file_findings = _scan_file(rel, path, config, results)
         instances.extend(file_instances)
         findings.extend(file_findings)
+    if results is not None:
+        results.save()
     return CodeModel.build(instances, findings, config.semantic_fingerprint())

@@ -271,3 +271,35 @@ def extract_attributes(
         i += 1
     drop_pending("end of file")
     return instances, findings
+
+
+# Pieces of Java-like text, to be joined at random: declarations, the eight
+# annotations and broken ones, literals and comments that hide structure,
+# keywords used as names, and Unicode identifiers.
+FRAGMENTS = [
+    # declarations and their parts
+    "package a.b;", "package x.record.y;", "class", "class A", "interface I", "enum E",
+    "record R(int x)", "@interface Ann", "@interface", "public", "static", "final", "void",
+    "int", "B", "b", "m()", "m(int a)", "new Object() {", "-> {", "(", ")", "{", "}", ";",
+    "=", ",", ".", "<", ">", "return x;", "if (a) {", "x.y.z",
+    "class A {", "class A;", "A() {}", "void m() {", "X x = new X() {", "1.class X {",
+    "1.class A {", "Foo.class X {", "x.record R {", "record R {", "class A extends B<C> {",
+    "enum E { P, Q; }", '@Port("q") A() {}', '@Part("p") B b;',
+    '@Connector(left="l", right="r") C c;',
+    # the eight annotations, others, and broken ones
+    '@Component("A")', '@Component({"A", "B"})', '@Component("Ä")', '@Part("p")', '@Port("q")',
+    '@AddPart(value="p", componentName="A")', "@RemovePart({})",
+    '@Connects(left="a.b", right="c", type=Arrow.LEFT)', '@Disconnects(left="a", right="b")',
+    '@Connector(left="x", right="y", type="BIDIR")', '@Connector(type=LEFT, left="x")',
+    "@Override", '@SuppressWarnings({"a", "b"})', '@SuppressWarnings({"{"})', "@Part", "@Part(",
+    '@Part("x"', "@", "@ Part", '@Part("""\n    text\n    """)', "@Deprecated(since = 1.class)",
+    # strings, chars, comments and text blocks that hide structure
+    '"@Part(\\"x\\")"', '"{"', '"}"', '"class A {"', '"\\"@Port"', "'{'", "'}'", "'@'", "'\\''",
+    '"""\n @Part("q") { class X \n"""', '"unterminated', "'x", "// @Part(\"x\") {",
+    "/* class X { */", "/* unterminated", "//", "/**/", "/*/", "*/",
+    # keywords used as names, in numbers and after dots
+    "record = 1;", "int record;", "record.x", "x.record", "Foo.class", "int.class", "1.class",
+    "1.record", "0x1F.enum", "1..class", "1e5class", "classy", "myclass", "$class", "_record",
+    # Unicode identifiers
+    "Ä", "ñame", "x́class", "١.class", "²", "$x", "_y", "x1",
+]

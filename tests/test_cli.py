@@ -591,13 +591,14 @@ def test_bad_config_key(capsys, tmp_path: Path) -> None:
     assert "wat" in err
 
 
-def test_module_entry_point() -> None:
+def test_module_entry_point(tmp_path: Path) -> None:
     env = {**os.environ, "PYTHONPATH": str(Path(archlint.__file__).parent.parent)}
     proc = subprocess.run(
         [sys.executable, "-m", "archlint", "check", *CAR],
         capture_output=True,
         text=True,
         env=env,
+        cwd=tmp_path,
     )
     assert proc.returncode == 0
     assert proc.stdout == "0 error(s), 0 warning(s)\n"
@@ -641,6 +642,7 @@ def test_non_utf8_input_file_is_a_file_problem(tmp_path: Path, kind: str) -> Non
         capture_output=True,
         text=True,
         env=env,
+        cwd=tmp_path,
     )
     assert proc.returncode == 2
     assert proc.stderr.startswith("archlint: cannot read "), proc.stderr
@@ -735,14 +737,18 @@ def _lowest_declared_python() -> str | None:
         pytest.param("car/car.arch", "car_pragma/src", id="car_pragma"),
     ],
 )
-def test_oldest_declared_python_gives_the_same_report(command: str, arch: str, src: str) -> None:
+def test_oldest_declared_python_gives_the_same_report(
+    command: str, arch: str, src: str, tmp_path: Path
+) -> None:
     python = _lowest_declared_python()
     if python is None:
         pytest.skip("the oldest declared Python is not on PATH")
     argv = ["-m", "archlint", command, "--arch", str(DATA / arch), "--src", str(DATA / src)]
     env = {**os.environ, "PYTHONPATH": str(Path(archlint.__file__).parent.parent)}
     runs = [
-        subprocess.run([exe, *argv, "--format", "json"], capture_output=True, text=True, env=env)
+        subprocess.run(
+            [exe, *argv, "--format", "json"], capture_output=True, text=True, env=env, cwd=tmp_path
+        )
         for exe in (python, sys.executable)
     ]
     assert runs[0].stderr == runs[1].stderr

@@ -17,6 +17,7 @@ import io
 import os
 import re
 import runpy
+import shutil
 import subprocess
 import sys
 import warnings
@@ -93,16 +94,17 @@ def test_cyclic_garbage_does_not_grow_with_the_tree(
 def test_both_launchers_run_one_entry(monkeypatch) -> None:
     """`python -m archlint` and the `archlint` script (pyproject.toml's
     `[project.scripts]`) call `cli.main` from the same function, which turns
-    the collector off before and freezes the heap after."""
+    the collector off before and freezes the heap after, and which alone
+    opens the per-file result store."""
     pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
     scripts = pyproject.split("[project.scripts]\n", 1)[1].split("\n[", 1)[0]
     module, function = re.search(r'^archlint = "([\w.]+):(\w+)"$', scripts, re.M).groups()
 
     calls: list[object] = []
 
-    def main() -> int:
+    def main(store: str | None = None) -> int:
         caller = sys._getframe(1).f_code
-        calls.append((caller.co_filename, caller.co_name))
+        calls.append((caller.co_filename, caller.co_name, store))
         return 3
 
     monkeypatch.setattr(cli, "main", main)
@@ -120,7 +122,7 @@ def test_both_launchers_run_one_entry(monkeypatch) -> None:
         warnings.simplefilter("ignore", RuntimeWarning)  # `archlint.__main__` may be imported already
         as_module = launch(lambda: runpy.run_module("archlint", run_name="__main__"))
     as_script = launch(lambda: getattr(importlib.import_module(module), function)())
-    entry = (str(Path(archlint.__file__).parent / "__main__.py"), function)
+    entry = (str(Path(archlint.__file__).parent / "__main__.py"), function, ".archlint_cache")
     assert as_module == as_script == ["disable", entry, "freeze"]
 
 
@@ -133,8 +135,12 @@ def test_both_launchers_run_one_entry(monkeypatch) -> None:
     ],
     ids=["clean", "findings", "usage"],
 )
-def test_the_process_writes_what_cli_main_writes(argv: list[str], code: int, monkeypatch) -> None:
-    monkeypatch.chdir(DATA)
+def test_the_process_writes_what_cli_main_writes(
+    argv: list[str], code: int, tmp_path: Path, monkeypatch
+) -> None:
+    for tree in ("car", "car_solo"):
+        shutil.copytree(DATA / tree, tmp_path / tree)
+    monkeypatch.chdir(tmp_path)
     env = {**os.environ, "PYTHONPATH": str(Path(archlint.__file__).parent.parent)}
     proc = subprocess.run([sys.executable, "-m", "archlint", *argv], capture_output=True, env=env)
     in_code, out, err = _in_process(argv)
