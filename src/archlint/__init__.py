@@ -46,11 +46,11 @@ _MODULES = {
         "AnnotationKind",
         "CodeModel",
         "TargetKind",
-        "extract_attributes",
-        "extract_pragmas",
         "resolve_context",
         "validate_targets",
     ),
+    "java": ("extract_attributes",),
+    "pragma": ("extract_pragmas",),
     "scan": ("ScanConfig", "SmellConfig", "scan_tree"),
     "conformance": (
         "ConformanceReport",

@@ -20,8 +20,9 @@ connectors, each group sorted, so equal models serialize byte-identically.
 from __future__ import annotations
 
 from .errors import AdlParseError
-from .lexer import ADL, Cursor, Lines, tokenize
+from .lexer import Cursor, Lines, _table, tokenize
 from .model import (
+    ADL_IDENT,
     ArchitectureModel,
     Component,
     Connector,
@@ -34,6 +35,15 @@ from .model import (
 )
 
 HEADER = "// architecture description"
+
+ADL = _table(
+    r"[ \t\r\n]",
+    r"//[^\n]*",
+    ident=ADL_IDENT,
+    number=r"\d+",
+    punct=r"<->|->|<-|\.\.|[{}\[\]:;.*]",
+    error=r".",
+)
 
 _ARROWS = {"->": Direction.RIGHT, "<-": Direction.LEFT, "<->": Direction.BIDIR}
 _ARROW_TEXT = {v: k for k, v in _ARROWS.items()}

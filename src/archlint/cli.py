@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence, TextIO
 
 from . import __version__, jsontext
 from .adl import parse_architecture, serialize_architecture
-from .annotations import LINE_BREAKS, AnnotationInstance, CodeModel
+from .annotations import LINE_BREAKS
 from .conformance import connector_usages, lookup, report_fingerprint, run_all
 from .errors import AdlParseError, ArchlintError, PlanError, PlanParseError
 from .findings import Finding, Severity
@@ -26,6 +26,7 @@ from .model import ArchitectureModel, RefKind, list_elements, parse_ref
 from .scan import ScanConfig, SmellConfig, load_config_file, scan_tree
 
 if TYPE_CHECKING:
+    from .annotations import AnnotationInstance, CodeModel
     from .refactor import ImpactReport
 
 class _CliError(ArchlintError):

@@ -40,6 +40,7 @@ CATALOG: dict[str, Severity] = {
     "DUPLICATE_COMPONENT": Severity.ERROR,
     "DUPLICATE_PORT": Severity.ERROR,
     "DUPLICATE_PART_ROLE": Severity.ERROR,
+    "DUPLICATE_MEMBER_NAME": Severity.ERROR,
     "BAD_MULTIPLICITY": Severity.ERROR,
     "UNRESOLVED_PART_TYPE": Severity.ERROR,
     "UNKNOWN_CONTEXT": Severity.ERROR,

@@ -26,8 +26,9 @@ from typing import Iterable, Mapping
 
 from .errors import EndpointError
 from .findings import Finding, finding, sort_findings
-from .lexer import ADL_IDENT
 
+# An ADL identifier; `adl.ADL` is built from it too.
+ADL_IDENT = r"[A-Za-z_][A-Za-z0-9_]*"
 IDENT_RE = re.compile(ADL_IDENT + r"\Z")
 
 # Context name of connectors declared at document root.
@@ -278,12 +279,11 @@ def walk_endpoint(
     """Walk a dotted endpoint path from a context component to a part or port.
 
     Each non-final segment must be a part role (descending into its type);
-    the final segment is a part role or a port name. Part roles shadow port
-    names. In the root context the first segment selects a top-level
-    component instead. Returns the element each segment reaches, in order
-    (that component, each traversed part, then the endpoint itself); raises
-    EndpointError, carrying the elements reached so far, when the path does
-    not resolve.
+    the final segment is a part role or a port name. In the root context
+    the first segment selects a top-level component instead. Returns the
+    element each segment reaches, in order (that component, each traversed
+    part, then the endpoint itself); raises EndpointError, carrying the
+    elements reached so far, when the path does not resolve.
     """
     ep = EndpointPath.parse(path) if isinstance(path, str) else path
     segments = ep.segments
@@ -472,6 +472,14 @@ def validate_model(model: ArchitectureModel) -> list[Finding]:
                     )
                 )
             seen_roles.add(part.role)
+            if part.role in seen_ports:
+                findings.append(
+                    finding(
+                        "DUPLICATE_MEMBER_NAME",
+                        f"part role '{part.role}' is also a port name in '{comp.name}'",
+                        pref,
+                    )
+                )
             if not part.multiplicity.is_valid():
                 findings.append(
                     finding(

@@ -5,11 +5,12 @@ Every operation either returns a new model that validates, or raises
 PreconditionError and leaves the input untouched, so plans are atomic by
 construction. A handler locates what it edits, checks that a new name is an
 identifier and returns only the new model. `apply_op` holds the rule every
-operation shares: a step whose result equals its input, or whose result
-fails `validate_model`, is refused, so no handler repeats a check that
-validation makes; a handler refuses only what the gate cannot see. The elements a step touches are those it creates or
-deletes, `model.created_or_deleted` of the two models, so a rename or a
-move touches the old element and the new one.
+operation shares: a step whose input or result fails `validate_model`, or
+whose result equals its input, is refused, so no handler repeats a check
+that validation makes; a handler refuses only what the gate cannot see.
+The elements a step touches are those it creates or deletes,
+`model.created_or_deleted` of the two models, so a rename or a move
+touches the old element and the new one.
 The ImpactReport tells the developer which annotations (by location)
 reference each element a step touched, from `conformance.references`, the
 function behind the annotation lookup; rewriting the code stays a manual
@@ -28,7 +29,7 @@ from typing import Union
 
 from .annotations import CodeModel
 from .conformance import references
-from .errors import EndpointError, PlanError, PlanParseError, PreconditionError
+from .errors import PlanError, PlanParseError, PreconditionError
 from .model import (
     ArchitectureModel,
     Component,
@@ -154,25 +155,13 @@ def _apply_remove_connector(model: ArchitectureModel, op: RemoveConnector):
     return model._replace(connectors=tuple(c for c in model.connectors if c.id != op.id))
 
 
-def _reached(model: ArchitectureModel, context: str, path: EndpointPath) -> list[ElementRef | None]:
-    """The element each segment of an endpoint path reaches, None past the
-    segment where its walk stops; a rewrite keeps those segments verbatim
-    for validation to report."""
-    try:
-        walked = walk_endpoint(model, context, path)
-    except EndpointError as err:
-        walked = err.walked
-    return list(walked) + [None] * (len(path.segments) - len(walked))
-
-
 def _renamed_paths(model: ArchitectureModel, op: RenameElement) -> tuple[Connector, ...]:
     """Every connector, each endpoint segment that reaches the renamed element renamed."""
 
     def rename(conn: Connector, path: EndpointPath) -> EndpointPath:
-        reached = _reached(model, conn.context, path)
         return EndpointPath(tuple(
             op.new_name if element == op.ref else segment
-            for segment, element in zip(path.segments, reached)
+            for segment, element in zip(path.segments, walk_endpoint(model, conn.context, path))
         ))
 
     return tuple(
@@ -327,31 +316,22 @@ def _apply_split(model: ArchitectureModel, op: SplitComponent):
 
     def rewrite_path(conn: Connector, path: EndpointPath) -> EndpointPath:
         """A root path's first segment names the side of its next segment; a
-        holder part becomes its replacement on that side. A path that ends at
-        a holder part is refused here: validation cannot always see it, as a
-        port of the holder's name in its owner would take the path over."""
+        holder part becomes its replacement on that side."""
         segments = list(path.segments)
-        for index, element in enumerate(_reached(model, conn.context, path)):
+        for index, element in enumerate(walk_endpoint(model, conn.context, path)):
             follow = segments[index + 1] if index + 1 < len(segments) else None
             if element == target_ref and follow in side_of:
                 segments[index] = side_of[follow]
-            elif element in holder_refs:
-                if follow is None:
-                    raise _fail(op, f"connector '{conn.id}' endpoint ends at part "
-                                    f"'{element.path}' of the split component", element)
-                if follow in side_of:
-                    segments[index] = f"{segments[index]}_{side_of[follow]}"
+            elif element in holder_refs and follow in side_of:
+                segments[index] = f"{segments[index]}_{side_of[follow]}"
         return EndpointPath(tuple(segments))
 
     connectors: list[Connector] = []
     for conn in model.connectors:
         if conn.context == op.target:
-            side_left = side_of.get(conn.left.segments[0])
-            side_right = side_of.get(conn.right.segments[0])
-            if side_left is None or side_right is None:
-                # dangling endpoint in the input model; keep for validation
-                connectors.append(conn)
-                continue
+            # the input is well-formed, so each endpoint starts at a member
+            side_left = side_of[conn.left.segments[0]]
+            side_right = side_of[conn.right.segments[0]]
             if side_left == side_right:
                 connectors.append(conn._replace(context=side_left))
             elif target_was_top:
@@ -465,6 +445,13 @@ def op_text(op: RefactoringOp) -> str:
     return f"{row.name}({', '.join(texts)})"
 
 
+def _require_well_formed(op: RefactoringOp, which: str, model: ArchitectureModel) -> None:
+    problems = model.validation
+    if problems:
+        raise _fail(op, f"{which} model is not well-formed: {problems[0].message}",
+                    problems[0].element)
+
+
 def apply_op(
     model: ArchitectureModel, op: RefactoringOp
 ) -> tuple[ArchitectureModel, frozenset[ElementRef]]:
@@ -472,17 +459,15 @@ def apply_op(
     Returns the new model and the elements the step touched: those declared
     in exactly one of the two models.
 
-    The one rule every operation shares: a step is refused when its result
-    equals its input, or when its result fails `validate_model`, with the
-    first finding's message and element as the reason and ref.
+    The one rule every operation shares: a step is refused when its input
+    or its result fails `validate_model`, with the first finding's message
+    and element as the reason and ref, or when its result equals its input.
     """
+    _require_well_formed(op, "input", model)
     new_model = _ROW_OF[type(op)].apply(model, op)
     if new_model == model:
         raise _fail(op, "the step changes nothing")
-    problems = new_model.validation
-    if problems:
-        raise _fail(op, f"resulting model is not well-formed: {problems[0].message}",
-                    problems[0].element)
+    _require_well_formed(op, "resulting", new_model)
     return (new_model, created_or_deleted(model, new_model))
 
 

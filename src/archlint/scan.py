@@ -1,5 +1,10 @@
 """Source-tree scanning: front-end dispatch, exclusion, deterministic merge.
 
+A file is claimed by the Java front-end (`archlint.java`) or the pragma
+front-end (`archlint.pragma`), and each is imported only when a file it
+claims must be extracted: a scan whose files all hit the result store
+loads neither.
+
 The scan result is a pure function of (relative paths, root order, file
 bytes, config): files are processed independently and merged by a stable
 sort on relative path, so traversal order never changes the output. The
@@ -20,14 +25,7 @@ import fnmatch
 import hashlib
 import os
 
-from .annotations import (
-    PRAGMA_LEADERS,
-    AnnotationInstance,
-    CodeModel,
-    extract_attributes,
-    extract_pragmas,
-    validate_targets,
-)
+from .annotations import PRAGMA_LEADERS, AnnotationInstance, CodeModel, validate_targets
 from .errors import ConfigError
 from .findings import SMELL_IDS, Finding, SourceLocation, finding
 
@@ -233,10 +231,16 @@ def _scan_file(
         stored = results.get(key)
         if stored is not None:
             return stored
+    # A front-end's function is looked up on its module at each call, so
+    # that a function rebound there after the import is the one called.
     if front_end == "attribute":
-        instances, findings = extract_attributes(text, rel)
+        from . import java
+
+        instances, findings = java.extract_attributes(text, rel)
     else:
-        instances, findings = extract_pragmas(text, rel, config.sigil)
+        from . import pragma
+
+        instances, findings = pragma.extract_pragmas(text, rel, config.sigil)
     for inst in instances:
         findings.extend(validate_targets(inst))
     if results is not None:

@@ -19,7 +19,8 @@ matches, because `marshal.loads` of arbitrary bytes can ask for gigabytes;
 past that check the store is trusted like the working directory it lives
 in. The file is rewritten, through a temporary file and `os.replace`, only
 when an entry was added or dropped, and it keeps only the files of the run
-that wrote it.
+that wrote it. A directory keeps at most `_KEPT_FILES` store files: each
+write deletes the least recently written beyond that, never its own.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from .annotations import ANNOTATION_NAMES, AnnotationInstance, TargetKind
 from .findings import Finding, SourceLocation, finding
 
 _MAGIC = b"archlint per-file results 1\n"
+_KEPT_FILES = 8
 _TARGETS = {t.value: t for t in TargetKind}
 # The type of each field of an instance as `_pack` packs it.
 _INSTANCE_TYPES = (str, tuple, dict, str, str, tuple, int, int, str)
@@ -161,6 +163,13 @@ class ResultStore:
                 ignore.write_text("*\n", encoding="utf-8")
             temp.write_bytes(self.header + hashlib.sha256(payload).digest() + payload)
             os.replace(temp, self.path)
+            others = sorted(
+                ((path.stat().st_mtime_ns, path) for path in self.directory.iterdir()
+                 if len(path.name) == 64 and path != self.path),
+                reverse=True,
+            )
+            for _, path in others[_KEPT_FILES - 1:]:
+                path.unlink(missing_ok=True)
         except OSError:
             try:
                 temp.unlink(missing_ok=True)

@@ -18,13 +18,9 @@ import json
 
 from payload_oracle import instance_payload
 
-from archlint.annotations import (
-    extract_attributes,
-    extract_pragmas,
-    resolve_context,
-    syntactic_refs,
-    validate_targets,
-)
+from archlint.annotations import resolve_context, syntactic_refs, validate_targets
+from archlint.java import extract_attributes
+from archlint.pragma import extract_pragmas
 
 NAMES = (
     "Component",

@@ -9,8 +9,6 @@ give the same instances and findings on every input.
 from __future__ import annotations
 
 from archlint.annotations import (
-    _MODIFIERS,
-    _TYPE_KEYWORDS,
     ANNOTATION_NAMES,
     AnnotationInstance,
     AnnotationKind,
@@ -19,14 +17,20 @@ from archlint.annotations import (
     _Cursor,
     _default_package,
     _finish_instance,
-    _may_follow,
     _parse_args,
-    _PendingAnnotation,
     _place,
-    _text_block_string,
 )
 from archlint.findings import Finding, SourceLocation, finding
-from archlint.lexer import JAVA, Token, tokenize
+from archlint.java import (
+    _MODIFIERS,
+    JAVA,
+    JAVA_TYPE_KEYWORDS,
+    _java_string,
+    _may_follow,
+    _PendingAnnotation,
+    _text_block_string,
+)
+from archlint.lexer import Token, lex
 
 
 def _detect_package(tokens: list[Token], path: str) -> str:
@@ -91,7 +95,7 @@ def extract_attributes(
     component context for everything inside them. Annotation names outside
     the recognized eight are ignored.
     """
-    tokens = tokenize(JAVA, file_text)
+    tokens = lex(JAVA, file_text, string=_java_string)[0]
     package = _detect_package(tokens, path)
     instances: list[AnnotationInstance] = []
     findings: list[Finding] = []
@@ -246,7 +250,7 @@ def extract_attributes(
             continue
         if tok.kind == "ident":
             word = tok.text
-            if word in _TYPE_KEYWORDS:
+            if word in JAVA_TYPE_KEYWORDS:
                 name_tok = tokens[i + 1] if i + 1 < len(tokens) else None
                 if name_tok is not None and name_tok.kind == "ident":
                     begin_type(name_tok.text)

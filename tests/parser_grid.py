@@ -18,8 +18,9 @@ import json
 import random
 
 from archlint.adl import parse_architecture
-from archlint.annotations import extract_attributes, extract_pragmas
 from archlint.errors import AdlParseError
+from archlint.java import extract_attributes
+from archlint.pragma import extract_pragmas
 
 ADL_DOCUMENT = """\
 // architecture description

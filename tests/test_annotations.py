@@ -10,13 +10,13 @@ from archlint.annotations import (
     CodeModel,
     SourceLocation,
     TargetKind,
-    extract_attributes,
-    extract_pragmas,
     resolve_context,
     validate_targets,
 )
 from archlint.conformance import ConnectorUsages
+from archlint.java import extract_attributes
 from archlint.jsontext import dump_code_model
+from archlint.pragma import extract_pragmas
 
 DATA = Path(__file__).parent / "data"
 

@@ -683,11 +683,12 @@ def test_commands_call_public_functions_rebound_in_loaded_modules(
         assert calls[name] == before + 1, (command, element)
 
 
+# argv: the store directory ("" for none), then the command line.
 _LOADED_MODULES = """
 import contextlib, io, sys
 from archlint.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
-    code = main(sys.argv[1:])
+    code = main(sys.argv[2:], store=sys.argv[1] or None)
 print(code, "dataclasses" in sys.modules, *sorted(m for m in sys.modules if m.startswith("archlint.")))
 """
 
@@ -697,19 +698,41 @@ print(code, "dataclasses" in sys.modules, *sorted(m for m in sys.modules if m.st
 )
 def test_each_command_loads_only_its_modules(tmp_path: Path, command: str) -> None:
     """Only `refactor` imports the refactoring module, only `smells` the smell
-    detectors, and only `scaffold` the scaffolder. No command imports
-    `dataclasses` (with `inspect`, `ast`, `dis` and `tokenize` behind it)
-    unless the interpreter loads it at start-up."""
+    detectors, and only `scaffold` the scaffolder. A scan imports only the
+    front-ends of the files it extracts: the Java one for tests/data/car,
+    the pragma one for tests/data/car_pragma, and neither when every file
+    hits the store. No command imports `dataclasses` (with `inspect`,
+    `ast`, `dis` and `tokenize` behind it) unless the interpreter loads it
+    at start-up."""
     argv = _car_argv(tmp_path, command)
     env = {**os.environ, "PYTHONPATH": str(Path(archlint.__file__).parent.parent)}
-    proc = subprocess.run(
-        [sys.executable, "-c", _LOADED_MODULES, *argv], capture_output=True, text=True, env=env
-    )
-    code, dataclasses_loaded, *modules = proc.stdout.split()
-    assert code == "0", proc.stderr
+
+    def loaded(argv: list[str], store: str = "") -> tuple[str, list[str]]:
+        proc = subprocess.run(
+            [sys.executable, "-c", _LOADED_MODULES, store, *argv],
+            capture_output=True, text=True, env=env, cwd=tmp_path,
+        )
+        code, dataclasses_loaded, *modules = proc.stdout.split()
+        assert code == "0", proc.stderr
+        return dataclasses_loaded, modules
+
+    dataclasses_loaded, modules = loaded(argv)
     assert "archlint.cli" in modules
     for module in ("refactor", "smells", "scaffold"):
         assert (f"archlint.{module}" in modules) == (command == module), modules
+    front_ends = {m for m in modules if m in ("archlint.java", "archlint.pragma")}
+    assert front_ends == (set() if command == "scaffold" else {"archlint.java"}), modules
+    if command != "scaffold":
+        pragma_argv = [str(DATA / "car_pragma" / "src") if arg == str(DATA / "car" / "src")
+                       else arg for arg in argv]
+        assert {"archlint.pragma"} == {
+            m for m in loaded(pragma_argv)[1] if m in ("archlint.java", "archlint.pragma")
+        }
+        store = str(tmp_path / "store")
+        for src_argv in (argv, pragma_argv):
+            loaded(src_argv, store)
+            warm = loaded(src_argv, store)[1]
+            assert "archlint.java" not in warm and "archlint.pragma" not in warm, warm
     at_start = subprocess.run(
         [sys.executable, "-c", 'import sys; print("dataclasses" in sys.modules)'],
         capture_output=True, text=True, env=env,
@@ -719,13 +742,24 @@ def test_each_command_loads_only_its_modules(tmp_path: Path, command: str) -> No
 
 
 def _lowest_declared_python() -> str | None:
-    """A working `pythonX.Y` on PATH for the oldest version pyproject.toml declares."""
+    """A working interpreter of the oldest version pyproject.toml declares:
+    `pythonX.Y` on PATH, else one that pyenv has installed, since PATH may
+    hold only pyenv's shim, which fails when no such version is selected."""
     pyproject = (Path(__file__).parent.parent / "pyproject.toml").read_text()
     lowest = re.search(r'requires-python = ">=(\d+\.\d+)"', pyproject)[1]
-    python = shutil.which(f"python{lowest}")
-    if python is None or subprocess.run([python, "-c", "pass"], capture_output=True).returncode:
-        return None
-    return python
+    candidates = [shutil.which(f"python{lowest}")]
+    pyenv = shutil.which("pyenv")
+    if pyenv is not None:
+        root = subprocess.run([pyenv, "root"], capture_output=True, text=True).stdout.strip()
+        if root:
+            candidates += sorted(Path(root).glob(f"versions/{lowest}.*/bin/python{lowest}"))
+    is_lowest = f"import sys; sys.exit(sys.version_info[:2] != {tuple(map(int, lowest.split('.')))})"
+    for python in candidates:
+        if python is not None and not subprocess.run(
+            [python, "-c", is_lowest], capture_output=True
+        ).returncode:
+            return str(python)
+    return None
 
 
 @pytest.mark.parametrize("command", ["check", "smells"])

@@ -16,10 +16,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import java_oracle
-from archlint import annotations
-from archlint.annotations import extract_attributes
+from archlint import java
+from archlint.java import JAVA, extract_attributes
 from archlint.jsontext import dump_code_model
-from archlint.lexer import JAVA
 from archlint.scan import ScanConfig, load_config_file, scan_tree
 
 DATA = Path(__file__).parent / "data"
@@ -74,7 +73,7 @@ def test_skim_traps_match_the_oracle(text: str) -> None:
 def _dumps(root: Path, config: ScanConfig, monkeypatch) -> tuple[str, str]:
     skimmed = dump_code_model(scan_tree([root], config))
     with monkeypatch.context() as patched:
-        patched.setattr("archlint.scan.extract_attributes", java_oracle.extract_attributes)
+        patched.setattr("archlint.java.extract_attributes", java_oracle.extract_attributes)
         oracle = dump_code_model(scan_tree([root], config))
     return skimmed, oracle
 
@@ -125,7 +124,7 @@ def _java_file(members: int) -> str:
 
 def test_plain_members_build_no_full_tokens(monkeypatch) -> None:
     built = [0]
-    original = annotations.lex
+    original = java.lex
 
     def counting(table, *args):
         lexed = original(table, *args)
@@ -133,7 +132,7 @@ def test_plain_members_build_no_full_tokens(monkeypatch) -> None:
             built[0] += len(lexed[0])
         return lexed
 
-    monkeypatch.setattr(annotations, "lex", counting)
+    monkeypatch.setattr(java, "lex", counting)
     counts = []
     for members in (40, 80):
         built[0] = 0

@@ -14,8 +14,10 @@ from parser_grid import grid_report
 
 import archlint
 from archlint.adl import AdlParseError, parse_architecture
-from archlint.annotations import PRAGMA_LEADERS, extract_attributes, extract_pragmas, resolve_context
+from archlint.annotations import PRAGMA_LEADERS, resolve_context
+from archlint.java import extract_attributes
 from archlint.lexer import Lines
+from archlint.pragma import extract_pragmas
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
 
@@ -185,7 +187,7 @@ def test_patterns_use_no_syntax_newer_than_python_3_10() -> None:
                 name, value = f"{name}()", value()
             if isinstance(value, re.Pattern):
                 patterns[f"{info.name}.{name}"] = value
-    assert "lexer.JAVA_SKIM" in patterns
+    assert "java.JAVA_SKIM" in patterns
     newer = {
         name: sorted(ops)
         for name, pattern in patterns.items()

@@ -262,6 +262,15 @@ def test_validate_duplicate_part_role() -> None:
     assert ids == ["DUPLICATE_PART_ROLE"]
 
 
+def test_validate_part_and_port_of_one_name() -> None:
+    model = ArchitectureModel(
+        components=(Component("A", ports=(Port("x"),), parts=(Part("x", "B"),)), Component("B"))
+    )
+    assert [(f.check_id, f.element) for f in validate_model(model)] == [
+        ("DUPLICATE_MEMBER_NAME", ElementRef.part("A", "x"))
+    ]
+
+
 def test_validate_bad_multiplicity() -> None:
     model = ArchitectureModel(
         components=(Component("A", parts=(Part("x", "B", Multiplicity(4, 2)),)), Component("B"))

@@ -96,6 +96,29 @@ def test_only_the_lexer_turns_an_offset_into_a_line() -> None:
     ]
 
 
+def test_each_token_table_is_compiled_in_its_own_module() -> None:
+    """`lexer.py` defines no table and names no language: `JAVA` and
+    `JAVA_SKIM` are compiled only in `java.py`, `PRAGMA` only in
+    `pragma.py` and `ADL` only in `adl.py`."""
+    tables = {"JAVA": "java.py", "JAVA_SKIM": "java.py", "PRAGMA": "pragma.py", "ADL": "adl.py"}
+    defined: dict[str, list[str]] = {}
+    built: dict[str, list[str]] = {}
+    for module in sorted(Path(archlint.__file__).parent.glob("*.py")):
+        tree = ast.parse(module.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_table":
+                built.setdefault(module.name, []).append(node)
+        for node in tree.body:
+            targets = node.targets if isinstance(node, ast.Assign) else []
+            for target in targets:
+                if isinstance(target, ast.Name) and target.id in tables:
+                    defined.setdefault(target.id, []).append(module.name)
+    assert defined == {name: [home] for name, home in tables.items()}
+    assert sorted(built) == ["adl.py", "java.py", "pragma.py"]
+    lexer = (Path(archlint.__file__).parent / "lexer.py").read_text(encoding="utf-8")
+    assert re.findall(r"java|pragma|\badl\b", lexer, re.IGNORECASE) == []
+
+
 def test_every_import_is_read() -> None:
     """Each name a module imports is read somewhere in that module."""
     for module in sorted(Path(archlint.__file__).parent.glob("*.py")):
@@ -114,7 +137,7 @@ def test_every_import_is_read() -> None:
 # Caches keyed by constants of the program or of one run's configuration,
 # so they cannot grow with the input.
 _CONSTANT_KEYED_CACHES = {
-    "annotations._sigil_and_tail",
+    "pragma._sigil_and_tail",
     "jsontext._array_parts",
 }
 

@@ -14,13 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from archlint import annotations
-from archlint.annotations import (
-    _LONGEST_REMEMBERED_TAIL,
-    ANNOTATION_NAMES,
-    _parse_pragma_tail,
-    extract_pragmas,
-)
+from archlint import pragma
+from archlint.annotations import ANNOTATION_NAMES
+from archlint.pragma import _LONGEST_REMEMBERED_TAIL, _parse_pragma_tail, extract_pragmas
 
 _BLANKS = ["", " ", "\t", "  ", " \t "]
 _GAPS = [" ", "\t", "  "]
@@ -230,7 +226,7 @@ def test_memo_gives_what_the_token_parser_gives_on_every_line(seed: int, monkeyp
         parsed_lines.append(tail)
         return parse(tail)
 
-    monkeypatch.setattr(annotations, "_parse_pragma_tail", every_line)
+    monkeypatch.setattr(pragma, "_parse_pragma_tail", every_line)
     reference = _extract_all(files)
 
     assert len(parsed_lines) == len(reference[0]) + len(reference[1]) > distinct

@@ -8,6 +8,7 @@ import pytest
 from archlint.adl import parse_architecture, serialize_architecture
 from archlint.annotations import CodeModel
 from archlint.errors import (
+    AdlParseError,
     PlanError,
     PlanParseError,
     PreconditionError,
@@ -39,6 +40,7 @@ from archlint.refactor import (
     RemovePort,
     RenameElement,
     SplitComponent,
+    _ROW_OF,
     apply_op,
     apply_plan,
     op_text,
@@ -469,19 +471,60 @@ def test_split_rejects_terminal_part_endpoint() -> None:
     assert "bad" in str(exc.value)
 
 
+_SHADOWING = (
+    "component T { port a; }\n"
+    "component W { port w; }\n"
+    "component X { }\n"
+    "component Outer { part t: T; part v: W; connector c: t <-> v.w; }\n"
+)
+
+
+def _with_port_t(model: ArchitectureModel) -> ArchitectureModel:
+    """`model` with a port `t` in `Outer`, beside its part `t`; built by
+    hand, as `parse_architecture` refuses it."""
+    return model._replace(components=tuple(
+        c._replace(ports=(Port("t"),)) if c.name == "Outer" else c for c in model.components
+    ))
+
+
 def test_split_rejects_terminal_part_endpoint_shadowing_a_port() -> None:
-    # Once part t is split, the path `t` resolves to port t, and the result
-    # validates: only the split's own check sees the endpoint move.
-    model = parse_architecture(
-        "component T { port a; }\n"
-        "component W { port w; }\n"
-        "component Outer { port t; part t: T; part v: W;"
-        " connector bad: t <-> v.w; }\n"
-    )
+    # Once part t is split, the path `t` would resolve to port t, and the
+    # result would validate: the gate refuses the ill-formed input instead.
+    model = _with_port_t(parse_architecture(_SHADOWING))
     with pytest.raises(PreconditionError) as exc:
         apply_op(model, SplitComponent("T", "Ta", "Tb", {"a": "Ta"}))
-    assert "bad" in str(exc.value)
+    assert exc.value.reason == (
+        "input model is not well-formed: part role 't' is also a port name in 'Outer'"
+    )
     assert exc.value.ref == parse_ref("Outer.t")
+
+
+def test_a_part_and_a_port_of_one_name_never_meet_a_step() -> None:
+    """A part that leaves a component with a port of its name would hand
+    each endpoint that ended at the part to the port. No model holds that
+    pair: the parser refuses it, the gate refuses a step that would build
+    it, and the gate refuses to move the part out of a model built by hand."""
+    with pytest.raises(AdlParseError, match="part role 't' is also a port name in 'Outer'") as exc:
+        parse_architecture(_SHADOWING.replace("{ part t", "{ port t; part t"))
+    assert (exc.value.line, exc.value.column) == (4, 32)  # the role of part `t`
+    model = parse_architecture(_SHADOWING)
+    with pytest.raises(PreconditionError) as exc:
+        apply_op(model, AddPort("Outer", "t"))
+    assert exc.value.reason == (
+        "resulting model is not well-formed: part role 't' is also a port name in 'Outer'"
+    )
+    assert exc.value.ref == parse_ref("Outer.t")
+    shadowed = _with_port_t(model)
+    move = MovePart("t", "Outer", "X")
+    moved = _ROW_OF[MovePart].apply(shadowed, move)
+    assert moved.validation == ()  # the result alone shows nothing wrong
+    assert resolve_endpoint(moved, "Outer", "t") == parse_ref("Outer#t")
+    with pytest.raises(PreconditionError) as exc:
+        apply_op(shadowed, move)
+    assert exc.value.reason.startswith("input model is not well-formed: part role 't'")
+    with pytest.raises(PreconditionError) as exc:
+        apply_op(model, move)
+    assert exc.value.ref == parse_ref("Outer/c")
 
 
 @pytest.mark.parametrize(
@@ -872,10 +915,21 @@ def test_rename_and_split_keep_every_endpoints_meaning() -> None:
             try:
                 new_model, _ = apply_op(model, op)
             except PreconditionError as err:
-                # A fresh name always applies. A split refuses an endpoint that
-                # ends at a holder part, or a connector it would duplicate.
+                # A fresh name always applies. A split refuses a connector it
+                # would duplicate, or one with an endpoint that ends at a holder
+                # part, since that part is gone and the endpoint resolves to
+                # nothing in the result.
                 assert isinstance(op, SplitComponent), op_text(op)
-                assert "of the split component" in err.reason or "duplicates" in err.reason, err
+                if "duplicates" not in err.reason:
+                    assert "cannot resolve" in err.reason, err
+                    conn = model.connector_by_id(err.ref.split()[1])
+                    ends = [resolve_endpoint(model, conn.context, p) for p in (conn.left, conn.right)]
+                    assert any(
+                        end.kind is RefKind.PART
+                        and model.component(end.split()[0]).part(end.split()[1]).type_component
+                        == op.target
+                        for end in ends
+                    ), err
                 continue
             applied[type(op)] += 1
             for conn in model.connectors:

@@ -29,7 +29,7 @@ from hypothesis import strategies as st
 
 import archlint
 from annotation_grid import grid_cases
-from archlint import cli, scan, store
+from archlint import cli, java, pragma, store
 from archlint.adl import serialize_architecture
 from archlint.scaffold import write_scaffold
 from archlint.scan import ScanConfig, _collect_files, _front_end, load_config_file, scan_tree
@@ -124,12 +124,12 @@ def _assert_as_cold(base: Path, argv: list[str], directory: Path, monkeypatch) -
     relative path of each file the run with the store extracted."""
     extracted: list[str] = []
     with monkeypatch.context() as patched:
-        for name in ("extract_attributes", "extract_pragmas"):
-            def counted(text: str, path: str, *rest, _original=getattr(scan, name)):
+        for module, name in ((java, "extract_attributes"), (pragma, "extract_pragmas")):
+            def counted(text: str, path: str, *rest, _original=getattr(module, name)):
                 extracted.append(path)
                 return _original(text, path, *rest)
 
-            patched.setattr(scan, name, counted)
+            patched.setattr(module, name, counted)
         with_store = _run(argv, directory)
     assert with_store == _run(argv), argv
     claimed = _claimed(base)
@@ -214,6 +214,36 @@ def test_a_warm_run_does_not_rewrite_the_store(tmp_path: Path) -> None:
     _run(check, directory)
     assert path.stat().st_ino != written
     assert (directory / ".gitignore").read_text() == "*\n"
+
+
+def test_a_store_directory_keeps_the_most_recently_written_files(
+    tmp_path: Path, monkeypatch
+) -> None:
+    """With more configs than `store._KEPT_FILES`, each write keeps its own
+    store file and the most recently written others, even when those carry
+    a later time; a config whose file was dropped is a miss, not an error."""
+    base, directory = tmp_path / "tree", tmp_path / "store"
+    check = _tree(base, 12)[0]
+    written: list[str] = []
+
+    def kept() -> list[str]:
+        return sorted(p.name for p in directory.iterdir() if p.name != ".gitignore")
+
+    for n in range(store._KEPT_FILES + 3):
+        _write(base / "archlint.conf", f"exclude = nothing{n}\n")
+        _run(check, directory)
+        path = _stored(base, directory).path
+        os.utime(path, ns=(n * 10**9, n * 10**9))  # the write order, whatever the clock
+        written.append(path.name)
+        assert kept() == sorted(written[-store._KEPT_FILES:])
+    for name in kept():
+        os.utime(directory / name, ns=(2**62, 2**62))
+    _write(base / "archlint.conf", "exclude = nothing0\n")
+    every_file = sorted(rel for rel, _, _ in _claimed(base))
+    assert _assert_as_cold(base, check, directory, monkeypatch) == every_file
+    newest = _stored(base, directory).path.name
+    assert newest == written[0] and newest in kept()
+    assert len(kept()) == store._KEPT_FILES
 
 
 def test_an_unreadable_file_is_never_stored(tmp_path: Path, monkeypatch) -> None:
