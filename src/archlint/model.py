@@ -179,11 +179,14 @@ class ElementRef(namedtuple("ElementRef", "kind path")):
 
     @classmethod
     def member(cls, kind: RefKind, owner: str, name: str) -> ElementRef:
-        """The part or port `name` of owner, or for COMPONENT the component `name`."""
+        """The element a name of `kind` denotes: the part, port or connector
+        `name` of owner (a connector's context), or the component `name`."""
         if kind is _PART:
             return cls(kind, f"{owner}.{name}")
         if kind is _PORT:
             return cls(kind, f"{owner}#{name}")
+        if kind is _CONNECTOR:
+            return cls(kind, f"{owner}/{name}")
         return cls(kind, name)
 
     @classmethod

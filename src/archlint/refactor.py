@@ -3,11 +3,15 @@
 Operations are pure model transformations; the source code is never touched.
 Every operation either returns a new model that validates, or raises
 PreconditionError and leaves the input untouched, so plans are atomic by
-construction. A handler locates what it edits, checks that a new name is an
-identifier and returns only the new model. `apply_op` holds the rule every
-operation shares: a step whose input or result fails `validate_model`, or
-whose result equals its input, is refused, so no handler repeats a check
-that validation makes; a handler refuses only what the gate cannot see.
+construction. A handler locates what it changes, checks that a new name is
+an identifier and returns only the new model. `_require` alone refuses a
+step that names an element the input does not declare. `_apply_rename`
+holds the rename rule: every name that denotes the renamed element becomes
+the new name. `_rewrite_paths`, which rename and split call, alone walks
+endpoint paths, and only those that hold a name the step changes.
+`apply_op` holds the rule every operation shares: a step whose input or
+result fails `validate_model`, or whose result equals its input, is
+refused, so no handler repeats a check that validation makes.
 The elements a step touches are those it creates or deletes,
 `model.created_or_deleted` of the two models, so a rename or a move
 touches the old element and the new one.
@@ -16,16 +20,16 @@ reference each element a step touched, from `conformance.references`, the
 function behind the annotation lookup; rewriting the code stays a manual
 task.
 
-`OPERATIONS` is the one definition of each operation: its class, its plan
-name, how each field is read from and written to plan text, and its
-handler. `parse_plan`, `op_text`, `op_name` and `apply_op` read it.
+`OPERATIONS` is the one definition of each operation: its class (a
+`RefactoringOp`), its plan name, how each field is read from and written
+to plan text, and its handler. `parse_plan`, `op_text`, `op_name` and
+`apply_op` read it.
 """
 
 from __future__ import annotations
 
 import re
 from collections import namedtuple
-from typing import Union
 
 from .annotations import CodeModel
 from .conformance import references
@@ -48,10 +52,11 @@ from .model import (
 )
 
 
-class _Op(tuple):
-    """The base of every operation record. Operations compare by type, then
-    fields: AddPort and RemovePort hold the same items, and tuples that do
-    are equal. `object.__ne__` inverts `__eq__`, and `__hash__` is set again
+class RefactoringOp(tuple):
+    """The base of every operation record; each operation is a subclass
+    with one row in `OPERATIONS`. Operations compare by type, then fields:
+    AddPort and RemovePort hold the same items, and tuples that do are
+    equal. `object.__ne__` inverts `__eq__`, and `__hash__` is set again
     because a class body that sets `__eq__` alone makes instances unhashable."""
 
     __slots__ = ()
@@ -62,72 +67,107 @@ class _Op(tuple):
     __ne__, __hash__ = object.__ne__, tuple.__hash__
 
 
-class AddPort(_Op, namedtuple("AddPort", "component port")):
+class AddPort(RefactoringOp, namedtuple("AddPort", "component port")):
     """Add the port `port` (str) to `component` (str)."""
 
     __slots__ = ()
 
 
-class RemovePort(_Op, namedtuple("RemovePort", "component port")):
+class RemovePort(RefactoringOp, namedtuple("RemovePort", "component port")):
     """Remove the port `port` (str) from `component` (str)."""
 
     __slots__ = ()
 
 
-class AddConnector(_Op, namedtuple("AddConnector", "id context left right direction")):
+class AddConnector(RefactoringOp, namedtuple("AddConnector", "id context left right direction")):
     """Declare a connector: id and context (str), left and right
     (EndpointPath) and direction (Direction), as a Connector holds them."""
 
     __slots__ = ()
 
 
-class RemoveConnector(_Op, namedtuple("RemoveConnector", "id")):
+class RemoveConnector(RefactoringOp, namedtuple("RemoveConnector", "id")):
     """Remove the connector `id` (str)."""
 
     __slots__ = ()
 
 
-class SplitComponent(_Op, namedtuple("SplitComponent", "target name_a name_b partition")):
+class SplitComponent(RefactoringOp, namedtuple("SplitComponent", "target name_a name_b partition")):
     """Split `target` (str) into `name_a` and `name_b` (str); `partition`
     (Mapping[str, str]) maps each part role and port name to one of them."""
 
     __slots__ = ()
 
 
-class RenameElement(_Op, namedtuple("RenameElement", "ref new_name")):
+class RenameElement(RefactoringOp, namedtuple("RenameElement", "ref new_name")):
     """Rename the element `ref` (ElementRef) to `new_name` (str)."""
 
     __slots__ = ()
 
 
-class MovePart(_Op, namedtuple("MovePart", "role from_component to_component")):
+class MovePart(RefactoringOp, namedtuple("MovePart", "role from_component to_component")):
     """Move the part `role` (str) from `from_component` to `to_component` (str)."""
 
     __slots__ = ()
-
-
-RefactoringOp = Union[
-    AddPort, RemovePort, AddConnector, RemoveConnector, SplitComponent, RenameElement, MovePart
-]
 
 
 def _fail(op: RefactoringOp, reason: str, ref: ElementRef | None = None) -> PreconditionError:
     return PreconditionError(op_name(op), reason, ref)
 
 
-def _require_component(model: ArchitectureModel, name: str, op: RefactoringOp) -> Component:
-    comp = model.component(name)
+def _require(model: ArchitectureModel, ref: ElementRef, op: RefactoringOp):
+    """The Component, Part, Port or Connector `ref` names in `model`. The one
+    rule that refuses a step for naming an element the input does not
+    declare: a member's owner is checked before the member. A connector ref
+    without a context, `ElementRef(RefKind.CONNECTOR, id)`, names the
+    connector of that id, as `remove-connector` does."""
+    kind = ref.kind
+    if kind is RefKind.CONNECTOR:
+        if "/" not in ref.path:
+            found = model.connector_by_id(ref.path)
+            if found is None:
+                raise _fail(op, f"no connector with id '{ref.path}'")
+            return found
+        found = model.connector_index.by_ref.get(ref)
+        if found is None:
+            raise _fail(op, f"no connector '{ref.path}'", ref)
+        return found
+    owner, name = ref.split()
+    comp = model.component(owner)
     if comp is None:
-        raise _fail(op, f"unknown component '{name}'", ElementRef.component(name))
-    return comp
+        raise _fail(op, f"unknown component '{owner}'", ElementRef.component(owner))
+    if kind is RefKind.COMPONENT:
+        return comp
+    found = comp.part(name) if kind is RefKind.PART else comp.port(name)
+    if found is None:
+        raise _fail(op, f"no {kind.value} '{name}' in '{owner}'", ref)
+    return found
 
 
 def _swap_component(model: ArchitectureModel, comp: Component) -> tuple[Component, ...]:
     return tuple(comp if c.name == comp.name else c for c in model.components)
 
 
+def _rewrite_paths(model: ArchitectureModel, names: set[str], rewrite) -> tuple[Connector, ...]:
+    """Every connector of `model`, each endpoint path that holds one of
+    `names` replaced by `rewrite(segments, walked)`, the new segments given
+    the path's segments and the element `walk_endpoint` reaches with each.
+    A connector whose paths hold none of `names` is the same object."""
+
+    def rewritten(conn: Connector, path: EndpointPath) -> EndpointPath:
+        if names.isdisjoint(path.segments):
+            return path
+        return EndpointPath(tuple(rewrite(path.segments, walk_endpoint(model, conn.context, path))))
+
+    return tuple(
+        conn if names.isdisjoint(conn.left.segments) and names.isdisjoint(conn.right.segments)
+        else conn._replace(left=rewritten(conn, conn.left), right=rewritten(conn, conn.right))
+        for conn in model.connectors
+    )
+
+
 def _apply_add_port(model: ArchitectureModel, op: AddPort):
-    comp = _require_component(model, op.component, op)
+    comp = _require(model, ElementRef.component(op.component), op)
     if not is_identifier(op.port):
         raise _fail(op, f"invalid port name '{op.port}'")
     new_comp = comp._replace(ports=comp.ports + (Port(op.port),))
@@ -135,10 +175,8 @@ def _apply_add_port(model: ArchitectureModel, op: AddPort):
 
 
 def _apply_remove_port(model: ArchitectureModel, op: RemovePort):
-    comp = _require_component(model, op.component, op)
-    if comp.port(op.port) is None:
-        raise _fail(op, f"no port '{op.port}' in '{op.component}'",
-                    ElementRef.port(op.component, op.port))
+    _require(model, ElementRef.port(op.component, op.port), op)
+    comp = model.component(op.component)
     new_comp = comp._replace(ports=tuple(p for p in comp.ports if p.name != op.port))
     return model._replace(components=_swap_component(model, new_comp))
 
@@ -150,103 +188,59 @@ def _apply_add_connector(model: ArchitectureModel, op: AddConnector):
 
 
 def _apply_remove_connector(model: ArchitectureModel, op: RemoveConnector):
-    if model.connector_by_id(op.id) is None:
-        raise _fail(op, f"no connector with id '{op.id}'")
+    _require(model, ElementRef(RefKind.CONNECTOR, op.id), op)
     return model._replace(connectors=tuple(c for c in model.connectors if c.id != op.id))
 
 
-def _renamed_paths(model: ArchitectureModel, op: RenameElement) -> tuple[Connector, ...]:
-    """Every connector, each endpoint segment that reaches the renamed element renamed."""
-
-    def rename(conn: Connector, path: EndpointPath) -> EndpointPath:
-        return EndpointPath(tuple(
-            op.new_name if element == op.ref else segment
-            for segment, element in zip(path.segments, walk_endpoint(model, conn.context, path))
-        ))
-
-    return tuple(
-        conn._replace(left=rename(conn, conn.left), right=rename(conn, conn.right))
-        for conn in model.connectors
-    )
-
-
 def _apply_rename(model: ArchitectureModel, op: RenameElement):
-    if not is_identifier(op.new_name):
-        raise _fail(op, f"invalid name '{op.new_name}'")
-    kind = op.ref.kind
-    if kind is RefKind.COMPONENT:
-        return _rename_component(model, op)
-    if kind is RefKind.PART:
-        return _rename_part(model, op)
-    if kind is RefKind.PORT:
-        return _rename_port(model, op)
-    return _rename_connector(model, op)
+    """The rename rule: every name that denotes `op.ref` becomes the new
+    name. That is the element's own declaration, a part type or connector
+    context that names a renamed component, a connector id, and each
+    endpoint segment whose walk reaches the element."""
+    ref, new = op.ref, op.new_name
+    if not is_identifier(new):
+        raise _fail(op, f"invalid name '{new}'")
+    found = _require(model, ref, op)
+    kind, component, part, port = ref.kind, RefKind.COMPONENT, RefKind.PART, RefKind.PORT
+    owner, old = ("", ref.path) if kind is component else ref.split()
 
+    def name(of_kind: RefKind, of_owner: str, text: str) -> str:
+        return new if text == old and ElementRef.member(of_kind, of_owner, text) == ref else text
 
-def _rename_component(model: ArchitectureModel, op: RenameElement):
-    old = op.ref.path
-    new = op.new_name
-    _require_component(model, old, op)
-    connectors = tuple(
-        c._replace(context=new) if c.context == old else c for c in _renamed_paths(model, op)
-    )
-
-    def renamed(c: Component) -> Component:
-        parts = tuple(
-            p._replace(type_component=new) if p.type_component == old else p for p in c.parts
+    def rebuilt(comp: Component) -> Component:
+        return Component(
+            name(component, "", comp.name),
+            (Port(name(port, comp.name, p.name)) for p in comp.ports),
+            (Part(name(part, comp.name, p.role), name(component, "", p.type_component),
+                  p.multiplicity) for p in comp.parts),
         )
-        return c._replace(name=new if c.name == old else c.name, parts=parts)
 
-    # Only the renamed component and those with a part of its type change.
-    components = (
-        renamed(c) if c.name == old or any(p.type_component == old for p in c.parts) else c
-        for c in model.components
+    if kind is RefKind.CONNECTOR:  # no component or endpoint segment denotes a connector
+        components, moved = model.components, model.connectors
+    else:
+        components = tuple(  # a renamed member's owner, or a renamed component and its holders
+            rebuilt(c) if c.name == owner or kind is component
+            and (c.name == old or any(p.type_component == old for p in c.parts)) else c
+            for c in model.components
+        )
+        moved = _rewrite_paths(model, {old}, lambda segments, walked: [
+            new if element == ref else segment for segment, element in zip(segments, walked)
+        ])
+    # Only the id of the connector `ref` names, or a context, can denote `ref`.
+    connectors = tuple(
+        c._replace(id=name(RefKind.CONNECTOR, c.context, c.id), context=name(component, "", c.context))
+        if c is found or c.context == old else c
+        for c in moved
     )
     return ArchitectureModel(components, connectors)
-
-
-def _rename_part(model: ArchitectureModel, op: RenameElement):
-    owner_name, role = op.ref.split()
-    comp = _require_component(model, owner_name, op)
-    part = comp.part(role)
-    if part is None:
-        raise _fail(op, f"no part '{role}' in '{owner_name}'", op.ref)
-    new_comp = comp._replace(
-        parts=tuple(p._replace(role=op.new_name) if p.role == role else p for p in comp.parts),
-    )
-    return ArchitectureModel(_swap_component(model, new_comp), _renamed_paths(model, op))
-
-
-def _rename_port(model: ArchitectureModel, op: RenameElement):
-    owner_name, port_name = op.ref.split()
-    comp = _require_component(model, owner_name, op)
-    if comp.port(port_name) is None:
-        raise _fail(op, f"no port '{port_name}' in '{owner_name}'", op.ref)
-    new_comp = comp._replace(
-        ports=tuple(Port(op.new_name) if p.name == port_name else p for p in comp.ports),
-    )
-    return ArchitectureModel(_swap_component(model, new_comp), _renamed_paths(model, op))
-
-
-def _rename_connector(model: ArchitectureModel, op: RenameElement):
-    conn = model.connector_index.by_ref.get(op.ref)
-    if conn is None:
-        raise _fail(op, f"no connector '{op.ref.path}'", op.ref)
-    connectors = tuple(
-        c._replace(id=op.new_name) if c is conn else c for c in model.connectors
-    )
-    return model._replace(connectors=connectors)
 
 
 def _apply_move_part(model: ArchitectureModel, op: MovePart):
     """The part leaves its owner, then joins the target as the target is
     after that, so a move onto the owner gives back the model unchanged."""
-    source = _require_component(model, op.from_component, op)
-    _require_component(model, op.to_component, op)
-    part = source.part(op.role)
-    if part is None:
-        raise _fail(op, f"no part '{op.role}' in '{op.from_component}'",
-                    ElementRef.part(op.from_component, op.role))
+    source = _require(model, ElementRef.component(op.from_component), op)
+    _require(model, ElementRef.component(op.to_component), op)
+    part = _require(model, ElementRef.part(op.from_component, op.role), op)
     without = source._replace(parts=tuple(p for p in source.parts if p.role != op.role))
     model = model._replace(components=_swap_component(model, without))
     target = model.component(op.to_component)
@@ -255,7 +249,7 @@ def _apply_move_part(model: ArchitectureModel, op: MovePart):
 
 
 def _apply_split(model: ArchitectureModel, op: SplitComponent):
-    target = _require_component(model, op.target, op)
+    target = _require(model, ElementRef.component(op.target), op)
     for name in (op.name_a, op.name_b):
         if not is_identifier(name):
             raise _fail(op, f"invalid component name '{name}'")
@@ -279,21 +273,17 @@ def _apply_split(model: ArchitectureModel, op: SplitComponent):
     if bad:
         raise _fail(op, f"partition sides must be '{op.name_a}' or '{op.name_b}', not {', '.join(bad)}")
 
-    new_a = Component(
-        op.name_a,
-        ports=tuple(p for p in target.ports if side_of[p.name] == op.name_a),
-        parts=tuple(p for p in target.parts if side_of[p.role] == op.name_a),
-    )
-    new_b = Component(
-        op.name_b,
-        ports=tuple(p for p in target.ports if side_of[p.name] == op.name_b),
-        parts=tuple(p for p in target.parts if side_of[p.role] == op.name_b),
-    )
-
-    # Replace every target-typed part anywhere with one part per half.
+    # Replace every target-typed part anywhere with one part per half; each
+    # holder part is kept by its owner in the result and by its ref in the input.
     holders: list[tuple[str, str]] = []  # (owner component, original role)
+    holder_refs: set[ElementRef] = set()
     components: list[Component] = []
-    for comp in [c for c in model.components if c.name != op.target] + [new_a, new_b]:
+    halves = [
+        (op.target, Component(side, (p for p in target.ports if side_of[p.name] == side),
+                              (p for p in target.parts if side_of[p.role] == side)))
+        for side in (op.name_a, op.name_b)
+    ]
+    for origin, comp in [(c.name, c) for c in model.components if c.name != op.target] + halves:
         if not any(p.type_component == op.target for p in comp.parts):
             components.append(comp)
             continue
@@ -301,33 +291,28 @@ def _apply_split(model: ArchitectureModel, op: SplitComponent):
         for part in comp.parts:
             if part.type_component == op.target:
                 holders.append((comp.name, part.role))
+                holder_refs.add(ElementRef.part(origin, part.role))
                 new_parts += (Part(f"{part.role}_{side}", side, part.multiplicity)
                               for side in (op.name_a, op.name_b))
         components.append(comp._replace(parts=tuple(new_parts)))
 
     target_was_top = model.is_top_level(op.target)
     target_ref = ElementRef.component(op.target)
-    holder_refs = {
-        ElementRef.part(c.name, p.role)
-        for c in model.components
-        for p in c.parts
-        if p.type_component == op.target
-    }
 
-    def rewrite_path(conn: Connector, path: EndpointPath) -> EndpointPath:
+    def to_sides(segments: tuple[str, ...], walked: tuple[ElementRef, ...]) -> list[str]:
         """A root path's first segment names the side of its next segment; a
         holder part becomes its replacement on that side."""
-        segments = list(path.segments)
-        for index, element in enumerate(walk_endpoint(model, conn.context, path)):
-            follow = segments[index + 1] if index + 1 < len(segments) else None
-            if element == target_ref and follow in side_of:
-                segments[index] = side_of[follow]
-            elif element in holder_refs and follow in side_of:
-                segments[index] = f"{segments[index]}_{side_of[follow]}"
-        return EndpointPath(tuple(segments))
+        out = list(segments)
+        for index, (element, follow) in enumerate(zip(walked, segments[1:])):
+            if element == target_ref:
+                out[index] = side_of[follow]
+            elif element in holder_refs:
+                out[index] = f"{segments[index]}_{side_of[follow]}"
+        return out
 
+    names = {op.target} | {role for _, role in holders}
     connectors: list[Connector] = []
-    for conn in model.connectors:
+    for conn, moved in zip(model.connectors, _rewrite_paths(model, names, to_sides)):
         if conn.context == op.target:
             # the input is well-formed, so each endpoint starts at a member
             side_left = side_of[conn.left.segments[0]]
@@ -345,9 +330,7 @@ def _apply_split(model: ArchitectureModel, op: SplitComponent):
                     right = EndpointPath((f"{role}_{side_right}",) + conn.right.segments)
                     connectors.append(Connector(cid, owner, left, right, conn.direction))
         else:
-            connectors.append(conn._replace(
-                left=rewrite_path(conn, conn.left), right=rewrite_path(conn, conn.right)
-            ))
+            connectors.append(moved)
     return ArchitectureModel(tuple(components), tuple(connectors))
 
 

@@ -19,8 +19,9 @@ matches, because `marshal.loads` of arbitrary bytes can ask for gigabytes;
 past that check the store is trusted like the working directory it lives
 in. The file is rewritten, through a temporary file and `os.replace`, only
 when an entry was added or dropped, and it keeps only the files of the run
-that wrote it. A directory keeps at most `_KEPT_FILES` store files: each
-write deletes the least recently written beyond that, never its own.
+that wrote it; a run that rewrites nothing touches it. A directory keeps at
+most `_KEPT_FILES` store files: each write deletes the least recently used
+beyond that, never its own.
 """
 
 from __future__ import annotations
@@ -150,9 +151,14 @@ class ResultStore:
         self.added = True
 
     def save(self) -> None:
-        """Write the kept entries if they are not the ones read; a store that
+        """Write the kept entries if they are not the ones read, or else touch
+        the file, so that the cap orders store files by use; a store that
         cannot be written is left as it is."""
         if not self.added and len(self.kept) == len(self.entries):
+            try:
+                os.utime(self.path)
+            except OSError:
+                pass
             return
         payload = marshal.dumps(self.kept)
         temp = self.path.with_name(f"{self.path.name}.{os.getpid()}")

@@ -96,6 +96,30 @@ def test_only_the_lexer_turns_an_offset_into_a_line() -> None:
     ]
 
 
+def test_one_existence_rule_and_one_path_rewriter_in_refactor() -> None:
+    """`refactor._require` is the only function that words a missing
+    element, and `refactor._rewrite_paths` the only one that names
+    `walk_endpoint`; a nested function counts as the one it is in."""
+    missing = re.compile(r"unknown component|no (part|port|connector|\{\})")
+    tree = ast.parse((Path(archlint.__file__).parent / "refactor.py").read_text(encoding="utf-8"))
+    words, walks = set(), set()
+    for top in tree.body:
+        where = getattr(top, "name", "<module>")
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name) and node.id == "walk_endpoint" and isinstance(node.ctx, ast.Load):
+                walks.add(where)
+            if isinstance(node, ast.JoinedStr):
+                text = "".join(v.value if isinstance(v, ast.Constant) else "{}" for v in node.values)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                text = node.value
+            else:
+                continue
+            if missing.match(text):
+                words.add(where)
+    assert words == {"_require"}
+    assert walks == {"_rewrite_paths"}
+
+
 def test_each_token_table_is_compiled_in_its_own_module() -> None:
     """`lexer.py` defines no table and names no language: `JAVA` and
     `JAVA_SKIM` are compiled only in `java.py`, `PRAGMA` only in

@@ -1,7 +1,6 @@
 import random
 from collections import Counter
 from pathlib import Path
-from typing import get_args
 
 import pytest
 
@@ -115,13 +114,13 @@ def test_op_text_round_trips() -> None:
     )
     rng = random.Random(53)
     drawn = [op for _ in range(500) for op in random_op_sequence(rng, random_model(rng))[0]]
-    assert {type(op) for op in drawn} == set(get_args(RefactoringOp))
+    assert {type(op) for op in drawn} == {row.cls for row in OPERATIONS}
     for op in ops + tuple(drawn):
         assert parse_plan(op_text(op)).ops == (op,)
 
 
 def test_every_operation_has_one_table_row() -> None:
-    assert [row.cls for row in OPERATIONS] == list(get_args(RefactoringOp))
+    assert [row.cls for row in OPERATIONS] == RefactoringOp.__subclasses__()
     assert len({row.name for row in OPERATIONS}) == len(OPERATIONS)
     for row in OPERATIONS:
         rest = [arg.rest for arg in row.args]
@@ -600,6 +599,59 @@ def test_unreached_preconditions_give_their_reason_and_ref(
         apply_op(desktop_arch if model == "desktop" else model, op)
     assert exc.value.reason == reason
     assert exc.value.ref == ref
+
+
+# Each operation's refusal of a step that names an element the desktop
+# architecture does not declare: (op, reason, ref path or None).
+_MISSING = [
+    (AddPort("Ghost", "p"), "unknown component 'Ghost'", "Ghost"),
+    (RemovePort("Ghost", "api"), "unknown component 'Ghost'", "Ghost"),
+    (RemovePort("Model", "ghost"), "no port 'ghost' in 'Model'", "Model#ghost"),
+    (
+        AddConnector("c9", "Ghost", _ep("a.p"), _ep("b.q"), Direction.LEFT),
+        "resulting model is not well-formed: connector 'c9' declared in unknown component 'Ghost'",
+        "Ghost/c9",
+    ),
+    (
+        AddConnector("c9", "System", _ep("ghost.api"), _ep("query.access"), Direction.LEFT),
+        "resulting model is not well-formed: connector 'c9': cannot resolve 'ghost.api' in "
+        "context System: no part 'ghost' in component 'System'",
+        "System/c9",
+    ),
+    (
+        AddConnector("c9", "System", _ep("model.ghost"), _ep("query.access"), Direction.LEFT),
+        "resulting model is not well-formed: connector 'c9': cannot resolve 'model.ghost' in "
+        "context System: no port or part 'ghost' in component 'Model'",
+        "System/c9",
+    ),
+    (RemoveConnector("ghost"), "no connector with id 'ghost'", None),
+    (SplitComponent("Ghost", "A", "B", {}), "unknown component 'Ghost'", "Ghost"),
+    (RenameElement(parse_ref("Ghost"), "X"), "unknown component 'Ghost'", "Ghost"),
+    (RenameElement(parse_ref("Ghost.model"), "x"), "unknown component 'Ghost'", "Ghost"),
+    (RenameElement(parse_ref("Ghost#api"), "x"), "unknown component 'Ghost'", "Ghost"),
+    (RenameElement(parse_ref("Ghost/c_ui"), "x"), "no connector 'Ghost/c_ui'", "Ghost/c_ui"),
+    (RenameElement(parse_ref("System.ghost"), "x"), "no part 'ghost' in 'System'", "System.ghost"),
+    (RenameElement(parse_ref("Model#ghost"), "x"), "no port 'ghost' in 'Model'", "Model#ghost"),
+    (RenameElement(parse_ref("System/ghost"), "x"), "no connector 'System/ghost'", "System/ghost"),
+    (RenameElement(parse_ref("/c_ui"), "x"), "no connector '/c_ui'", "/c_ui"),
+    (MovePart("model", "Ghost", "Phantom"), "unknown component 'Ghost'", "Ghost"),
+    (MovePart("ghost", "System", "Phantom"), "unknown component 'Phantom'", "Phantom"),
+    (MovePart("ghost", "System", "Model"), "no part 'ghost' in 'System'", "System.ghost"),
+]
+
+
+@pytest.mark.parametrize("op, reason, ref", _MISSING, ids=[op_text(case[0]) for case in _MISSING])
+def test_a_missing_element_is_refused_with_its_reason_and_ref(
+    desktop_arch: ArchitectureModel, op, reason: str, ref: str | None
+) -> None:
+    """Every operation refuses a step that names an element the input does
+    not declare: an unknown component, an unknown owner of a part, port or
+    connector, or a missing part, port or connector. A move checks its
+    source, then its target, then the part."""
+    with pytest.raises(PreconditionError) as exc:
+        apply_op(desktop_arch, op)
+    assert exc.value.reason == reason
+    assert exc.value.ref == (None if ref is None else parse_ref(ref))
 
 
 def test_post_validation_names_the_breakage(car_arch: ArchitectureModel) -> None:

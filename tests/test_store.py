@@ -246,6 +246,34 @@ def test_a_store_directory_keeps_the_most_recently_written_files(
     assert len(kept()) == store._KEPT_FILES
 
 
+def test_the_store_cap_drops_the_least_recently_used_file(tmp_path: Path, monkeypatch) -> None:
+    """A run whose every file hits writes nothing but still counts as a use:
+    a store used before each of `_KEPT_FILES` writes under other configs
+    outlives them all."""
+    roots, directory = [Path(__file__).parent / "data" / "car" / "src"], tmp_path / "store"
+    used = ScanConfig()
+    extracted: list[str] = []
+    for module, name in ((java, "extract_attributes"), (pragma, "extract_pragmas")):
+        def counted(text: str, path: str, *rest, _original=getattr(module, name)):
+            extracted.append(path)
+            return _original(text, path, *rest)
+
+        monkeypatch.setattr(module, name, counted)
+    scan_tree(roots, used, directory)
+    assert extracted
+    path = store.ResultStore(directory, roots, used.semantic_fingerprint()).path
+    os.utime(path, ns=(10**9, 10**9))  # the write order, whatever the clock
+    for n in range(store._KEPT_FILES):
+        scan_tree(roots, used, directory)
+        other = ScanConfig(exclude=[f"nothing{n}"])
+        scan_tree(roots, other, directory)
+        written = store.ResultStore(directory, roots, other.semantic_fingerprint()).path
+        os.utime(written, ns=((n + 2) * 10**9, (n + 2) * 10**9))
+    extracted.clear()
+    scan_tree(roots, used, directory)
+    assert extracted == []
+
+
 def test_an_unreadable_file_is_never_stored(tmp_path: Path, monkeypatch) -> None:
     base, directory = tmp_path / "tree", tmp_path / "store"
     check = _tree(base, 6)[0]
