@@ -338,9 +338,23 @@ class CodeModel(
         instances: Iterable[AnnotationInstance],
         findings: Iterable[Finding] = (),
         config_fingerprint: str = "",
+        compact_json: str | None = None,
     ) -> CodeModel:
+        """The model of these instances and findings; `compact_json`, when
+        given, is its `compact_json`, already written."""
         ordered = tuple(sorted(instances, key=lambda x: x.sort_key()))
-        return cls(ordered, tuple(sort_findings(findings)), config_fingerprint)
+        code = cls(ordered, tuple(sort_findings(findings)), config_fingerprint)
+        if compact_json is not None:
+            code.__dict__["compact_json"] = compact_json  # where the cached_property keeps it
+        return code
+
+    @cached_property
+    def compact_json(self) -> str:
+        """The compact JSON of the model (`jsontext.code_model` at depth None),
+        which the report fingerprint hashes."""
+        from . import jsontext
+
+        return jsontext.code_model(self, None)
 
     @cached_property
     def by_kind(self) -> Mapping[AnnotationKind, tuple[AnnotationInstance, ...]]:

@@ -40,13 +40,26 @@ def _read_text(path: Path, what: str) -> str:
         raise _CliError(f"cannot read {what} '{path}': {err}") from err
 
 
-def _load_architecture(path_text: str) -> ArchitectureModel:
-    path = Path(path_text)
+def _load_architecture(args: argparse.Namespace) -> ArchitectureModel:
+    """The model `--arch` describes; with a store, the one stored for its
+    text, and a newly parsed model is stored."""
+    path = Path(args.arch)
     text = _read_text(path, "architecture")
+    stored = None
+    if args.store is not None:
+        from .store import ArchitectureStore
+
+        stored = ArchitectureStore(args.store, text)
+        model = stored.get()
+        if model is not None:
+            return model
     try:
-        return parse_architecture(text)
+        model = parse_architecture(text)
     except AdlParseError as err:
         raise _CliError(f"{path}: {err}") from err
+    if stored is not None:
+        stored.put(model)
+    return model
 
 
 def _load_configs(args: argparse.Namespace) -> tuple[ScanConfig, SmellConfig]:
@@ -114,7 +127,7 @@ def _exit_for(findings: Iterable[Finding], fail_on: str) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    arch = _load_architecture(args.arch)
+    arch = _load_architecture(args)
     scan_cfg, _ = _load_configs(args)
     code = _scan(args, scan_cfg)
     report = run_all(arch, code)
@@ -138,7 +151,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
 def cmd_smells(args: argparse.Namespace) -> int:
     from .smells import run_smells
 
-    arch = _load_architecture(args.arch)
+    arch = _load_architecture(args)
     scan_cfg, smell_cfg = _load_configs(args)
     code = _scan(args, scan_cfg)
     findings = run_smells(arch, code, smell_cfg)
@@ -147,7 +160,7 @@ def cmd_smells(args: argparse.Namespace) -> int:
 
 
 def cmd_lookup(args: argparse.Namespace) -> int:
-    arch = _load_architecture(args.arch)
+    arch = _load_architecture(args)
     scan_cfg, _ = _load_configs(args)
     code = _scan(args, scan_cfg)
     try:
@@ -201,7 +214,7 @@ def cmd_refactor(args: argparse.Namespace) -> int:
     from .refactor import apply_plan, parse_plan
 
     arch_path = Path(args.arch)
-    arch = _load_architecture(args.arch)
+    arch = _load_architecture(args)
     scan_cfg, _ = _load_configs(args)
     code = _scan(args, scan_cfg)
     plan_path = Path(args.plan)
@@ -227,7 +240,7 @@ def cmd_refactor(args: argparse.Namespace) -> int:
 def cmd_scaffold(args: argparse.Namespace) -> int:
     from .scaffold import write_scaffold
 
-    arch = _load_architecture(args.arch)
+    arch = _load_architecture(args)
     try:
         written = write_scaffold(arch, Path(args.out))
     except OSError as err:

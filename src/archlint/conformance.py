@@ -28,7 +28,6 @@ import hashlib
 from collections import Counter, namedtuple
 from typing import Iterable
 
-from . import jsontext
 from .adl import serialize_architecture
 from .annotations import (
     AnnotationInstance,
@@ -318,10 +317,9 @@ def report_fingerprint(arch: ArchitectureModel, code: CodeModel) -> str:
     """SHA-256 over the serialized architecture, the compact canonical JSON of
     the code model (the record `extract --format json` prints), and the scan
     configuration's fingerprint."""
-    model = jsontext.code_model(code, None)
     digest = hashlib.sha256()
     digest.update(serialize_architecture(arch).encode("utf-8"))
-    digest.update(model.encode("utf-8"))
+    digest.update(code.compact_json.encode("utf-8"))
     digest.update(code.config_fingerprint.encode("utf-8"))
     return digest.hexdigest()
 

@@ -136,6 +136,13 @@ def code_model(code: CodeModel, depth: int | None) -> str:
     )
 
 
+def compact_code_model(findings: Sequence[str], instances: Sequence[str]) -> str:
+    """The compact code model of findings and instances already written
+    compact and in the model's order, each item one or more records joined
+    by commas."""
+    return template(CODE_MODEL, None) % (array(findings, None), array(instances, None), _quote(VERSION))
+
+
 def dump_code_model(code: CodeModel) -> str:
     """The indented code model document; byte-identical for equal models."""
     return code_model(code, 0) + "\n"

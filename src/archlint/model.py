@@ -194,7 +194,9 @@ class ElementRef(namedtuple("ElementRef", "kind path")):
         return cls(_CONNECTOR, f"{context}/{cid}")
 
     def split(self) -> tuple[str, str]:
-        """Owner/member pair for PART, PORT, CONNECTOR refs."""
+        """The (owner, name) pair `member` takes: a part's, port's or
+        connector's owner (a connector's context) and name, or "" and a
+        component's name."""
         if self.kind is _PART:
             owner, _, member = self.path.rpartition(".")
         elif self.kind is _PORT:
@@ -202,7 +204,7 @@ class ElementRef(namedtuple("ElementRef", "kind path")):
         elif self.kind is _CONNECTOR:
             owner, _, member = self.path.partition("/")
         else:
-            return (self.path, "")
+            return ("", self.path)
         return (owner, member)
 
 

@@ -133,9 +133,10 @@ def _require(model: ArchitectureModel, ref: ElementRef, op: RefactoringOp):
             raise _fail(op, f"no connector '{ref.path}'", ref)
         return found
     owner, name = ref.split()
-    comp = model.component(owner)
+    component = name if kind is RefKind.COMPONENT else owner
+    comp = model.component(component)
     if comp is None:
-        raise _fail(op, f"unknown component '{owner}'", ElementRef.component(owner))
+        raise _fail(op, f"unknown component '{component}'", ElementRef.component(component))
     if kind is RefKind.COMPONENT:
         return comp
     found = comp.part(name) if kind is RefKind.PART else comp.port(name)
@@ -202,7 +203,7 @@ def _apply_rename(model: ArchitectureModel, op: RenameElement):
         raise _fail(op, f"invalid name '{new}'")
     found = _require(model, ref, op)
     kind, component, part, port = ref.kind, RefKind.COMPONENT, RefKind.PART, RefKind.PORT
-    owner, old = ("", ref.path) if kind is component else ref.split()
+    owner, old = ref.split()
 
     def name(of_kind: RefKind, of_owner: str, text: str) -> str:
         return new if text == old and ElementRef.member(of_kind, of_owner, text) == ref else text

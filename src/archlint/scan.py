@@ -20,17 +20,20 @@ from __future__ import annotations
 
 from collections import namedtuple
 from pathlib import Path
+from stat import S_ISREG
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
+import errno
 import fnmatch
 import hashlib
 import os
 
+from . import jsontext
 from .annotations import PRAGMA_LEADERS, AnnotationInstance, CodeModel, validate_targets
 from .errors import ConfigError
 from .findings import SMELL_IDS, Finding, SourceLocation, finding
 
 if TYPE_CHECKING:
-    from .store import ResultStore
+    from .store import ResultStore, Stat
 
 _CONFIG_KEYS = frozenset(
     {
@@ -156,15 +159,19 @@ def _front_end(config: ScanConfig, suffix: str) -> str | None:
     return None
 
 
+# The errors after which `Path.is_file` says False: the file is gone.
+_GONE = (errno.ENOENT, errno.ENOTDIR, errno.EBADF, errno.ELOOP)
+
+
 def _excluded(relpath: str, patterns: tuple[str, ...]) -> bool:
     return any(fnmatch.fnmatch(relpath, pat) for pat in patterns)
 
 
 def _walk_root(
     root: Path, exclude: tuple[str, ...], skip: str = ""
-) -> Iterator[tuple[str, Path]]:
-    """(relative posix path, path) of every file under root that no exclude
-    pattern matches.
+) -> Iterator[tuple[str, Path, os.stat_result]]:
+    """(relative posix path, path, stat) of every file under root that no
+    exclude pattern matches.
 
     Symlinked files are kept, symlinked directories are not entered, and
     unreadable directories are skipped. A directory is not entered when a
@@ -184,18 +191,26 @@ def _walk_root(
             ]
         for name in filenames:
             rel = prefix + name
+            if _excluded(rel, exclude):
+                continue
             path = Path(dirpath, name)
-            if path.is_file() and not _excluded(rel, exclude):
-                yield rel, path
+            try:
+                stat = os.stat(path)
+            except OSError as err:
+                if err.errno in _GONE:
+                    continue
+                raise
+            if S_ISREG(stat.st_mode):
+                yield rel, path, stat
 
 
 def _collect_files(
     roots: Iterable[Path], config: ScanConfig, store: Path | None = None
-) -> list[tuple[str, Path]]:
-    """(relative posix path, path) pairs of every root, sorted by relative
-    path and then root order; a directory given twice is walked once, and
-    the resolved `store` directory not at all."""
-    out: list[tuple[str, Path]] = []
+) -> list[tuple[str, Path, os.stat_result]]:
+    """(relative posix path, path, stat) of every file of every root, sorted
+    by relative path and then root order; a directory given twice is walked
+    once, and the resolved `store` directory not at all."""
+    out: list[tuple[str, Path, os.stat_result]] = []
     seen: set[Path] = set()
     for root in roots:
         root = Path(root)
@@ -214,21 +229,29 @@ def _collect_files(
 
 
 def _scan_file(
-    rel: str, path: Path, config: ScanConfig, results: ResultStore | None
-) -> tuple[list[AnnotationInstance], list[Finding]]:
+    rel: str, path: Path, stat: Stat | None, config: ScanConfig, results: ResultStore | None
+) -> tuple[list[AnnotationInstance], list[Finding], str, str]:
+    """A file's instances and findings, and with `results` their JSON
+    fragments (`store.fragments`; empty without `results`)."""
     front_end = _front_end(config, path.suffix)
     if front_end is None:
-        return ([], [])
+        return ([], [], "", "")
+    if results is not None and stat is not None:
+        stored = results.unchanged(rel, front_end, stat)
+        if stored is not None:
+            return stored
     try:
         text = path.read_text(encoding="utf-8", errors="replace")
     except OSError as err:
-        return (
-            [],
-            [finding("IO_ERROR", f"cannot read file: {err}", locations=[SourceLocation(rel, 0, 0)])],
-        )
+        findings = [finding("IO_ERROR", f"cannot read file: {err}", locations=[SourceLocation(rel, 0, 0)])]
+        if results is None:
+            return ([], findings, "", "")
+        from .store import fragments
+
+        return ([], findings, *fragments([], findings))
     if results is not None:
         key = (rel, front_end, hashlib.sha256(text.encode()).digest())
-        stored = results.get(key)
+        stored = results.get(key, stat)
         if stored is not None:
             return stored
     # A front-end's function is looked up on its module at each call, so
@@ -244,8 +267,8 @@ def _scan_file(
     for inst in instances:
         findings.extend(validate_targets(inst))
     if results is not None:
-        results.put(key, (instances, findings))
-    return (instances, findings)
+        return results.put(key, stat, instances, findings)
+    return (instances, findings, "", "")
 
 
 def scan_tree(
@@ -254,9 +277,12 @@ def scan_tree(
     """Scan source roots into a CodeModel; unreadable files become IO_ERROR findings.
 
     With `store`, a directory, each file's result is kept there and an
-    unchanged file is not extracted again (`archlint.store`). The model is
-    the one a scan without it gives, except that the store directory is
-    never scanned, even when it lies under a root.
+    unchanged file is not extracted again (`archlint.store`), nor read when
+    its stat shows it unchanged. The model is the one a scan without it
+    gives, except that the store directory is never scanned, even when it
+    lies under a root. Its `compact_json` is then joined from each file's
+    fragments, unless two roots share a relative path: their files'
+    instances interleave in the model's order.
     """
     config = config or ScanConfig()
     root_paths = [Path(r) for r in roots]
@@ -266,12 +292,27 @@ def scan_tree(
         from .store import ResultStore
 
         results = ResultStore(store, root_paths, config.semantic_fingerprint())
+    shared = {a[0] for a, b in zip(files, files[1:]) if a[0] == b[0]}
     instances: list[AnnotationInstance] = []
     findings: list[Finding] = []
-    for rel, path in files:
-        file_instances, file_findings = _scan_file(rel, path, config, results)
+    instances_json: list[str] = []
+    findings_json: list[str] = []
+    for rel, path, st in files:
+        stat = None
+        if results is not None and rel not in shared:
+            stat = (st.st_size, st.st_mtime_ns, st.st_ctime_ns, st.st_ino, st.st_dev)
+        file_instances, file_findings, file_instances_json, file_findings_json = _scan_file(
+            rel, path, stat, config, results
+        )
         instances.extend(file_instances)
         findings.extend(file_findings)
+        if file_instances_json:
+            instances_json.append(file_instances_json)
+        if file_findings_json:
+            findings_json.append(file_findings_json)
+    compact_json = None
     if results is not None:
         results.save()
-    return CodeModel.build(instances, findings, config.semantic_fingerprint())
+        if not shared:
+            compact_json = jsontext.compact_code_model(findings_json, instances_json)
+    return CodeModel.build(instances, findings, config.semantic_fingerprint(), compact_json)

@@ -459,18 +459,8 @@ def inverse_of(op: RefactoringOp, before: ArchitectureModel) -> RefactoringOp | 
     if isinstance(op, MovePart):
         return MovePart(op.role, op.to_component, op.from_component)
     if isinstance(op, RenameElement):
-        ref = op.ref
-        kind = ref.kind.value
-        if kind == "component":
-            return RenameElement(ElementRef.component(op.new_name), ref.path)
-        if kind == "part":
-            owner, role = ref.split()
-            return RenameElement(ElementRef.part(owner, op.new_name), role)
-        if kind == "port":
-            owner, port = ref.split()
-            return RenameElement(ElementRef.port(owner, op.new_name), port)
-        context, cid = ref.split()
-        return RenameElement(ElementRef.connector(context, op.new_name), cid)
+        owner, name = op.ref.split()
+        return RenameElement(ElementRef.member(op.ref.kind, owner, op.new_name), name)
     return None
 
 
@@ -492,13 +482,8 @@ def colliding_op(rng: random.Random, model: ArchitectureModel) -> RefactoringOp 
     if pick in ("rename_self", "rename_taken"):
         refs = sorted(list_elements(model), key=ElementRef.sort_key)
         ref = rng.choice(refs)
-        if ref.kind is RefKind.COMPONENT:
-            own, taken = ref.path, [c.name for c in comps]
-        elif ref.kind is RefKind.CONNECTOR:
-            own, taken = ref.split()[1], [c.id for c in conns]
-        else:
-            own = ref.split()[1]
-            taken = [r.split()[1] for r in refs if r.kind is ref.kind]
+        own = ref.split()[1]
+        taken = [r.split()[1] for r in refs if r.kind is ref.kind]
         return RenameElement(ref, own if pick == "rename_self" else rng.choice(taken))
     if pick == "add_port":
         if not comp.ports:

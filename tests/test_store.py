@@ -18,9 +18,12 @@ import itertools
 import marshal
 import os
 import random
+import re
 import shutil
 import subprocess
 import sys
+import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -29,9 +32,11 @@ from hypothesis import strategies as st
 
 import archlint
 from annotation_grid import grid_cases
-from archlint import cli, java, pragma, store
+from archlint import adl, cli, java, jsontext, pragma, store
 from archlint.adl import serialize_architecture
-from archlint.scaffold import write_scaffold
+from archlint.conformance import report_fingerprint
+from archlint.model import ArchitectureModel
+from archlint.scaffold import scaffold_architecture, write_scaffold
 from archlint.scan import ScanConfig, _collect_files, _front_end, load_config_file, scan_tree
 from java_oracle import FRAGMENTS
 from modelgen import random_model
@@ -105,7 +110,7 @@ def _claimed(base: Path) -> list[tuple[str, str, bytes]]:
     front-end claims."""
     roots, config = _roots_and_config(base)
     keys = []
-    for rel, path in _collect_files(roots, config):
+    for rel, path, _ in _collect_files(roots, config):
         front_end = _front_end(config, path.suffix)
         if front_end is not None:
             text = path.read_text(encoding="utf-8", errors="replace")
@@ -192,8 +197,8 @@ def test_a_store_written_by_another_archlint_is_a_miss(tmp_path: Path, monkeypat
     commands = _tree(base, 4)
     _run(commands[0], directory)
     lying = _stored(base, directory)
-    lying.kept = {key: ((), ()) for key in lying.entries}
-    lying.added = True
+    lying.kept = {key: ((), (), "", "", entry[4]) for key, entry in lying.entries.items()}
+    lying.changed = True
     lying.save()
     assert _run(commands[2], directory) != _run(commands[2])
     lying.header = lying.header[:-32] + hashlib.sha256(b"another archlint").digest()
@@ -221,9 +226,10 @@ def test_a_store_directory_keeps_the_most_recently_written_files(
 ) -> None:
     """With more configs than `store._KEPT_FILES`, each write keeps its own
     store file and the most recently written others, even when those carry
-    a later time; a config whose file was dropped is a miss, not an error."""
+    a later time; a config whose file was dropped is a miss, not an error.
+    (`extract` reads no `.arch`, so every store file here holds results.)"""
     base, directory = tmp_path / "tree", tmp_path / "store"
-    check = _tree(base, 12)[0]
+    extract = _tree(base, 12)[2]
     written: list[str] = []
 
     def kept() -> list[str]:
@@ -231,7 +237,7 @@ def test_a_store_directory_keeps_the_most_recently_written_files(
 
     for n in range(store._KEPT_FILES + 3):
         _write(base / "archlint.conf", f"exclude = nothing{n}\n")
-        _run(check, directory)
+        _run(extract, directory)
         path = _stored(base, directory).path
         os.utime(path, ns=(n * 10**9, n * 10**9))  # the write order, whatever the clock
         written.append(path.name)
@@ -240,7 +246,7 @@ def test_a_store_directory_keeps_the_most_recently_written_files(
         os.utime(directory / name, ns=(2**62, 2**62))
     _write(base / "archlint.conf", "exclude = nothing0\n")
     every_file = sorted(rel for rel, _, _ in _claimed(base))
-    assert _assert_as_cold(base, check, directory, monkeypatch) == every_file
+    assert _assert_as_cold(base, extract, directory, monkeypatch) == every_file
     newest = _stored(base, directory).path.name
     assert newest == written[0] and newest in kept()
     assert len(kept()) == store._KEPT_FILES
@@ -286,12 +292,16 @@ def test_an_unreadable_file_is_never_stored(tmp_path: Path, monkeypatch) -> None
             raise OSError("unreadable")
         return read_text(path, *args, **kwargs)
 
+    # Taking read access away changes the file's ctime, so its stat no longer
+    # matches its entry. (Root reads a file whatever its mode, hence `failing`.)
+    unreadable.chmod(0o200)
     with monkeypatch.context() as patched:
         patched.setattr(Path, "read_text", failing)
         cold = _run(check)
         assert "IO_ERROR" in cold[1]
         assert _run(check, directory) == cold
         assert not [key for key in _stored(base, directory).entries if key[0] == "bytes.txt"]
+    unreadable.chmod(0o644)
     assert _assert_as_cold(base, check, directory, monkeypatch) == ["bytes.txt"]
 
 
@@ -306,6 +316,294 @@ def test_cli_main_and_scan_tree_write_nothing_in_the_working_directory(
         _run(argv)
     scan_tree([tmp_path / "tree" / "one"])
     assert list(cwd.iterdir()) == []
+
+
+# --- the architecture, the stat rule and the fingerprint -----------------------
+
+
+def _counting_parsers(monkeypatch) -> list[str]:
+    """Record each `.arch` text the ADL parser lexes from now on."""
+    parsed: list[str] = []
+    init = adl._Parser.__init__
+
+    def counted(self, text: str) -> None:
+        parsed.append(text)
+        init(self, text)
+
+    monkeypatch.setattr(adl._Parser, "__init__", counted)
+    return parsed
+
+
+def _store_reads(base: Path, argv: list[str], directory: Path, monkeypatch) -> list[str]:
+    """The source files a run with the store reads; asserts that it prints
+    what a run without the store prints."""
+    reads: list[str] = []
+    read_text = Path.read_text
+
+    def counted(path: Path, *args, **kwargs) -> str:
+        if path.is_relative_to(base / "one") or path.is_relative_to(base / "two"):
+            reads.append(str(path))
+        return read_text(path, *args, **kwargs)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(Path, "read_text", counted)
+        with_store = _run(argv, directory)
+    assert with_store == _run(argv), argv
+    return reads
+
+
+def test_an_edited_and_restored_architecture_prints_what_it_prints_cold(
+    tmp_path: Path, monkeypatch
+) -> None:
+    """Each command reads its `.arch` from the store once it has been parsed:
+    after an edit the first run parses and stores the new text, and after
+    the edit is undone the first text's entry is read again."""
+    base, directory = tmp_path / "tree", tmp_path / "store"
+    commands = [argv for argv in _tree(base, 13) if argv[0] != "extract"]
+    arch = base / "app.arch"
+    first = arch.read_text()
+    edited = first + "\ncomponent Zz_edit {\n    port p;\n}\n"
+    parsed = _counting_parsers(monkeypatch)
+    for text, stored in ((first, False), (edited, False), (first, True)):
+        _write(arch, text)
+        for n, argv in enumerate(commands):
+            parsed.clear()
+            with_store = _run(argv, directory)
+            assert parsed == ([] if stored or n else [text]), argv
+            assert with_store == _run(argv), argv
+        assert store.ArchitectureStore(directory, text).get() is not None
+
+
+@pytest.mark.parametrize("bad", ["component A { port p; port p; }\n", "component A { port }\n"])
+def test_an_architecture_that_fails_to_parse_stores_nothing(tmp_path: Path, bad: str) -> None:
+    base, directory = tmp_path / "tree", tmp_path / "store"
+    check = _tree(base, 14)[0]
+    _write(base / "app.arch", bad)
+    cold = _run(check)
+    assert cold[0] == 2
+    assert _run(check, directory) == cold
+    assert not directory.exists()
+
+
+# A component with a port, a part of each multiplicity shape and a
+# connector, so that each field of the stored model has a value to replace.
+_WIRED = """
+component Zz_wired {
+    port p;
+    part q: Zz_wired_t;
+    part s: Zz_wired_t [*];
+    connector c: p -> q.r;
+}
+
+component Zz_wired_t {
+    port r;
+}
+"""
+
+
+def _arch_shapes(packed: tuple) -> list[object]:
+    """Payloads of the wrong shape: not a tuple of the text's digest, its
+    components and its connectors, or one whose `Zz_wired` component, its
+    first port or part, or its connector has a field of another type, a
+    field too few, or a name the model declares twice."""
+    digest, components, connectors = packed
+    odd = {str: (0, None, b"x"), tuple: ([], "x", None, (0,)), int: ("1", 1.5, True),
+           type(None): ("*",)}
+
+    def component(record: tuple) -> tuple:
+        at = next(i for i, c in enumerate(components) if c[0] == "Zz_wired")
+        return (digest, (*components[:at], record, *components[at + 1 :]), connectors)
+
+    def connector(record: tuple) -> tuple:
+        at = next(i for i, c in enumerate(connectors) if c[0] == "c")
+        return (digest, components, (*connectors[:at], record, *connectors[at + 1 :]))
+
+    def variants(record: tuple):
+        for i, field in enumerate(record):
+            for value in odd[type(field)]:
+                yield (*record[:i], value, *record[i + 1 :])
+        yield record[:-1]
+
+    shapes: list[object] = [None, [], (), packed[:2], (*packed, 0), list(packed),
+                            (hashlib.sha256(b"another text").digest(), components, connectors)]
+    wired = next(c for c in components if c[0] == "Zz_wired")
+    name, ports, parts = wired
+    shapes += [component(bad) for bad in variants(wired)]
+    shapes += [component((name, bad, parts)) for bad in ((0,), ("p", 0), ["p"], (ports[0],) * 2)]
+    for part in parts:
+        shapes += [component((name, ports, (bad, *parts[1:]))) for bad in variants(part)]
+    wire = next(c for c in connectors if c[0] == "c")
+    shapes += [connector(bad) for bad in variants(wire)]
+    shapes += [connector((*wire[:2], (0,), *wire[3:])), connector((*wire[:4], "LEFTWARD"))]
+    return shapes
+
+
+def test_a_hostile_foreign_or_truncated_architecture_entry_is_a_miss(
+    tmp_path: Path, monkeypatch
+) -> None:
+    """Each is parsed again, and prints what a run without the store prints."""
+    base, directory = tmp_path / "tree", tmp_path / "store"
+    check = _tree(base, 15)[0]
+    _write(base / "app.arch", (base / "app.arch").read_text() + _WIRED)
+    cold = _run(check)
+    assert cold[0] != 2
+    _run(check, directory)
+    entry = store.ArchitectureStore(directory, (base / "app.arch").read_text())
+    good = entry.path.read_bytes()
+    start = len(entry.header) + 32
+    foreign = store._ARCH_MAGIC + hashlib.sha256(b"another archlint").digest()
+    shapes = _arch_shapes(marshal.loads(good[start:]))
+    assert len(shapes) > 40
+    variants = [b"", b"\0" * start, foreign + good[len(foreign) :]]
+    variants += [good[:cut] for cut in range(0, len(good), max(1, len(good) // 20))]
+    variants += [entry.header + hashlib.sha256(p).digest() + p for p in map(marshal.dumps, shapes)]
+    parsed = _counting_parsers(monkeypatch)
+    for data in variants:
+        entry.path.write_bytes(data)
+        parsed.clear()
+        assert _run(check, directory) == cold
+        assert len(parsed) == 1
+        assert entry.get() is not None  # the miss stored the parse again
+    parsed.clear()
+    assert _run(check, directory) == cold
+    assert parsed == []
+
+
+def test_a_same_size_edit_that_puts_the_mtime_back_is_seen(tmp_path: Path, monkeypatch) -> None:
+    """An edit that keeps a file's size and restores its mtime with `os.utime`
+    still moves its ctime, so the file is read, hashed and extracted again;
+    an unchanged file is not even read, unless another root holds a file of
+    its relative path."""
+    base, directory = tmp_path / "tree", tmp_path / "store"
+    commands = _tree(base, 16)
+    roots, config = _roots_and_config(base)
+    rels = [{rel for rel, _, _ in _collect_files([root], config)} for root in roots]
+    shared = sorted(str(root / rel) for root in roots for rel in rels[0] & rels[1])
+    assert shared
+    target = sorted((base / "one" / "scaffold").iterdir())[-1]
+    assert str(target) not in shared
+    time.sleep(0.05)  # so that each file's ctime is older than the store's clock
+    for argv in commands:
+        _assert_as_cold(base, argv, directory, monkeypatch)
+    for argv in commands:
+        assert sorted(_store_reads(base, argv, directory, monkeypatch)) == shared
+    before = target.stat()
+    text = target.read_text()
+    edited = text.replace("skeleton", "skeletoN", 1)
+    assert edited != text and len(edited) == len(text)
+    target.write_text(edited)
+    os.utime(target, ns=(before.st_atime_ns, before.st_mtime_ns))
+    after = target.stat()
+    assert (after.st_size, after.st_mtime_ns, after.st_ino) == (
+        before.st_size, before.st_mtime_ns, before.st_ino
+    )
+    assert sorted(_store_reads(base, commands[0], directory, monkeypatch)) == sorted([*shared, str(target)])
+    _write(target, text)
+    os.utime(target, ns=(before.st_atime_ns, before.st_mtime_ns))
+    assert _assert_as_cold(base, commands[0], directory, monkeypatch) == [f"scaffold/{target.name}"]
+
+
+def test_a_racy_entry_is_read_and_hashed_again(tmp_path: Path, monkeypatch) -> None:
+    """A file changed no earlier than the store's clock, as read before the
+    run that stored it, could change again within the same clock tick and
+    keep its stat; so its entry is trusted only by its digest."""
+    base, directory = tmp_path / "tree", tmp_path / "store"
+    check = _tree(base, 17)[0]
+    roots, config = _roots_and_config(base)
+    files = [p for root in roots for p in root.rglob("*") if p.is_file()]
+    changed = {str(p): max(p.stat().st_mtime_ns, p.stat().st_ctime_ns) for p in files}
+    clock = max(changed.values())
+    with monkeypatch.context() as patched:
+        patched.setattr(store, "_clock", lambda directory: clock)
+        _assert_as_cold(base, check, directory, monkeypatch)
+    rels = [{rel for rel, _, _ in _collect_files([root], config)} for root in roots]
+    shared = {str(root / rel) for root in roots for rel in rels[0] & rels[1]}
+    racy = sorted({path for path, at in changed.items() if at >= clock} | shared)
+    for _ in range(2):  # a re-hash that finds the same text rewrites nothing
+        assert sorted(_store_reads(base, check, directory, monkeypatch)) == racy
+
+
+_PRAGMA = re.compile(r"//@arch (\w+)\((.*)\) @on (\w+) (\w+)")
+_JAVA_MEMBER = {"method": "void {}() {{}}", "field": "Object {};"}
+
+
+def _java_scaffold(text: str) -> str:
+    """A scaffold file as Java: its type pragma as an annotated class that
+    holds each other pragma as an annotated member."""
+    head, members = "class Toplevel {", []
+    for kind, args, target, name in _PRAGMA.findall(text):
+        annotation = f"@{kind}({args.replace('type=', 'type=Arrow.')})"
+        if target == "type":
+            head = f"{annotation} class {name} {{"
+        else:
+            members.append(f"    {annotation} {_JAVA_MEMBER[target].format(name)}")
+    return "\n".join([head, *members, "}"]) + "\n"
+
+
+def _assert_fragments_give_the_fingerprint(roots: list[Path], directory: Path) -> None:
+    """A scan with the store, cold and warm, has the compact JSON and report
+    fingerprint that `jsontext.code_model` gives for a scan without it."""
+    arch = ArchitectureModel()
+    cold = scan_tree(roots)
+    digest = hashlib.sha256(serialize_architecture(arch).encode())
+    digest.update(jsontext.code_model(cold, None).encode())
+    digest.update(cold.config_fingerprint.encode())
+    shutil.rmtree(directory, ignore_errors=True)
+    for _ in range(2):
+        code = scan_tree(roots, store=directory)
+        assert code == cold
+        assert code.compact_json == jsontext.code_model(cold, None)
+        assert report_fingerprint(arch, code) == digest.hexdigest()
+
+
+@pytest.mark.parametrize(
+    "tree", sorted(p.name for p in (Path(__file__).parent / "data").iterdir() if p.name != "golden")
+)
+def test_the_fragments_give_the_fingerprint_of_each_data_tree(tmp_path: Path, tree: str) -> None:
+    _assert_fragments_give_the_fingerprint([Path(__file__).parent / "data" / tree], tmp_path / "store")
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1), java=st.booleans())
+def test_the_fragments_give_the_fingerprint_of_a_scaffold(seed: int, java: bool) -> None:
+    """A random model's scaffold, as pragma files or as Java classes."""
+    model = random_model(random.Random(seed))
+    with tempfile.TemporaryDirectory() as temp:
+        root = Path(temp) / "src"
+        for name, text in scaffold_architecture(model).items():
+            if java:
+                _write(root / Path(name).with_suffix(".java"), _java_scaffold(text))
+            else:
+                _write(root / name, text)
+        _assert_fragments_give_the_fingerprint([root], Path(temp) / "store")
+
+
+def test_two_roots_that_share_a_relative_path_fall_back_to_the_whole_model(
+    tmp_path: Path, monkeypatch
+) -> None:
+    """Their files' instances interleave in the model's order, so the
+    fingerprint is hashed from `jsontext.code_model`; with one root it is
+    joined from the stored fragments."""
+    base, directory = tmp_path / "tree", tmp_path / "store"
+    _tree(base, 18)
+    roots, config = _roots_and_config(base)
+    assert {rel for rel, _, _ in _collect_files(roots[:1], config)} & {
+        rel for rel, _, _ in _collect_files(roots[1:], config)
+    }
+    whole: list[object] = []
+    code_model = jsontext.code_model
+
+    def counted(code, depth):
+        whole.append(depth)
+        return code_model(code, depth)
+
+    monkeypatch.setattr(jsontext, "code_model", counted)
+    for used, expected in ((roots, [None]), (roots[:1], [])):
+        for _ in range(2):
+            code = scan_tree(used, config, store=directory)
+            whole.clear()
+            assert code.compact_json == code_model(scan_tree(used, config), None)
+            assert whole == expected
 
 
 # --- a hostile store ----------------------------------------------------------
@@ -481,3 +779,53 @@ def test_runs_at_once_each_print_the_cold_output(tmp_path: Path) -> None:
             out, err = proc.communicate(timeout=120)
             assert (proc.returncode, out, err) == cold
         assert set(_stored(base, cwd / ".archlint_cache").entries) == set(_claimed(base))
+
+
+_ALL_HIT = """
+import contextlib, io, sys
+from pathlib import Path
+from archlint import adl, cli, jsontext
+sources = [Path(p).resolve() for p in sys.argv[1].split(",")]
+argv = sys.argv[2:]
+counts = {"parsers": 0, "instances": 0, "sources": 0}
+parser, instance, open_ = adl._Parser.__init__, jsontext.instance, io.open
+
+def counted_parser(self, text):
+    counts["parsers"] += 1
+    parser(self, text)
+
+def counted_instance(inst, depth):
+    counts["instances"] += 1
+    return instance(inst, depth)
+
+def counted_open(file, *args, **kwargs):
+    if isinstance(file, (str, Path)) and any(Path(file).resolve().is_relative_to(s) for s in sources):
+        counts["sources"] += 1
+    return open_(file, *args, **kwargs)
+
+adl._Parser.__init__, jsontext.instance, io.open = counted_parser, counted_instance, counted_open
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(argv, store=".archlint_cache")
+print(code, counts["parsers"], counts["instances"], counts["sources"])
+"""
+
+
+@pytest.mark.parametrize("tree", ["car", "car_pragma"])
+def test_an_all_hit_check_parses_renders_and_opens_nothing_it_stored(
+    tmp_path: Path, tree: str
+) -> None:
+    """After one run, a `check` builds no ADL parser, writes no instance JSON
+    for the fingerprint and opens no source file. (The sources are the
+    checkout's, changed long before the store's clock.)"""
+    data = Path(__file__).parent / "data"
+    arch = tmp_path / "car.arch"
+    shutil.copyfile(data / "car" / "car.arch", arch)
+    src = data / tree / "src"
+    argv = ["check", "--arch", str(arch), "--src", str(src), "--format", "json"]
+    first = _process(argv, tmp_path)
+    assert first == _run(argv)
+    probe = subprocess.run(
+        [sys.executable, "-c", _ALL_HIT, str(src), *argv],
+        capture_output=True, text=True, env=ENV, cwd=tmp_path,
+    )
+    assert probe.stdout.split() == [str(first[0]), "0", "0", "0"], probe.stderr
