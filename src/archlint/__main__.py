@@ -8,11 +8,12 @@ heap before exit, so that shutting the interpreter down does not collect
 every object on it. `cli.main` and library use keep the collector as the
 caller set it.
 
-Beside that policy, the process keeps each scanned file's result in the
-per-file result store, `.archlint_cache/` in the working directory
-(`archlint.store`), so a file that has not changed since the last run is
-not extracted again. Only this entry opens the store: `cli.main` and
-library use read and write no file of their own.
+Beside that policy, the process keeps each scanned file's result, and the
+parsed `.arch`, in the result store, `.archlint_cache/` in the working
+directory (`archlint.store`), so a file that has not changed since the last
+run is not extracted again, nor an unchanged `.arch` parsed. Only this entry
+opens the store: `cli.main` and library use read and write no file of their
+own.
 """
 
 import gc

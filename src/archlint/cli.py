@@ -316,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None, store: Path | str | None = None) -> int:
     """Run one command; with `store`, a directory, its scan keeps per-file
-    results there (`scan_tree`)."""
+    results there (`scan_tree`), and its parsed `.arch` too."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -140,7 +140,9 @@ def compact_code_model(findings: Sequence[str], instances: Sequence[str]) -> str
     """The compact code model of findings and instances already written
     compact and in the model's order, each item one or more records joined
     by commas."""
-    return template(CODE_MODEL, None) % (array(findings, None), array(instances, None), _quote(VERSION))
+    return template(CODE_MODEL, None) % (
+        array(findings, None), array(instances, None), _quote(VERSION)
+    )
 
 
 def dump_code_model(code: CodeModel) -> str:

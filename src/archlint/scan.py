@@ -243,7 +243,8 @@ def _scan_file(
     try:
         text = path.read_text(encoding="utf-8", errors="replace")
     except OSError as err:
-        findings = [finding("IO_ERROR", f"cannot read file: {err}", locations=[SourceLocation(rel, 0, 0)])]
+        message = f"cannot read file: {err}"
+        findings = [finding("IO_ERROR", message, locations=[SourceLocation(rel, 0, 0)])]
         if results is None:
             return ([], findings, "", "")
         from .store import fragments

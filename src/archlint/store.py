@@ -35,11 +35,12 @@ error. The payload reaches `marshal.loads` only when its sha256 matches,
 because `marshal.loads` of arbitrary bytes can ask for gigabytes; past that
 check the store is trusted like the working directory it lives in. A
 result file is rewritten, through a temporary file and `os.replace`, only
-when an entry was added or dropped or a file's stat changed, and it keeps
-only the files of the run that wrote it; a run that rewrites nothing
-touches it. A directory keeps at most `_KEPT_FILES` store files of either
-kind: each write deletes the least recently used beyond that, never its
-own.
+when an entry was added or dropped or a file's stat changed, or when a file
+read again only because it changed as late as the clock can now be
+trusted by its stat; it keeps only the files of the run that wrote it, and
+a run that rewrites nothing touches it. A directory keeps at most
+`_KEPT_FILES` store files of either kind: each write deletes the least
+recently used beyond that, never its own.
 """
 
 from __future__ import annotations
@@ -160,12 +161,21 @@ def _clock(directory: Path) -> int:
         return 0
 
 
-def fragments(instances: Iterable[AnnotationInstance], findings: Iterable[Finding]) -> tuple[str, str]:
+def _trusted(record: tuple) -> bool:
+    """Whether a recorded stat shows the file as it was read: its mtime and
+    ctime are older than the clock recorded with it."""
+    return max(record[1], record[2]) < record[5]
+
+
+def fragments(
+    instances: Iterable[AnnotationInstance], findings: Iterable[Finding]
+) -> tuple[str, str]:
     """A file's compact instance and finding JSON in code-model order, each
     record joined to the next by a comma, as `jsontext.code_model` writes
     them at depth None."""
+    ordered = sorted(instances, key=AnnotationInstance.sort_key)
     return (
-        ",".join(jsontext.instance(i, None) for i in sorted(instances, key=AnnotationInstance.sort_key)),
+        ",".join(jsontext.instance(i, None) for i in ordered),
         ",".join(jsontext.finding(f, None) for f in sort_findings(findings)),
     )
 
@@ -256,9 +266,12 @@ class ResultStore:
         except (TypeError, ValueError, KeyError):
             return None
         if stat is not None:
-            if stat != packed[4][:5]:
+            record = (*stat, self.clock)
+            # A changed stat is kept, and so is a racy entry that the new
+            # clock lets the next run trust.
+            if stat != packed[4][:5] or _trusted(record) and not _trusted(packed[4]):
                 self.changed = True
-            packed = (*packed[:4], (*stat, self.clock))
+            packed = (*packed[:4], record)
         self.kept[key] = packed
         return result
 
@@ -270,7 +283,7 @@ class ResultStore:
             return None
         try:
             recorded = self.entries[key][4]
-            if recorded[:5] != stat or not max(recorded[1], recorded[2]) < recorded[5]:
+            if recorded[:5] != stat or not _trusted(recorded):
                 return None
         except (TypeError, IndexError, KeyError):
             return None

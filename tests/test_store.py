@@ -1,12 +1,13 @@
-"""The per-file result store (`archlint.store`) against a cold run.
+"""The result store (`archlint.store`) against a cold run.
 
-`python -m archlint` keeps each scanned file's result under `.archlint_cache/`
-in its working directory; `cli.main` and `scan_tree` keep none unless given a
-store directory. Whatever the store holds (the results of earlier trees and
-configs, another archlint's, a truncated file, bytes of any kind, entries of
-another shape), every command must print what it prints without a store, and
-after each run the store holds one entry for each file a front-end claimed
-and could read.
+`python -m archlint` keeps each scanned file's result, and the parsed `.arch`,
+under `.archlint_cache/` in its working directory; `cli.main` and `scan_tree`
+keep none unless given a store directory. Whatever the store holds (the
+results of earlier trees, configs and `.arch` texts, another archlint's, a
+truncated file, bytes of any kind, entries of another shape, stats that a
+same-size edit or a racy write left equal), every command must print what it
+prints without a store, and after each run the store holds one entry for
+each file a front-end claimed and could read.
 """
 
 from __future__ import annotations
@@ -497,7 +498,8 @@ def test_a_same_size_edit_that_puts_the_mtime_back_is_seen(tmp_path: Path, monke
     assert (after.st_size, after.st_mtime_ns, after.st_ino) == (
         before.st_size, before.st_mtime_ns, before.st_ino
     )
-    assert sorted(_store_reads(base, commands[0], directory, monkeypatch)) == sorted([*shared, str(target)])
+    reads = _store_reads(base, commands[0], directory, monkeypatch)
+    assert sorted(reads) == sorted([*shared, str(target)])
     _write(target, text)
     os.utime(target, ns=(before.st_atime_ns, before.st_mtime_ns))
     assert _assert_as_cold(base, commands[0], directory, monkeypatch) == [f"scaffold/{target.name}"]
@@ -506,21 +508,28 @@ def test_a_same_size_edit_that_puts_the_mtime_back_is_seen(tmp_path: Path, monke
 def test_a_racy_entry_is_read_and_hashed_again(tmp_path: Path, monkeypatch) -> None:
     """A file changed no earlier than the store's clock, as read before the
     run that stored it, could change again within the same clock tick and
-    keep its stat; so its entry is trusted only by its digest."""
+    keep its stat; so its entry is trusted only by its digest, until a run
+    whose clock is later than the change records it again."""
     base, directory = tmp_path / "tree", tmp_path / "store"
     check = _tree(base, 17)[0]
     roots, config = _roots_and_config(base)
+    rels = [{rel for rel, _, _ in _collect_files([root], config)} for root in roots]
+    shared = {str(root / rel) for root in roots for rel in rels[0] & rels[1]}  # read anyway
     files = [p for root in roots for p in root.rglob("*") if p.is_file()]
     changed = {str(p): max(p.stat().st_mtime_ns, p.stat().st_ctime_ns) for p in files}
-    clock = max(changed.values())
+    clock = max(at for path, at in changed.items() if path not in shared)
+    racy = {path for path, at in changed.items() if at >= clock}
+    assert racy - shared
     with monkeypatch.context() as patched:
         patched.setattr(store, "_clock", lambda directory: clock)
         _assert_as_cold(base, check, directory, monkeypatch)
-    rels = [{rel for rel, _, _ in _collect_files([root], config)} for root in roots]
-    shared = {str(root / rel) for root in roots for rel in rels[0] & rels[1]}
-    racy = sorted({path for path, at in changed.items() if at >= clock} | shared)
-    for _ in range(2):  # a re-hash that finds the same text rewrites nothing
-        assert sorted(_store_reads(base, check, directory, monkeypatch)) == racy
+        written = _stored(base, directory).path.stat().st_ino
+        for _ in range(2):  # still racy at the same clock: re-hashed, not rewritten
+            assert sorted(_store_reads(base, check, directory, monkeypatch)) == sorted(racy | shared)
+        assert _stored(base, directory).path.stat().st_ino == written
+    time.sleep(0.05)  # so that the real clock is later than every change
+    assert sorted(_store_reads(base, check, directory, monkeypatch)) == sorted(racy | shared)
+    assert sorted(_store_reads(base, check, directory, monkeypatch)) == sorted(shared)
 
 
 _PRAGMA = re.compile(r"//@arch (\w+)\((.*)\) @on (\w+) (\w+)")
@@ -560,7 +569,8 @@ def _assert_fragments_give_the_fingerprint(roots: list[Path], directory: Path) -
     "tree", sorted(p.name for p in (Path(__file__).parent / "data").iterdir() if p.name != "golden")
 )
 def test_the_fragments_give_the_fingerprint_of_each_data_tree(tmp_path: Path, tree: str) -> None:
-    _assert_fragments_give_the_fingerprint([Path(__file__).parent / "data" / tree], tmp_path / "store")
+    data = Path(__file__).parent / "data" / tree
+    _assert_fragments_give_the_fingerprint([data], tmp_path / "store")
 
 
 @settings(max_examples=25, deadline=None)
@@ -676,9 +686,10 @@ _ODD = {
 
 def _wrong_shapes(entries: dict) -> list[object]:
     """Payloads of the wrong shape: not a dict of entries, or one entry
-    whose whole, or whose first instance or first finding, has a field
-    replaced by a value of another type or by an unknown name, a field
-    taken away or added, or a list in place of a tuple."""
+    whose whole (its JSON fragments and its stat among its fields), or
+    whose first instance or first finding, has a field replaced by a value
+    of another type or by an unknown name, a field taken away or added, or
+    a list in place of a tuple."""
 
     def variants(record: tuple, named: tuple[int, ...]):
         for i, field in enumerate(record):
