@@ -269,7 +269,7 @@ class ResultStore:
             record = (*stat, self.clock)
             # A changed stat is kept, and so is a racy entry that the new
             # clock lets the next run trust.
-            if stat != packed[4][:5] or _trusted(record) and not _trusted(packed[4]):
+            if stat != packed[4][:5] or (_trusted(record) and not _trusted(packed[4])):
                 self.changed = True
             packed = (*packed[:4], record)
         self.kept[key] = packed
