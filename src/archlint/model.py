@@ -53,7 +53,20 @@ def flip(direction: Direction) -> Direction:
     return direction
 
 
-class Multiplicity(namedtuple("Multiplicity", "lower upper", defaults=(1, 1))):
+class Record(tuple):
+    """A record that compares by type, then fields: it equals no plain tuple
+    and no record of another type with the same items. (`object.__ne__`
+    inverts `__eq__`; a class that sets `__eq__` alone is unhashable.)"""
+
+    __slots__ = ()
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is type(self) and tuple.__eq__(self, other)
+
+    __ne__, __hash__ = object.__ne__, tuple.__hash__
+
+
+class Multiplicity(Record, namedtuple("Multiplicity", "lower upper", defaults=(1, 1))):
     """A part's bounds: lower (int) and upper (int, or None for unbounded)."""
 
     __slots__ = ()
@@ -69,20 +82,20 @@ class Multiplicity(namedtuple("Multiplicity", "lower upper", defaults=(1, 1))):
 MULT_ONE = Multiplicity(1, 1)
 
 
-class Port(namedtuple("Port", "name")):
+class Port(Record, namedtuple("Port", "name")):
     """A port: its name (str)."""
 
     __slots__ = ()
 
 
-class Part(namedtuple("Part", "role type_component multiplicity", defaults=(MULT_ONE,))):
+class Part(Record, namedtuple("Part", "role type_component multiplicity", defaults=(MULT_ONE,))):
     """A part: its role (str), the name of the component that types it
     (type_component, str) and its multiplicity (Multiplicity)."""
 
     __slots__ = ()
 
 
-class Component(namedtuple("Component", "name ports parts")):
+class Component(Record, namedtuple("Component", "name ports parts")):
     """A component, its ports sorted by name and its parts by role."""
 
     def __new__(cls, name: str, ports: Iterable[Port] = (), parts: Iterable[Part] = ()) -> Component:
@@ -108,7 +121,7 @@ class Component(namedtuple("Component", "name ports parts")):
         return self._part_map.get(role)
 
 
-class EndpointPath(namedtuple("EndpointPath", "segments")):
+class EndpointPath(Record, namedtuple("EndpointPath", "segments")):
     """A dotted endpoint path: its segments (tuple[str, ...])."""
 
     __slots__ = ()
@@ -124,7 +137,7 @@ class EndpointPath(namedtuple("EndpointPath", "segments")):
         return cls(tuple(segments))
 
 
-class Connector(namedtuple("Connector", "id context left right direction")):
+class Connector(Record, namedtuple("Connector", "id context left right direction")):
     """A declared connector: its id (str), the context component it is
     declared in (context, str; ROOT_CONTEXT at document root), its left and
     right endpoints (EndpointPath) and its direction (Direction)."""
@@ -230,7 +243,7 @@ def parse_ref(text: str) -> ElementRef:
     return ElementRef.component(text)
 
 
-class ArchitectureModel(namedtuple("ArchitectureModel", "components connectors")):
+class ArchitectureModel(Record, namedtuple("ArchitectureModel", "components connectors")):
     """Components and connectors, sorted on construction.
 
     Cached lookups such as `connector_index`, which resolves every connector

@@ -43,6 +43,7 @@ from .model import (
     EndpointPath,
     Part,
     Port,
+    Record,
     RefKind,
     ROOT_CONTEXT,
     created_or_deleted,
@@ -52,19 +53,11 @@ from .model import (
 )
 
 
-class RefactoringOp(tuple):
+class RefactoringOp(Record):
     """The base of every operation record; each operation is a subclass
-    with one row in `OPERATIONS`. Operations compare by type, then fields:
-    AddPort and RemovePort hold the same items, and tuples that do are
-    equal. `object.__ne__` inverts `__eq__`, and `__hash__` is set again
-    because a class body that sets `__eq__` alone makes instances unhashable."""
+    with one row in `OPERATIONS`, and compares by type, then fields."""
 
     __slots__ = ()
-
-    def __eq__(self, other: object) -> bool:
-        return type(other) is type(self) and tuple.__eq__(self, other)
-
-    __ne__, __hash__ = object.__ne__, tuple.__hash__
 
 
 class AddPort(RefactoringOp, namedtuple("AddPort", "component port")):

@@ -9,8 +9,8 @@ The scan result is a pure function of (relative paths, root order, file
 bytes, config): files are processed independently and merged by a stable
 sort on relative path, so traversal order never changes the output. The
 per-file result store (`archlint.store`) relies on exactly this: a file's
-result depends on nothing but its relative path, its front-end, its text
-and the config, so a stored result stands in for extracting it again.
+result depends on nothing but its relative path, its text and the config,
+so a stored result stands in for extracting it again.
 
 This module also owns the configuration file: `load_config_file` reads it,
 and `ScanConfig` and `SmellConfig` check and hold its settings.
@@ -33,7 +33,7 @@ from .errors import ConfigError
 from .findings import SMELL_IDS, Finding, SourceLocation, finding
 
 if TYPE_CHECKING:
-    from .store import ResultStore, Stat
+    from .store import ResultStore
 
 _CONFIG_KEYS = frozenset(
     {
@@ -168,10 +168,10 @@ def _excluded(relpath: str, patterns: tuple[str, ...]) -> bool:
 
 
 def _walk_root(
-    root: Path, exclude: tuple[str, ...], skip: str = ""
-) -> Iterator[tuple[str, Path, os.stat_result]]:
-    """(relative posix path, path, stat) of every file under root that no
-    exclude pattern matches.
+    root: Path, position: int, exclude: tuple[str, ...], skip: str = ""
+) -> Iterator[tuple[str, int, Path, os.stat_result]]:
+    """(relative posix path, `position`, path, stat) of every file under root
+    that no exclude pattern matches.
 
     Symlinked files are kept, symlinked directories are not entered, and
     unreadable directories are skipped. A directory is not entered when a
@@ -201,18 +201,18 @@ def _walk_root(
                     continue
                 raise
             if S_ISREG(stat.st_mode):
-                yield rel, path, stat
+                yield rel, position, path, stat
 
 
 def _collect_files(
     roots: Iterable[Path], config: ScanConfig, store: Path | None = None
-) -> list[tuple[str, Path, os.stat_result]]:
-    """(relative posix path, path, stat) of every file of every root, sorted
-    by relative path and then root order; a directory given twice is walked
-    once, and the resolved `store` directory not at all."""
-    out: list[tuple[str, Path, os.stat_result]] = []
+) -> list[tuple[str, int, Path, os.stat_result]]:
+    """(relative posix path, root position, path, stat) of every file of every
+    root, sorted by relative path and then root order; a directory given
+    twice is walked once, and the resolved `store` directory not at all."""
+    out: list[tuple[str, int, Path, os.stat_result]] = []
     seen: set[Path] = set()
-    for root in roots:
+    for position, root in enumerate(roots):
         root = Path(root)
         if not root.is_dir():
             raise FileNotFoundError(f"source root is not a directory: {root}")
@@ -223,21 +223,23 @@ def _collect_files(
         skip = ""
         if store is not None and store != resolved and store.is_relative_to(resolved):
             skip = store.relative_to(resolved).as_posix()
-        out.extend(_walk_root(root, config.exclude, skip))
-    out.sort(key=lambda pair: pair[0])
+        out.extend(_walk_root(root, position, config.exclude, skip))
+    out.sort(key=lambda file: file[0])
     return out
 
 
 def _scan_file(
-    rel: str, path: Path, stat: Stat | None, config: ScanConfig, results: ResultStore | None
+    rel: str, position: int, path: Path, st: os.stat_result, config: ScanConfig,
+    results: ResultStore | None,
 ) -> tuple[list[AnnotationInstance], list[Finding], str, str]:
     """A file's instances and findings, and with `results` their JSON
     fragments (`store.fragments`; empty without `results`)."""
     front_end = _front_end(config, path.suffix)
     if front_end is None:
         return ([], [], "", "")
-    if results is not None and stat is not None:
-        stored = results.unchanged(rel, front_end, stat)
+    key = (rel, position)
+    if results is not None:
+        stored = results.get(key, st)
         if stored is not None:
             return stored
     try:
@@ -251,8 +253,7 @@ def _scan_file(
 
         return ([], findings, *fragments([], findings))
     if results is not None:
-        key = (rel, front_end, hashlib.sha256(text.encode()).digest())
-        stored = results.get(key, stat)
+        stored = results.get(key, st, text)
         if stored is not None:
             return stored
     # A front-end's function is looked up on its module at each call, so
@@ -268,7 +269,7 @@ def _scan_file(
     for inst in instances:
         findings.extend(validate_targets(inst))
     if results is not None:
-        return results.put(key, stat, instances, findings)
+        return results.put(key, st, text, instances, findings)
     return (instances, findings, "", "")
 
 
@@ -277,11 +278,12 @@ def scan_tree(
 ) -> CodeModel:
     """Scan source roots into a CodeModel; unreadable files become IO_ERROR findings.
 
-    With `store`, a directory, each file's result is kept there and an
-    unchanged file is not extracted again (`archlint.store`), nor read when
-    its stat shows it unchanged. The model is the one a scan without it
-    gives, except that the store directory is never scanned, even when it
-    lies under a root. Its `compact_json` is then joined from each file's
+    With `store`, a directory, each file's result is kept there, under the
+    file's relative path and the position of its root, and an unchanged
+    file is not extracted again (`archlint.store`), nor read when its stat
+    shows it unchanged. The model is the one a scan without it gives,
+    except that the store directory is never scanned, even when it lies
+    under a root. Its `compact_json` is then joined from each file's
     fragments, unless two roots share a relative path: their files'
     instances interleave in the model's order.
     """
@@ -298,12 +300,9 @@ def scan_tree(
     findings: list[Finding] = []
     instances_json: list[str] = []
     findings_json: list[str] = []
-    for rel, path, st in files:
-        stat = None
-        if results is not None and rel not in shared:
-            stat = (st.st_size, st.st_mtime_ns, st.st_ctime_ns, st.st_ino, st.st_dev)
+    for rel, position, path, st in files:
         file_instances, file_findings, file_instances_json, file_findings_json = _scan_file(
-            rel, path, stat, config, results
+            rel, position, path, st, config, results
         )
         instances.extend(file_instances)
         findings.extend(file_findings)

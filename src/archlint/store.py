@@ -3,14 +3,14 @@ parsed `.arch`.
 
 A scan is a pure function of paths, root order, file bytes and config (see
 `archlint.scan`), and each file's part of it, its instances and extraction
-findings, depends only on its root-relative path, its front-end, its
-decoded text and the config. So a file whose text is unchanged since the
-last run need not be extracted again: `scan_tree(..., store=directory)`
-keeps each file's result in one file of `directory` per (resolved roots,
-`ScanConfig.semantic_fingerprint()`), keyed by (root-relative path,
-front-end, sha256 of the decoded text). An entry also keeps the file's
+findings, depends only on its root-relative path, its decoded text and the
+config. So `scan_tree(..., store=directory)` keeps each file's result in
+one file of `directory` per (resolved roots,
+`ScanConfig.semantic_fingerprint()`), keyed by the file: (root-relative
+path, position of its root). Next to the result, an entry holds the file's
 compact instance and finding JSON, which the report fingerprint hashes
-(`CodeModel.compact_json`), and the file's stat.
+(`CodeModel.compact_json`), and as its checks the sha256 of the file's
+decoded text and its stat.
 
 A file is not read at all when its stat (size, mtime, ctime, inode and
 device) equals the stat its entry recorded, and the recorded mtime and
@@ -18,9 +18,9 @@ ctime are older than the file system's clock as read before the recording
 run read any file: any later change, even one that puts the mtime back with
 `os.utime`, then gives the file a newer ctime. This is git's rule for a
 racily clean index. A file whose stat differs, or that was changed as late
-as that clock, is read and hashed as before. (So is a file whose stat does
-not change when it turns unreadable, on a failing disk say: its stored
-result stands.)
+as that clock, is read, and its stored result stands only if the sha256 of
+its text is the one recorded. (A file whose stat does not change when it
+turns unreadable, on a failing disk say, keeps its stored result.)
 
 Likewise `ArchitectureStore` keeps the parsed model of one well-formed
 `.arch` text in a store file named by the text's sha256, so that an
@@ -73,15 +73,14 @@ _KEPT_FILES = 8
 _TARGETS = {t.value: t for t in TargetKind}
 # The type of each field of an instance as `_pack` packs it.
 _INSTANCE_TYPES = (str, tuple, dict, str, str, tuple, int, int, str)
-# An entry: instances, findings, their JSON fragments, and the file's stat.
-_ENTRY_TYPES = (tuple, tuple, str, str, tuple)
-# (size, mtime_ns, ctime_ns, inode, device) of a file, and the file
-# system's clock as read before the run that recorded it read any file.
+# An entry: instances, findings, their JSON fragments, the sha256 of the
+# file's decoded text, and its stat record.
+_ENTRY_TYPES = (tuple, tuple, str, str, bytes, tuple)
+# A stat record: (size, mtime_ns, ctime_ns, inode, device) of a file, and
+# the file system's clock as read before the run that recorded it read any file.
 _STAT_TYPES = (int,) * 6
-_NO_STAT = (0,) * 6  # never trusted: its mtime is not older than its clock
 _PART_TYPES = ((str, str, int, int), (str, str, int, type(None)))
 
-Stat = tuple[int, int, int, int, int]
 # A file's instances and findings, and their JSON fragments.
 Result = tuple[list[AnnotationInstance], list[Finding], str, str]
 
@@ -161,6 +160,14 @@ def _clock(directory: Path) -> int:
         return 0
 
 
+def _record(st: os.stat_result, clock: int) -> tuple:
+    return (st.st_size, st.st_mtime_ns, st.st_ctime_ns, st.st_ino, st.st_dev, clock)
+
+
+def _digest(text: str) -> bytes:
+    return hashlib.sha256(text.encode()).digest()
+
+
 def _trusted(record: tuple) -> bool:
     """Whether a recorded stat shows the file as it was read: its mtime and
     ctime are older than the clock recorded with it."""
@@ -208,7 +215,7 @@ def _unpack(rel: str, packed: tuple) -> Result:
     TypeError, ValueError or KeyError when `packed` has another shape."""
     if type(packed) is not tuple or tuple(map(type, packed)) != _ENTRY_TYPES:
         raise TypeError("not an entry")
-    packed_instances, packed_findings, instances_json, findings_json, stat = packed
+    packed_instances, packed_findings, instances_json, findings_json, _, stat = packed
     if tuple(map(type, stat)) != _STAT_TYPES:
         raise TypeError("not a stat")
     instances = []
@@ -234,11 +241,10 @@ def _unpack(rel: str, packed: tuple) -> Result:
 
 class ResultStore:
     """The stored results of one set of roots under one config, read when
-    made; `save` writes what `unchanged`, `get` and `put` kept.
+    made; `save` writes what `get` and `put` kept.
 
-    A `stat` argument is a file's (size, mtime_ns, ctime_ns, inode, device),
-    or None for a file whose entry records no stat: one of several files
-    that share a relative path, and so an entry.
+    A key is a file's (root-relative path, position of its root among the
+    roots), and an `st` argument its `os.stat_result`.
     """
 
     def __init__(self, directory: Path | str, roots: Sequence[Path], config_fingerprint: str):
@@ -248,54 +254,41 @@ class ResultStore:
         self.header = _MAGIC + _source_digest()
         entries = _read(self.path, self.header)
         self.entries: dict = entries if type(entries) is dict else {}
-        self.by_path = {
-            key[:2]: key for key in self.entries if type(key) is tuple and len(key) == 3
-        }
         self.clock = _clock(self.directory)
-        self.kept: dict[tuple[str, str, bytes], tuple] = {}
+        self.kept: dict[tuple[str, int], tuple] = {}
         self.changed = False
 
-    def get(self, key: tuple[str, str, bytes], stat: Stat | None) -> Result | None:
-        """The stored result of the file `key` names, or None; keeps it, with
-        `stat` as the file's stat when given."""
+    def get(self, key: tuple[str, int], st: os.stat_result, text: str | None = None) -> Result | None:
+        """The stored result of the file `key` names if `st` shows the file
+        unchanged since it was stored, or with `text` if its digest matches;
+        else None. A hit is kept, with `st` as the file's stat."""
         packed = self.entries.get(key)
         if packed is None:
             return None
+        record = _record(st, self.clock)
         try:
+            recorded = packed[5]
+            if text is None and (record[:5] != recorded[:5] or not _trusted(recorded)):
+                return None
+            if text is not None and packed[4] != _digest(text):
+                return None
             result = _unpack(key[0], packed)
-        except (TypeError, ValueError, KeyError):
+        except (TypeError, ValueError, KeyError, IndexError):
             return None
-        if stat is not None:
-            record = (*stat, self.clock)
-            # A changed stat is kept, and so is a racy entry that the new
-            # clock lets the next run trust.
-            if stat != packed[4][:5] or (_trusted(record) and not _trusted(packed[4])):
-                self.changed = True
-            packed = (*packed[:4], record)
+        # A changed stat is kept, and so is a racy entry that the new clock
+        # lets the next run trust.
+        if record[:5] != recorded[:5] or (_trusted(record) and not _trusted(recorded)):
+            self.changed = True
+            packed = (*packed[:5], record)
         self.kept[key] = packed
         return result
 
-    def unchanged(self, rel: str, front_end: str, stat: Stat) -> Result | None:
-        """The stored result of the file `rel` if its stat says that it has not
-        changed since that result was stored, or None."""
-        key = self.by_path.get((rel, front_end))
-        if key is None:
-            return None
-        try:
-            recorded = self.entries[key][4]
-            if recorded[:5] != stat or not _trusted(recorded):
-                return None
-        except (TypeError, IndexError, KeyError):
-            return None
-        return self.get(key, None)
-
     def put(
-        self, key: tuple[str, str, bytes], stat: Stat | None,
+        self, key: tuple[str, int], st: os.stat_result, text: str,
         instances: list[AnnotationInstance], findings: list[Finding],
     ) -> Result:
         json = fragments(instances, findings)
-        record = _NO_STAT if stat is None else (*stat, self.clock)
-        self.kept[key] = (*_pack(instances, findings), *json, record)
+        self.kept[key] = (*_pack(instances, findings), *json, _digest(text), _record(st, self.clock))
         self.changed = True
         return (instances, findings, *json)
 

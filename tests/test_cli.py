@@ -774,19 +774,24 @@ def _lowest_declared_python() -> str | None:
 def test_oldest_declared_python_gives_the_same_report(
     command: str, arch: str, src: str, tmp_path: Path
 ) -> None:
+    """Each interpreter runs twice in a working directory of its own: cold,
+    and warm from the store the cold run left there."""
     python = _lowest_declared_python()
     if python is None:
         pytest.skip("the oldest declared Python is not on PATH")
     argv = ["-m", "archlint", command, "--arch", str(DATA / arch), "--src", str(DATA / src)]
     env = {**os.environ, "PYTHONPATH": str(Path(archlint.__file__).parent.parent)}
-    runs = [
-        subprocess.run(
-            [exe, *argv, "--format", "json"], capture_output=True, text=True, env=env, cwd=tmp_path
-        )
-        for exe in (python, sys.executable)
-    ]
-    assert runs[0].stderr == runs[1].stderr
-    assert (runs[0].returncode, runs[0].stdout) == (runs[1].returncode, runs[1].stdout)
+    runs = []
+    for n, exe in enumerate((python, sys.executable)):
+        cwd = tmp_path / str(n)
+        cwd.mkdir()
+        for _ in range(2):
+            proc = subprocess.run(
+                [exe, *argv, "--format", "json"], capture_output=True, text=True, env=env, cwd=cwd
+            )
+            runs.append((proc.returncode, proc.stdout, proc.stderr))
+        assert any((cwd / ".archlint_cache").iterdir())
+    assert runs[1:] == runs[:1] * 3
 
 
 # --- README -----------------------------------------------------------------

@@ -96,6 +96,16 @@ def test_only_the_lexer_turns_an_offset_into_a_line() -> None:
     ]
 
 
+def test_only_the_store_reads_a_file_stat() -> None:
+    """`store._record` is the one stat rule: no other module reads the
+    fields a stored stat is made of."""
+    reads_stat = re.compile(r"\.st_(size|mtime_ns|ctime_ns|ino|dev)\b")
+    modules = sorted(Path(archlint.__file__).parent.glob("*.py"))
+    assert [m.name for m in modules if reads_stat.search(m.read_text(encoding="utf-8"))] == [
+        "store.py"
+    ]
+
+
 def test_one_existence_rule_and_one_path_rewriter_in_refactor() -> None:
     """`refactor._require` is the only function that words a missing
     element, and `refactor._rewrite_paths` the only one that names

@@ -1,7 +1,7 @@
 """The records are named tuples. These tests pin what the record classes
 keep: members sorted however a model is built or copied, configs checked
 however they are built or copied, the path-only hash of ElementRef, and
-operations that compare by type as well as by fields."""
+model records and operations that compare by type as well as by fields."""
 
 import random
 
@@ -10,8 +10,21 @@ import pytest
 from archlint.adl import parse_architecture, serialize_architecture
 from archlint.annotations import CodeModel
 from archlint.errors import ConfigError
-from archlint.model import ElementRef, RefKind, parse_ref
+from archlint.model import (
+    ArchitectureModel,
+    Component,
+    Connector,
+    Direction,
+    ElementRef,
+    EndpointPath,
+    Multiplicity,
+    Part,
+    Port,
+    RefKind,
+    parse_ref,
+)
 from archlint.refactor import (
+    AddConnector,
     AddPort,
     RefactoringPlan,
     RemoveConnector,
@@ -86,6 +99,24 @@ def test_operations_compare_by_type() -> None:
     assert not AddPort("A", "p") == RemovePort("A", "p")
     assert RemoveConnector("c") != ("c",)
     assert hash(AddPort("A", "p")) == hash(AddPort("A", "p"))
+
+
+def test_model_records_compare_by_type() -> None:
+    """A model record equals neither a plain tuple of its items nor a record
+    of another type that holds them, whichever side it is on."""
+    left, right = EndpointPath(("p",)), EndpointPath(("q", "r"))
+    connector = Connector("c", "A", left, right, Direction.RIGHT)
+    added = AddConnector("c", "A", left, right, Direction.RIGHT)
+    assert connector != added and added != connector
+    assert not connector == added and not added == connector
+    port = Port("x")
+    assert port != ("x",) and ("x",) != port and port != EndpointPath("x")
+    assert Multiplicity(1, 1) != (1, 1) and Part("r", "T") != ("r", "T", (1, 1))
+    for record in (port, connector, Multiplicity(0, None), Part("r", "T"),
+                   Component("A", [port]), ArchitectureModel([Component("A")], [connector])):
+        twin = type(record)(*record)
+        assert record == twin and not record != twin and hash(record) == hash(twin)
+        assert record != tuple(record) and tuple(record) != record
 
 
 def test_code_model_copies_drop_the_cached_index() -> None:

@@ -135,10 +135,10 @@ def test_collect_files_matches_per_file_filter(tmp_path: Path, exclude: tuple[st
         and not any(fnmatch.fnmatch(path.relative_to(tmp_path).as_posix(), p) for p in exclude)
     )
     got = _collect_files([tmp_path], ScanConfig(exclude=exclude))
-    assert [(rel, path) for rel, path, _ in got] == expected
-    assert all(stat == path.stat() for _, path, stat in got)
+    assert [(rel, path) for rel, _, path, _ in got] == expected
+    assert all(position == 0 and stat == path.stat() for _, position, path, stat in got)
     if not exclude:
-        rels = [rel for rel, _, _ in got]
+        rels = [rel for rel, _, _, _ in got]
         assert "x/link.txt" in rels and "x/dangling.txt" not in rels
         assert not any(rel.startswith("x/linkdir/") for rel in rels)
 

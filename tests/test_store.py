@@ -106,17 +106,13 @@ def _roots_and_config(base: Path) -> tuple[list[Path], ScanConfig]:
     return [base / "one", base / "two"], config
 
 
-def _claimed(base: Path) -> list[tuple[str, str, bytes]]:
-    """(relative path, front-end, sha256 of the decoded text) of each file a
-    front-end claims."""
+def _claimed(base: Path) -> list[tuple[str, int]]:
+    """(relative path, position of its root) of each file a front-end claims."""
     roots, config = _roots_and_config(base)
-    keys = []
-    for rel, path, _ in _collect_files(roots, config):
-        front_end = _front_end(config, path.suffix)
-        if front_end is not None:
-            text = path.read_text(encoding="utf-8", errors="replace")
-            keys.append((rel, front_end, hashlib.sha256(text.encode()).digest()))
-    return keys
+    return [
+        (rel, position) for rel, position, path, _ in _collect_files(roots, config)
+        if _front_end(config, path.suffix) is not None
+    ]
 
 
 def _stored(base: Path, directory: Path) -> store.ResultStore:
@@ -158,7 +154,7 @@ def test_every_command_prints_with_the_store_what_it_prints_cold(
     one = base / "one"
 
     def every_file() -> list[str]:
-        return sorted(rel for rel, _, _ in _claimed(base))
+        return sorted(rel for rel, _ in _claimed(base))
 
     for argv in commands:  # cold: an empty store
         shutil.rmtree(directory, ignore_errors=True)
@@ -198,7 +194,7 @@ def test_a_store_written_by_another_archlint_is_a_miss(tmp_path: Path, monkeypat
     commands = _tree(base, 4)
     _run(commands[0], directory)
     lying = _stored(base, directory)
-    lying.kept = {key: ((), (), "", "", entry[4]) for key, entry in lying.entries.items()}
+    lying.kept = {key: ((), (), "", "", *entry[4:]) for key, entry in lying.entries.items()}
     lying.changed = True
     lying.save()
     assert _run(commands[2], directory) != _run(commands[2])
@@ -246,7 +242,7 @@ def test_a_store_directory_keeps_the_most_recently_written_files(
     for name in kept():
         os.utime(directory / name, ns=(2**62, 2**62))
     _write(base / "archlint.conf", "exclude = nothing0\n")
-    every_file = sorted(rel for rel, _, _ in _claimed(base))
+    every_file = sorted(rel for rel, _ in _claimed(base))
     assert _assert_as_cold(base, extract, directory, monkeypatch) == every_file
     newest = _stored(base, directory).path.name
     assert newest == written[0] and newest in kept()
@@ -473,21 +469,16 @@ def test_a_hostile_foreign_or_truncated_architecture_entry_is_a_miss(
 def test_a_same_size_edit_that_puts_the_mtime_back_is_seen(tmp_path: Path, monkeypatch) -> None:
     """An edit that keeps a file's size and restores its mtime with `os.utime`
     still moves its ctime, so the file is read, hashed and extracted again;
-    an unchanged file is not even read, unless another root holds a file of
+    an unchanged file is not even read, though another root hold a file of
     its relative path."""
     base, directory = tmp_path / "tree", tmp_path / "store"
     commands = _tree(base, 16)
-    roots, config = _roots_and_config(base)
-    rels = [{rel for rel, _, _ in _collect_files([root], config)} for root in roots]
-    shared = sorted(str(root / rel) for root in roots for rel in rels[0] & rels[1])
-    assert shared
     target = sorted((base / "one" / "scaffold").iterdir())[-1]
-    assert str(target) not in shared
     time.sleep(0.05)  # so that each file's ctime is older than the store's clock
     for argv in commands:
         _assert_as_cold(base, argv, directory, monkeypatch)
     for argv in commands:
-        assert sorted(_store_reads(base, argv, directory, monkeypatch)) == shared
+        assert _store_reads(base, argv, directory, monkeypatch) == []
     before = target.stat()
     text = target.read_text()
     edited = text.replace("skeleton", "skeletoN", 1)
@@ -498,8 +489,7 @@ def test_a_same_size_edit_that_puts_the_mtime_back_is_seen(tmp_path: Path, monke
     assert (after.st_size, after.st_mtime_ns, after.st_ino) == (
         before.st_size, before.st_mtime_ns, before.st_ino
     )
-    reads = _store_reads(base, commands[0], directory, monkeypatch)
-    assert sorted(reads) == sorted([*shared, str(target)])
+    assert _store_reads(base, commands[0], directory, monkeypatch) == [str(target)]
     _write(target, text)
     os.utime(target, ns=(before.st_atime_ns, before.st_mtime_ns))
     assert _assert_as_cold(base, commands[0], directory, monkeypatch) == [f"scaffold/{target.name}"]
@@ -512,24 +502,22 @@ def test_a_racy_entry_is_read_and_hashed_again(tmp_path: Path, monkeypatch) -> N
     whose clock is later than the change records it again."""
     base, directory = tmp_path / "tree", tmp_path / "store"
     check = _tree(base, 17)[0]
-    roots, config = _roots_and_config(base)
-    rels = [{rel for rel, _, _ in _collect_files([root], config)} for root in roots]
-    shared = {str(root / rel) for root in roots for rel in rels[0] & rels[1]}  # read anyway
+    roots, _ = _roots_and_config(base)
     files = [p for root in roots for p in root.rglob("*") if p.is_file()]
     changed = {str(p): max(p.stat().st_mtime_ns, p.stat().st_ctime_ns) for p in files}
-    clock = max(at for path, at in changed.items() if path not in shared)
-    racy = {path for path, at in changed.items() if at >= clock}
-    assert racy - shared
+    clock = max(changed.values())
+    racy = sorted(path for path, at in changed.items() if at >= clock)
+    assert racy
     with monkeypatch.context() as patched:
         patched.setattr(store, "_clock", lambda directory: clock)
         _assert_as_cold(base, check, directory, monkeypatch)
         written = _stored(base, directory).path.stat().st_ino
         for _ in range(2):  # still racy at the same clock: re-hashed, not rewritten
-            assert sorted(_store_reads(base, check, directory, monkeypatch)) == sorted(racy | shared)
+            assert sorted(_store_reads(base, check, directory, monkeypatch)) == racy
         assert _stored(base, directory).path.stat().st_ino == written
     time.sleep(0.05)  # so that the real clock is later than every change
-    assert sorted(_store_reads(base, check, directory, monkeypatch)) == sorted(racy | shared)
-    assert sorted(_store_reads(base, check, directory, monkeypatch)) == sorted(shared)
+    assert sorted(_store_reads(base, check, directory, monkeypatch)) == racy
+    assert _store_reads(base, check, directory, monkeypatch) == []
 
 
 _PRAGMA = re.compile(r"//@arch (\w+)\((.*)\) @on (\w+) (\w+)")
@@ -597,8 +585,8 @@ def test_two_roots_that_share_a_relative_path_fall_back_to_the_whole_model(
     base, directory = tmp_path / "tree", tmp_path / "store"
     _tree(base, 18)
     roots, config = _roots_and_config(base)
-    assert {rel for rel, _, _ in _collect_files(roots[:1], config)} & {
-        rel for rel, _, _ in _collect_files(roots[1:], config)
+    assert {file[0] for file in _collect_files(roots[:1], config)} & {
+        file[0] for file in _collect_files(roots[1:], config)
     }
     whole: list[object] = []
     code_model = jsontext.code_model
@@ -614,6 +602,78 @@ def test_two_roots_that_share_a_relative_path_fall_back_to_the_whole_model(
             whole.clear()
             assert code.compact_json == code_model(scan_tree(used, config), None)
             assert whole == expected
+
+
+# --- the store against random edits --------------------------------------------
+
+
+def _source(rel: str, n: int) -> str:
+    """An annotated component `Q<n>` (n < 10), so that two of them differ in
+    text but not in size."""
+    if rel.endswith(".java"):
+        return f'@Component("Q{n}") class Q{n} {{\n  @Port("p") void p() {{}}\n}}\n'
+    return f'//@arch Component("Q{n}") @on type Q{n}\n//@arch Port("p") @on method p\n'
+
+
+_EDITS = ["touch", "same-size", "rename", "delete", "add", "copy", "swap"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(steps=st.lists(st.tuples(st.sampled_from(_EDITS), st.integers(0, 2**16)), max_size=10))
+def test_the_store_follows_random_edits_of_two_roots(steps: list[tuple[str, int]]) -> None:
+    """Two roots that share relative paths, edited step by step: a file is
+    touched, edited to the same size with its mtime put back, renamed,
+    deleted, added, copied (with its mtime) to the other root's same path,
+    or swapped with another. After each step a scan with the store gives
+    the model and compact JSON of a scan without it, and leaves a store
+    that holds exactly the claimed files."""
+    config = ScanConfig()
+    with tempfile.TemporaryDirectory() as temp:
+        base = Path(temp)
+        roots, directory = [base / "one", base / "two"], base / "store"
+        for root in roots:
+            for n, rel in enumerate(["a.txt", "b.java", "sub/c.txt"]):
+                _write(root / rel, _source(rel, n))
+        _write(roots[1] / "d.txt", _source("d.txt", 3))
+        for step, (edit, n) in enumerate([("none", 0), *steps]):
+            paths = sorted(p for root in roots for p in root.rglob("*") if p.is_file())
+            path = paths[n % len(paths)] if paths else None
+            if edit == "add" or path is None:
+                rel = f"n{step}.java" if n % 3 == 0 else f"sub/n{step}.txt"
+                _write(roots[n % 2] / rel, _source(rel, n % 10))
+            elif edit == "touch":
+                os.utime(path)
+            elif edit == "same-size":
+                before = path.stat()
+                text = path.read_text()
+                q = int(re.search(r"Q(\d)", text)[1])
+                path.write_text(text.replace(f"Q{q}", f"Q{(q + 1) % 10}"))
+                os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+            elif edit == "rename":
+                path.rename(path.with_name(f"r{step}{path.suffix}"))
+            elif edit == "delete":
+                path.unlink()
+            elif edit == "copy":
+                root = next(r for r in roots if path.is_relative_to(r))
+                other = next(r for r in roots if r != root) / path.relative_to(root)
+                other.parent.mkdir(parents=True, exist_ok=True)
+                shutil.copy2(path, other)
+            else:  # swap
+                swapped = paths[(n // len(paths)) % len(paths)]
+                if swapped != path:
+                    path.rename(base / "swap")
+                    swapped.rename(path)
+                    (base / "swap").rename(swapped)
+            cold = scan_tree(roots, config)
+            warm = scan_tree(roots, config, store=directory)
+            assert warm == cold, (step, edit)
+            assert warm.compact_json == jsontext.code_model(cold, None), (step, edit)
+            claimed = {
+                (rel, position) for rel, position, path, _ in _collect_files(roots, config)
+                if _front_end(config, path.suffix) is not None
+            }
+            stored = store.ResultStore(directory, roots, config.semantic_fingerprint())
+            assert set(stored.entries) == claimed, (step, edit)
 
 
 # --- a hostile store ----------------------------------------------------------
@@ -678,6 +738,7 @@ def test_a_truncated_store_is_a_miss(hostile, cut: int) -> None:
 # type, for a field of each type.
 _ODD = {
     str: (0, None, (), b"x"),
+    bytes: ("x", None, ()),
     tuple: ([], "x", ("x", 0), ((1, "2"),), None),
     dict: ([], {"k": 0}, {0: "v"}, None),
     int: ("1", 1.5, True, None),
@@ -686,7 +747,7 @@ _ODD = {
 
 def _wrong_shapes(entries: dict) -> list[object]:
     """Payloads of the wrong shape: not a dict of entries, or one entry
-    whose whole (its JSON fragments and its stat among its fields), or
+    whose whole (its JSON fragments, digest and stat among its fields), or
     whose first instance or first finding, has a field replaced by a value
     of another type or by an unknown name, a field taken away or added, or
     a list in place of a tuple."""
@@ -821,22 +882,26 @@ print(code, counts["parsers"], counts["instances"], counts["sources"])
 """
 
 
-@pytest.mark.parametrize("tree", ["car", "car_pragma"])
+@pytest.mark.parametrize("tree", ["car", "car_pragma", "car,car_paired"])
 def test_an_all_hit_check_parses_renders_and_opens_nothing_it_stored(
     tmp_path: Path, tree: str
 ) -> None:
-    """After one run, a `check` builds no ADL parser, writes no instance JSON
-    for the fingerprint and opens no source file. (The sources are the
+    """After one run, a `check` builds no ADL parser and opens no source
+    file, not even of two roots that share every relative path; with one
+    root, it writes no instance JSON for the fingerprint either, while two
+    such roots fall back to the whole model's. (The sources are the
     checkout's, changed long before the store's clock.)"""
     data = Path(__file__).parent / "data"
     arch = tmp_path / "car.arch"
     shutil.copyfile(data / "car" / "car.arch", arch)
-    src = data / tree / "src"
-    argv = ["check", "--arch", str(arch), "--src", str(src), "--format", "json"]
+    sources = [str(data / name / "src") for name in tree.split(",")]
+    argv = ["check", "--arch", str(arch), *(f"--src={src}" for src in sources), "--format", "json"]
     first = _process(argv, tmp_path)
     assert first == _run(argv)
     probe = subprocess.run(
-        [sys.executable, "-c", _ALL_HIT, str(src), *argv],
+        [sys.executable, "-c", _ALL_HIT, ",".join(sources), *argv],
         capture_output=True, text=True, env=ENV, cwd=tmp_path,
     )
-    assert probe.stdout.split() == [str(first[0]), "0", "0", "0"], probe.stderr
+    code, parsers, instances, opened = map(int, probe.stdout.split())
+    assert (code, parsers, opened) == (first[0], 0, 0), probe.stderr
+    assert (instances == 0) == (len(sources) == 1)
