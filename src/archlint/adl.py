@@ -32,6 +32,7 @@ from .model import (
     Part,
     Port,
     ROOT_CONTEXT,
+    RefKind,
 )
 
 HEADER = "// architecture description"
@@ -55,8 +56,9 @@ class _Parser(Cursor):
         self.text = text
         self.components: list[Component] = []
         self.connectors: list[Connector] = []
-        # declaration offsets by ref path, for semantic diagnostics
-        self.positions: dict[str, int] = {}
+        # declaration offsets by the (kind, owner, name) `ElementRef.member`
+        # takes, for semantic diagnostics
+        self.positions: dict[tuple[RefKind, str, str], int] = {}
 
     def error_at(self, message: str, offset: int) -> AdlParseError:
         return AdlParseError(message, *Lines(self.text).at(offset))
@@ -80,7 +82,8 @@ class _Parser(Cursor):
     def parse_component(self) -> None:
         self.advance()
         name_tok = self.expect_ident("component name")
-        self.positions.setdefault(name_tok.text, name_tok.start)
+        name = name_tok.text
+        self.positions.setdefault((RefKind.COMPONENT, "", name), name_tok.start)
         self.expect_punct("{")
         ports: list[Port] = []
         parts: list[Part] = []
@@ -90,7 +93,7 @@ class _Parser(Cursor):
                 port_tok = self.expect_ident("port name")
                 self.expect_punct(";")
                 ports.append(Port(port_tok.text))
-                self.positions.setdefault(f"{name_tok.text}#{port_tok.text}", port_tok.start)
+                self.positions.setdefault((RefKind.PORT, name, port_tok.text), port_tok.start)
             elif self.at_ident("part"):
                 self.advance()
                 role_tok = self.expect_ident("part role")
@@ -99,13 +102,13 @@ class _Parser(Cursor):
                 mult = self.parse_multiplicity()
                 self.expect_punct(";")
                 parts.append(Part(role_tok.text, type_tok.text, mult))
-                self.positions.setdefault(f"{name_tok.text}.{role_tok.text}", role_tok.start)
+                self.positions.setdefault((RefKind.PART, name, role_tok.text), role_tok.start)
             elif self.at_ident("connector"):
-                self.parse_connector(name_tok.text)
+                self.parse_connector(name)
             else:
                 raise self.error("expected 'port', 'part', 'connector', or '}'")
         self.advance()
-        self.components.append(Component(name_tok.text, tuple(ports), tuple(parts)))
+        self.components.append(Component(name, tuple(ports), tuple(parts)))
 
     def parse_multiplicity(self) -> Multiplicity:
         if not self.at_punct("["):
@@ -152,7 +155,7 @@ class _Parser(Cursor):
         self.connectors.append(
             Connector(id_tok.text, context, left, right, _ARROWS[arrow_tok.text])
         )
-        self.positions.setdefault(f"{context}/{id_tok.text}", id_tok.start)
+        self.positions.setdefault((RefKind.CONNECTOR, context, id_tok.text), id_tok.start)
 
     def parse_path(self) -> EndpointPath:
         segments = [self.expect_ident("endpoint path").text]
@@ -178,7 +181,8 @@ def parse_architecture(text: str) -> ArchitectureModel:
     problems = model.validation
     if problems:
         first = problems[0]
-        offset = None if first.element is None else parser.positions.get(first.element.path)
+        element = first.element
+        offset = None if element is None else parser.positions.get((element.kind, *element.split()))
         if offset is None:
             raise AdlParseError(first.message)
         raise parser.error_at(first.message, offset)

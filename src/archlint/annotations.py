@@ -21,6 +21,7 @@ from __future__ import annotations
 import enum
 from collections import namedtuple
 from functools import cached_property
+from operator import attrgetter
 from pathlib import PurePosixPath
 from typing import Callable, Iterable, Mapping, TypeVar
 
@@ -126,9 +127,6 @@ class AnnotationInstance(
     (SourceLocation) and package (str)."""
 
     __slots__ = ()
-
-    def sort_key(self) -> tuple[str, int, int]:
-        return self.location.sort_key()
 
 
 def validate_targets(instance: AnnotationInstance) -> list[Finding]:
@@ -307,7 +305,7 @@ def resolve_context(instances: Iterable[AnnotationInstance]) -> list[AnnotationI
     """Fill empty enclosing_components from the nearest preceding TYPE-targeted
     COMPONENT instance of the same file, in file order; explicit contexts are
     left untouched."""
-    ordered = sorted(instances, key=lambda i: i.sort_key())
+    ordered = sorted(instances, key=attrgetter("location"))
     file = None
     current: tuple[str, ...] = ()
     out: list[AnnotationInstance] = []
@@ -342,7 +340,7 @@ class CodeModel(
     ) -> CodeModel:
         """The model of these instances and findings; `compact_json`, when
         given, is its `compact_json`, already written."""
-        ordered = tuple(sorted(instances, key=lambda x: x.sort_key()))
+        ordered = tuple(sorted(instances, key=attrgetter("location")))
         code = cls(ordered, tuple(sort_findings(findings)), config_fingerprint)
         if compact_json is not None:
             code.__dict__["compact_json"] = compact_json  # where the cached_property keeps it

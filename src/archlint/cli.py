@@ -78,6 +78,15 @@ def _scan(args: argparse.Namespace, config: ScanConfig) -> CodeModel:
         raise _CliError(str(err)) from err
 
 
+def _inputs(args: argparse.Namespace) -> tuple[ArchitectureModel, CodeModel, SmellConfig]:
+    """The architecture, the scanned sources and the smell configuration.
+    The architecture is loaded first, then the configuration, then the
+    sources, so of several bad inputs the first in that order is reported."""
+    arch = _load_architecture(args)
+    scan_cfg, smell_cfg = _load_configs(args)
+    return (arch, _scan(args, scan_cfg), smell_cfg)
+
+
 _LINE_BREAK = re.compile(f"[{LINE_BREAKS}]")
 
 
@@ -127,9 +136,7 @@ def _exit_for(findings: Iterable[Finding], fail_on: str) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    arch = _load_architecture(args)
-    scan_cfg, _ = _load_configs(args)
-    code = _scan(args, scan_cfg)
+    arch, code, _ = _inputs(args)
     report = run_all(arch, code)
     _render_report(report.findings, report.fingerprint, args.format, sys.stdout)
     return _exit_for(report.findings, args.fail_on)
@@ -151,18 +158,14 @@ def cmd_extract(args: argparse.Namespace) -> int:
 def cmd_smells(args: argparse.Namespace) -> int:
     from .smells import run_smells
 
-    arch = _load_architecture(args)
-    scan_cfg, smell_cfg = _load_configs(args)
-    code = _scan(args, scan_cfg)
+    arch, code, smell_cfg = _inputs(args)
     findings = run_smells(arch, code, smell_cfg)
     _render_report(findings, report_fingerprint(arch, code), args.format, sys.stdout)
     return _exit_for(findings, args.fail_on)
 
 
 def cmd_lookup(args: argparse.Namespace) -> int:
-    arch = _load_architecture(args)
-    scan_cfg, _ = _load_configs(args)
-    code = _scan(args, scan_cfg)
+    arch, code, _ = _inputs(args)
     try:
         ref = parse_ref(args.element)
     except ValueError as err:
@@ -214,9 +217,7 @@ def cmd_refactor(args: argparse.Namespace) -> int:
     from .refactor import apply_plan, parse_plan
 
     arch_path = Path(args.arch)
-    arch = _load_architecture(args)
-    scan_cfg, _ = _load_configs(args)
-    code = _scan(args, scan_cfg)
+    arch, code, _ = _inputs(args)
     plan_path = Path(args.plan)
     try:
         plan = parse_plan(_read_text(plan_path, "plan"), plan_path.stem)
@@ -250,8 +251,11 @@ def cmd_scaffold(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_common(parser: argparse.ArgumentParser, *, arch: bool = True) -> None:
-    """The options of every command that scans sources."""
+def _add_common(
+    parser: argparse.ArgumentParser, *, arch: bool = True, fail_on: bool = False
+) -> None:
+    """The options of every command that scans sources; with `fail_on`, the
+    exit-status threshold of a command that reports findings."""
     if arch:
         parser.add_argument("--arch", required=True, help="architecture description file")
     parser.add_argument(
@@ -262,6 +266,11 @@ def _add_common(parser: argparse.ArgumentParser, *, arch: bool = True) -> None:
     parser.add_argument(
         "--format", choices=("text", "json"), default="text", help="report format"
     )
+    if fail_on:
+        parser.add_argument(
+            "--fail-on", choices=("error", "warning"), default="error", dest="fail_on",
+            help="lowest severity that causes exit status 1",
+        )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -273,11 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     check = sub.add_parser("check", help="run the conformance checks")
-    _add_common(check)
-    check.add_argument(
-        "--fail-on", choices=("error", "warning"), default="error", dest="fail_on",
-        help="lowest severity that causes exit status 1",
-    )
+    _add_common(check, fail_on=True)
     check.set_defaults(func=cmd_check)
 
     extract = sub.add_parser("extract", help="dump the annotations found in the sources")
@@ -285,11 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     extract.set_defaults(func=cmd_extract)
 
     smells = sub.add_parser("smells", help="run the architectural smell detectors")
-    _add_common(smells)
-    smells.add_argument(
-        "--fail-on", choices=("error", "warning"), default="error", dest="fail_on",
-        help="lowest severity that causes exit status 1",
-    )
+    _add_common(smells, fail_on=True)
     smells.set_defaults(func=cmd_smells)
 
     look = sub.add_parser("lookup", help="list annotations referencing an element")

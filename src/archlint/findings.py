@@ -22,15 +22,12 @@ class Severity(enum.Enum):
 
 class SourceLocation(namedtuple("SourceLocation", "file line column")):
     """1-based position inside a scanned file: file (str, root-relative),
-    line and column (int)."""
+    line and column (int). As a tuple it sorts in that order."""
 
     __slots__ = ()
 
     def __str__(self) -> str:
         return f"{self.file}:{self.line}:{self.column}"
-
-    def sort_key(self) -> tuple[str, int, int]:
-        return (self.file, self.line, self.column)
 
 
 # Check ids with their fixed severity. Validator and extraction ids are

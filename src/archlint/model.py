@@ -14,6 +14,13 @@ not resolve, its EndpointError carries the elements walked before the stop.
 
 Each model resolves its connectors once, lazily, into the ConnectorIndex
 every connector query reads; a derived model builds its own.
+
+Two naming rules are stated once here. An element's path is its owner, the
+separator of its kind (`_SEPARATORS`) and its name, or a component's name
+alone: `ElementRef.member` writes it, `ElementRef.split` and `parse_ref`
+read it, and no other module spells one. A name (or a connector's wiring)
+declared more than once is found by `_repeats`: each declaration after the
+first is a finding.
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ import enum
 import re
 from collections import namedtuple
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Hashable, Iterable, Mapping, Sequence
 
 from .errors import EndpointError
 from .findings import Finding, finding, sort_findings
@@ -162,6 +169,11 @@ _PORT = RefKind.PORT
 _CONNECTOR = RefKind.CONNECTOR
 
 
+# The separator between an element's owner and its name in its path, per
+# kind, in the order `parse_ref` tries them; a component's path is its name.
+_SEPARATORS = {_CONNECTOR: "/", _PORT: "#", _PART: "."}
+
+
 class ElementRef(namedtuple("ElementRef", "kind path")):
     """Uniform address of an architecture element: its kind (RefKind) and
     path (str).
@@ -178,6 +190,8 @@ class ElementRef(namedtuple("ElementRef", "kind path")):
     def sort_key(self) -> tuple[str, str]:
         return (self.path, self.kind.value)
 
+    # `component`, `part`, `port` and `connector` are `member` of one kind,
+    # without its table lookup.
     @classmethod
     def component(cls, name: str) -> ElementRef:
         return cls(_COMPONENT, name)
@@ -191,56 +205,40 @@ class ElementRef(namedtuple("ElementRef", "kind path")):
         return cls(_PORT, f"{owner}#{name}")
 
     @classmethod
+    def connector(cls, context: str, cid: str) -> ElementRef:
+        return cls(_CONNECTOR, f"{context}/{cid}")
+
+    @classmethod
     def member(cls, kind: RefKind, owner: str, name: str) -> ElementRef:
         """The element a name of `kind` denotes: the part, port or connector
         `name` of owner (a connector's context), or the component `name`."""
-        if kind is _PART:
-            return cls(kind, f"{owner}.{name}")
-        if kind is _PORT:
-            return cls(kind, f"{owner}#{name}")
-        if kind is _CONNECTOR:
-            return cls(kind, f"{owner}/{name}")
-        return cls(kind, name)
-
-    @classmethod
-    def connector(cls, context: str, cid: str) -> ElementRef:
-        return cls(_CONNECTOR, f"{context}/{cid}")
+        separator = _SEPARATORS.get(kind)
+        return cls(kind, name if separator is None else f"{owner}{separator}{name}")
 
     def split(self) -> tuple[str, str]:
         """The (owner, name) pair `member` takes: a part's, port's or
         connector's owner (a connector's context) and name, or "" and a
         component's name."""
-        if self.kind is _PART:
-            owner, _, member = self.path.rpartition(".")
-        elif self.kind is _PORT:
-            owner, _, member = self.path.partition("#")
-        elif self.kind is _CONNECTOR:
-            owner, _, member = self.path.partition("/")
-        else:
+        separator = _SEPARATORS.get(self.kind)
+        if separator is None:
             return ("", self.path)
-        return (owner, member)
+        owner, _, name = self.path.partition(separator)
+        return (owner, name)
 
 
 def parse_ref(text: str) -> ElementRef:
-    """Parse the textual ref shapes accepted on the command line and in plans."""
-    if "/" in text:
-        context, _, cid = text.partition("/")
-        if (context and not is_identifier(context)) or not is_identifier(cid):
-            raise ValueError(f"invalid connector reference '{text}'")
-        return ElementRef.connector(context, cid)
-    if "#" in text:
-        owner, _, port = text.partition("#")
-        if not is_identifier(owner) or not is_identifier(port):
-            raise ValueError(f"invalid port reference '{text}'")
-        return ElementRef.port(owner, port)
-    if "." in text:
-        owner, _, role = text.partition(".")
-        if not is_identifier(owner) or not is_identifier(role):
-            raise ValueError(f"invalid part reference '{text}'")
-        return ElementRef.part(owner, role)
-    if not is_identifier(text):
-        raise ValueError(f"invalid component reference '{text}'")
-    return ElementRef.component(text)
+    """Parse the textual ref shapes accepted on the command line and in plans:
+    the first separator `text` holds gives its kind, and none a component.
+    Owner and name are identifiers; a connector's owner may be the root
+    context."""
+    kind = next((k for k, separator in _SEPARATORS.items() if separator in text), _COMPONENT)
+    ref = ElementRef(kind, text)
+    owner, name = ref.split()
+    if not is_identifier(name) or not (
+        is_identifier(owner) or owner == ROOT_CONTEXT and kind in (_COMPONENT, _CONNECTOR)
+    ):
+        raise ValueError(f"invalid {kind.value} reference '{text}'")
+    return ref
 
 
 class ArchitectureModel(Record, namedtuple("ArchitectureModel", "components connectors")):
@@ -454,116 +452,108 @@ def created_or_deleted(old: ArchitectureModel, new: ArchitectureModel) -> frozen
     return frozenset(refs)
 
 
+def _repeats(keys: Sequence[Hashable]) -> list[int]:
+    """The positions whose key already appeared earlier in `keys`: the one
+    rule for a name (or wiring) declared more than once."""
+    if len(set(keys)) == len(keys):
+        return []
+    seen: set[Hashable] = set()
+    repeats: list[int] = []
+    for position, key in enumerate(keys):
+        if key in seen:
+            repeats.append(position)
+        seen.add(key)
+    return repeats
+
+
 def validate_model(model: ArchitectureModel) -> list[Finding]:
-    """Well-formedness gate: empty result means every invariant holds."""
+    """Well-formedness gate: empty result means every invariant holds. A
+    finding's ref and message are built only when it is found."""
     findings: list[Finding] = []
-    seen_components: set[str] = set()
-    for comp in model.components:
-        cref = ElementRef.component(comp.name)
-        if comp.name in seen_components:
-            findings.append(
-                finding("DUPLICATE_COMPONENT", f"component '{comp.name}' declared more than once", cref)
+
+    def found(check_id: str, ref: ElementRef, message: str) -> None:
+        findings.append(finding(check_id, message, ref))
+
+    components = model.components
+    for i in _repeats([comp.name for comp in components]):
+        name = components[i].name
+        found(
+            "DUPLICATE_COMPONENT", ElementRef.component(name),
+            f"component '{name}' declared more than once",
+        )
+    for comp in components:
+        owner = comp.name
+        for i in _repeats([port.name for port in comp.ports]):
+            name = comp.ports[i].name
+            found(
+                "DUPLICATE_PORT", ElementRef.port(owner, name),
+                f"port '{name}' declared more than once in '{owner}'",
             )
-        seen_components.add(comp.name)
-
-        seen_ports: set[str] = set()
-        for port in comp.ports:
-            if port.name in seen_ports:
-                findings.append(
-                    finding(
-                        "DUPLICATE_PORT",
-                        f"port '{port.name}' declared more than once in '{comp.name}'",
-                        ElementRef.port(comp.name, port.name),
-                    )
-                )
-            seen_ports.add(port.name)
-
-        seen_roles: set[str] = set()
+        for i in _repeats([part.role for part in comp.parts]):
+            role = comp.parts[i].role
+            found(
+                "DUPLICATE_PART_ROLE", ElementRef.part(owner, role),
+                f"part role '{role}' declared more than once in '{owner}'",
+            )
         for part in comp.parts:
-            pref = ElementRef.part(comp.name, part.role)
-            if part.role in seen_roles:
-                findings.append(
-                    finding(
-                        "DUPLICATE_PART_ROLE",
-                        f"part role '{part.role}' declared more than once in '{comp.name}'",
-                        pref,
-                    )
+            role, mult = part.role, part.multiplicity
+            if comp.port(role) is not None:
+                found(
+                    "DUPLICATE_MEMBER_NAME", ElementRef.part(owner, role),
+                    f"part role '{role}' is also a port name in '{owner}'",
                 )
-            seen_roles.add(part.role)
-            if part.role in seen_ports:
-                findings.append(
-                    finding(
-                        "DUPLICATE_MEMBER_NAME",
-                        f"part role '{part.role}' is also a port name in '{comp.name}'",
-                        pref,
-                    )
-                )
-            if not part.multiplicity.is_valid():
-                findings.append(
-                    finding(
-                        "BAD_MULTIPLICITY",
-                        f"part '{comp.name}.{part.role}' has invalid multiplicity "
-                        f"{part.multiplicity.lower}..{part.multiplicity.upper}",
-                        pref,
-                    )
+            if not mult.is_valid():
+                ref = ElementRef.part(owner, role)
+                found(
+                    "BAD_MULTIPLICITY", ref,
+                    f"part '{ref.path}' has invalid multiplicity {mult.lower}..{mult.upper}",
                 )
             if model.component(part.type_component) is None:
-                findings.append(
-                    finding(
-                        "UNRESOLVED_PART_TYPE",
-                        f"part '{comp.name}.{part.role}' has undeclared type '{part.type_component}'",
-                        pref,
-                    )
+                ref = ElementRef.part(owner, role)
+                found(
+                    "UNRESOLVED_PART_TYPE", ref,
+                    f"part '{ref.path}' has undeclared type '{part.type_component}'",
                 )
 
-    seen_ids: set[str] = set()
-    seen_triples: set[tuple[str, str, str, Direction]] = set()
+    connectors = model.connectors
+    for i in _repeats([conn.id for conn in connectors]):
+        conn = connectors[i]
+        found(
+            "DUPLICATE_CONNECTOR_ID", ElementRef.connector(conn.context, conn.id),
+            f"connector id '{conn.id}' declared more than once",
+        )
     index = model.connector_index
-    for conn in model.connectors:
-        kref = ElementRef.connector(conn.context, conn.id)
-        if conn.id in seen_ids:
-            findings.append(
-                finding("DUPLICATE_CONNECTOR_ID", f"connector id '{conn.id}' declared more than once", kref)
-            )
-        seen_ids.add(conn.id)
-
+    wired: list[Connector] = []
+    for conn in connectors:
         if conn.context != ROOT_CONTEXT and model.component(conn.context) is None:
-            findings.append(
-                finding(
-                    "UNKNOWN_CONTEXT",
-                    f"connector '{conn.id}' declared in unknown component '{conn.context}'",
-                    kref,
-                )
+            found(
+                "UNKNOWN_CONTEXT", ElementRef.connector(conn.context, conn.id),
+                f"connector '{conn.id}' declared in unknown component '{conn.context}'",
             )
             continue
-
-        for side in index.sides[conn]:
-            if isinstance(side, EndpointError):
-                findings.append(finding("UNRESOLVED_ENDPOINT", f"connector '{conn.id}': {side}", kref))
-        resolved = index.triples.get(conn)
-        if resolved is None:
-            continue
-        nl, nr, nd = resolved
-        if nl == nr:
-            findings.append(
-                finding(
-                    "SELF_CONNECTOR",
-                    f"connector '{conn.id}' joins '{nl}' to itself",
-                    kref,
-                )
+        triple = index.triples.get(conn)
+        if triple is None:
+            for side in index.sides[conn]:
+                if isinstance(side, EndpointError):
+                    found(
+                        "UNRESOLVED_ENDPOINT", ElementRef.connector(conn.context, conn.id),
+                        f"connector '{conn.id}': {side}",
+                    )
+        elif triple[0] == triple[1]:
+            found(
+                "SELF_CONNECTOR", ElementRef.connector(conn.context, conn.id),
+                f"connector '{conn.id}' joins '{triple[0]}' to itself",
             )
-            continue
-        # Same wiring in different contexts is reuse, not duplication.
-        triple = (conn.context, nl, nr, nd)
-        if triple in seen_triples:
-            findings.append(
-                finding(
-                    "DUPLICATE_CONNECTOR",
-                    f"connector '{conn.id}' duplicates an existing connector in the "
-                    f"same context ({nl} / {nr} {nd.value})",
-                    kref,
-                )
-            )
-        seen_triples.add(triple)
+        else:
+            wired.append(conn)
+    # Same wiring in different contexts is reuse, not duplication.
+    for i in _repeats([(conn.context, *index.triples[conn]) for conn in wired]):
+        conn = wired[i]
+        nl, nr, nd = index.triples[conn]
+        found(
+            "DUPLICATE_CONNECTOR", ElementRef.connector(conn.context, conn.id),
+            f"connector '{conn.id}' duplicates an existing connector in the "
+            f"same context ({nl} / {nr} {nd.value})",
+        )
 
     return sort_findings(findings)

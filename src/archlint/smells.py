@@ -32,7 +32,7 @@ def smell_scattered_component(
     for name, (packages, locations) in sorted(spread.items()):
         if len(packages) < cfg.scatter_threshold:
             continue
-        locations.sort(key=lambda loc: loc.sort_key())
+        locations.sort()
         shown = ", ".join(sorted(p if p else "<root>" for p in packages))
         findings.append(
             finding(
@@ -61,9 +61,7 @@ def smell_connector_lifecycle(arch: ArchitectureModel, code: CodeModel) -> list[
             problems.append(f"more than one disconnecting method ({len(disconnects)})")
         if not problems:
             continue
-        locations = sorted(
-            (inst.location for inst in connects + disconnects), key=lambda loc: loc.sort_key()
-        )
+        locations = sorted(inst.location for inst in connects + disconnects)
         findings.append(
             finding(
                 CONNECTOR_LIFECYCLE,

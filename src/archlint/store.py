@@ -50,6 +50,7 @@ import marshal
 import os
 import sys
 from functools import lru_cache
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -180,7 +181,7 @@ def fragments(
     """A file's compact instance and finding JSON in code-model order, each
     record joined to the next by a comma, as `jsontext.code_model` writes
     them at depth None."""
-    ordered = sorted(instances, key=AnnotationInstance.sort_key)
+    ordered = sorted(instances, key=attrgetter("location"))
     return (
         ",".join(jsontext.instance(i, None) for i in ordered),
         ",".join(jsontext.finding(f, None) for f in sort_findings(findings)),

@@ -507,9 +507,7 @@ def test_criterion_3_lookup_impact_oracle() -> None:
             assert list(usages.stores) == groups[AnnotationKind.CONNECTOR]
             lifecycle = groups[AnnotationKind.CONNECTS] + groups[AnnotationKind.DISCONNECTS]
             if len(groups[AnnotationKind.CONNECTS]) != 1 or len(groups[AnnotationKind.DISCONNECTS]) != 1:
-                flagged[ref.path] = sorted(
-                    (inst.location for inst in lifecycle), key=lambda loc: loc.sort_key()
-                )
+                flagged[ref.path] = sorted(inst.location for inst in lifecycle)
         got = {f.element.path: list(f.locations) for f in smell_connector_lifecycle(model, code)}
         assert got == flagged
 

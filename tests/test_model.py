@@ -1,8 +1,14 @@
 import random
+from collections import Counter
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from archlint.errors import EndpointError
+import validate_oracle
+from archlint.adl import parse_architecture
+from archlint.errors import AdlParseError, EndpointError
 from archlint.model import (
     ArchitectureModel,
     Component,
@@ -13,6 +19,7 @@ from archlint.model import (
     Multiplicity,
     Part,
     Port,
+    ROOT_CONTEXT,
     RefKind,
     canonical_triple,
     flip,
@@ -354,3 +361,148 @@ def test_generated_models_validate() -> None:
     rng = random.Random(7)
     for _ in range(30):
         assert validate_model(random_model(rng)) == []
+
+
+# --- one spelling of an element path -----------------------------------------
+
+_IDENT = st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,5}", fullmatch=True)
+
+_ONE_KIND = {
+    RefKind.COMPONENT: lambda owner, name: ElementRef.component(name),
+    RefKind.PART: ElementRef.part,
+    RefKind.PORT: ElementRef.port,
+    RefKind.CONNECTOR: ElementRef.connector,
+}
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(list(RefKind)), st.one_of(st.just(ROOT_CONTEXT), _IDENT), _IDENT)
+def test_a_path_member_writes_is_read_back(kind: RefKind, owner: str, name: str) -> None:
+    """`member` writes a path that `parse_ref` and `split` read back, and the
+    one-kind constructors write the same path. Only a connector's owner may
+    be the root context."""
+    ref = ElementRef.member(kind, owner, name)
+    assert _ONE_KIND[kind](owner, name) == ref
+    if kind is RefKind.COMPONENT:
+        assert ref.split() == ("", name)
+        assert parse_ref(ref.path) == ref
+    elif owner or kind is RefKind.CONNECTOR:
+        assert ref.split() == (owner, name)
+        assert parse_ref(ref.path) == ref
+    else:
+        with pytest.raises(ValueError, match=f"invalid {kind.value} reference"):
+            parse_ref(ref.path)
+
+
+# --- one rule for a name declared twice --------------------------------------
+
+DATA = Path(__file__).parent / "data"
+_VALIDATION_IDS = [
+    "DUPLICATE_COMPONENT", "DUPLICATE_PORT", "DUPLICATE_PART_ROLE", "DUPLICATE_MEMBER_NAME",
+    "BAD_MULTIPLICITY", "UNRESOLVED_PART_TYPE", "UNKNOWN_CONTEXT", "UNRESOLVED_ENDPOINT",
+    "SELF_CONNECTOR", "DUPLICATE_CONNECTOR_ID", "DUPLICATE_CONNECTOR",
+]
+_BAD_MULTS = [Multiplicity(-1, 1), Multiplicity(3, 2), Multiplicity(0, 0), Multiplicity(-2, None)]
+
+
+def _defective(rng: random.Random, model: ArchitectureModel) -> ArchitectureModel:
+    """`model` with up to four declarations added or changed, each of which
+    may make it ill-formed."""
+    comps = list(model.components)
+    conns = list(model.connectors)
+    names = [comp.name for comp in comps]
+    for step in range(rng.randint(0, 4)):
+        at = rng.randrange(len(comps))
+        comp = comps[at]
+        conn = rng.choice(conns) if conns else None
+        fresh = f"x{step}"
+        defect = rng.randrange(10)
+        if defect == 0:  # a repeated component
+            comps.append(rng.choice([comp, Component(comp.name), Component(comp.name, comp.ports)]))
+        elif defect == 1 and comp.ports:  # a repeated port
+            comps[at] = comp._replace(ports=comp.ports + (rng.choice(comp.ports),))
+        elif defect == 2 and comp.parts:  # a repeated part role
+            role = rng.choice(comp.parts).role
+            comps[at] = comp._replace(parts=comp.parts + (Part(role, rng.choice(names)),))
+        elif defect == 3 and comp.ports:  # a part role that is also a port name
+            part = Part(rng.choice(comp.ports).name, rng.choice(names))
+            comps[at] = comp._replace(parts=comp.parts + (part,))
+        elif defect == 4 and conn:  # a repeated connector id
+            other = rng.choice(conns)
+            conns.append(other._replace(id=conn.id))
+        elif defect == 5 and conn:  # the same wiring again, in its own context or another
+            # Another context reaches the same endpoints through a part typed
+            # by this context or, from the root, through this top-level context.
+            lifts = [
+                (c.name, (p.role,)) for c in comps for p in c.parts
+                if p.type_component == conn.context
+            ]
+            if conn.context and model.is_top_level(conn.context):
+                lifts.append((ROOT_CONTEXT, (conn.context,)))
+            other = rng.choice([ROOT_CONTEXT, *names])
+            context, prefix = rng.choice([(conn.context, ()), (other, ()), *lifts])
+            left, right = (EndpointPath(prefix + end.segments) for end in (conn.left, conn.right))
+            conns.append(rng.choice([
+                Connector(fresh, context, left, right, conn.direction),
+                Connector(fresh, context, right, left, flip(conn.direction)),
+            ]))
+        elif defect == 6 and conn:  # a self connector
+            conns.append(conn._replace(id=fresh, right=conn.left))
+        elif defect == 7 and comp.parts:  # a bad multiplicity
+            index = rng.randrange(len(comp.parts))
+            part = comp.parts[index]._replace(multiplicity=rng.choice(_BAD_MULTS))
+            comps[at] = comp._replace(parts=comp.parts[:index] + (part,) + comp.parts[index + 1:])
+        elif defect == 8:  # an undeclared part type
+            comps[at] = comp._replace(parts=comp.parts + (Part(fresh, "Nowhere"),))
+        elif defect == 9 and conn:  # an unknown context
+            conns.append(conn._replace(id=rng.choice([fresh, conn.id]), context="Nowhere"))
+    return ArchitectureModel(comps, conns)
+
+
+def test_validate_model_agrees_with_its_oracle() -> None:
+    """Seeded draws of `random_model` with defects injected: the findings
+    equal those of `validate_oracle.validate_model`, the checks before one
+    rule decided every repeated name; every validation check is seen."""
+    rng = random.Random(30)
+    ill_formed = 0
+    seen: Counter[str] = Counter()
+    for _ in range(4000):
+        model = _defective(rng, random_model(rng, max_components=6, connector_attempts=8))
+        findings = validate_model(model)
+        assert findings == validate_oracle.validate_model(model), model
+        ill_formed += bool(findings)
+        seen.update(f.check_id for f in findings)
+    assert sorted(seen) == sorted(_VALIDATION_IDS)
+    assert ill_formed >= 2000
+
+
+def _well_formed_models() -> list[ArchitectureModel]:
+    models = []
+    for path in sorted(DATA.glob("**/*.arch")):
+        try:
+            models.append(parse_architecture(path.read_text(encoding="utf-8")))
+        except AdlParseError:
+            continue
+    rng = random.Random(31)
+    return models + [random_model(rng) for _ in range(300)]
+
+
+def test_checking_a_well_formed_model_builds_no_refs(monkeypatch: pytest.MonkeyPatch) -> None:
+    """Past its connector index, `validate_model` builds an `ElementRef`, and
+    its message, only for a finding."""
+    models = _well_formed_models()
+    for model in models:
+        model.connector_index
+    built = []
+    new = ElementRef.__new__
+
+    def counted(cls: type, *fields: object) -> ElementRef:
+        built.append(fields)
+        return new(cls, *fields)
+
+    monkeypatch.setattr(ElementRef, "__new__", counted)
+    for model in models:
+        assert validate_model(model) == []
+    assert built == []
+    assert validate_model(ArchitectureModel((Component("A"), Component("A"))))
+    assert built == [(RefKind.COMPONENT, "A")]

@@ -106,6 +106,25 @@ def test_only_the_store_reads_a_file_stat() -> None:
     ]
 
 
+def test_only_the_model_writes_an_element_path() -> None:
+    """`model._SEPARATORS` is the one path rule: no other module joins two
+    f-string fields with a port's `#` or a connector's `/`."""
+    joins = set()
+    for module in sorted(Path(archlint.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(module.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.JoinedStr):
+                continue
+            for before, between, after in zip(node.values, node.values[1:], node.values[2:]):
+                if (
+                    isinstance(before, ast.FormattedValue)
+                    and isinstance(between, ast.Constant)
+                    and between.value in ("#", "/")
+                    and isinstance(after, ast.FormattedValue)
+                ):
+                    joins.add(module.name)
+    assert joins == {"model.py"}
+
+
 def test_one_existence_rule_and_one_path_rewriter_in_refactor() -> None:
     """`refactor._require` is the only function that words a missing
     element, and `refactor._rewrite_paths` the only one that names

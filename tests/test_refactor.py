@@ -825,8 +825,8 @@ def test_lookup_unknown_ref_is_empty(car_arch: ArchitectureModel, car_code: Code
 
 def test_lookup_preserves_location_order(car_arch: ArchitectureModel, car_code: CodeModel) -> None:
     hits = lookup(car_code, parse_ref("Car"), car_arch)
-    keys = [i.location.sort_key() for i in hits]
-    assert keys == sorted(keys)
+    locations = [i.location for i in hits]
+    assert locations == sorted(locations)
 
 
 # --- connector usages -------------------------------------------------------
