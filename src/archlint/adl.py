@@ -20,7 +20,7 @@ connectors, each group sorted, so equal models serialize byte-identically.
 from __future__ import annotations
 
 from .errors import AdlParseError
-from .lexer import Cursor, Lines, _table, tokenize
+from .lexer import Cursor, Lines, Token, _table, tokenize
 from .model import (
     ADL_IDENT,
     ArchitectureModel,
@@ -56,9 +56,12 @@ class _Parser(Cursor):
         self.text = text
         self.components: list[Component] = []
         self.connectors: list[Connector] = []
-        # declaration offsets by the (kind, owner, name) `ElementRef.member`
-        # takes, for semantic diagnostics
-        self.positions: dict[tuple[RefKind, str, str], int] = {}
+        # the offset of each declaration, in order, by the (kind, owner, name)
+        # `ElementRef.member` takes, for semantic diagnostics
+        self.positions: dict[tuple[RefKind, str, str], list[int]] = {}
+
+    def declared(self, kind: RefKind, owner: str, name_tok: Token) -> None:
+        self.positions.setdefault((kind, owner, name_tok.text), []).append(name_tok.start)
 
     def error_at(self, message: str, offset: int) -> AdlParseError:
         return AdlParseError(message, *Lines(self.text).at(offset))
@@ -83,7 +86,7 @@ class _Parser(Cursor):
         self.advance()
         name_tok = self.expect_ident("component name")
         name = name_tok.text
-        self.positions.setdefault((RefKind.COMPONENT, "", name), name_tok.start)
+        self.declared(RefKind.COMPONENT, ROOT_CONTEXT, name_tok)
         self.expect_punct("{")
         ports: list[Port] = []
         parts: list[Part] = []
@@ -93,7 +96,7 @@ class _Parser(Cursor):
                 port_tok = self.expect_ident("port name")
                 self.expect_punct(";")
                 ports.append(Port(port_tok.text))
-                self.positions.setdefault((RefKind.PORT, name, port_tok.text), port_tok.start)
+                self.declared(RefKind.PORT, name, port_tok)
             elif self.at_ident("part"):
                 self.advance()
                 role_tok = self.expect_ident("part role")
@@ -102,7 +105,7 @@ class _Parser(Cursor):
                 mult = self.parse_multiplicity()
                 self.expect_punct(";")
                 parts.append(Part(role_tok.text, type_tok.text, mult))
-                self.positions.setdefault((RefKind.PART, name, role_tok.text), role_tok.start)
+                self.declared(RefKind.PART, name, role_tok)
             elif self.at_ident("connector"):
                 self.parse_connector(name)
             else:
@@ -155,7 +158,7 @@ class _Parser(Cursor):
         self.connectors.append(
             Connector(id_tok.text, context, left, right, _ARROWS[arrow_tok.text])
         )
-        self.positions.setdefault((RefKind.CONNECTOR, context, id_tok.text), id_tok.start)
+        self.declared(RefKind.CONNECTOR, context, id_tok)
 
     def parse_path(self) -> EndpointPath:
         segments = [self.expect_ident("endpoint path").text]
@@ -170,7 +173,8 @@ def parse_architecture(text: str) -> ArchitectureModel:
 
     Raises AdlParseError on syntax errors (with line/column) and on
     well-formedness violations (duplicate names, unresolved references),
-    pointing at the offending declaration where known.
+    pointing at the offending declaration where known: a repeated name at
+    its first repeat, anything else at its first declaration.
     """
     parser = _Parser(text)
     last = parser.tokens[-1]
@@ -182,10 +186,13 @@ def parse_architecture(text: str) -> ArchitectureModel:
     if problems:
         first = problems[0]
         element = first.element
-        offset = None if element is None else parser.positions.get((element.kind, *element.split()))
-        if offset is None:
+        key = None if element is None else (element.kind, *element.split())
+        offsets = parser.positions.get(key, [])
+        if first.check_id.startswith("DUPLICATE_"):
+            offsets = offsets[1:] or offsets
+        if not offsets:
             raise AdlParseError(first.message)
-        raise parser.error_at(first.message, offset)
+        raise parser.error_at(first.message, offsets[0])
     return model
 
 

@@ -12,8 +12,9 @@ Extraction never raises on bad input; problems become findings
 offending annotation is dropped.
 
 Every rule about a kind of annotation reads that kind's row in
-`AnnotationKind`. `named_elements` is the one rule for what an element
-annotation names.
+`AnnotationKind`. `index_elements` is the one rule for what an element
+annotation names; `CodeModel.element_index` keeps its answer, which checks
+1 and 2 read and `CodeModel.element_refs` (the lookup's) is derived from.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from collections import namedtuple
 from functools import cached_property
 from operator import attrgetter
 from pathlib import PurePosixPath
-from typing import Callable, Iterable, Mapping, TypeVar
+from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 
 from .findings import Finding, SourceLocation, finding, sort_findings
 from .lexer import Cursor
@@ -67,7 +68,7 @@ class AnnotationKind(enum.Enum):
     * `required` and `value_required`: the attributes it must have, and
       whether it must have a value (`_finish_instance`);
     * `referent`: the element kind each value names, None for a connection
-      kind; `owners`: the owners of an instance's values (`named_elements`);
+      kind; `owners`: the owners of an instance's values (`index_elements`);
     * `covers`: whether check 1 counts what it names as annotated;
     * `usage`: the `ConnectorUsages` group a connection kind fills.
 
@@ -110,6 +111,7 @@ class AnnotationKind(enum.Enum):
 # `AnnotationKind.X` lookup runs `EnumType.__getattr__`.
 _COMPONENT = AnnotationKind.COMPONENT
 _TYPE = TargetKind.TYPE
+_COMPONENT_REF = RefKind.COMPONENT
 
 
 ANNOTATION_NAMES: Mapping[str, AnnotationKind] = {k.value: k for k in AnnotationKind}
@@ -355,22 +357,67 @@ class CodeModel(
         return jsontext.code_model(self, None)
 
     @cached_property
-    def by_kind(self) -> Mapping[AnnotationKind, tuple[AnnotationInstance, ...]]:
-        out: dict[AnnotationKind, list[AnnotationInstance]] = {k: [] for k in AnnotationKind}
-        for inst in self.instances:
-            out[inst.kind].append(inst)
-        return {k: tuple(v) for k, v in out.items()}
+    def element_index(self) -> ElementIndex:
+        return index_elements(self.instances)
 
     @cached_property
-    def element_refs(self) -> Mapping[ElementRef, list[int]]:
-        """Each element the element annotations reference (`syntactic_refs`,
-        whatever the model), mapped to their positions in `instances`."""
-        index: dict[ElementRef, list[int]] = {}
-        for position, inst in enumerate(self.instances):
-            if inst.kind.usage is None:
-                for ref in syntactic_refs(inst):
-                    index.setdefault(ref, []).append(position)
-        return index
+    def element_refs(self) -> Mapping[ElementRef, Sequence[int]]:
+        """Each element the element annotations reference, whatever the
+        model, mapped to their positions in `instances` (`element_index`):
+        each component it lists, and each part and port it names."""
+        index = self.element_index
+        refs = {ElementRef.component(name): at for name, at in index.components.items()}
+        for key, positions in index.named.items():
+            if key[0] is not _COMPONENT_REF:
+                ref = ElementRef.member(*key)
+                known = refs.get(ref)  # two keys spell one path when a name holds a separator
+                refs[ref] = positions if known is None else sorted({*known, *positions})
+        return refs
+
+
+ElementIndex = namedtuple("ElementIndex", "named uncovered ownerless components")
+
+
+def index_elements(instances: Sequence[AnnotationInstance]) -> ElementIndex:
+    """The one rule for what an element annotation names: each value names
+    an element of its kind's `referent` in each owner its kind's `owners`
+    gives. Each annotation is listed by its position in `instances`, and a
+    list of positions ascends without repeats.
+
+    `named` maps each (RefKind, owner, value) key `ElementRef.member` takes
+    to the annotations naming it; `uncovered` holds the keys that only
+    annotations whose kind does not `cover` name; `ownerless` lists the
+    annotations with no owner; `components` maps each component that an
+    annotation sits in, names as an owner or names to those annotations.
+    """
+    named: dict[tuple[RefKind, str, str], list[int]] = {}
+    components: dict[str, list[int]] = {}
+    ownerless: list[int] = []
+    uncovering: set[tuple[RefKind, str, str]] = set()
+    for position, inst in enumerate(instances):
+        kind = inst.kind
+        referent = kind.referent
+        if referent is None:
+            continue
+        owners, values, enclosing = kind.owners(inst), inst.values, inst.enclosing_components
+        if not owners:
+            ownerless.append(position)
+        for owner in owners:
+            for value in values:
+                key = (referent, owner, value)
+                positions = named.setdefault(key, [])
+                if not positions or positions[-1] != position:  # named twice by one annotation
+                    positions.append(position)
+                if not kind.covers:
+                    uncovering.add(key)
+        # the components it sits in, and a component's values or a member's owners
+        also = values if referent is _COMPONENT_REF else owners
+        for name in enclosing if also is enclosing else (*enclosing, *also):
+            positions = components.setdefault(name, [])
+            if not positions or positions[-1] != position:
+                positions.append(position)
+    uncovered = frozenset(k for k in uncovering if not any(instances[p].kind.covers for p in named[k]))
+    return ElementIndex(named, uncovered, tuple(ownerless), components)
 
 
 def side_context(instance: AnnotationInstance, side: str) -> str:
@@ -384,39 +431,19 @@ def side_context(instance: AnnotationInstance, side: str) -> str:
     return ROOT_CONTEXT
 
 
-def named_elements(instance: AnnotationInstance) -> tuple[RefKind, tuple[str, ...]] | None:
-    """The element kind an annotation names, and the owners it names each
-    value in, from its kind's `referent` and `owners`. None for connection
-    annotations.
-    """
-    kind = instance.kind
-    if kind.referent is None:
-        return None
-    return kind.referent, kind.owners(instance)
-
-
 def syntactic_refs(instance: AnnotationInstance) -> frozenset[ElementRef]:
     """Architecture elements this instance textually references.
 
-    Enclosing components, and for an element annotation each element and
-    owner `named_elements` gives. Endpoint paths are interpreted without
-    the architecture: a one-segment path could be a part or a port of the
-    side's context, so both refs are indexed; lookup with an architecture
-    model refines this.
+    An element annotation references what `CodeModel.element_refs` lists
+    for a model of it alone. A connection annotation references its
+    enclosing components and its endpoints' elements. Endpoint paths are
+    interpreted without the architecture: a one-segment path could be a
+    part or a port of the side's context, so both refs are indexed; lookup
+    with an architecture model refines this.
     """
-    refs: set[ElementRef] = set()
-    enclosing = instance.enclosing_components
-    for name in enclosing:
-        refs.add(ElementRef.component(name))
-    named = named_elements(instance)
-    if named is not None:
-        ref_kind, owners = named
-        for owner in owners:
-            if owner != ROOT_CONTEXT and owner not in enclosing:
-                refs.add(ElementRef.component(owner))
-            for value in instance.values:
-                refs.add(ElementRef.member(ref_kind, owner, value))
-        return frozenset(refs)
+    if instance.kind.referent is not None:
+        return frozenset(CodeModel((instance,)).element_refs)
+    refs = {ElementRef.component(name) for name in instance.enclosing_components}
     for side in ("left", "right"):
         path = instance.attrs.get(side)
         if not path:

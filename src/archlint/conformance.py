@@ -12,8 +12,12 @@ the annotation lookup.
 Connection-shaped annotations (@Connects/@Disconnects/@Connector) are checked
 only by check 3, so one mistake is reported once.
 
-Checks 1 and 2 and the lookup (through `syntactic_refs`) read what an
-element annotation names from one rule, `annotations.named_elements`.
+Checks 1 and 2 compare the (kind, owner, name) keys the model declares
+(`ArchitectureModel.declared_keys`) with those the element annotations name
+(`CodeModel.element_index`). In Murphy, Notkin & Sullivan's reflexion
+models (FSE 1995), check 1 reports the absences and check 2 the
+divergences. The lookup reads `CodeModel.element_refs`, derived from the
+same index.
 
 Every connector query reads `resolve_connection`: check 3, `references`
 (behind `lookup` and plan impact), `connector_usages` and the
@@ -29,13 +33,7 @@ from collections import Counter, namedtuple
 from typing import Iterable
 
 from .adl import serialize_architecture
-from .annotations import (
-    AnnotationInstance,
-    CodeModel,
-    named_elements,
-    side_context,
-    syntactic_refs,
-)
+from .annotations import AnnotationInstance, CodeModel, side_context, syntactic_refs
 from .errors import EndpointError, UnknownConnectorError
 from .findings import Finding, finding, sort_findings
 from .model import (
@@ -198,77 +196,36 @@ def connector_usages(
 
 
 def check_annotation_completeness(arch: ArchitectureModel, code: CodeModel) -> list[Finding]:
-    """MISSING_ANNOTATION per component/part/port with no covering instance.
-
-    An annotation whose kind `covers` covers the (owner, value) pairs
-    `named_elements` gives.
-    """
-    components: set[tuple[str, str]] = set()
-    parts: set[tuple[str, str]] = set()
-    ports: set[tuple[str, str]] = set()
-    covered = {RefKind.COMPONENT: components, RefKind.PART: parts, RefKind.PORT: ports}
-    for kind, instances in code.by_kind.items():
-        if not kind.covers:
-            continue
-        pairs = covered[kind.referent]
-        for inst in instances:
-            _, owners = named_elements(inst)
-            for owner in owners:
-                for value in inst.values:
-                    pairs.add((owner, value))
-
-    missing: set[ElementRef] = set()
-    for comp in arch.components:
-        owner = comp.name
-        if ("", owner) not in components:
-            missing.add(ElementRef.component(owner))
-        for part in comp.parts:
-            if (owner, part.role) not in parts:
-                missing.add(ElementRef.part(owner, part.role))
-        for port in comp.ports:
-            if (owner, port.name) not in ports:
-                missing.add(ElementRef.port(owner, port.name))
+    """MISSING_ANNOTATION per declared component, part and port that no
+    annotation whose kind `covers` names (the absences)."""
+    declared, index = arch.declared_keys, code.element_index
+    absent = (declared - index.named.keys()) | (declared & index.uncovered)
     return sort_findings(
         finding("MISSING_ANNOTATION", f"no annotation covers {ref.kind.value} '{ref.path}'", ref)
-        for ref in missing
+        for ref in {ElementRef.member(*key) for key in absent}
     )
 
 
 def check_architecture_completeness(arch: ArchitectureModel, code: CodeModel) -> list[Finding]:
-    """UNKNOWN_ELEMENT per element an annotation names (`named_elements`)
-    that the architecture does not declare, and per element annotation that
-    has no owner. Connection-shaped annotations are check 3's business.
+    """UNKNOWN_ELEMENT per annotation naming an element the architecture
+    does not declare (the divergences), and per element annotation that has
+    no owner. Connection-shaped annotations are check 3's business.
     """
-    findings: list[Finding] = []
-    for kind, instances in code.by_kind.items():
-        if kind.referent is None:
-            continue
-        for inst in instances:
-            ref_kind, owners = named_elements(inst)
-            if not owners:
-                message = f"@{kind.value} has no enclosing component to resolve against"
-                findings.append(finding("UNKNOWN_ELEMENT", message, locations=[inst.location]))
-            for owner in owners:
-                comp = arch.component(owner)
-                for value in inst.values:
-                    if ref_kind is RefKind.COMPONENT:
-                        if arch.component(value) is not None:
-                            continue
-                        message = f"@{kind.value} names unknown component '{value}'"
-                    else:
-                        if comp is None:
-                            where = "unknown component"
-                        elif (comp.part(value) if ref_kind is RefKind.PART else comp.port(value)) is None:
-                            where = "component"
-                        else:
-                            continue
-                        message = (
-                            f"@{kind.value} names {ref_kind.value} '{value}' "
-                            f"not declared in {where} '{owner}'"
-                        )
-                    ref = ElementRef.member(ref_kind, owner, value)
-                    findings.append(finding("UNKNOWN_ELEMENT", message, ref, locations=[inst.location]))
-    return sort_findings(findings)
+    index, instances = code.element_index, code.instances
+    groups = [(index.ownerless, "has no enclosing component to resolve against", None)]
+    for key in index.named.keys() - arch.declared_keys:
+        kind, owner, value = key
+        if kind is RefKind.COMPONENT:
+            says = f"names unknown component '{value}'"
+        else:
+            where = "unknown component" if arch.component(owner) is None else "component"
+            says = f"names {kind.value} '{value}' not declared in {where} '{owner}'"
+        groups.append((index.named[key], says, ElementRef.member(*key)))
+    return sort_findings(
+        finding("UNKNOWN_ELEMENT", f"@{inst.kind.value} {says}", ref, [inst.location])
+        for positions, says, ref in groups
+        for inst in map(instances.__getitem__, positions)
+    )
 
 
 def check_connection_consistency(arch: ArchitectureModel, code: CodeModel) -> list[Finding]:

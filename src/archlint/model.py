@@ -29,7 +29,7 @@ import enum
 import re
 from collections import namedtuple
 from functools import cached_property
-from typing import Hashable, Iterable, Mapping, Sequence
+from typing import Hashable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import EndpointError
 from .findings import Finding, finding, sort_findings
@@ -270,6 +270,10 @@ class ArchitectureModel(Record, namedtuple("ArchitectureModel", "components conn
         return frozenset(p.type_component for c in self.components for p in c.parts)
 
     @cached_property
+    def declared_keys(self) -> frozenset[tuple[RefKind, str, str]]:
+        return frozenset(_member_keys(self.components))
+
+    @cached_property
     def connector_index(self) -> ConnectorIndex:
         return ConnectorIndex(self)
 
@@ -420,19 +424,19 @@ def canonical_triple(
     return triple
 
 
-def _component_refs(comps: Iterable[Component]) -> set[ElementRef]:
-    """The elements components declare: each component, its ports and its parts."""
-    refs: set[ElementRef] = set()
+def _member_keys(comps: Iterable[Component]) -> Iterator[tuple[RefKind, str, str]]:
+    """The (kind, owner, name) key `ElementRef.member` takes of each
+    component, port and part that `comps` declare."""
     for comp in comps:
-        refs.add(ElementRef.component(comp.name))
-        refs.update(ElementRef.port(comp.name, port.name) for port in comp.ports)
-        refs.update(ElementRef.part(comp.name, part.role) for part in comp.parts)
-    return refs
+        owner = comp.name
+        yield _COMPONENT, ROOT_CONTEXT, owner
+        yield from ((_PORT, owner, port.name) for port in comp.ports)
+        yield from ((_PART, owner, part.role) for part in comp.parts)
 
 
 def list_elements(model: ArchitectureModel) -> set[ElementRef]:
     connectors = {ElementRef.connector(conn.context, conn.id) for conn in model.connectors}
-    return _component_refs(model.components) | connectors
+    return {ElementRef.member(*key) for key in model.declared_keys} | connectors
 
 
 def created_or_deleted(old: ArchitectureModel, new: ArchitectureModel) -> frozenset[ElementRef]:
@@ -446,7 +450,8 @@ def created_or_deleted(old: ArchitectureModel, new: ArchitectureModel) -> frozen
     refs: set[ElementRef] = set()
     for before, after in named.values():
         if before != after:
-            refs |= _component_refs(before) ^ _component_refs(after)
+            changed = set(_member_keys(before)) ^ set(_member_keys(after))
+            refs.update(ElementRef.member(*key) for key in changed)
     keys = {(c.context, c.id) for c in old.connectors} ^ {(c.context, c.id) for c in new.connectors}
     refs.update(ElementRef.connector(context, cid) for context, cid in keys)
     return frozenset(refs)

@@ -23,7 +23,8 @@ def smell_scattered_component(
     """Component classes spread over >= scatter_threshold distinct packages."""
     cfg = cfg or SmellConfig()
     spread: dict[str, tuple[set[str], list[SourceLocation]]] = {}
-    for inst in code.by_kind[AnnotationKind.COMPONENT]:
+    component = AnnotationKind.COMPONENT  # looked up once: an enum member lookup is slow
+    for inst in (i for i in code.instances if i.kind is component):
         for name in set(inst.values):
             packages, locations = spread.setdefault(name, (set(), []))
             packages.add(inst.package)

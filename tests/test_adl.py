@@ -102,6 +102,32 @@ def test_parse_errors_carry_position_or_cause(text: str, fragment: str) -> None:
     assert fragment in str(exc.value)
 
 
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ("component A { }\ncomponent A { }\n", "2:11: component 'A' declared more than once"),
+        (
+            "component A { port p; port q;\n port p; }\n",
+            "2:7: port 'p' declared more than once in 'A'",
+        ),
+        (
+            "component W { }\ncomponent B { part w: W;\n  part w: W; }\n",
+            "3:8: part role 'w' declared more than once in 'B'",
+        ),
+        (
+            "component A { port p; port q; port r; }\n"
+            "connector c: A.p -> A.q;\nconnector c: A.q -> A.r;\n",
+            "3:11: connector id 'c' declared more than once",
+        ),
+    ],
+    ids=["component", "port", "part", "root-connector"],
+)
+def test_a_repeated_declaration_is_reported_at_the_repeat(text: str, expected: str) -> None:
+    with pytest.raises(AdlParseError) as exc:
+        parse_architecture(text)
+    assert str(exc.value) == expected
+
+
 @pytest.mark.parametrize("form, column", [("[{}]", 26), ("[1..{}]", 29)], ids=["lower", "upper"])
 def test_bound_too_long_for_int_is_a_parse_error(form: str, column: int) -> None:
     """A bound with more digits than `int` reads is an error at its token."""

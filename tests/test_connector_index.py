@@ -4,7 +4,7 @@ The cost test counts endpoint walks instead of timing anything: every
 connector query resolves endpoints through `walk_endpoint`, so a quadratic
 path shows up as a call count that quadruples when the model doubles. The
 code model's once-per-model index of element annotations is checked the
-same way, by counting `syntactic_refs` calls.
+same way, by counting the element annotations `index_elements` reads.
 """
 
 import sys
@@ -125,8 +125,8 @@ def test_connector_queries_walk_linearly(monkeypatch) -> None:
 
 def test_apply_plan_reads_each_element_annotation_once(monkeypatch) -> None:
     """Element annotations reference the same elements in every model, so a
-    code model asks `syntactic_refs` for each of them once, however many
-    plans and steps read it."""
+    code model's index reads each of them once (`index_elements`), however
+    many plans and steps read it."""
     chain = _chain_code(8).instances
     components = tuple(
         AnnotationInstance(
@@ -138,7 +138,8 @@ def test_apply_plan_reads_each_element_annotation_once(monkeypatch) -> None:
     arch, code = _chain(8), CodeModel.build(chain + components)
     elements = sum(inst.kind.usage is None for inst in code.instances)
     calls = _count_calls(
-        monkeypatch, annotations_module, "syntactic_refs", lambda inst: inst.kind.usage is None
+        monkeypatch, annotations_module, "index_elements",
+        lambda instances: sum(inst.kind.usage is None for inst in instances),
     )
     for steps in (1, 6):
         plan = RefactoringPlan("grow", tuple(AddPort(f"C{k}", "z") for k in range(steps)))

@@ -125,6 +125,23 @@ def test_only_the_model_writes_an_element_path() -> None:
     assert joins == {"model.py"}
 
 
+def test_one_rule_for_what_an_element_annotation_names() -> None:
+    """`annotations.index_elements` is the only function that reads a kind's
+    `owners`, the owners of an annotation's values; a method counts as
+    itself, a nested function as the one it is in."""
+    readers = set()
+    for module in sorted(Path(archlint.__file__).parent.glob("*.py")):
+        for top in ast.parse(module.read_text(encoding="utf-8")).body:
+            for scope in top.body if isinstance(top, ast.ClassDef) else [top]:
+                where = getattr(top, "name", "<module>")
+                if scope is not top:
+                    where += f".{getattr(scope, 'name', '')}"
+                for node in ast.walk(scope):
+                    if isinstance(node, ast.Attribute) and node.attr == "owners" and isinstance(node.ctx, ast.Load):
+                        readers.add((module.name, where))
+    assert readers == {("annotations.py", "index_elements")}
+
+
 def test_one_existence_rule_and_one_path_rewriter_in_refactor() -> None:
     """`refactor._require` is the only function that words a missing
     element, and `refactor._rewrite_paths` the only one that names

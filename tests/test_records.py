@@ -121,5 +121,5 @@ def test_model_records_compare_by_type() -> None:
 
 def test_code_model_copies_drop_the_cached_index() -> None:
     code = CodeModel.build([])
-    assert code.by_kind is code.by_kind
-    assert "by_kind" not in vars(code._replace(config_fingerprint="x"))
+    assert code.element_index is code.element_index
+    assert "element_index" not in vars(code._replace(config_fingerprint="x"))
