@@ -33,6 +33,7 @@ from .model import (
     Port,
     ROOT_CONTEXT,
     RefKind,
+    validate_model,
 )
 
 HEADER = "// architecture description"
@@ -173,8 +174,9 @@ def parse_architecture(text: str) -> ArchitectureModel:
 
     Raises AdlParseError on syntax errors (with line/column) and on
     well-formedness violations (duplicate names, unresolved references),
-    pointing at the offending declaration where known: a repeated name at
-    its first repeat, anything else at its first declaration.
+    pointing at the offending declaration where known: a repeated name or
+    wiring at its first repeat in the text, anything else at its first
+    declaration.
     """
     parser = _Parser(text)
     last = parser.tokens[-1]
@@ -182,12 +184,19 @@ def parse_architecture(text: str) -> ArchitectureModel:
         raise parser.error_at(f"unexpected character {last.text!r}", last.start)
     parser.parse_document()
     model = ArchitectureModel(tuple(parser.components), tuple(parser.connectors))
-    problems = model.validation
-    if problems:
+    if model.validation:
+        problems = validate_model(model, parser.connectors)  # repeats in text order
         first = problems[0]
         element = first.element
         key = None if element is None else (element.kind, *element.split())
         offsets = parser.positions.get(key, [])
+        if first.check_id == "DUPLICATE_CONNECTOR_ID":  # every declaration of the id, any context
+            offsets = sorted(
+                offset
+                for (kind, _, name), at in parser.positions.items()
+                if kind is RefKind.CONNECTOR and name == key[2]
+                for offset in at
+            )
         if first.check_id.startswith("DUPLICATE_"):
             offsets = offsets[1:] or offsets
         if not offsets:

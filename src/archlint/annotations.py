@@ -15,6 +15,8 @@ Every rule about a kind of annotation reads that kind's row in
 `AnnotationKind`. `index_elements` is the one rule for what an element
 annotation names; `CodeModel.element_index` keeps its answer, which checks
 1 and 2 read and `CodeModel.element_refs` (the lookup's) is derived from.
+What a connection annotation references depends on the architecture, so
+its rule is `conformance.resolve_connection`, not here.
 """
 
 from __future__ import annotations
@@ -419,47 +421,3 @@ def index_elements(instances: Sequence[AnnotationInstance]) -> ElementIndex:
     uncovered = frozenset(k for k in uncovering if not any(instances[p].kind.covers for p in named[k]))
     return ElementIndex(named, uncovered, tuple(ownerless), components)
 
-
-def side_context(instance: AnnotationInstance, side: str) -> str:
-    """Context component for one endpoint: explicit attr, else first enclosing,
-    else the document root."""
-    explicit = instance.attrs.get(f"{side}component")
-    if explicit is not None:
-        return explicit
-    if instance.enclosing_components:
-        return instance.enclosing_components[0]
-    return ROOT_CONTEXT
-
-
-def syntactic_refs(instance: AnnotationInstance) -> frozenset[ElementRef]:
-    """Architecture elements this instance textually references.
-
-    An element annotation references what `CodeModel.element_refs` lists
-    for a model of it alone. A connection annotation references its
-    enclosing components and its endpoints' elements. Endpoint paths are
-    interpreted without the architecture: a one-segment path could be a
-    part or a port of the side's context, so both refs are indexed; lookup
-    with an architecture model refines this.
-    """
-    if instance.kind.referent is not None:
-        return frozenset(CodeModel((instance,)).element_refs)
-    refs = {ElementRef.component(name) for name in instance.enclosing_components}
-    for side in ("left", "right"):
-        path = instance.attrs.get(side)
-        if not path:
-            continue
-        explicit = instance.attrs.get(f"{side}component")
-        if explicit:
-            refs.add(ElementRef.component(explicit))
-        context = side_context(instance, side)
-        segments = path.split(".")
-        first = segments[0]
-        if context == ROOT_CONTEXT:
-            if len(segments) > 1:
-                refs.add(ElementRef.component(first))
-        elif len(segments) == 1:
-            refs.add(ElementRef.part(context, first))
-            refs.add(ElementRef.port(context, first))
-        else:
-            refs.add(ElementRef.part(context, first))
-    return frozenset(refs)

@@ -173,24 +173,22 @@ def cmd_lookup(args: argparse.Namespace) -> int:
     if ref not in list_elements(arch):
         raise _CliError(f"unknown element '{ref.path}'")
     if ref.kind is RefKind.CONNECTOR:
-        usages = connector_usages(code, ref, arch)
-        groups = usages._asdict()
-        if args.format == "json":
-            sys.stdout.write(jsontext.lookup(ref.path, groups))
-            return 0
+        groups = connector_usages(code, ref, arch)._asdict()
+    else:
+        groups = {"instances": lookup(code, ref, arch)}
+    if args.format == "json":
+        sys.stdout.write(jsontext.lookup(ref.path, groups))
+    elif ref.kind is RefKind.CONNECTOR:
         sys.stdout.write(f"connector {ref.path}\n")
         for label, group in groups.items():
             sys.stdout.write(f"  {label} ({len(group)})\n")
             for inst in group:
                 sys.stdout.write(f"    {_instance_line(inst)}\n")
-        return 0
-    instances = lookup(code, ref, arch)
-    if args.format == "json":
-        sys.stdout.write(jsontext.lookup(ref.path, {"instances": instances}))
-        return 0
-    sys.stdout.write(f"{ref.path}: {len(instances)} annotation(s)\n")
-    for inst in instances:
-        sys.stdout.write(f"  {_instance_line(inst)}\n")
+    else:
+        instances = groups["instances"]
+        sys.stdout.write(f"{ref.path}: {len(instances)} annotation(s)\n")
+        for inst in instances:
+            sys.stdout.write(f"  {_instance_line(inst)}\n")
     return 0
 
 

@@ -16,14 +16,17 @@ Checks 1 and 2 compare the (kind, owner, name) keys the model declares
 (`ArchitectureModel.declared_keys`) with those the element annotations name
 (`CodeModel.element_index`). In Murphy, Notkin & Sullivan's reflexion
 models (FSE 1995), check 1 reports the absences and check 2 the
-divergences. The lookup reads `CodeModel.element_refs`, derived from the
-same index.
+divergences.
 
-Every connector query reads `resolve_connection`: check 3, `references`
-(behind `lookup` and plan impact), `connector_usages` and the
-connector-lifecycle smell (both through `usages_by_connector`). It walks
-each endpoint of a connection annotation once and matches the result
-against the model's connector index.
+Two rules say what an annotation references. An element annotation's
+refs do not depend on the model: `CodeModel.element_refs`, derived from
+the same index. A connection annotation's come from `resolve_connection`,
+the only code that reads its two sides: it walks each endpoint once,
+matches the result against the model's connector index and lists every
+element the annotation references. Check 3 reads its findings and
+matches. `references` is the one group-by over both rules, behind
+`lookup`, plan impact, `connector_usages` and the connector-lifecycle
+smell (through `usages_by_connector`).
 """
 
 from __future__ import annotations
@@ -33,10 +36,11 @@ from collections import Counter, namedtuple
 from typing import Iterable
 
 from .adl import serialize_architecture
-from .annotations import AnnotationInstance, CodeModel, side_context, syntactic_refs
+from .annotations import AnnotationInstance, CodeModel
 from .errors import EndpointError, UnknownConnectorError
 from .findings import Finding, finding, sort_findings
 from .model import (
+    ROOT_CONTEXT,
     ArchitectureModel,
     Direction,
     ElementRef,
@@ -47,16 +51,17 @@ from .model import (
 )
 
 
-class ConnectionResolution(namedtuple("ConnectionResolution", "triple findings walks matches")):
+class ConnectionResolution(namedtuple("ConnectionResolution", "triple findings refs matches")):
     """A connection annotation resolved against one architecture.
 
     `triple` (tuple[str, str, Direction | None] | None) is the canonical
     (left, right, direction), None when a side does not resolve; its
     direction is None when the annotation omits `type`, and the endpoints
-    are still ordered canonically. `findings` (list[Finding]) holds an
-    UNRESOLVED_ENDPOINT finding per failed side, `walks` each side's
-    `walk_endpoint` result (a pair of tuple[ElementRef, ...] | None, None
-    when it fails), and `matches` (frozenset[ElementRef]) the declared
+    are still ordered canonically. `findings` (list[Finding]) holds a
+    CONTEXT_OVERRIDE warning per side whose explicit context is not an
+    enclosing component and an UNRESOLVED_ENDPOINT finding per failed side.
+    `refs` (frozenset[ElementRef]) is every element the annotation
+    references, and `matches` (frozenset[ElementRef]) the declared
     connectors the triple matches.
     """
 
@@ -66,79 +71,99 @@ class ConnectionResolution(namedtuple("ConnectionResolution", "triple findings w
 def resolve_connection(
     arch: ArchitectureModel, instance: AnnotationInstance
 ) -> ConnectionResolution:
-    """Walk each endpoint of a connection annotation once and match the triple."""
+    """Read each side of a connection annotation, walk its endpoint once and
+    match the triple: the one rule for what a connection annotation means.
+
+    Its `refs` are its enclosing components, each side's explicit context
+    component, every element each endpoint walk reaches (each traversed
+    part counts) and each declared connector it matches. When a side with a
+    path does not resolve, each side's path is also read without the
+    architecture: a first segment in the root context names a component,
+    and elsewhere a part of the side's context, or a port when it is the
+    whole path.
+    """
+    attrs, enclosing, location = instance.attrs, instance.enclosing_components, instance.location
     findings: list[Finding] = []
-    walks: list[tuple[ElementRef, ...] | None] = []
+    refs = [*map(ElementRef.component, enclosing)]
+    ends: list[ElementRef] = []
+    paths: list[tuple[str, str]] = []  # each side's (context, path), when it has a path
     for side in ("left", "right"):
-        raw = instance.attrs.get(side, "")
+        raw = attrs.get(side, "")
+        explicit = attrs.get(f"{side}component")
+        if explicit is None:
+            context = enclosing[0] if enclosing else ROOT_CONTEXT
+        else:
+            context = explicit
+            if enclosing and explicit not in enclosing:
+                findings.append(
+                    finding(
+                        "CONTEXT_OVERRIDE",
+                        f"{side}component='{explicit}' overrides the enclosing component "
+                        f"({', '.join(enclosing)})",
+                        locations=[location],
+                    )
+                )
+        if raw:
+            paths.append((context, raw))
+            if explicit:
+                refs.append(ElementRef.component(explicit))
         try:
-            walks.append(walk_endpoint(arch, side_context(instance, side), raw))
+            walk = walk_endpoint(arch, context, raw)
         except (EndpointError, ValueError) as err:
-            walks.append(None)
             findings.append(
                 finding(
                     "UNRESOLVED_ENDPOINT",
                     f"@{instance.kind.value} {side} endpoint: {err}",
-                    locations=[instance.location],
+                    locations=[location],
                 )
             )
-    left, right = walks
-    if left is None or right is None:
-        return ConnectionResolution(None, findings, (left, right), frozenset())
-    raw_direction = instance.attrs.get("type")
+            continue
+        refs += walk
+        ends.append(walk[-1])
+    if len(ends) < len(paths):  # a side with a path failed: no empty path resolves
+        for context, path in paths:
+            first, *rest = path.split(".")
+            if context == ROOT_CONTEXT:
+                if rest:
+                    refs.append(ElementRef.component(first))
+            else:
+                refs.append(ElementRef.part(context, first))
+                if not rest:
+                    refs.append(ElementRef.port(context, first))
+    if len(ends) < 2:
+        return ConnectionResolution(None, findings, frozenset(refs), frozenset())
+    raw_direction = attrs.get("type")
     direction = Direction(raw_direction) if raw_direction is not None else None
-    nl, nr, nd = normalize_connector(left[-1], right[-1], direction or Direction.BIDIR)
+    nl, nr, nd = normalize_connector(*ends, direction or Direction.BIDIR)
     triple = (nl.path, nr.path, None if direction is None else nd)
     matches = frozenset(arch.connector_index.matching(triple))
-    return ConnectionResolution(triple, findings, (left, right), matches)
-
-
-def connection_instances(code: CodeModel) -> list[AnnotationInstance]:
-    return [i for i in code.instances if i.kind.usage is not None]
+    return ConnectionResolution(triple, findings, matches.union(refs), matches)
 
 
 # ---------------------------------------------------------------------------
 # annotation lookup
 
 
-def instance_refs(instance: AnnotationInstance, arch: ArchitectureModel) -> frozenset[ElementRef]:
-    """Elements an instance references under the architecture.
-
-    An element annotation references its `syntactic_refs`. A connection
-    annotation references every element its endpoint walks reach (each
-    traversed part counts) and each declared connector its resolution
-    matches; a side whose walk fails is read syntactically.
-    """
-    if instance.kind.usage is None:
-        return syntactic_refs(instance)
-    resolution = resolve_connection(arch, instance)
-    refs = {ElementRef.component(name) for name in instance.enclosing_components}
-    for side, walk in zip(("left", "right"), resolution.walks):
-        if not instance.attrs.get(side):
-            continue
-        explicit = instance.attrs.get(f"{side}component")
-        if explicit:
-            refs.add(ElementRef.component(explicit))
-        refs.update(walk if walk is not None else syntactic_refs(instance))
-    refs.update(resolution.matches)
-    return frozenset(refs)
-
-
 def references(
     code: CodeModel, refs: Iterable[ElementRef], arch: ArchitectureModel
 ) -> dict[ElementRef, tuple[AnnotationInstance, ...]]:
     """The annotations referencing each of `refs` under the architecture, in
-    location order: what `lookup` prints and each plan step's impact lists.
-    Element annotations come from `code.element_refs`; each connection
-    annotation is resolved once, through the connector index."""
-    index = code.element_refs
-    hits = {ref: list(index.get(ref, ())) for ref in refs}
+    location order: the one group-by behind `lookup`, plan impact and the
+    connector usages. Element annotations come from `code.element_refs`;
+    each connection annotation is resolved once and filed under each of its
+    `resolve_connection` refs that is asked for."""
+    # No element annotation references a connector, so a query for
+    # connectors alone leaves `code.element_refs` unbuilt.
+    hits = {
+        ref: [] if ref.kind is RefKind.CONNECTOR else list(code.element_refs.get(ref, ()))
+        for ref in refs
+    }
     instances = code.instances
     for position, inst in enumerate(instances):
         if inst.kind.usage is not None:
-            found = instance_refs(inst, arch)
-            for ref, positions in hits.items():
-                if ref in found:
+            for ref in resolve_connection(arch, inst).refs:
+                positions = hits.get(ref)
+                if positions is not None:
                     positions.append(position)
     return {ref: tuple(instances[p] for p in sorted(positions)) for ref, positions in hits.items()}
 
@@ -155,22 +180,20 @@ class ConnectorUsages(namedtuple("ConnectorUsages", "connects disconnects stores
     __slots__ = ()
 
 
+def _by_usage(instances: Iterable[AnnotationInstance]) -> ConnectorUsages:
+    groups: dict[str, list[AnnotationInstance]] = {name: [] for name in ConnectorUsages._fields}
+    for inst in instances:
+        groups[inst.kind.usage].append(inst)
+    return ConnectorUsages(*map(tuple, groups.values()))
+
+
 def usages_by_connector(
     arch: ArchitectureModel, code: CodeModel
 ) -> dict[ElementRef, ConnectorUsages]:
-    """The usages of every declared connector whose endpoints resolve.
-
-    Each connection instance is resolved once and filed under every
-    connector it matches, in code order.
-    """
-    groups = {
-        ElementRef.connector(conn.context, conn.id): {name: [] for name in ConnectorUsages._fields}
-        for conn in arch.connector_index.triples
-    }
-    for inst in connection_instances(code):
-        for ref in resolve_connection(arch, inst).matches:
-            groups[ref][inst.kind.usage].append(inst)
-    return {ref: ConnectorUsages(*map(tuple, group.values())) for ref, group in groups.items()}
+    """The usages of every declared connector whose endpoints resolve: its
+    `references`, split by each connection kind's `usage`."""
+    refs = [ElementRef.connector(conn.context, conn.id) for conn in arch.connector_index.triples]
+    return {ref: _by_usage(found) for ref, found in references(code, refs, arch).items()}
 
 
 def connector_usages(
@@ -188,7 +211,7 @@ def connector_usages(
     if conn is None:
         raise UnknownConnectorError(f"the architecture declares no connector '{ref.path}'")
     canonical_triple(arch, conn)  # raises when a side does not resolve
-    return usages_by_connector(arch, code)[ref]
+    return _by_usage(references(code, (ref,), arch)[ref])
 
 
 # ---------------------------------------------------------------------------
@@ -229,24 +252,12 @@ def check_architecture_completeness(arch: ArchitectureModel, code: CodeModel) ->
 
 
 def check_connection_consistency(arch: ArchitectureModel, code: CodeModel) -> list[Finding]:
-    """UNDECLARED_CONNECTION per connection annotation without a declared match."""
+    """UNDECLARED_CONNECTION per connection annotation without a declared
+    match, after the findings of its resolution."""
     findings: list[Finding] = []
-    for inst in connection_instances(code):
-        for side in ("left", "right"):
-            explicit = inst.attrs.get(f"{side}component")
-            if (
-                explicit is not None
-                and inst.enclosing_components
-                and explicit not in inst.enclosing_components
-            ):
-                findings.append(
-                    finding(
-                        "CONTEXT_OVERRIDE",
-                        f"{side}component='{explicit}' overrides the enclosing component "
-                        f"({', '.join(inst.enclosing_components)})",
-                        locations=[inst.location],
-                    )
-                )
+    for inst in code.instances:
+        if inst.kind.usage is None:
+            continue
         resolution = resolve_connection(arch, inst)
         findings.extend(resolution.findings)
         if resolution.triple is not None and not resolution.matches:

@@ -37,6 +37,7 @@ from .findings import Finding, finding, sort_findings
 # An ADL identifier; `adl.ADL` is built from it too.
 ADL_IDENT = r"[A-Za-z_][A-Za-z0-9_]*"
 IDENT_RE = re.compile(ADL_IDENT + r"\Z")
+PATH_RE = re.compile(ADL_IDENT + r"(?:\." + ADL_IDENT + r")*\Z")  # identifiers joined by dots
 
 # Context name of connectors declared at document root.
 ROOT_CONTEXT = ""
@@ -138,10 +139,9 @@ class EndpointPath(Record, namedtuple("EndpointPath", "segments")):
 
     @classmethod
     def parse(cls, text: str) -> EndpointPath:
-        segments = text.split(".")
-        if not text or any(not is_identifier(s) for s in segments):
+        if PATH_RE.match(text) is None:
             raise ValueError(f"invalid endpoint path '{text}'")
-        return cls(tuple(segments))
+        return cls(tuple(text.split(".")))
 
 
 class Connector(Record, namedtuple("Connector", "id context left right direction")):
@@ -471,9 +471,15 @@ def _repeats(keys: Sequence[Hashable]) -> list[int]:
     return repeats
 
 
-def validate_model(model: ArchitectureModel) -> list[Finding]:
+def validate_model(
+    model: ArchitectureModel, connectors: Sequence[Connector] | None = None
+) -> list[Finding]:
     """Well-formedness gate: empty result means every invariant holds. A
-    finding's ref and message are built only when it is found."""
+    finding's ref and message are built only when it is found.
+
+    `connectors` are the model's connectors in the order their repeats are
+    judged, by default the model's own; a parser passes them in the order
+    of the text, so that a repeat is the later declaration."""
     findings: list[Finding] = []
 
     def found(check_id: str, ref: ElementRef, message: str) -> None:
@@ -520,7 +526,8 @@ def validate_model(model: ArchitectureModel) -> list[Finding]:
                     f"part '{ref.path}' has undeclared type '{part.type_component}'",
                 )
 
-    connectors = model.connectors
+    if connectors is None:
+        connectors = model.connectors
     for i in _repeats([conn.id for conn in connectors]):
         conn = connectors[i]
         found(

@@ -5,7 +5,9 @@ list below, once as a comment pragma and once as Java-style source, so each
 kind meets each target rule, each attribute (taken or refused), a missing
 value and a missing endpoint. `grid_report` gives one line per case: the
 input, then each extracted instance with the elements it names, or each
-finding's check id and message. The golden
+finding's check id and message. An element annotation names its
+`CodeModel.element_refs`, and a connection annotation the refs
+`resolve_connection` gives it against an empty architecture. The golden
 `tests/data/golden/annotation_grid.golden.txt` holds its output.
 
 The grid is written out by hand, not read from the kind rows, so it checks
@@ -18,8 +20,10 @@ import json
 
 from payload_oracle import instance_payload
 
-from archlint.annotations import resolve_context, syntactic_refs, validate_targets
+from archlint.annotations import CodeModel, resolve_context, validate_targets
+from archlint.conformance import resolve_connection
 from archlint.java import extract_attributes
+from archlint.model import ArchitectureModel
 from archlint.pragma import extract_pragmas
 
 NAMES = (
@@ -75,10 +79,19 @@ def _java_source(name: str, target: str, args: str) -> str:
     return f'@Component("Outer") class Outer {{\n    {member}\n}}\n'
 
 
+# Against no architecture every endpoint walk fails, so a connection
+# annotation's refs are what its text alone names.
+_NO_ARCHITECTURE = ArchitectureModel()
+
+
 def _outcome(instances, findings) -> str:
     parts = []
     for inst in instances[1:]:  # the first is the enclosing @Component("Outer")
-        refs = sorted(ref.path for ref in syntactic_refs(inst))
+        if inst.kind.usage is None:
+            names = CodeModel((inst,)).element_refs
+        else:
+            names = resolve_connection(_NO_ARCHITECTURE, inst).refs
+        refs = sorted(ref.path for ref in names)
         payload = json.dumps(instance_payload(inst), sort_keys=True, separators=(",", ":"))
         parts.append(f"{payload} names {refs}")
         findings = findings + validate_targets(inst)

@@ -4,16 +4,16 @@ to read one index of what the code names: the oracles for
 `check_architecture_completeness`, and for `CodeModel.element_refs`.
 
 They are the earlier functions word for word, except that the checks call
-`by_kind(code)` where they read the code model's `by_kind`. `by_kind` and
-`named_elements`, which `archlint.annotations` no longer defines, are
-defined here as they were.
+`by_kind(code)` where they read the code model's `by_kind`. `by_kind`,
+`named_elements` and `side_context`, which `archlint.annotations` no
+longer defines, are defined here as they were.
 """
 
 from __future__ import annotations
 
 from typing import Mapping
 
-from archlint.annotations import AnnotationInstance, AnnotationKind, CodeModel, side_context
+from archlint.annotations import AnnotationInstance, AnnotationKind, CodeModel
 from archlint.findings import Finding, finding, sort_findings
 from archlint.model import ROOT_CONTEXT, ArchitectureModel, ElementRef, RefKind
 
@@ -108,6 +108,17 @@ def check_architecture_completeness(arch: ArchitectureModel, code: CodeModel) ->
                     ref = ElementRef.member(ref_kind, owner, value)
                     findings.append(finding("UNKNOWN_ELEMENT", message, ref, locations=[inst.location]))
     return sort_findings(findings)
+
+
+def side_context(instance: AnnotationInstance, side: str) -> str:
+    """Context component for one endpoint: explicit attr, else first enclosing,
+    else the document root."""
+    explicit = instance.attrs.get(f"{side}component")
+    if explicit is not None:
+        return explicit
+    if instance.enclosing_components:
+        return instance.enclosing_components[0]
+    return ROOT_CONTEXT
 
 
 def syntactic_refs(instance: AnnotationInstance) -> frozenset[ElementRef]:

@@ -119,8 +119,31 @@ def test_parse_errors_carry_position_or_cause(text: str, fragment: str) -> None:
             "connector c: A.p -> A.q;\nconnector c: A.q -> A.r;\n",
             "3:11: connector id 'c' declared more than once",
         ),
+        (
+            "component B { port p; port q; connector c: p -> q; }\n"
+            "component A { port p; port q; connector c: p -> q; }\n",
+            "2:41: connector id 'c' declared more than once",
+        ),
+        (
+            "component A { port p; port q; connector c: p -> q; }\nconnector c: A.p -> A.q;\n",
+            "2:11: connector id 'c' declared more than once",
+        ),
+        (
+            "component B { port p; port q; connector c: p -> q; }\n"
+            "component A { port p; port q; connector c: p -> q; }\n"
+            "connector c: A.p -> A.q;\n",
+            "2:41: connector id 'c' declared more than once",
+        ),
+        (
+            "component A { port p; port q;\n connector b: p -> q;\n connector a: p -> q; }",
+            "3:12: connector 'a' duplicates an existing connector in the same context "
+            "(A#p / A#q RIGHT)",
+        ),
     ],
-    ids=["component", "port", "part", "root-connector"],
+    ids=[
+        "component", "port", "part", "root-connector", "connector-in-two-components",
+        "connector-in-a-component-and-the-root", "connector-in-three-contexts", "wiring",
+    ],
 )
 def test_a_repeated_declaration_is_reported_at_the_repeat(text: str, expected: str) -> None:
     with pytest.raises(AdlParseError) as exc:

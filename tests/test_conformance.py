@@ -343,9 +343,9 @@ def test_resolve_connection_orders_endpoints(car_arch: ArchitectureModel, tmp_pa
     resolution = resolve_connection(car_arch, inst)
     assert resolution.findings == []
     assert resolution.triple == ("Car.rear", "Engine#p", None)
-    left, right = resolution.walks
-    assert [ref.path for ref in left] == ["Car.e", "Engine#p"]
-    assert [ref.path for ref in right] == ["Car.rear"]
+    assert sorted(ref.path for ref in resolution.refs) == [
+        "Car", "Car.e", "Car.rear", "Car/c1", "Engine#p"
+    ]
     assert resolution.matches == {ElementRef.connector("Car", "c1")}
 
 

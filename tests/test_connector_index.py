@@ -25,7 +25,7 @@ from archlint.model import (
     Port,
     ROOT_CONTEXT,
 )
-from archlint.conformance import connector_usages, instance_refs, lookup
+from archlint.conformance import connector_usages, lookup, resolve_connection
 from archlint.refactor import (
     AddPort,
     RefactoringPlan,
@@ -148,7 +148,7 @@ def test_apply_plan_reads_each_element_annotation_once(monkeypatch) -> None:
     assert calls[0] == elements == 9
 
 
-def test_instance_refs_walks_each_endpoint_once(monkeypatch) -> None:
+def test_resolve_connection_walks_each_endpoint_once(monkeypatch) -> None:
     arch, code = _chain(4), _chain_code(4)
     arch.connector_index  # built before counting
     original = model_module.walk_endpoint
@@ -157,7 +157,7 @@ def test_instance_refs_walks_each_endpoint_once(monkeypatch) -> None:
     assert counting is not original and conformance_module.walk_endpoint is counting
 
     link1 = next(inst for inst in code.instances if inst.target_name == "link1")
-    refs = instance_refs(link1, arch)
+    refs = resolve_connection(arch, link1).refs
     assert calls[0] == 2
     assert refs == {
         ElementRef.component("C1"),

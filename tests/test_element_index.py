@@ -24,13 +24,7 @@ import pytest
 
 import check_oracle
 from archlint.adl import parse_architecture
-from archlint.annotations import (
-    AnnotationInstance,
-    AnnotationKind,
-    CodeModel,
-    TargetKind,
-    syntactic_refs,
-)
+from archlint.annotations import AnnotationInstance, AnnotationKind, CodeModel, TargetKind
 from archlint.conformance import check_annotation_completeness, check_architecture_completeness
 from archlint.findings import Finding, SourceLocation
 from archlint.model import ArchitectureModel
@@ -71,8 +65,9 @@ def _agree(arch: ArchitectureModel, code: CodeModel) -> bool:
 
 
 def _assert_refs_match(code: CodeModel) -> None:
-    """Each element annotation is listed under exactly its `syntactic_refs`,
-    old and new, each once and in order; no connection annotation is."""
+    """Each element annotation is listed under exactly the oracle's
+    `syntactic_refs`, which are also the `element_refs` of a model of it
+    alone, each once and in order; no connection annotation is."""
     listed: dict[int, set] = {}
     for ref, positions in code.element_refs.items():
         assert all(a < b for a, b in zip(positions, positions[1:])), (ref, positions)
@@ -83,7 +78,7 @@ def _assert_refs_match(code: CodeModel) -> None:
             assert position not in listed, inst
             continue
         expected = check_oracle.syntactic_refs(inst)
-        assert syntactic_refs(inst) == expected, inst
+        assert frozenset(CodeModel((inst,)).element_refs) == expected, inst
         assert listed.get(position, set()) == expected, inst
 
 

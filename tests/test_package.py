@@ -125,21 +125,47 @@ def test_only_the_model_writes_an_element_path() -> None:
     assert joins == {"model.py"}
 
 
-def test_one_rule_for_what_an_element_annotation_names() -> None:
-    """`annotations.index_elements` is the only function that reads a kind's
-    `owners`, the owners of an annotation's values; a method counts as
-    itself, a nested function as the one it is in."""
-    readers = set()
+def _scopes():
+    """(module file name, scope name, scope node) for each top-level statement
+    of each `archlint` module, and each statement of a top-level class: a
+    method counts as itself, a nested function as the one it is in."""
     for module in sorted(Path(archlint.__file__).parent.glob("*.py")):
         for top in ast.parse(module.read_text(encoding="utf-8")).body:
             for scope in top.body if isinstance(top, ast.ClassDef) else [top]:
                 where = getattr(top, "name", "<module>")
                 if scope is not top:
                     where += f".{getattr(scope, 'name', '')}"
-                for node in ast.walk(scope):
-                    if isinstance(node, ast.Attribute) and node.attr == "owners" and isinstance(node.ctx, ast.Load):
-                        readers.add((module.name, where))
+                yield module.name, where, scope
+
+
+def test_one_rule_for_what_an_element_annotation_names() -> None:
+    """`annotations.index_elements` is the only function that reads a kind's
+    `owners`, the owners of an annotation's values."""
+    readers = set()
+    for module, where, scope in _scopes():
+        for node in ast.walk(scope):
+            if isinstance(node, ast.Attribute) and node.attr == "owners" and isinstance(node.ctx, ast.Load):
+                readers.add((module, where))
     assert readers == {("annotations.py", "index_elements")}
+
+
+def test_one_reading_of_a_connection_annotations_sides() -> None:
+    """`conformance.resolve_connection` is the only function that spells the
+    two sides `("left", "right")` or reads a side's `f"{side}component"`
+    attribute."""
+    readers = set()
+    for module, where, scope in _scopes():
+        for node in ast.walk(scope):
+            if isinstance(node, ast.Tuple):
+                sides = [getattr(e, "value", None) for e in node.elts] == ["left", "right"]
+            elif isinstance(node, ast.JoinedStr) and len(node.values) == 2:
+                side, rest = node.values
+                sides = isinstance(side, ast.FormattedValue) and getattr(rest, "value", None) == "component"
+            else:
+                continue
+            if sides:
+                readers.add((module, where))
+    assert readers == {("conformance.py", "resolve_connection")}
 
 
 def test_one_existence_rule_and_one_path_rewriter_in_refactor() -> None:
