@@ -225,6 +225,9 @@ def _connector_line(conn: Connector) -> str:
 
 def serialize_architecture(model: ArchitectureModel) -> str:
     """Canonical text for a model; parse(serialize(m)) == m."""
+    wired: dict[str, list[Connector]] = {}
+    for conn in model.connectors:
+        wired.setdefault(conn.context, []).append(conn)
     lines = [HEADER]
     for comp in model.components:
         lines.append("")
@@ -234,11 +237,10 @@ def serialize_architecture(model: ArchitectureModel) -> str:
         for part in comp.parts:
             suffix = _multiplicity_suffix(part.multiplicity)
             lines.append(f"    part {part.role}: {part.type_component}{suffix};")
-        for conn in model.connectors:
-            if conn.context == comp.name:
-                lines.append("    " + _connector_line(conn))
+        for conn in wired.get(comp.name, ()):
+            lines.append("    " + _connector_line(conn))
         lines.append("}")
-    root = [c for c in model.connectors if c.context == ROOT_CONTEXT]
+    root = wired.get(ROOT_CONTEXT)
     if root:
         lines.append("")
         for conn in root:

@@ -5,7 +5,8 @@ failed refactoring plan), 2 usage, parse, or configuration errors.
 
 The refactoring, smell and scaffold modules are imported inside the
 functions that use them, so a process compiles and runs only the code of its
-command.
+command; so is the ADL parser, which a run whose `.arch` the store holds
+does not need.
 """
 
 from __future__ import annotations
@@ -17,16 +18,16 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Sequence, TextIO
 
 from . import __version__, jsontext
-from .adl import parse_architecture, serialize_architecture
 from .annotations import LINE_BREAKS
-from .conformance import connector_usages, lookup, report_fingerprint, run_all
+from .conformance import connector_usages, lookup, report_fingerprint
 from .errors import AdlParseError, ArchlintError, PlanError, PlanParseError
 from .findings import Finding, Severity
 from .model import ArchitectureModel, RefKind, list_elements, parse_ref
-from .scan import ScanConfig, SmellConfig, load_config_file, scan_tree
+from .scan import ScanConfig, SmellConfig, check_tree, load_config_file, scan_tree
 
 if TYPE_CHECKING:
     from .annotations import AnnotationInstance, CodeModel
+    from .conformance import ConformanceReport
     from .refactor import ImpactReport
 
 class _CliError(ArchlintError):
@@ -53,6 +54,8 @@ def _load_architecture(args: argparse.Namespace) -> ArchitectureModel:
         model = stored.get()
         if model is not None:
             return model
+    from .adl import parse_architecture
+
     try:
         model = parse_architecture(text)
     except AdlParseError as err:
@@ -70,9 +73,14 @@ def _load_configs(args: argparse.Namespace) -> tuple[ScanConfig, SmellConfig]:
     return (ScanConfig.from_mapping(mapping), SmellConfig.from_mapping(mapping))
 
 
-def _scan(args: argparse.Namespace, config: ScanConfig) -> CodeModel:
+def _scan(
+    args: argparse.Namespace, config: ScanConfig, arch: ArchitectureModel | None = None
+) -> CodeModel | ConformanceReport:
+    """The scanned sources; with `arch`, their conformance report."""
     roots = [Path(p) for p in args.src]
     try:
+        if arch is not None:
+            return check_tree(arch, roots, config, store=args.store)
         return scan_tree(roots, config, store=args.store)
     except FileNotFoundError as err:
         raise _CliError(str(err)) from err
@@ -136,8 +144,8 @@ def _exit_for(findings: Iterable[Finding], fail_on: str) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    arch, code, _ = _inputs(args)
-    report = run_all(arch, code)
+    arch = _load_architecture(args)
+    report = _scan(args, _load_configs(args)[0], arch)
     _render_report(report.findings, report.fingerprint, args.format, sys.stdout)
     return _exit_for(report.findings, args.fail_on)
 
@@ -228,7 +236,7 @@ def cmd_refactor(args: argparse.Namespace) -> int:
         return 1
     dest = arch_path if args.in_place else arch_path.with_suffix(".refactored.arch")
     try:
-        dest.write_text(serialize_architecture(new_model), encoding="utf-8")
+        dest.write_text(new_model.canonical_text, encoding="utf-8")
     except OSError as err:
         raise _CliError(f"cannot write '{dest}': {err}") from err
     _render_impact(impact, args.format, sys.stdout)

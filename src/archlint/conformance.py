@@ -18,6 +18,14 @@ Checks 1 and 2 compare the (kind, owner, name) keys the model declares
 models (FSE 1995), check 1 reports the absences and check 2 the
 divergences.
 
+Checks 2 and 3 judge one annotation at a time, and check 1 is the declared
+keys minus those a covering annotation names, so the work splits by file:
+`run_all` is the `fold` of each file's `check_file` part, its findings and
+covered keys, and computes check 1 once from the union of those keys. The
+result store keeps each file's part for one architecture
+(`archlint.scan.check_tree`), so a `check` of unchanged files against an
+unchanged `.arch` reuses them instead of checking again.
+
 Two rules say what an annotation references. An element annotation's
 refs do not depend on the model: `CodeModel.element_refs`, derived from
 the same index. A connection annotation's come from `resolve_connection`,
@@ -33,10 +41,9 @@ from __future__ import annotations
 
 import hashlib
 from collections import Counter, namedtuple
-from typing import Iterable
+from typing import AbstractSet, Iterable, Iterator, Sequence
 
-from .adl import serialize_architecture
-from .annotations import AnnotationInstance, CodeModel
+from .annotations import AnnotationInstance, CodeModel, ElementIndex, index_elements
 from .errors import EndpointError, UnknownConnectorError
 from .findings import Finding, finding, sort_findings
 from .model import (
@@ -218,23 +225,25 @@ def connector_usages(
 # the three checks
 
 
-def check_annotation_completeness(arch: ArchitectureModel, code: CodeModel) -> list[Finding]:
-    """MISSING_ANNOTATION per declared component, part and port that no
-    annotation whose kind `covers` names (the absences)."""
-    declared, index = arch.declared_keys, code.element_index
-    absent = (declared - index.named.keys()) | (declared & index.uncovered)
+def _missing(
+    arch: ArchitectureModel, covered: AbstractSet[tuple[RefKind, str, str]]
+) -> list[Finding]:
     return sort_findings(
         finding("MISSING_ANNOTATION", f"no annotation covers {ref.kind.value} '{ref.path}'", ref)
-        for ref in {ElementRef.member(*key) for key in absent}
+        for ref in {ElementRef.member(*key) for key in arch.declared_keys - covered}
     )
 
 
-def check_architecture_completeness(arch: ArchitectureModel, code: CodeModel) -> list[Finding]:
-    """UNKNOWN_ELEMENT per annotation naming an element the architecture
-    does not declare (the divergences), and per element annotation that has
-    no owner. Connection-shaped annotations are check 3's business.
-    """
-    index, instances = code.element_index, code.instances
+def check_annotation_completeness(arch: ArchitectureModel, code: CodeModel) -> list[Finding]:
+    """MISSING_ANNOTATION per declared component, part and port that no
+    annotation whose kind `covers` names (the absences)."""
+    index = code.element_index
+    return _missing(arch, index.named.keys() - index.uncovered)
+
+
+def _unknown_elements(
+    arch: ArchitectureModel, instances: Sequence[AnnotationInstance], index: ElementIndex
+) -> Iterator[Finding]:
     groups = [(index.ownerless, "has no enclosing component to resolve against", None)]
     for key in index.named.keys() - arch.declared_keys:
         kind, owner, value = key
@@ -244,18 +253,26 @@ def check_architecture_completeness(arch: ArchitectureModel, code: CodeModel) ->
             where = "unknown component" if arch.component(owner) is None else "component"
             says = f"names {kind.value} '{value}' not declared in {where} '{owner}'"
         groups.append((index.named[key], says, ElementRef.member(*key)))
-    return sort_findings(
+    return (
         finding("UNKNOWN_ELEMENT", f"@{inst.kind.value} {says}", ref, [inst.location])
         for positions, says, ref in groups
         for inst in map(instances.__getitem__, positions)
     )
 
 
-def check_connection_consistency(arch: ArchitectureModel, code: CodeModel) -> list[Finding]:
-    """UNDECLARED_CONNECTION per connection annotation without a declared
-    match, after the findings of its resolution."""
+def check_architecture_completeness(arch: ArchitectureModel, code: CodeModel) -> list[Finding]:
+    """UNKNOWN_ELEMENT per annotation naming an element the architecture
+    does not declare (the divergences), and per element annotation that has
+    no owner. Connection-shaped annotations are check 3's business.
+    """
+    return sort_findings(_unknown_elements(arch, code.instances, code.element_index))
+
+
+def _undeclared_connections(
+    arch: ArchitectureModel, instances: Iterable[AnnotationInstance]
+) -> list[Finding]:
     findings: list[Finding] = []
-    for inst in code.instances:
+    for inst in instances:
         if inst.kind.usage is None:
             continue
         resolution = resolve_connection(arch, inst)
@@ -271,7 +288,38 @@ def check_connection_consistency(arch: ArchitectureModel, code: CodeModel) -> li
                     locations=[inst.location],
                 )
             )
-    return sort_findings(findings)
+    return findings
+
+
+def check_connection_consistency(arch: ArchitectureModel, code: CodeModel) -> list[Finding]:
+    """UNDECLARED_CONNECTION per connection annotation without a declared
+    match, after the findings of its resolution."""
+    return sort_findings(_undeclared_connections(arch, code.instances))
+
+
+class FilePart(namedtuple("FilePart", "findings covered")):
+    """One file's share of the report under one well-formed architecture: its
+    extraction findings with the check 2 and 3 findings of its annotations,
+    in report order (list[Finding]), and the (RefKind, owner, name) keys
+    its covering element annotations name (a set), from which `fold`
+    computes check 1."""
+
+    __slots__ = ()
+
+
+def check_file(
+    arch: ArchitectureModel, instances: Sequence[AnnotationInstance], findings: Iterable[Finding]
+) -> FilePart:
+    """The part of one file's instances and extraction findings under a
+    well-formed architecture. Checks 2 and 3 are per annotation, so the parts
+    of a tree's files hold every finding they give for the whole tree."""
+    index = index_elements(instances)
+    checked = [
+        *findings,
+        *_unknown_elements(arch, instances, index),
+        *_undeclared_connections(arch, instances),
+    ]
+    return FilePart(sort_findings(checked), index.named.keys() - index.uncovered)
 
 
 class ConformanceReport(namedtuple("ConformanceReport", "findings counts fingerprint")):
@@ -281,32 +329,64 @@ class ConformanceReport(namedtuple("ConformanceReport", "findings counts fingerp
     __slots__ = ()
 
 
-def report_fingerprint(arch: ArchitectureModel, code: CodeModel) -> str:
-    """SHA-256 over the serialized architecture, the compact canonical JSON of
-    the code model (the record `extract --format json` prints), and the scan
-    configuration's fingerprint."""
-    digest = hashlib.sha256()
-    digest.update(serialize_architecture(arch).encode("utf-8"))
-    digest.update(code.compact_json.encode("utf-8"))
-    digest.update(code.config_fingerprint.encode("utf-8"))
+def _fingerprint(arch: ArchitectureModel, compact_json: str, config_fingerprint: str) -> str:
+    digest = hashlib.sha256(arch.canonical_text.encode("utf-8"))
+    digest.update(compact_json.encode("utf-8"))
+    digest.update(config_fingerprint.encode("utf-8"))
     return digest.hexdigest()
+
+
+def report_fingerprint(arch: ArchitectureModel, code: CodeModel) -> str:
+    """SHA-256 over the serialized architecture (`canonical_text`), the
+    compact canonical JSON of the code model (the record `extract --format
+    json` prints), and the scan configuration's fingerprint."""
+    return _fingerprint(arch, code.compact_json, code.config_fingerprint)
+
+
+def _report(findings: list[Finding], fingerprint: str) -> ConformanceReport:
+    counts = Counter(f.check_id for f in findings)
+    return ConformanceReport(tuple(findings), dict(sorted(counts.items())), fingerprint)
+
+
+def fold(
+    arch: ArchitectureModel, parts: Iterable[FilePart], compact_json: str,
+    config_fingerprint: str, head: Iterable[Finding] = (),
+) -> ConformanceReport:
+    """The report under a well-formed architecture of a tree whose files'
+    parts come in path order, no two of one path, and whose code model has
+    this compact JSON and config fingerprint. Check 1 runs once, on the
+    union of the parts' covered keys; its findings and `head`, findings
+    without a location, come first, as they sort, and then each part's.
+    """
+    covered: set[tuple[RefKind, str, str]] = set()
+    findings: list[Finding] = []
+    for part in parts:
+        covered.update(part.covered)
+        findings += part.findings
+    findings[:0] = sort_findings([*head, *_missing(arch, covered)])
+    return _report(findings, _fingerprint(arch, compact_json, config_fingerprint))
 
 
 def run_all(arch: ArchitectureModel, code: CodeModel) -> ConformanceReport:
     """Model validation, the code model's extraction findings, and the three checks.
 
     The three checks run only on a well-formed model (their answers would be
-    noise otherwise). Target rules are not re-run: the scanner reports their
-    findings with the rest of `code.findings`. Every finding is kept, so two
-    roots holding the same malformed file report it twice.
+    noise otherwise), as the `fold` of each file's `check_file` part. Target
+    rules are not re-run: the scanner reports their findings with the rest
+    of `code.findings`. Every finding is kept, so two roots holding the same
+    malformed file report it twice.
     """
-    model_findings = arch.validation
-    findings: list[Finding] = list(model_findings)
-    findings.extend(code.findings)
-    if not model_findings:
-        findings.extend(check_annotation_completeness(arch, code))
-        findings.extend(check_architecture_completeness(arch, code))
-        findings.extend(check_connection_consistency(arch, code))
-    ordered = tuple(sort_findings(findings))
-    counts = Counter(f.check_id for f in ordered)
-    return ConformanceReport(ordered, dict(sorted(counts.items())), report_fingerprint(arch, code))
+    if arch.validation:
+        findings = sort_findings([*arch.validation, *code.findings])
+        return _report(findings, report_fingerprint(arch, code))
+    files: dict[str, tuple[list[AnnotationInstance], list[Finding]]] = {}
+    for inst in code.instances:
+        files.setdefault(inst.location.file, ([], []))[0].append(inst)
+    head = []
+    for f in code.findings:
+        if f.locations:
+            files.setdefault(f.locations[0].file, ([], []))[1].append(f)
+        else:
+            head.append(f)
+    parts = [check_file(arch, *files[name]) for name in sorted(files)]
+    return fold(arch, parts, code.compact_json, code.config_fingerprint, head)

@@ -278,6 +278,14 @@ class ArchitectureModel(Record, namedtuple("ArchitectureModel", "components conn
         return ConnectorIndex(self)
 
     @cached_property
+    def canonical_text(self) -> str:
+        """`adl.serialize_architecture` of the model, which the report
+        fingerprint hashes."""
+        from . import adl
+
+        return adl.serialize_architecture(self)
+
+    @cached_property
     def validation(self) -> tuple[Finding, ...]:
         """`validate_model`'s findings: empty when the model is well-formed."""
         return tuple(validate_model(self))

@@ -33,7 +33,9 @@ from .errors import ConfigError
 from .findings import SMELL_IDS, Finding, SourceLocation, finding
 
 if TYPE_CHECKING:
-    from .store import ResultStore
+    from .conformance import ConformanceReport
+    from .model import ArchitectureModel
+    from .store import Result, ResultStore
 
 _CONFIG_KEYS = frozenset(
     {
@@ -229,33 +231,39 @@ def _collect_files(
 
 
 def _scan_file(
-    rel: str, position: int, path: Path, st: os.stat_result, config: ScanConfig,
-    results: ResultStore | None,
-) -> tuple[list[AnnotationInstance], list[Finding], str, str]:
-    """A file's instances and findings, and with `results` their JSON
-    fragments (`store.fragments`; empty without `results`)."""
-    front_end = _front_end(config, path.suffix)
-    if front_end is None:
-        return ([], [], "", "")
+    rel: str, position: int, path: Path, st: os.stat_result, front_end: str, config: ScanConfig,
+    results: ResultStore | None, digest: bytes | None = None,
+) -> Result:
+    """A file's instances and findings, with `results` their JSON fragments
+    (`store.fragments`; empty without `results`), and the check part the
+    store holds for it under `digest`, the sha256 of an architecture's
+    canonical text, else None; such a part stands in for the instances and
+    findings, which are then None."""
     key = (rel, position)
-    if results is not None:
-        stored = results.get(key, st)
-        if stored is not None:
-            return stored
-    try:
-        text = path.read_text(encoding="utf-8", errors="replace")
-    except OSError as err:
-        message = f"cannot read file: {err}"
-        findings = [finding("IO_ERROR", message, locations=[SourceLocation(rel, 0, 0)])]
-        if results is None:
-            return ([], findings, "", "")
-        from .store import fragments
+    stored = None if results is None else results.get(key, st, digest=digest)
+    if stored is None:
+        try:
+            text = path.read_text(encoding="utf-8", errors="replace")
+        except OSError as err:
+            message = f"cannot read file: {err}"
+            findings = [finding("IO_ERROR", message, locations=[SourceLocation(rel, 0, 0)])]
+            json = ("", "")
+            if results is not None:
+                from .store import fragments
 
-        return ([], findings, *fragments([], findings))
-    if results is not None:
-        stored = results.get(key, st, text)
-        if stored is not None:
-            return stored
+                json = fragments([], findings)
+            stored = ([], findings, *json, None)
+        else:
+            if results is not None:
+                stored = results.get(key, st, text, digest)
+            if stored is None:
+                stored = _extract(rel, text, front_end, config)
+                if results is not None:
+                    stored = results.put(key, st, text, *stored[:2])
+    return stored
+
+
+def _extract(rel: str, text: str, front_end: str, config: ScanConfig) -> Result:
     # A front-end's function is looked up on its module at each call, so
     # that a function rebound there after the import is the one called.
     if front_end == "attribute":
@@ -268,9 +276,46 @@ def _scan_file(
         instances, findings = pragma.extract_pragmas(text, rel, config.sigil)
     for inst in instances:
         findings.extend(validate_targets(inst))
-    if results is not None:
-        return results.put(key, st, text, instances, findings)
-    return (instances, findings, "", "")
+    return (instances, findings, "", "", None)
+
+
+def _open(
+    roots: Iterable[Path | str], config: ScanConfig, store: Path | str | None
+) -> tuple[list[tuple], ResultStore | None, bool]:
+    """Each file a front-end claims, as (relative path, root position, path,
+    stat, front-end), the result store, and whether two roots share a
+    relative path."""
+    root_paths = [Path(r) for r in roots]
+    skipped = None if store is None else Path(store).resolve()
+    files = [
+        (*file, front_end)
+        for file in _collect_files(root_paths, config, skipped)
+        if (front_end := _front_end(config, file[2].suffix)) is not None
+    ]
+    results = None
+    if store is not None:
+        from .store import ResultStore
+
+        results = ResultStore(store, root_paths, config.semantic_fingerprint())
+    return files, results, any(a[0] == b[0] for a, b in zip(files, files[1:]))
+
+
+def _model(scanned: list[Result], config: ScanConfig, compact: bool) -> CodeModel:
+    """The code model of each file's result; with `compact`, its compact
+    JSON is joined from their fragments."""
+    instances: list[AnnotationInstance] = []
+    findings: list[Finding] = []
+    for file_instances, file_findings, *_ in scanned:
+        instances.extend(file_instances)
+        findings.extend(file_findings)
+    return CodeModel.build(
+        instances, findings, config.semantic_fingerprint(), _compact(scanned) if compact else None
+    )
+
+
+def _compact(scanned: list[Result]) -> str:
+    findings, instances = [s[3] for s in scanned if s[3]], [s[2] for s in scanned if s[2]]
+    return jsontext.compact_code_model(findings, instances)
 
 
 def scan_tree(
@@ -284,35 +329,45 @@ def scan_tree(
     shows it unchanged. The model is the one a scan without it gives,
     except that the store directory is never scanned, even when it lies
     under a root. Its `compact_json` is then joined from each file's
-    fragments, unless two roots share a relative path: their files'
-    instances interleave in the model's order.
+    fragments, unless two roots share a scanned file's relative path: their
+    files' instances interleave in the model's order.
     """
     config = config or ScanConfig()
-    root_paths = [Path(r) for r in roots]
-    files = _collect_files(root_paths, config, None if store is None else Path(store).resolve())
-    results = None
-    if store is not None:
-        from .store import ResultStore
-
-        results = ResultStore(store, root_paths, config.semantic_fingerprint())
-    shared = {a[0] for a, b in zip(files, files[1:]) if a[0] == b[0]}
-    instances: list[AnnotationInstance] = []
-    findings: list[Finding] = []
-    instances_json: list[str] = []
-    findings_json: list[str] = []
-    for rel, position, path, st in files:
-        file_instances, file_findings, file_instances_json, file_findings_json = _scan_file(
-            rel, position, path, st, config, results
-        )
-        instances.extend(file_instances)
-        findings.extend(file_findings)
-        if file_instances_json:
-            instances_json.append(file_instances_json)
-        if file_findings_json:
-            findings_json.append(file_findings_json)
-    compact_json = None
+    files, results, shared = _open(roots, config, store)
+    scanned = [_scan_file(*file, config, results) for file in files]
     if results is not None:
         results.save()
-        if not shared:
-            compact_json = jsontext.compact_code_model(findings_json, instances_json)
-    return CodeModel.build(instances, findings, config.semantic_fingerprint(), compact_json)
+    return _model(scanned, config, results is not None and not shared)
+
+
+def check_tree(
+    arch: ArchitectureModel, roots: Iterable[Path | str], config: ScanConfig | None = None,
+    store: Path | str | None = None,
+) -> ConformanceReport:
+    """`run_all(arch, scan_tree(roots, config, store))`.
+
+    With `store`, each file's `FilePart` under a well-formed `arch` is kept
+    with its result, and the report is their `fold`: a file whose part is
+    stored for `arch`'s canonical text is not read, nor are its instances
+    built. Two roots that share a relative path fall back to `run_all` on
+    the whole model, as `scan_tree` does for its compact JSON.
+    """
+    from .conformance import check_file, fold, run_all
+
+    config = config or ScanConfig()
+    if store is None or arch.validation:
+        return run_all(arch, scan_tree(roots, config, store))
+    files, results, shared = _open(roots, config, store)
+    digest = None if shared else hashlib.sha256(arch.canonical_text.encode()).digest()
+    scanned = [_scan_file(*file, config, results, digest) for file in files]
+    if shared:
+        results.save()
+        return run_all(arch, _model(scanned, config, False))
+    parts = []
+    for (rel, position, *_), (instances, findings, _, _, part) in zip(files, scanned):
+        if part is None:
+            part = check_file(arch, instances, findings)
+            results.put_part((rel, position), digest, part)
+        parts.append(part)
+    results.save()
+    return fold(arch, parts, _compact(scanned), config.semantic_fingerprint())

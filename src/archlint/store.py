@@ -12,6 +12,16 @@ compact instance and finding JSON, which the report fingerprint hashes
 (`CodeModel.compact_json`), and as its checks the sha256 of the file's
 decoded text and its stat.
 
+An entry also holds the file's check part (`conformance.FilePart`: its
+findings in report order and the keys its covering annotations name) under
+one well-formed architecture, tagged with the sha256 of that model's
+canonical text. `check_tree` uses a part whose tag is the current model's
+and builds no instance of that file; any other file is checked from its
+instances and its entry's part is replaced. `scan_tree` reads no part, and
+a file extracted again has none until the next `check`. The part is kept
+as `marshal` bytes within the entry, decoded only by a `check` that uses
+it.
+
 A file is not read at all when its stat (size, mtime, ctime, inode and
 device) equals the stat its entry recorded, and the recorded mtime and
 ctime are older than the file system's clock as read before the recording
@@ -23,8 +33,9 @@ its text is the one recorded. (A file whose stat does not change when it
 turns unreadable, on a failing disk say, keeps its stored result.)
 
 Likewise `ArchitectureStore` keeps the parsed model of one well-formed
-`.arch` text in a store file named by the text's sha256, so that an
-unchanged `.arch` is not parsed again.
+`.arch` text, and the model's canonical text, which the report
+fingerprint hashes, in a store file named by the text's sha256, so that an
+unchanged `.arch` is neither parsed nor serialized again.
 
 A store file is a header, the sha256 of the payload, and the payload,
 written by `marshal`. The header holds a digest of archlint's own source
@@ -33,14 +44,16 @@ every file a miss. A file that cannot be read, does not carry this header,
 fails its sha256 or holds entries of another shape is a miss, never an
 error. The payload reaches `marshal.loads` only when its sha256 matches,
 because `marshal.loads` of arbitrary bytes can ask for gigabytes; past that
-check the store is trusted like the working directory it lives in. A
-result file is rewritten, through a temporary file and `os.replace`, only
-when an entry was added or dropped or a file's stat changed, or when a file
-read again only because it changed as late as the clock can now be
-trusted by its stat; it keeps only the files of the run that wrote it, and
-a run that rewrites nothing touches it. A directory keeps at most
-`_KEPT_FILES` store files of either kind: each write deletes the least
-recently used beyond that, never its own.
+check the store is trusted like the working directory it lives in: a model
+and its canonical text, or a part and its tag, are read as one `put`
+wrote them, since checking one against the other would cost what storing
+it saves. A result file is rewritten, through a temporary file and
+`os.replace`, only when an entry was added or dropped, a part was kept or
+a file's stat changed, or when a file read again only because it changed
+as late as the clock can now be trusted by its stat; it keeps only the
+files of the run that wrote it, and a run that rewrites nothing touches it.
+A directory keeps at most `_KEPT_FILES` store files of either kind: each
+write deletes the least recently used beyond that, never its own.
 """
 
 from __future__ import annotations
@@ -56,34 +69,45 @@ from typing import Iterable, Sequence
 
 from . import jsontext
 from .annotations import ANNOTATION_NAMES, AnnotationInstance, TargetKind
-from .findings import Finding, SourceLocation, finding, sort_findings
+from .conformance import FilePart
+from .findings import CATALOG, Finding, SourceLocation, sort_findings
 from .model import (
     ArchitectureModel,
     Component,
     Connector,
     Direction,
+    ElementRef,
     EndpointPath,
     Multiplicity,
     Part,
     Port,
+    RefKind,
 )
 
 _MAGIC = b"archlint per-file results 1\n"
 _ARCH_MAGIC = b"archlint architecture 1\n"
 _KEPT_FILES = 8
 _TARGETS = {t.value: t for t in TargetKind}
-# The type of each field of an instance as `_pack` packs it.
+_REF_KINDS = {k.value: k for k in RefKind}
+# The type of each field of an instance, and of a finding, as `_pack` packs it.
 _INSTANCE_TYPES = (str, tuple, dict, str, str, tuple, int, int, str)
-# An entry: instances, findings, their JSON fragments, the sha256 of the
-# file's decoded text, and its stat record.
-_ENTRY_TYPES = (tuple, tuple, str, str, bytes, tuple)
+_FINDING_TYPES = (str, str, int, int)
+_ELEMENT_FINDING_TYPES = (*_FINDING_TYPES, str, str)
+# An entry: the file's instances and findings (`_pack`), their JSON
+# fragments, the sha256 of its decoded text, its stat record, and its check
+# part: the sha256 of the canonical text of the architecture it holds under
+# and the part as `marshal` bytes (`_pack_part`), decoded only by a `check`
+# under that architecture; or two empty bytes.
+_ENTRY_TYPES = (tuple, tuple, str, str, bytes, tuple, bytes, bytes)
 # A stat record: (size, mtime_ns, ctime_ns, inode, device) of a file, and
 # the file system's clock as read before the run that recorded it read any file.
 _STAT_TYPES = (int,) * 6
 _PART_TYPES = ((str, str, int, int), (str, str, int, type(None)))
 
-# A file's instances and findings, and their JSON fragments.
-Result = tuple[list[AnnotationInstance], list[Finding], str, str]
+# A file's instances and findings, their JSON fragments, and its check part
+# when one is asked for, else None. The instances and findings are None when
+# a stored part stands in for them.
+Result = tuple[list[AnnotationInstance] | None, list[Finding] | None, str, str, FilePart | None]
 
 
 @lru_cache(maxsize=1)
@@ -188,56 +212,85 @@ def fragments(
     )
 
 
+def _pack_findings(findings: Iterable[Finding]) -> tuple:
+    """Findings of one file, each located once in it: check id, message,
+    line and column, and, for a finding about an element, its kind and path."""
+    packed = []
+    for f in findings:
+        ((_, line, column),) = f.locations
+        element = () if f.element is None else (f.element.kind._value_, f.element.path)
+        packed.append((f.check_id, f.message, line, column, *element))
+    return tuple(packed)
+
+
 def _pack(instances: Iterable[AnnotationInstance], findings: Iterable[Finding]) -> tuple:
-    """One file's result as `marshal` writes it; every location is in that file
-    and no extraction finding names an element. (`_value_`, as `value` is a
-    Python-level property.)"""
+    """One file's result as `marshal` writes it; every location is in that
+    file. (`_value_`, as `value` is a Python-level property.)"""
     return (
         tuple(
             (i.kind._value_, i.values, i.attrs, i.target._value_, i.target_name,
              i.enclosing_components, i.location.line, i.location.column, i.package)
             for i in instances
         ),
-        tuple(
-            (f.check_id, f.message, tuple((loc.line, loc.column) for loc in f.locations))
-            for f in findings
-        ),
+        _pack_findings(findings),
     )
 
 
-def _location(rel: str, place: tuple[int, int]) -> SourceLocation:
-    if type(place) is not tuple or tuple(map(type, place)) != (int, int):
-        raise TypeError("not a line and column")
-    return tuple.__new__(SourceLocation, (rel, *place))
+def _pack_part(part: FilePart) -> bytes:
+    """A check part: the kinds, owners and names of its covered keys, as
+    three tuples of strings, and its findings."""
+    kinds, owners, names = zip(*part.covered) if part.covered else ((), (), ())
+    covered = (tuple(map(attrgetter("_value_"), kinds)), owners, names)
+    return marshal.dumps((covered, _pack_findings(part.findings)))
 
 
-def _unpack(rel: str, packed: tuple) -> Result:
-    """The result `_pack` and `fragments` packed for the file `rel`; raises
-    TypeError, ValueError or KeyError when `packed` has another shape."""
-    if type(packed) is not tuple or tuple(map(type, packed)) != _ENTRY_TYPES:
-        raise TypeError("not an entry")
-    packed_instances, packed_findings, instances_json, findings_json, _, stat = packed
-    if tuple(map(type, stat)) != _STAT_TYPES:
-        raise TypeError("not a stat")
+# As the namedtuples' own `__new__` build them, without those Python frames.
+_new = tuple.__new__
+
+
+def _unpack_findings(rel: str, packed: tuple) -> list[Finding]:
+    findings = []
+    for fields in packed:
+        types = tuple(map(type, fields))
+        if types == _FINDING_TYPES:
+            check_id, message, line, column = fields
+            element = None
+        elif types == _ELEMENT_FINDING_TYPES:
+            check_id, message, line, column, kind, path = fields
+            element = _new(ElementRef, (_REF_KINDS[kind], path))
+        else:
+            raise TypeError("not a finding")
+        location = _new(SourceLocation, (rel, line, column))
+        findings.append(_new(Finding, (check_id, CATALOG[check_id], message, element, (location,))))
+    return findings
+
+
+def _unpack(rel: str, packed: tuple) -> tuple[list[AnnotationInstance], list[Finding]]:
+    """The instances and findings `_pack` packed for the file `rel`; raises
+    TypeError, ValueError or KeyError when they have another shape."""
     instances = []
-    for fields in packed_instances:
+    for fields in packed[0]:
         if tuple(map(type, fields)) != _INSTANCE_TYPES:
             raise TypeError("not an instance")
         kind, values, attrs, target, name, enclosing, line, column, package = fields
         "".join((*values, *enclosing, *attrs, *attrs.values()))  # each a str, or TypeError
-        # As the namedtuples' own `__new__` build them, without those Python frames.
-        location = tuple.__new__(SourceLocation, (rel, line, column))
-        instances.append(tuple.__new__(AnnotationInstance, (
+        location = _new(SourceLocation, (rel, line, column))
+        instances.append(_new(AnnotationInstance, (
             ANNOTATION_NAMES[kind], values, dict(attrs), _TARGETS[target], name, enclosing,
             location, package,
         )))
-    findings = []
-    for fields in packed_findings:
-        if tuple(map(type, fields)) != (str, str, tuple):
-            raise TypeError("not a finding")
-        check_id, message, places = fields
-        findings.append(finding(check_id, message, locations=[_location(rel, p) for p in places]))
-    return instances, findings, instances_json, findings_json
+    return instances, _unpack_findings(rel, packed[1])
+
+
+def _unpack_part(rel: str, packed: bytes) -> FilePart:
+    """The part `_pack_part` packed for the file `rel`; raises as `_unpack`,
+    or EOFError."""
+    (kinds, owners, names), findings = marshal.loads(packed)
+    if not len(kinds) == len(owners) == len(names):
+        raise ValueError("not (kind, owner, name) keys")
+    "".join((*owners, *names))  # each a str, or TypeError
+    covered = frozenset(zip(map(_REF_KINDS.__getitem__, kinds), owners, names))
+    return _new(FilePart, (_unpack_findings(rel, findings), covered))
 
 
 class ResultStore:
@@ -259,28 +312,40 @@ class ResultStore:
         self.kept: dict[tuple[str, int], tuple] = {}
         self.changed = False
 
-    def get(self, key: tuple[str, int], st: os.stat_result, text: str | None = None) -> Result | None:
+    def get(
+        self, key: tuple[str, int], st: os.stat_result, text: str | None = None,
+        digest: bytes | None = None,
+    ) -> Result | None:
         """The stored result of the file `key` names if `st` shows the file
         unchanged since it was stored, or with `text` if its digest matches;
-        else None. A hit is kept, with `st` as the file's stat."""
+        else None. Its instances and findings are built only when it holds
+        no check part stored under `digest`, the sha256 of an architecture's
+        canonical text. A hit is kept, with `st` as the file's stat."""
         packed = self.entries.get(key)
         if packed is None:
             return None
         record = _record(st, self.clock)
         try:
+            if type(packed) is not tuple or tuple(map(type, packed)) != _ENTRY_TYPES:
+                return None
             recorded = packed[5]
+            if tuple(map(type, recorded)) != _STAT_TYPES:
+                return None
             if text is None and (record[:5] != recorded[:5] or not _trusted(recorded)):
                 return None
             if text is not None and packed[4] != _digest(text):
                 return None
-            result = _unpack(key[0], packed)
-        except (TypeError, ValueError, KeyError, IndexError):
+            if digest is not None and packed[6] == digest:
+                result = (None, None, packed[2], packed[3], _unpack_part(key[0], packed[7]))
+            else:
+                result = (*_unpack(key[0], packed), packed[2], packed[3], None)
+        except (TypeError, ValueError, KeyError, IndexError, EOFError):
             return None
         # A changed stat is kept, and so is a racy entry that the new clock
         # lets the next run trust.
         if record[:5] != recorded[:5] or (_trusted(record) and not _trusted(recorded)):
             self.changed = True
-            packed = (*packed[:5], record)
+            packed = (*packed[:5], record, *packed[6:])
         self.kept[key] = packed
         return result
 
@@ -289,9 +354,19 @@ class ResultStore:
         instances: list[AnnotationInstance], findings: list[Finding],
     ) -> Result:
         json = fragments(instances, findings)
-        self.kept[key] = (*_pack(instances, findings), *json, _digest(text), _record(st, self.clock))
+        self.kept[key] = (
+            *_pack(instances, findings), *json, _digest(text), _record(st, self.clock), b"", b"",
+        )
         self.changed = True
-        return (instances, findings, *json)
+        return (instances, findings, *json, None)
+
+    def put_part(self, key: tuple[str, int], digest: bytes, part: FilePart) -> None:
+        """Keep `part`, the check part under the architecture whose canonical
+        text has sha256 `digest`, with the kept entry of the file `key` names."""
+        packed = self.kept.get(key)
+        if packed is not None:
+            self.kept[key] = (*packed[:6], digest, _pack_part(part))
+            self.changed = True
 
     def save(self) -> None:
         """Write the kept entries if they are not the ones read, or else touch
@@ -353,9 +428,9 @@ def _unpack_architecture(packed: tuple) -> ArchitectureModel:
 
 
 class ArchitectureStore:
-    """The stored model of one `.arch` text, in a store file of `directory`
-    named by the text's sha256. Only a well-formed model is kept, and a
-    stored model that is not well-formed is a miss."""
+    """The stored model of one `.arch` text, with its canonical text, in a
+    store file of `directory` named by the text's sha256. Only a well-formed
+    model is kept, and a stored model that is not well-formed is a miss."""
 
     def __init__(self, directory: Path | str, text: str):
         self.digest = hashlib.sha256(text.encode(errors="surrogatepass")).digest()
@@ -364,16 +439,18 @@ class ArchitectureStore:
 
     def get(self) -> ArchitectureModel | None:
         packed = _read(self.path, self.header)
-        if type(packed) is not tuple or len(packed) != 3 or packed[0] != self.digest:
+        if type(packed) is not tuple or len(packed) != 4 or packed[0] != self.digest:
             return None
         try:
-            model = _unpack_architecture(packed[1:])
+            model = _unpack_architecture(packed[2:])
         except (TypeError, ValueError):
             return None
-        if model.validation:
+        if model.validation or type(packed[1]) is not str:
             return None
+        model.__dict__["canonical_text"] = packed[1]  # where the cached_property keeps it
         _touch(self.path)
         return model
 
     def put(self, model: ArchitectureModel) -> None:
-        _write(self.path, self.header, (self.digest, *_pack_architecture(model)))
+        packed = (self.digest, model.canonical_text, *_pack_architecture(model))
+        _write(self.path, self.header, packed)

@@ -9,6 +9,8 @@ cases without ever producing unresolvable endpoints.
 from __future__ import annotations
 
 import random
+import re
+from pathlib import Path
 
 from archlint.annotations import AnnotationInstance, AnnotationKind, CodeModel, TargetKind
 from archlint.errors import EndpointError, PreconditionError
@@ -42,6 +44,7 @@ from archlint.refactor import (
     SplitComponent,
     apply_op,
 )
+from archlint.scaffold import scaffold_architecture
 
 MULTS = [
     Multiplicity(1, 1),
@@ -581,3 +584,29 @@ def shadowing_ops(rng: random.Random, model: ArchitectureModel) -> list[Refactor
         for member in [p.role for p in target.parts] + [p.name for p in target.ports]
     }
     return [AddPort(owner, role), SplitComponent(target.name, name_a, name_b, partition)]
+
+
+_PRAGMA = re.compile(r"//@arch (\w+)\((.*)\) @on (\w+) (\w+)")
+_JAVA_MEMBER = {"method": "void {}() {{}}", "field": "Object {};"}
+
+
+def _java_scaffold(text: str) -> str:
+    """A scaffold file as Java: its type pragma as an annotated class that
+    holds each other pragma as an annotated member."""
+    head, members = "class Toplevel {", []
+    for kind, args, target, name in _PRAGMA.findall(text):
+        annotation = f"@{kind}({args.replace('type=', 'type=Arrow.')})"
+        if target == "type":
+            head = f"{annotation} class {name} {{"
+        else:
+            members.append(f"    {annotation} {_JAVA_MEMBER[target].format(name)}")
+    return "\n".join([head, *members, "}"]) + "\n"
+
+
+def write_scaffold_tree(model: ArchitectureModel, root: Path, java: bool) -> None:
+    """Write the model's scaffold under `root`: its pragma files, or each
+    as a Java class."""
+    for name, text in scaffold_architecture(model).items():
+        path = root / (Path(name).with_suffix(".java") if java else name)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(_java_scaffold(text) if java else text, encoding="utf-8")

@@ -35,12 +35,14 @@ import archlint
 from annotation_grid import grid_cases
 from archlint import adl, cli, java, jsontext, pragma, store
 from archlint.adl import serialize_architecture
-from archlint.conformance import report_fingerprint
+from archlint.conformance import FilePart, report_fingerprint, run_all
 from archlint.model import ArchitectureModel
-from archlint.scaffold import scaffold_architecture, write_scaffold
-from archlint.scan import ScanConfig, _collect_files, _front_end, load_config_file, scan_tree
+from archlint.scaffold import write_scaffold
+from archlint.scan import (
+    ScanConfig, _collect_files, _front_end, check_tree, load_config_file, scan_tree,
+)
 from java_oracle import FRAGMENTS
-from modelgen import random_model
+from modelgen import random_model, write_scaffold_tree
 from parser_grid import JAVA_CLASS, PRAGMA_TAILS, mutants
 
 ENV = {**os.environ, "PYTHONPATH": str(Path(archlint.__file__).parent.parent)}
@@ -399,21 +401,22 @@ component Zz_wired_t {
 
 
 def _arch_shapes(packed: tuple) -> list[object]:
-    """Payloads of the wrong shape: not a tuple of the text's digest, its
-    components and its connectors, or one whose `Zz_wired` component, its
-    first port or part, or its connector has a field of another type, a
-    field too few, or a name the model declares twice."""
-    digest, components, connectors = packed
+    """Payloads of the wrong shape: not a tuple of the text's digest, the
+    model's canonical text, its components and its connectors, or one whose
+    canonical text is not a str, or whose `Zz_wired` component, its first
+    port or part, or its connector has a field of another type, a field too
+    few, or a name the model declares twice."""
+    digest, text, components, connectors = packed
     odd = {str: (0, None, b"x"), tuple: ([], "x", None, (0,)), int: ("1", 1.5, True),
            type(None): ("*",)}
 
     def component(record: tuple) -> tuple:
         at = next(i for i, c in enumerate(components) if c[0] == "Zz_wired")
-        return (digest, (*components[:at], record, *components[at + 1 :]), connectors)
+        return (digest, text, (*components[:at], record, *components[at + 1 :]), connectors)
 
     def connector(record: tuple) -> tuple:
         at = next(i for i, c in enumerate(connectors) if c[0] == "c")
-        return (digest, components, (*connectors[:at], record, *connectors[at + 1 :]))
+        return (digest, text, components, (*connectors[:at], record, *connectors[at + 1 :]))
 
     def variants(record: tuple):
         for i, field in enumerate(record):
@@ -421,8 +424,9 @@ def _arch_shapes(packed: tuple) -> list[object]:
                 yield (*record[:i], value, *record[i + 1 :])
         yield record[:-1]
 
-    shapes: list[object] = [None, [], (), packed[:2], (*packed, 0), list(packed),
-                            (hashlib.sha256(b"another text").digest(), components, connectors)]
+    shapes: list[object] = [None, [], (), packed[:3], (*packed, 0), list(packed),
+                            (hashlib.sha256(b"another text").digest(), *packed[1:])]
+    shapes += [(digest, bad, components, connectors) for bad in odd[str]]
     wired = next(c for c in components if c[0] == "Zz_wired")
     name, ports, parts = wired
     shapes += [component(bad) for bad in variants(wired)]
@@ -520,23 +524,6 @@ def test_a_racy_entry_is_read_and_hashed_again(tmp_path: Path, monkeypatch) -> N
     assert _store_reads(base, check, directory, monkeypatch) == []
 
 
-_PRAGMA = re.compile(r"//@arch (\w+)\((.*)\) @on (\w+) (\w+)")
-_JAVA_MEMBER = {"method": "void {}() {{}}", "field": "Object {};"}
-
-
-def _java_scaffold(text: str) -> str:
-    """A scaffold file as Java: its type pragma as an annotated class that
-    holds each other pragma as an annotated member."""
-    head, members = "class Toplevel {", []
-    for kind, args, target, name in _PRAGMA.findall(text):
-        annotation = f"@{kind}({args.replace('type=', 'type=Arrow.')})"
-        if target == "type":
-            head = f"{annotation} class {name} {{"
-        else:
-            members.append(f"    {annotation} {_JAVA_MEMBER[target].format(name)}")
-    return "\n".join([head, *members, "}"]) + "\n"
-
-
 def _assert_fragments_give_the_fingerprint(roots: list[Path], directory: Path) -> None:
     """A scan with the store, cold and warm, has the compact JSON and report
     fingerprint that `jsontext.code_model` gives for a scan without it."""
@@ -568,11 +555,7 @@ def test_the_fragments_give_the_fingerprint_of_a_scaffold(seed: int, java: bool)
     model = random_model(random.Random(seed))
     with tempfile.TemporaryDirectory() as temp:
         root = Path(temp) / "src"
-        for name, text in scaffold_architecture(model).items():
-            if java:
-                _write(root / Path(name).with_suffix(".java"), _java_scaffold(text))
-            else:
-                _write(root / name, text)
+        write_scaffold_tree(model, root, java)
         _assert_fragments_give_the_fingerprint([root], Path(temp) / "store")
 
 
@@ -618,6 +601,48 @@ def _source(rel: str, n: int) -> str:
 _EDITS = ["touch", "same-size", "rename", "delete", "add", "copy", "swap"]
 
 
+def _edit(base: Path, roots: list[Path], step: int, edit: str, n: int) -> None:
+    """One step of `test_the_store_follows_random_edits_of_two_roots`: edit
+    `n` of kind `edit`; any other kind edits nothing."""
+    paths = sorted(p for root in roots for p in root.rglob("*") if p.is_file())
+    path = paths[n % len(paths)] if paths else None
+    if edit == "add" or path is None:
+        rel = f"n{step}.java" if n % 3 == 0 else f"sub/n{step}.txt"
+        _write(roots[n % 2] / rel, _source(rel, n % 10))
+    elif edit == "touch":
+        os.utime(path)
+    elif edit == "same-size":
+        before = path.stat()
+        text = path.read_text()
+        q = int(re.search(r"Q(\d)", text)[1])
+        path.write_text(text.replace(f"Q{q}", f"Q{(q + 1) % 10}"))
+        os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+    elif edit == "rename":
+        path.rename(path.with_name(f"r{step}{path.suffix}"))
+    elif edit == "delete":
+        path.unlink()
+    elif edit == "copy":
+        root = next(r for r in roots if path.is_relative_to(r))
+        other = next(r for r in roots if r != root) / path.relative_to(root)
+        other.parent.mkdir(parents=True, exist_ok=True)
+        shutil.copy2(path, other)
+    elif edit == "swap":
+        swapped = paths[(n // len(paths)) % len(paths)]
+        if swapped != path:
+            path.rename(base / "swap")
+            swapped.rename(path)
+            (base / "swap").rename(swapped)
+
+
+def _two_roots(base: Path) -> list[Path]:
+    roots = [base / "one", base / "two"]
+    for root in roots:
+        for n, rel in enumerate(["a.txt", "b.java", "sub/c.txt"]):
+            _write(root / rel, _source(rel, n))
+    _write(roots[1] / "d.txt", _source("d.txt", 3))
+    return roots
+
+
 @settings(max_examples=40, deadline=None)
 @given(steps=st.lists(st.tuples(st.sampled_from(_EDITS), st.integers(0, 2**16)), max_size=10))
 def test_the_store_follows_random_edits_of_two_roots(steps: list[tuple[str, int]]) -> None:
@@ -630,40 +655,9 @@ def test_the_store_follows_random_edits_of_two_roots(steps: list[tuple[str, int]
     config = ScanConfig()
     with tempfile.TemporaryDirectory() as temp:
         base = Path(temp)
-        roots, directory = [base / "one", base / "two"], base / "store"
-        for root in roots:
-            for n, rel in enumerate(["a.txt", "b.java", "sub/c.txt"]):
-                _write(root / rel, _source(rel, n))
-        _write(roots[1] / "d.txt", _source("d.txt", 3))
+        roots, directory = _two_roots(base), base / "store"
         for step, (edit, n) in enumerate([("none", 0), *steps]):
-            paths = sorted(p for root in roots for p in root.rglob("*") if p.is_file())
-            path = paths[n % len(paths)] if paths else None
-            if edit == "add" or path is None:
-                rel = f"n{step}.java" if n % 3 == 0 else f"sub/n{step}.txt"
-                _write(roots[n % 2] / rel, _source(rel, n % 10))
-            elif edit == "touch":
-                os.utime(path)
-            elif edit == "same-size":
-                before = path.stat()
-                text = path.read_text()
-                q = int(re.search(r"Q(\d)", text)[1])
-                path.write_text(text.replace(f"Q{q}", f"Q{(q + 1) % 10}"))
-                os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
-            elif edit == "rename":
-                path.rename(path.with_name(f"r{step}{path.suffix}"))
-            elif edit == "delete":
-                path.unlink()
-            elif edit == "copy":
-                root = next(r for r in roots if path.is_relative_to(r))
-                other = next(r for r in roots if r != root) / path.relative_to(root)
-                other.parent.mkdir(parents=True, exist_ok=True)
-                shutil.copy2(path, other)
-            else:  # swap
-                swapped = paths[(n // len(paths)) % len(paths)]
-                if swapped != path:
-                    path.rename(base / "swap")
-                    swapped.rename(path)
-                    (base / "swap").rename(swapped)
+            _edit(base, roots, step, edit, n)
             cold = scan_tree(roots, config)
             warm = scan_tree(roots, config, store=directory)
             assert warm == cold, (step, edit)
@@ -676,20 +670,70 @@ def test_the_store_follows_random_edits_of_two_roots(steps: list[tuple[str, int]
             assert set(stored.entries) == claimed, (step, edit)
 
 
+# Architectures for the sources `_source` writes: Q0 to Q9 each with port p,
+# and with fewer or other components, ports and connectors.
+_QS = "".join(f"component Q{n} {{ port p; }}\n" for n in range(10))
+_ARCHS = [
+    _QS,
+    _QS + "component Top { part a: Q0; part b: Q1; connector c: a.p -> b.p; }\n",
+    "".join(f"component Q{n} {{ port p; port r; }}\n" for n in range(0, 10, 2)),
+    _QS.replace("port p", "port p2", 3),
+    "// the same model, written otherwise\n" + _QS.replace("; }", ";\n}"),
+    _QS + "component Q10 { port p; port p; }\n",  # ill-formed: the checks do not run
+]
+
+
+@settings(max_examples=25, deadline=None)
+@given(steps=st.lists(
+    st.tuples(st.sampled_from([*_EDITS, "arch", "undo"]), st.integers(0, 2**16)), max_size=10,
+))
+def test_a_check_with_the_store_follows_edits_of_sources_and_architecture(
+    steps: list[tuple[str, int]]
+) -> None:
+    """The edits of `test_the_store_follows_random_edits_of_two_roots`, and
+    an edit of the `.arch` to another architecture or the undo of the last
+    one. After each step `check` over both roots (which share relative
+    paths) and over the first alone prints with the store what it prints
+    without, in text and in JSON, with the exit code of `--fail-on warning`."""
+    with tempfile.TemporaryDirectory() as temp:
+        base = Path(temp)
+        roots, directory = _two_roots(base), base / "store"
+        arch = base / "app.arch"
+        texts = [_ARCHS[0]]
+        for step, (edit, n) in enumerate([("none", 0), *steps]):
+            if edit == "arch":
+                texts.append(_ARCHS[n % len(_ARCHS)])
+            elif edit == "undo" and len(texts) > 1:
+                texts.pop()
+            _edit(base, roots, step, edit, n)
+            _write(arch, texts[-1])
+            for sources in (roots, roots[:1]):
+                for fmt in ("text", "json"):
+                    argv = ["check", "--arch", str(arch), "--format", fmt, "--fail-on", "warning"]
+                    argv += [f"--src={root}" for root in sources]
+                    assert _run(argv, directory) == _run(argv), (step, edit, fmt)
+
+
 # --- a hostile store ----------------------------------------------------------
 
 
 @pytest.fixture(scope="module")
-def hostile(tmp_path_factory) -> tuple[Path, list[Path], ScanConfig, object, bytes]:
-    """A tree, its roots and config, its cold code model, and the store file
-    a run leaves."""
+def hostile(tmp_path_factory) -> tuple[Path, list[Path], ScanConfig, object, bytes, tuple]:
+    """The first root of a tree and its config, its cold code model, the
+    store file a `check` leaves, and the architecture and its cold report.
+    (One root: the store then holds each file's check part.)"""
     base = tmp_path_factory.mktemp("hostile")
     _tree(base, 8)
     roots, config = _roots_and_config(base)
+    roots = roots[:1]
+    arch = adl.parse_architecture((base / "app.arch").read_text())
+    assert not arch.validation
     directory = base / "store"
     cold = scan_tree(roots, config)
-    assert scan_tree(roots, config, store=directory) == cold
-    return directory, roots, config, cold, _stored(base, directory).path.read_bytes()
+    report = run_all(arch, cold)
+    assert check_tree(arch, roots, config, store=directory) == report
+    path = store.ResultStore(directory, roots, config.semantic_fingerprint()).path
+    return directory, roots, config, cold, path.read_bytes(), (arch, report)
 
 
 # The module-scoped tree is shared by every example.
@@ -699,13 +743,16 @@ _HYPOTHESIS = settings(
 
 
 def _scan_with(hostile, data: bytes) -> None:
-    """Scan over a store file holding `data`: the cold model, nothing on stderr."""
-    directory, roots, config, cold, _ = hostile
+    """Scan, and check, over a store file holding `data`: the cold model and
+    report, nothing on stderr."""
+    directory, roots, config, cold, _, (arch, report) = hostile
     path = store.ResultStore(directory, roots, config.semantic_fingerprint()).path
-    path.write_bytes(data)
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
+        path.write_bytes(data)
         assert scan_tree(roots, config, store=directory) == cold
+        path.write_bytes(data)
+        assert check_tree(arch, roots, config, store=directory) == report
     assert err.getvalue() == ""
 
 
@@ -745,31 +792,55 @@ _ODD = {
 }
 
 
+def _variants(record: tuple, named: tuple[int, ...]):
+    """`record` with a field replaced by a value of another type or, for a
+    field at `named`, by an unknown name; with a field taken away or added;
+    or as a list."""
+    for i, field in enumerate(record):
+        for value in _ODD[type(field)] + (("Nothing",) if i in named else ()):
+            yield (*record[:i], value, *record[i + 1 :])
+        yield record[:i]
+    yield (*record, 0)
+    yield list(record)
+
+
 def _wrong_shapes(entries: dict) -> list[object]:
     """Payloads of the wrong shape: not a dict of entries, or one entry
-    whose whole (its JSON fragments, digest and stat among its fields), or
-    whose first instance or first finding, has a field replaced by a value
-    of another type or by an unknown name, a field taken away or added, or
-    a list in place of a tuple."""
-
-    def variants(record: tuple, named: tuple[int, ...]):
-        for i, field in enumerate(record):
-            for value in _ODD[type(field)] + (("Nothing",) if i in named else ()):
-                yield (*record[:i], value, *record[i + 1 :])
-            yield record[:i]
-        yield (*record, 0)
-        yield list(record)
-
+    whose whole (its JSON fragments, digest, stat and check part among its
+    fields), whose first instance or first finding, or whose check part (not
+    `marshal` bytes of a part, or a part whose first finding, first finding
+    about an element or covered keys are of another shape) has a field
+    replaced by a value of another type or by an unknown name, a field
+    taken away or added, or a list in place of a tuple."""
     shapes: list[object] = [[], (), None, 0, "", list(entries.items()), {"x": ((), ())}]
+
+    def changed(key, at: int, value: object) -> dict:
+        entry = entries[key]
+        return {**entries, key: (*entry[:at], value, *entry[at + 1 :])}
+
     for side, named in ((0, (0, 3)), (1, (0,))):  # kind and target; check id
         key, entry = next((k, v) for k, v in entries.items() if v[side])
         records = entry[side]
-        for bad in variants(records[0], named):
-            changed = list(entry)
-            changed[side] = (bad, *records[1:])
-            shapes.append({**entries, key: tuple(changed)})
-        for bad in variants(entry, ()):
-            shapes.append({**entries, key: bad})
+        shapes += [changed(key, side, (bad, *records[1:])) for bad in _variants(records[0], named)]
+        shapes += [{**entries, key: bad} for bad in _variants(entry, ())]
+    parts = {key: marshal.loads(entry[7]) for key, entry in entries.items() if entry[7]}
+    for width, named in ((4, (0,)), (6, (0, 4))):  # check id; check id and element kind
+        key, (covered, findings) = next(
+            (k, v) for k, v in parts.items() if v[1] and len(v[1][0]) == width
+        )
+        # (Without its last two fields, a finding about an element is a
+        # finding of the right shape about none.)
+        variants = [bad for bad in _variants(findings[0], named) if bad != findings[0][:4]]
+        shapes += [
+            changed(key, 7, marshal.dumps((covered, (bad, *findings[1:])))) for bad in variants
+        ]
+    key, ((kinds, owners, names), findings) = next((k, v) for k, v in parts.items() if v[0][0])
+    for bad in (
+        (kinds[:-1], owners, names), (kinds, owners, names, names), (kinds, (0, *owners[1:]), names),
+        (kinds, owners, (None, *names[1:])), (("Nothing", *kinds[1:]), owners, names), kinds,
+    ):
+        shapes.append(changed(key, 7, marshal.dumps((bad, findings))))
+    shapes += [changed(key, 7, bad) for bad in (b"x", marshal.dumps(("x",)), marshal.dumps(()))]
     return shapes
 
 
@@ -780,6 +851,18 @@ def test_a_payload_of_the_wrong_shape_is_a_miss(hostile) -> None:
     assert len(shapes) > 100
     for shape in shapes:
         _scan_with(hostile, _with_payload(good, marshal.dumps(shape)))
+
+
+def test_a_check_part_stored_for_another_architecture_is_recomputed(hostile) -> None:
+    """Each file's part emptied, under another architecture's digest: a
+    `check` that trusted them would report no finding."""
+    good = hostile[4]
+    entries = marshal.loads(good[len(store._MAGIC) + 64 :])
+    assert all(entry[6] for entry in entries.values())
+    empty = store._pack_part(FilePart([], frozenset()))
+    other = hashlib.sha256(b"another architecture").digest()
+    forged = {key: (*entry[:6], other, empty) for key, entry in entries.items()}
+    _scan_with(hostile, _with_payload(good, marshal.dumps(forged)))
 
 
 # --- the process ----------------------------------------------------------------
@@ -856,10 +939,10 @@ def test_runs_at_once_each_print_the_cold_output(tmp_path: Path) -> None:
 _ALL_HIT = """
 import contextlib, io, sys
 from pathlib import Path
-from archlint import adl, cli, jsontext
+from archlint import adl, cli, java, jsontext, pragma, store
 sources = [Path(p).resolve() for p in sys.argv[1].split(",")]
 argv = sys.argv[2:]
-counts = {"parsers": 0, "instances": 0, "sources": 0}
+counts = {"parsers": 0, "instances": 0, "sources": 0, "built": 0}
 parser, instance, open_ = adl._Parser.__init__, jsontext.instance, io.open
 
 def counted_parser(self, text):
@@ -875,11 +958,35 @@ def counted_open(file, *args, **kwargs):
         counts["sources"] += 1
     return open_(file, *args, **kwargs)
 
+def built(module, name):
+    function = getattr(module, name)
+
+    def counted(*args):
+        result = function(*args)
+        counts["built"] += len(result[0])
+        return result
+
+    setattr(module, name, counted)
+
 adl._Parser.__init__, jsontext.instance, io.open = counted_parser, counted_instance, counted_open
+for module, name in ((store, "_unpack"), (java, "extract_attributes"), (pragma, "extract_pragmas")):
+    built(module, name)
 with contextlib.redirect_stdout(io.StringIO()):
     code = cli.main(argv, store=".archlint_cache")
-print(code, counts["parsers"], counts["instances"], counts["sources"])
+print(code, counts["parsers"], counts["instances"], counts["sources"], counts["built"])
 """
+
+
+def _probe(tmp_path: Path, sources: list[str], argv: list[str]) -> tuple[int, ...]:
+    """(exit code, ADL parsers built, instance JSON records written, source
+    files opened, annotation instances built) of `argv` run in a process on
+    the store in `tmp_path`."""
+    probe = subprocess.run(
+        [sys.executable, "-c", _ALL_HIT, ",".join(sources), *argv],
+        capture_output=True, text=True, env=ENV, cwd=tmp_path,
+    )
+    assert probe.returncode == 0, probe.stderr
+    return tuple(map(int, probe.stdout.split()))
 
 
 @pytest.mark.parametrize("tree", ["car", "car_pragma", "car,car_paired"])
@@ -888,20 +995,30 @@ def test_an_all_hit_check_parses_renders_and_opens_nothing_it_stored(
 ) -> None:
     """After one run, a `check` builds no ADL parser and opens no source
     file, not even of two roots that share every relative path; with one
-    root, it writes no instance JSON for the fingerprint either, while two
-    such roots fall back to the whole model's. (The sources are the
-    checkout's, changed long before the store's clock.)"""
+    root, it writes no instance JSON for the fingerprint and builds no
+    annotation instance either, while two such roots fall back to the whole
+    model. After an edit of the `.arch`, the first `check` builds every
+    instance again, and the next none. `smells` and `lookup` build every
+    instance. (The sources are the checkout's, changed long before the
+    store's clock.)"""
     data = Path(__file__).parent / "data"
     arch = tmp_path / "car.arch"
     shutil.copyfile(data / "car" / "car.arch", arch)
     sources = [str(data / name / "src") for name in tree.split(",")]
-    argv = ["check", "--arch", str(arch), *(f"--src={src}" for src in sources), "--format", "json"]
+    common = ["--arch", str(arch), *(f"--src={src}" for src in sources)]
+    argv = ["check", *common, "--format", "json"]
+    total = len(scan_tree(sources).instances)
+    assert total > 0
     first = _process(argv, tmp_path)
     assert first == _run(argv)
-    probe = subprocess.run(
-        [sys.executable, "-c", _ALL_HIT, ",".join(sources), *argv],
-        capture_output=True, text=True, env=ENV, cwd=tmp_path,
-    )
-    code, parsers, instances, opened = map(int, probe.stdout.split())
-    assert (code, parsers, opened) == (first[0], 0, 0), probe.stderr
-    assert (instances == 0) == (len(sources) == 1)
+    code, parsers, instances, opened, built = _probe(tmp_path, sources, argv)
+    assert (code, parsers, opened) == (first[0], 0, 0)
+    assert (instances == 0) == (built == 0) == (len(sources) == 1)
+    assert built in (0, total)
+    _write(arch, arch.read_text() + "\ncomponent Zz_edit {\n    port p;\n}\n")
+    edited = _run(argv)[0]
+    for parsed, rebuilt in ((1, total), (0, built)):
+        code, parsers, _, _, built_now = _probe(tmp_path, sources, argv)
+        assert (code, parsers, built_now) == (edited, parsed, rebuilt)
+    for other in (["smells", *common], ["lookup", *common, "Car"]):
+        assert _probe(tmp_path, sources, other)[4] == total, other
