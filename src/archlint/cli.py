@@ -27,7 +27,6 @@ from .scan import ScanConfig, SmellConfig, check_tree, load_config_file, scan_tr
 
 if TYPE_CHECKING:
     from .annotations import AnnotationInstance, CodeModel
-    from .conformance import ConformanceReport
     from .refactor import ImpactReport
 
 class _CliError(ArchlintError):
@@ -73,14 +72,9 @@ def _load_configs(args: argparse.Namespace) -> tuple[ScanConfig, SmellConfig]:
     return (ScanConfig.from_mapping(mapping), SmellConfig.from_mapping(mapping))
 
 
-def _scan(
-    args: argparse.Namespace, config: ScanConfig, arch: ArchitectureModel | None = None
-) -> CodeModel | ConformanceReport:
-    """The scanned sources; with `arch`, their conformance report."""
+def _scan(args: argparse.Namespace, config: ScanConfig) -> CodeModel:
     roots = [Path(p) for p in args.src]
     try:
-        if arch is not None:
-            return check_tree(arch, roots, config, store=args.store)
         return scan_tree(roots, config, store=args.store)
     except FileNotFoundError as err:
         raise _CliError(str(err)) from err
@@ -145,7 +139,11 @@ def _exit_for(findings: Iterable[Finding], fail_on: str) -> int:
 
 def cmd_check(args: argparse.Namespace) -> int:
     arch = _load_architecture(args)
-    report = _scan(args, _load_configs(args)[0], arch)
+    config = _load_configs(args)[0]
+    try:
+        report = check_tree(arch, [Path(p) for p in args.src], config, store=args.store)
+    except FileNotFoundError as err:
+        raise _CliError(str(err)) from err
     _render_report(report.findings, report.fingerprint, args.format, sys.stdout)
     return _exit_for(report.findings, args.fail_on)
 

@@ -43,15 +43,19 @@ and of `sys.version`, so another archlint or another interpreter finds
 every file a miss. A file that cannot be read, does not carry this header,
 fails its sha256 or holds entries of another shape is a miss, never an
 error. The payload reaches `marshal.loads` only when its sha256 matches,
-because `marshal.loads` of arbitrary bytes can ask for gigabytes; past that
-check the store is trusted like the working directory it lives in: a model
-and its canonical text, or a part and its tag, are read as one `put`
-wrote them, since checking one against the other would cost what storing
-it saves. A result file is rewritten, through a temporary file and
-`os.replace`, only when an entry was added or dropped, a part was kept or
-a file's stat changed, or when a file read again only because it changed
-as late as the clock can now be trusted by its stat; it keeps only the
-files of the run that wrote it, and a run that rewrites nothing touches it.
+because `marshal.loads` of arbitrary bytes can ask for gigabytes. Past that
+check, one rule says what is checked: what costs a small share of the work
+an entry saves is, and an entry that fails it is a miss (each field's type
+and shape, a kind or check id that exists, a model's well-formedness,
+which costs about a fifteenth of a parse); what could be checked only by
+redoing that work is trusted as the `put` that wrote it (a model's
+canonical text, which only serializing the model checks, and a part and
+its tag, which only checking the file does). A result file is rewritten,
+through a temporary file and `os.replace`, only when an entry was added
+or dropped, a part was kept or a file's stat changed, or when a file read
+again only because it changed as late as the clock can now be trusted by
+its stat; it keeps only the files of the run that wrote it, and a run that
+rewrites nothing touches it.
 A directory keeps at most `_KEPT_FILES` store files of either kind: each
 write deletes the least recently used beyond that, never its own.
 """
@@ -430,7 +434,8 @@ def _unpack_architecture(packed: tuple) -> ArchitectureModel:
 class ArchitectureStore:
     """The stored model of one `.arch` text, with its canonical text, in a
     store file of `directory` named by the text's sha256. Only a well-formed
-    model is kept, and a stored model that is not well-formed is a miss."""
+    model is kept, and a stored model that is not well-formed is a miss; the
+    canonical text is trusted as the model's (see above)."""
 
     def __init__(self, directory: Path | str, text: str):
         self.digest = hashlib.sha256(text.encode(errors="surrogatepass")).digest()

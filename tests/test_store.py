@@ -26,6 +26,7 @@ import sys
 import tempfile
 import time
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -717,23 +718,46 @@ def test_a_check_with_the_store_follows_edits_of_sources_and_architecture(
 # --- a hostile store ----------------------------------------------------------
 
 
+class _Stored(NamedTuple):
+    """A store file as a run left it, and the steps of that run, each of
+    which asserts what it gives without the store."""
+
+    path: Path
+    good: bytes
+    steps: tuple[Callable[[], None], ...]
+
+
 @pytest.fixture(scope="module")
-def hostile(tmp_path_factory) -> tuple[Path, list[Path], ScanConfig, object, bytes, tuple]:
-    """The first root of a tree and its config, its cold code model, the
-    store file a `check` leaves, and the architecture and its cold report.
-    (One root: the store then holds each file's check part.)"""
+def hostile(tmp_path_factory) -> tuple[_Stored, _Stored]:
+    """Two store files of one tree. The first is a scan's over the tree's
+    two roots, which share two relative paths, so its entries are keyed by
+    both root positions and a `check` over them folds no stored part; its
+    steps are a scan and a `check`. The second is a `check`'s over the
+    first root alone, so its entries hold each file's check part; its steps
+    are a `check` and a scan."""
     base = tmp_path_factory.mktemp("hostile")
     _tree(base, 8)
     roots, config = _roots_and_config(base)
-    roots = roots[:1]
     arch = adl.parse_architecture((base / "app.arch").read_text())
     assert not arch.validation
     directory = base / "store"
-    cold = scan_tree(roots, config)
-    report = run_all(arch, cold)
-    assert check_tree(arch, roots, config, store=directory) == report
-    path = store.ResultStore(directory, roots, config.semantic_fingerprint()).path
-    return directory, roots, config, cold, path.read_bytes(), (arch, report)
+
+    def stored(roots: list[Path], scan_first: bool) -> _Stored:
+        code = scan_tree(roots, config)
+        report = run_all(arch, code)
+
+        def scan() -> None:
+            assert scan_tree(roots, config, store=directory) == code
+
+        def check() -> None:
+            assert check_tree(arch, roots, config, store=directory) == report
+
+        steps = (scan, check) if scan_first else (check, scan)
+        steps[0]()
+        path = store.ResultStore(directory, roots, config.semantic_fingerprint()).path
+        return _Stored(path, path.read_bytes(), steps)
+
+    return stored(roots, True), stored(roots[:1], False)
 
 
 # The module-scoped tree is shared by every example.
@@ -742,17 +766,14 @@ _HYPOTHESIS = settings(
 )
 
 
-def _scan_with(hostile, data: bytes) -> None:
-    """Scan, and check, over a store file holding `data`: the cold model and
-    report, nothing on stderr."""
-    directory, roots, config, cold, _, (arch, report) = hostile
-    path = store.ResultStore(directory, roots, config.semantic_fingerprint()).path
+def _scan_with(stored: _Stored, data: bytes) -> None:
+    """Each step of the run over the store file holding `data`: as without
+    the store, and nothing on stderr."""
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
-        path.write_bytes(data)
-        assert scan_tree(roots, config, store=directory) == cold
-        path.write_bytes(data)
-        assert check_tree(arch, roots, config, store=directory) == report
+        for step in stored.steps:
+            stored.path.write_bytes(data)
+            step()
     assert err.getvalue() == ""
 
 
@@ -769,16 +790,16 @@ def test_arbitrary_bytes_are_a_miss(hostile, data: bytes, behind_the_header: boo
     """Bytes of any kind, alone or behind this archlint's header. (A payload
     reaches `marshal` only when its sha256 matches: `marshal.loads` of
     arbitrary bytes can ask for gigabytes.)"""
-    if behind_the_header:
-        data = hostile[4][: len(store._MAGIC) + 32] + data
-    _scan_with(hostile, data)
+    for stored in hostile:
+        header = stored.good[: len(store._MAGIC) + 32] if behind_the_header else b""
+        _scan_with(stored, header + data)
 
 
 @_HYPOTHESIS
 @given(cut=st.integers(min_value=0))
 def test_a_truncated_store_is_a_miss(hostile, cut: int) -> None:
-    good = hostile[4]
-    _scan_with(hostile, good[: cut % len(good)])
+    for stored in hostile:
+        _scan_with(stored, stored.good[: cut % len(stored.good)])
 
 
 # Values of another type, or of the right type with contents of another
@@ -807,11 +828,12 @@ def _variants(record: tuple, named: tuple[int, ...]):
 def _wrong_shapes(entries: dict) -> list[object]:
     """Payloads of the wrong shape: not a dict of entries, or one entry
     whose whole (its JSON fragments, digest, stat and check part among its
-    fields), whose first instance or first finding, or whose check part (not
-    `marshal` bytes of a part, or a part whose first finding, first finding
-    about an element or covered keys are of another shape) has a field
-    replaced by a value of another type or by an unknown name, a field
-    taken away or added, or a list in place of a tuple."""
+    fields), whose first instance or first finding, or, where entries hold
+    check parts, whose check part (not `marshal` bytes of a part, or a part
+    whose first finding, first finding about an element or covered keys are
+    of another shape) has a field replaced by a value of another type or by
+    an unknown name, a field taken away or added, or a list in place of a
+    tuple."""
     shapes: list[object] = [[], (), None, 0, "", list(entries.items()), {"x": ((), ())}]
 
     def changed(key, at: int, value: object) -> dict:
@@ -824,6 +846,8 @@ def _wrong_shapes(entries: dict) -> list[object]:
         shapes += [changed(key, side, (bad, *records[1:])) for bad in _variants(records[0], named)]
         shapes += [{**entries, key: bad} for bad in _variants(entry, ())]
     parts = {key: marshal.loads(entry[7]) for key, entry in entries.items() if entry[7]}
+    if not parts:
+        return shapes
     for width, named in ((4, (0,)), (6, (0, 4))):  # check id; check id and element kind
         key, (covered, findings) = next(
             (k, v) for k, v in parts.items() if v[1] and len(v[1][0]) == width
@@ -845,24 +869,24 @@ def _wrong_shapes(entries: dict) -> list[object]:
 
 
 def test_a_payload_of_the_wrong_shape_is_a_miss(hostile) -> None:
-    good = hostile[4]
-    entries = marshal.loads(good[len(store._MAGIC) + 64 :])
-    shapes = _wrong_shapes(entries)
-    assert len(shapes) > 100
-    for shape in shapes:
-        _scan_with(hostile, _with_payload(good, marshal.dumps(shape)))
+    for stored in hostile:
+        entries = marshal.loads(stored.good[len(store._MAGIC) + 64 :])
+        shapes = _wrong_shapes(entries)
+        assert len(shapes) > 100
+        for shape in shapes:
+            _scan_with(stored, _with_payload(stored.good, marshal.dumps(shape)))
 
 
 def test_a_check_part_stored_for_another_architecture_is_recomputed(hostile) -> None:
     """Each file's part emptied, under another architecture's digest: a
     `check` that trusted them would report no finding."""
-    good = hostile[4]
+    good = hostile[1].good
     entries = marshal.loads(good[len(store._MAGIC) + 64 :])
     assert all(entry[6] for entry in entries.values())
     empty = store._pack_part(FilePart([], frozenset()))
     other = hashlib.sha256(b"another architecture").digest()
     forged = {key: (*entry[:6], other, empty) for key, entry in entries.items()}
-    _scan_with(hostile, _with_payload(good, marshal.dumps(forged)))
+    _scan_with(hostile[1], _with_payload(good, marshal.dumps(forged)))
 
 
 # --- the process ----------------------------------------------------------------
