@@ -40,7 +40,8 @@ _MODULES = {
         "resolve_endpoint",
         "validate_model",
     ),
-    "adl": ("parse_architecture", "serialize_architecture"),
+    "adl": ("parse_architecture",),
+    "canonical": ("serialize_architecture",),
     "annotations": (
         "AnnotationInstance",
         "AnnotationKind",

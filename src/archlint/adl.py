@@ -1,4 +1,4 @@
-"""Textual architecture description language: parse and serialize.
+"""Textual architecture description language: the parser.
 
 Grammar (line comments `//`, statements end with `;`):
 
@@ -12,13 +12,13 @@ Grammar (line comments `//`, statements end with `;`):
     arrow      := '->' | '<-' | '<->'
 
 Arrows map to RIGHT, LEFT, BIDIR. Connectors at document root take the empty
-context and wire top-level components. serialize_architecture emits the
-canonical form: components in name order, ports before parts before
-connectors, each group sorted, so equal models serialize byte-identically.
+context and wire top-level components. `canonical.serialize_architecture`
+writes a model back in this language.
 """
 
 from __future__ import annotations
 
+from .canonical import ARROWS
 from .errors import AdlParseError
 from .lexer import Cursor, Lines, Token, _table, tokenize
 from .model import (
@@ -26,7 +26,6 @@ from .model import (
     ArchitectureModel,
     Component,
     Connector,
-    Direction,
     EndpointPath,
     Multiplicity,
     Part,
@@ -36,8 +35,6 @@ from .model import (
     validate_model,
 )
 
-HEADER = "// architecture description"
-
 ADL = _table(
     r"[ \t\r\n]",
     r"//[^\n]*",
@@ -46,9 +43,6 @@ ADL = _table(
     punct=r"<->|->|<-|\.\.|[{}\[\]:;.*]",
     error=r".",
 )
-
-_ARROWS = {"->": Direction.RIGHT, "<-": Direction.LEFT, "<->": Direction.BIDIR}
-_ARROW_TEXT = {v: k for k, v in _ARROWS.items()}
 
 
 class _Parser(Cursor):
@@ -151,13 +145,13 @@ class _Parser(Cursor):
         self.expect_punct(":")
         left = self.parse_path()
         arrow_tok = self.peek()
-        if arrow_tok.kind != "punct" or arrow_tok.text not in _ARROWS:
+        if arrow_tok.kind != "punct" or arrow_tok.text not in ARROWS:
             raise self.error("expected '->', '<-', or '<->'")
         self.advance()
         right = self.parse_path()
         self.expect_punct(";")
         self.connectors.append(
-            Connector(id_tok.text, context, left, right, _ARROWS[arrow_tok.text])
+            Connector(id_tok.text, context, left, right, ARROWS[arrow_tok.text])
         )
         self.declared(RefKind.CONNECTOR, context, id_tok)
 
@@ -203,46 +197,3 @@ def parse_architecture(text: str) -> ArchitectureModel:
             raise AdlParseError(first.message)
         raise parser.error_at(first.message, offsets[0])
     return model
-
-
-def _multiplicity_suffix(mult: Multiplicity) -> str:
-    lower, upper = mult.lower, mult.upper
-    if (lower, upper) == (1, 1):
-        return ""
-    if (lower, upper) == (0, None):
-        return " [*]"
-    if upper is None:
-        return f" [{lower}..*]"
-    if lower == upper:
-        return f" [{lower}]"
-    return f" [{lower}..{upper}]"
-
-
-def _connector_line(conn: Connector) -> str:
-    arrow = _ARROW_TEXT[conn.direction]
-    return f"connector {conn.id}: {conn.left} {arrow} {conn.right};"
-
-
-def serialize_architecture(model: ArchitectureModel) -> str:
-    """Canonical text for a model; parse(serialize(m)) == m."""
-    wired: dict[str, list[Connector]] = {}
-    for conn in model.connectors:
-        wired.setdefault(conn.context, []).append(conn)
-    lines = [HEADER]
-    for comp in model.components:
-        lines.append("")
-        lines.append(f"component {comp.name} {{")
-        for port in comp.ports:
-            lines.append(f"    port {port.name};")
-        for part in comp.parts:
-            suffix = _multiplicity_suffix(part.multiplicity)
-            lines.append(f"    part {part.role}: {part.type_component}{suffix};")
-        for conn in wired.get(comp.name, ()):
-            lines.append("    " + _connector_line(conn))
-        lines.append("}")
-    root = wired.get(ROOT_CONTEXT)
-    if root:
-        lines.append("")
-        for conn in root:
-            lines.append(_connector_line(conn))
-    return "\n".join(lines) + "\n"

@@ -152,13 +152,16 @@ def resolve_connection(
 
 
 def references(
-    code: CodeModel, refs: Iterable[ElementRef], arch: ArchitectureModel
+    code: CodeModel, refs: Iterable[ElementRef], arch: ArchitectureModel,
+    resolved: Iterable[tuple[int, ConnectionResolution]] | None = None,
 ) -> dict[ElementRef, tuple[AnnotationInstance, ...]]:
     """The annotations referencing each of `refs` under the architecture, in
     location order: the one group-by behind `lookup`, plan impact and the
     connector usages. Element annotations come from `code.element_refs`;
     each connection annotation is resolved once and filed under each of its
-    `resolve_connection` refs that is asked for."""
+    `resolve_connection` refs that is asked for. A caller that holds every
+    connection annotation's resolution under `arch` passes them as
+    `resolved`, (position in `code.instances`, resolution) pairs."""
     # No element annotation references a connector, so a query for
     # connectors alone leaves `code.element_refs` unbuilt.
     hits = {
@@ -166,12 +169,16 @@ def references(
         for ref in refs
     }
     instances = code.instances
-    for position, inst in enumerate(instances):
-        if inst.kind.usage is not None:
-            for ref in resolve_connection(arch, inst).refs:
-                positions = hits.get(ref)
-                if positions is not None:
-                    positions.append(position)
+    if resolved is None:
+        resolved = (
+            (position, resolve_connection(arch, inst))
+            for position, inst in enumerate(instances) if inst.kind.usage is not None
+        )
+    for position, resolution in resolved:
+        for ref in resolution.refs:
+            positions = hits.get(ref)
+            if positions is not None:
+                positions.append(position)
     return {ref: tuple(instances[p] for p in sorted(positions)) for ref, positions in hits.items()}
 
 

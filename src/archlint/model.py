@@ -52,6 +52,8 @@ class Direction(enum.Enum):
     RIGHT = "RIGHT"
     BIDIR = "BIDIR"
 
+    __hash__ = object.__hash__  # by identity, in C, as `RefKind`'s
+
 
 def flip(direction: Direction) -> Direction:
     if direction is Direction.LEFT:
@@ -279,11 +281,11 @@ class ArchitectureModel(Record, namedtuple("ArchitectureModel", "components conn
 
     @cached_property
     def canonical_text(self) -> str:
-        """`adl.serialize_architecture` of the model, which the report
+        """`canonical.serialize_architecture` of the model, which the report
         fingerprint hashes."""
-        from . import adl
+        from . import canonical
 
-        return adl.serialize_architecture(self)
+        return canonical.serialize_architecture(self)
 
     @cached_property
     def validation(self) -> tuple[Finding, ...]:
@@ -378,10 +380,14 @@ class ConnectorIndex:
     EndpointError a side raised), `triples` the canonical triple of each
     connector whose sides resolve, `by_pair` the (direction, connector ref)
     entries per canonical endpoint pair in declared order, and `by_id` and
-    `by_ref` the first connector declared per id and per ref.
+    `by_ref` the first connector declared per id and per ref. `kept` holds
+    sides resolved before, in a model where each of their connectors' walks
+    read the same declarations; those connectors are not walked again.
     """
 
-    def __init__(self, model: ArchitectureModel) -> None:
+    def __init__(
+        self, model: ArchitectureModel, kept: Mapping[Connector, tuple] = {}
+    ) -> None:
         self.sides: dict[Connector, tuple[ElementRef | EndpointError, ...]] = {}
         self.triples: dict[Connector, tuple[str, str, Direction]] = {}
         self.by_pair: dict[tuple[str, str], list[tuple[Direction, ElementRef]]] = {}
@@ -391,13 +397,16 @@ class ConnectorIndex:
             ref = ElementRef.connector(conn.context, conn.id)
             self.by_id.setdefault(conn.id, conn)
             self.by_ref.setdefault(ref, conn)
-            sides: list[ElementRef | EndpointError] = []
-            for endpoint in (conn.left, conn.right):
-                try:
-                    sides.append(resolve_endpoint(model, conn.context, endpoint))
-                except EndpointError as err:
-                    sides.append(err.with_traceback(None))  # kept without its frames
-            self.sides[conn] = tuple(sides)
+            sides = kept.get(conn)
+            if sides is None:
+                sides = []
+                for endpoint in (conn.left, conn.right):
+                    try:
+                        sides.append(resolve_endpoint(model, conn.context, endpoint))
+                    except EndpointError as err:
+                        sides.append(err.with_traceback(None))  # kept without its frames
+                sides = tuple(sides)
+            self.sides[conn] = sides
             left, right = sides
             if isinstance(left, EndpointError) or isinstance(right, EndpointError):
                 continue
@@ -480,20 +489,23 @@ def _repeats(keys: Sequence[Hashable]) -> list[int]:
 
 
 def validate_model(
-    model: ArchitectureModel, connectors: Sequence[Connector] | None = None
+    model: ArchitectureModel, connectors: Sequence[Connector] | None = None,
+    components: Sequence[Component] | None = None,
 ) -> list[Finding]:
     """Well-formedness gate: empty result means every invariant holds. A
     finding's ref and message are built only when it is found.
 
-    `connectors` are the model's connectors in the order their repeats are
-    judged, by default the model's own; a parser passes them in the order
-    of the text, so that a repeat is the later declaration."""
+    `connectors` and `components` are those checked, in the order their
+    repeats are judged, by default the model's own; a parser passes the
+    connectors in the order of the text, so that a repeat is the later
+    declaration. A repeat is judged among those checked only."""
     findings: list[Finding] = []
 
     def found(check_id: str, ref: ElementRef, message: str) -> None:
         findings.append(finding(check_id, message, ref))
 
-    components = model.components
+    if components is None:
+        components = model.components
     for i in _repeats([comp.name for comp in components]):
         name = components[i].name
         found(

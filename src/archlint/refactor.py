@@ -11,7 +11,10 @@ the new name. `_rewrite_paths`, which rename and split call, alone walks
 endpoint paths, and only those that hold a name the step changes.
 `apply_op` holds the rule every operation shares: a step whose input or
 result fails `validate_model`, or whose result equals its input, is
-refused, so no handler repeats a check that validation makes.
+refused, so no handler repeats a check that validation makes. A result
+carries its input's connector index and validation past what the step
+changed (`_carry`), and `apply_plan` resolves again only the connection
+annotations that a step can have changed.
 The elements a step touches are those it creates or deletes,
 `model.created_or_deleted` of the two models, so a rename or a move
 touches the old element and the new one.
@@ -30,14 +33,16 @@ from __future__ import annotations
 
 import re
 from collections import namedtuple
+from typing import Callable
 
 from .annotations import CodeModel
-from .conformance import references
+from .conformance import ConnectionResolution, references, resolve_connection
 from .errors import PlanError, PlanParseError, PreconditionError
 from .model import (
     ArchitectureModel,
     Component,
     Connector,
+    ConnectorIndex,
     Direction,
     ElementRef,
     EndpointPath,
@@ -46,9 +51,11 @@ from .model import (
     Record,
     RefKind,
     ROOT_CONTEXT,
+    _member_keys,
     created_or_deleted,
     is_identifier,
     parse_ref,
+    validate_model,
     walk_endpoint,
 )
 
@@ -429,6 +436,95 @@ def _require_well_formed(op: RefactoringOp, which: str, model: ArchitectureModel
                     problems[0].element)
 
 
+def _carry(
+    old: ArchitectureModel, new: ArchitectureModel
+) -> Callable[[ConnectionResolution], bool]:
+    """Seed the cached `connector_index` and `validation` of `new`, the
+    result of one step on the well-formed `old`, from what the step changed,
+    and return whether the step can change a resolution under `old`.
+
+    A component changed when its declaration differs in the two models. A
+    connector is walked again only when its context (or a root path's
+    first component) is or holds, through part types, a changed one, or
+    flipped its top-level status. Validation checks the changed components and
+    those connectors, with the names and part types; a finding, or a pair
+    that two connectors wire, sends `new` to the full `validate_model`.
+    A resolved annotation read only the components its refs name, their
+    top-level status and its pair's connectors; one with a side that does
+    not resolve may have stopped at any component.
+    """
+    old_map, new_map = old._component_map, new._component_map
+    changed = {
+        name for name in old_map.keys() | new_map.keys()
+        if old_map.get(name) is not new_map.get(name) and old_map.get(name) != new_map.get(name)
+    }
+    flipped = (old_map.keys() - old._part_type_uses) ^ (new_map.keys() - new._part_type_uses)
+    tainted, stack = set(changed), list(changed & old._part_type_uses)
+    if stack:
+        holders: dict[str, list[str]] = {}
+        for comp in old.components:
+            for part in comp.parts:
+                holders.setdefault(part.type_component, []).append(comp.name)
+        while stack:
+            for holder in holders.get(stack.pop(), ()):
+                if holder not in tainted:
+                    tainted.add(holder)
+                    stack.append(holder)
+
+    def walks_changed(conn: Connector) -> bool:
+        if conn.context != ROOT_CONTEXT:
+            return conn.context in tainted
+        starts = {conn.left.segments[0], conn.right.segments[0]}
+        return not (starts.isdisjoint(tainted) and starts.isdisjoint(flipped))
+
+    before = old.connector_index
+    kept = before.sides
+    if tainted or flipped:
+        kept = {conn: sides for conn, sides in kept.items() if not walks_changed(conn)}
+    index = new.__dict__["connector_index"] = ConnectorIndex(new, kept)
+    fresh = [conn for conn in new.connectors if conn not in kept]
+    wired = [index.triples[conn] for conn in fresh if conn in index.triples]
+    problems = (
+        len(new_map) < len(new.components)
+        or len(index.by_id) < len(new.connectors)
+        or not new._part_type_uses <= new_map.keys()
+        or any(len(index.by_pair[triple[:2]]) > 1 for triple in wired)
+        or validate_model(new, fresh, [new_map[name] for name in changed if name in new_map])
+    )
+    new.__dict__["validation"] = tuple(validate_model(new)) if problems else ()
+    pairs = {triple[:2] for triple in wired}
+    pairs.update(
+        triple[:2] for conn, triple in before.triples.items()
+        if conn not in kept or conn not in index.sides
+    )
+    elements = {ElementRef.member(*key) for key in _member_keys(
+        old_map[name] for name in changed if name in old_map
+    )}
+    elements.update(map(ElementRef.component, changed | flipped))
+
+    def changes(resolution: ConnectionResolution) -> bool:
+        triple = resolution.triple
+        if triple is None:
+            return bool(changed)
+        return (triple[0], triple[1]) in pairs or not resolution.refs.isdisjoint(elements)
+
+    return changes
+
+
+def _step(
+    model: ArchitectureModel, op: RefactoringOp
+) -> tuple[ArchitectureModel, Callable[[ConnectionResolution], bool]]:
+    """`apply_op`'s new model, and whether the step can change a resolution
+    (`_carry`)."""
+    _require_well_formed(op, "input", model)
+    new_model = _ROW_OF[type(op)].apply(model, op)
+    if new_model == model:
+        raise _fail(op, "the step changes nothing")
+    changes = _carry(model, new_model)
+    _require_well_formed(op, "resulting", new_model)
+    return new_model, changes
+
+
 def apply_op(
     model: ArchitectureModel, op: RefactoringOp
 ) -> tuple[ArchitectureModel, frozenset[ElementRef]]:
@@ -439,12 +535,10 @@ def apply_op(
     The one rule every operation shares: a step is refused when its input
     or its result fails `validate_model`, with the first finding's message
     and element as the reason and ref, or when its result equals its input.
+    The result's validation and connector index are carried from the
+    input's (`_carry`).
     """
-    _require_well_formed(op, "input", model)
-    new_model = _ROW_OF[type(op)].apply(model, op)
-    if new_model == model:
-        raise _fail(op, "the step changes nothing")
-    _require_well_formed(op, "resulting", new_model)
+    new_model, _ = _step(model, op)
     return (new_model, created_or_deleted(model, new_model))
 
 
@@ -477,17 +571,30 @@ def apply_plan(
     Each impact entry lists, for every touched ref, the annotations that
     reference it under the pre-step model (`conformance.references`), the
     architecture in which the touched names still have their old meaning.
+    The first step resolves every connection annotation; a later step
+    resolves again only those that the step before can have changed
+    (`_carry`) and keeps the rest.
     """
     current = model
     entries: list[ImpactEntry] = []
+    connections = [
+        (position, inst) for position, inst in enumerate(code.instances) if inst.kind.usage is not None
+    ]
+    resolved: dict[int, ConnectionResolution] = {}
+    changes = None
     for step, op in enumerate(plan.ops, start=1):
         try:
-            new_model, touched = apply_op(current, op)
+            new_model, next_changes = _step(current, op)
         except PreconditionError as err:
             raise PlanError(step, err) from err
+        for position, inst in connections:
+            if changes is None or changes(resolved[position]):
+                resolved[position] = resolve_connection(current, inst)
+        touched = created_or_deleted(current, new_model)
         refs = tuple(sorted(touched, key=lambda r: r.sort_key()))
-        entries.append(ImpactEntry(step, op, refs, references(code, refs, current)))
-        current = new_model
+        impact = references(code, refs, current, resolved.items())
+        entries.append(ImpactEntry(step, op, refs, impact))
+        current, changes = new_model, next_changes
     return (current, ImpactReport(plan.name, tuple(entries)))
 
 

@@ -171,9 +171,9 @@ def _excluded(relpath: str, patterns: tuple[str, ...]) -> bool:
 
 def _walk_root(
     root: Path, position: int, exclude: tuple[str, ...], skip: str = ""
-) -> Iterator[tuple[str, int, Path, os.stat_result]]:
-    """(relative posix path, `position`, path, stat) of every file under root
-    that no exclude pattern matches.
+) -> Iterator[tuple[str, int, str, os.stat_result]]:
+    """(relative posix path, `position`, path as a string, stat) of every
+    file under root that no exclude pattern matches.
 
     Symlinked files are kept, symlinked directories are not entered, and
     unreadable directories are skipped. A directory is not entered when a
@@ -195,7 +195,7 @@ def _walk_root(
             rel = prefix + name
             if _excluded(rel, exclude):
                 continue
-            path = Path(dirpath, name)
+            path = os.path.join(dirpath, name)
             try:
                 stat = os.stat(path)
             except OSError as err:
@@ -208,11 +208,11 @@ def _walk_root(
 
 def _collect_files(
     roots: Iterable[Path], config: ScanConfig, store: Path | None = None
-) -> list[tuple[str, int, Path, os.stat_result]]:
-    """(relative posix path, root position, path, stat) of every file of every
-    root, sorted by relative path and then root order; a directory given
+) -> list[tuple[str, int, str, os.stat_result]]:
+    """(relative posix path, root position, path as a string, stat) of every
+    file of every root, sorted by relative path and then root order; a directory given
     twice is walked once, and the resolved `store` directory not at all."""
-    out: list[tuple[str, int, Path, os.stat_result]] = []
+    out: list[tuple[str, int, str, os.stat_result]] = []
     seen: set[Path] = set()
     for position, root in enumerate(roots):
         root = Path(root)
@@ -231,7 +231,7 @@ def _collect_files(
 
 
 def _scan_file(
-    rel: str, position: int, path: Path, st: os.stat_result, front_end: str, config: ScanConfig,
+    rel: str, position: int, path: str, st: os.stat_result, front_end: str, config: ScanConfig,
     results: ResultStore | None, digest: bytes | None = None,
 ) -> Result:
     """A file's instances and findings, with `results` their JSON fragments
@@ -243,7 +243,8 @@ def _scan_file(
     stored = None if results is None else results.get(key, st, digest=digest)
     if stored is None:
         try:
-            text = path.read_text(encoding="utf-8", errors="replace")
+            # As a Path, which an IO_ERROR message quotes as it prints.
+            text = Path(path).read_text(encoding="utf-8", errors="replace")
         except OSError as err:
             message = f"cannot read file: {err}"
             findings = [finding("IO_ERROR", message, locations=[SourceLocation(rel, 0, 0)])]
@@ -290,7 +291,7 @@ def _open(
     files = [
         (*file, front_end)
         for file in _collect_files(root_paths, config, skipped)
-        if (front_end := _front_end(config, file[2].suffix)) is not None
+        if (front_end := _front_end(config, os.path.splitext(file[2])[1])) is not None
     ]
     results = None
     if store is not None:

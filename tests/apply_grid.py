@@ -18,7 +18,7 @@ from __future__ import annotations
 import hashlib
 import random
 
-from archlint.adl import serialize_architecture
+from archlint.canonical import serialize_architecture
 from archlint.errors import PreconditionError
 from archlint.model import ArchitectureModel
 from archlint.refactor import RefactoringOp, apply_op, op_text

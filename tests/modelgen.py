@@ -284,6 +284,23 @@ def with_odd_elements(rng: random.Random, model: ArchitectureModel, code: CodeMo
     return CodeModel.build(code.instances + tuple(extra), code.findings, code.config_fingerprint)
 
 
+def with_odd_connections(rng: random.Random, code: CodeModel) -> CodeModel:
+    """Add connection instances that fail to resolve or name their context."""
+    extra = []
+    for inst in code.instances:
+        if inst.kind.usage is None or rng.random() < 0.7:
+            continue
+        line = 10_000 + len(extra)
+        if rng.random() < 0.5:
+            attrs = {**inst.attrs, "right": "nowhere.x"}
+        elif inst.enclosing_components:
+            attrs = {**inst.attrs, "leftcomponent": inst.enclosing_components[0]}
+        else:
+            attrs = {**inst.attrs, "leftcomponent": "NoSuchContext"}
+        extra.append(inst._replace(attrs=attrs, location=SourceLocation("gen/odd.java", line, 1)))
+    return CodeModel.build(code.instances + tuple(extra), code.findings, code.config_fingerprint)
+
+
 def _fresh(rng: random.Random, prefix: str) -> str:
     return f"{prefix}{rng.randrange(10**6)}"
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 from collections import Counter
 
-from archlint.adl import serialize_architecture
+from archlint.canonical import serialize_architecture
 from archlint.annotations import CodeModel
 from archlint.conformance import (
     ConformanceReport,

@@ -11,7 +11,8 @@ from pathlib import Path
 
 import pytest
 
-from archlint.adl import parse_architecture, serialize_architecture
+from archlint.adl import parse_architecture
+from archlint.canonical import serialize_architecture
 from archlint.annotations import AnnotationKind, CodeModel, TargetKind
 from archlint.cli import main
 from archlint.conformance import (
@@ -23,7 +24,6 @@ from archlint.conformance import (
     run_all,
 )
 from archlint.errors import PlanError
-from archlint.findings import SourceLocation
 from archlint.jsontext import dump_code_model
 from archlint.model import (
     ArchitectureModel,
@@ -48,6 +48,7 @@ from modelgen import (
     random_code_for,
     random_model,
     random_op_sequence,
+    with_odd_connections,
     with_odd_elements,
 )
 
@@ -462,23 +463,6 @@ def _oracle_lookup(model: ArchitectureModel, code: CodeModel, ref: ElementRef) -
     return tuple(inst for inst in code.instances if ref in _oracle_refs(model, inst))
 
 
-def _with_odd_connections(rng: random.Random, code: CodeModel) -> CodeModel:
-    """Add connection instances that fail to resolve or name their context."""
-    extra = []
-    for inst in code.instances:
-        if inst.kind not in _CONNECTION_KINDS or rng.random() < 0.7:
-            continue
-        line = 10_000 + len(extra)
-        if rng.random() < 0.5:
-            attrs = {**inst.attrs, "right": "nowhere.x"}
-        elif inst.enclosing_components:
-            attrs = {**inst.attrs, "leftcomponent": inst.enclosing_components[0]}
-        else:
-            attrs = {**inst.attrs, "leftcomponent": "NoSuchContext"}
-        extra.append(inst._replace(attrs=attrs, location=SourceLocation("gen/odd.java", line, 1)))
-    return CodeModel.build(code.instances + tuple(extra), code.findings, code.config_fingerprint)
-
-
 def test_criterion_3_lookup_impact_oracle() -> None:
     """lookup, connector_usages, lifecycle smells and plan impact vs brute force."""
     rng = random.Random(20261017)
@@ -486,7 +470,7 @@ def test_criterion_3_lookup_impact_oracle() -> None:
     plans = 0
     for _ in range(120):
         model = random_model(rng, max_components=rng.randint(2, 12))
-        code = _with_odd_connections(rng, random_code_for(rng, model))
+        code = with_odd_connections(rng, random_code_for(rng, model))
         code = with_odd_elements(odd, model, code)
         refs_of = [(inst, _oracle_refs(model, inst)) for inst in code.instances]
         wanted = set(list_elements(model)).union(*(refs for _, refs in refs_of))

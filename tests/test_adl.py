@@ -3,7 +3,8 @@ from pathlib import Path
 
 import pytest
 
-from archlint.adl import AdlParseError, parse_architecture, serialize_architecture
+from archlint.adl import AdlParseError, parse_architecture
+from archlint.canonical import serialize_architecture
 from archlint.model import ArchitectureModel, Direction, Multiplicity, validate_model
 from modelgen import random_model
 

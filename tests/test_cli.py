@@ -701,7 +701,7 @@ def test_each_command_loads_only_its_modules(tmp_path: Path, command: str) -> No
     detectors, and only `scaffold` the scaffolder. A scan imports only the
     front-ends of the files it extracts: the Java one for tests/data/car,
     the pragma one for tests/data/car_pragma, and neither when every file
-    hits the store, nor then the ADL module, unless it refactors. No command imports `dataclasses` (with `inspect`,
+    hits the store, nor then the ADL parser. No command imports `dataclasses` (with `inspect`,
     `ast`, `dis` and `tokenize` behind it) unless the interpreter loads it
     at start-up."""
     argv = _car_argv(tmp_path, command)
@@ -733,9 +733,10 @@ def test_each_command_loads_only_its_modules(tmp_path: Path, command: str) -> No
             loaded(src_argv, store)
             warm = loaded(src_argv, store)[1]
             assert "archlint.java" not in warm and "archlint.pragma" not in warm, warm
-            # The store holds the `.arch` and its canonical text: only a
-            # refactoring, which writes a new `.arch`, loads the ADL module.
-            assert ("archlint.adl" in warm) == (command == "refactor"), warm
+            # The store holds the `.arch` and its canonical text, and a
+            # refactoring writes its new `.arch` through `archlint.canonical`:
+            # no warm command loads the ADL parser.
+            assert "archlint.adl" not in warm, warm
     at_start = subprocess.run(
         [sys.executable, "-c", 'import sys; print("dataclasses" in sys.modules)'],
         capture_output=True, text=True, env=env,

@@ -123,6 +123,27 @@ def test_connector_queries_walk_linearly(monkeypatch) -> None:
         assert large <= 2.2 * small, (name, small, large)
 
 
+def test_a_plan_step_resolves_what_the_step_before_changed(monkeypatch) -> None:
+    """A plan resolves every connection annotation at its first step, and at
+    a later step only those that meet what the step before changed. On
+    `_chain(60)`, `add-port` of `C{k}` changes one component, which two
+    annotations walk through, so 40 steps resolve 59 + 2 x 39 times, not
+    40 x 59."""
+    arch, code = _chain(60), _chain_code(60)
+    calls = _count_calls(monkeypatch, conformance_module, "resolve_connection")
+
+    def resolutions(steps: int) -> int:
+        plan = RefactoringPlan("grow", tuple(AddPort(f"C{k}", "z") for k in range(1, steps + 1)))
+        before = calls[0]
+        _, report = apply_plan(arch, plan, code)
+        assert len(report.entries) == steps
+        return calls[0] - before
+
+    one = resolutions(1)
+    assert one == 59
+    assert resolutions(40) <= one + 2 * 39
+
+
 def test_apply_plan_reads_each_element_annotation_once(monkeypatch) -> None:
     """Element annotations reference the same elements in every model, so a
     code model's index reads each of them once (`index_elements`), however

@@ -7,7 +7,8 @@ import random
 
 import pytest
 
-from archlint.adl import parse_architecture, serialize_architecture
+from archlint.adl import parse_architecture
+from archlint.canonical import serialize_architecture
 from archlint.annotations import CodeModel
 from archlint.errors import ConfigError
 from archlint.model import (

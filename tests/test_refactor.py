@@ -4,7 +4,8 @@ from pathlib import Path
 
 import pytest
 
-from archlint.adl import parse_architecture, serialize_architecture
+from archlint.adl import parse_architecture
+from archlint.canonical import serialize_architecture
 from archlint.annotations import CodeModel
 from archlint.errors import (
     AdlParseError,

@@ -35,7 +35,7 @@ from hypothesis import strategies as st
 import archlint
 from annotation_grid import grid_cases
 from archlint import adl, cli, java, jsontext, pragma, store
-from archlint.adl import serialize_architecture
+from archlint.canonical import serialize_architecture
 from archlint.conformance import FilePart, report_fingerprint, run_all
 from archlint.model import ArchitectureModel
 from archlint.scaffold import write_scaffold
@@ -114,7 +114,7 @@ def _claimed(base: Path) -> list[tuple[str, int]]:
     roots, config = _roots_and_config(base)
     return [
         (rel, position) for rel, position, path, _ in _collect_files(roots, config)
-        if _front_end(config, path.suffix) is not None
+        if _front_end(config, os.path.splitext(path)[1]) is not None
     ]
 
 
@@ -665,7 +665,7 @@ def test_the_store_follows_random_edits_of_two_roots(steps: list[tuple[str, int]
             assert warm.compact_json == jsontext.code_model(cold, None), (step, edit)
             claimed = {
                 (rel, position) for rel, position, path, _ in _collect_files(roots, config)
-                if _front_end(config, path.suffix) is not None
+                if _front_end(config, os.path.splitext(path)[1]) is not None
             }
             stored = store.ResultStore(directory, roots, config.semantic_fingerprint())
             assert set(stored.entries) == claimed, (step, edit)
